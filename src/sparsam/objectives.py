@@ -97,6 +97,13 @@ class BlockQuadratic(Objective):
     the same batch always sees the same drift and restricting the
     gradient to a layer subset never changes any layer's draw.
     `batch=None` selects the noiseless population objective.
+
+    Each layer's draw for the latest batch id is memoised, so a step
+    that evaluates the loss and one or more gradients on one batch
+    builds each (batch, layer) stream once. The memo is exact: the draw
+    is a pure function of (noise_seed, batch.id, l). It holds one batch
+    (a new id discards it), so it costs at most one parameter vector,
+    and its arrays are read-only so no caller can alter a later draw.
     """
 
     def __init__(
@@ -127,6 +134,8 @@ class BlockQuadratic(Objective):
         self.centers = centers
         self.noise_sigma = float(noise_sigma)
         self.noise_seed = int(noise_seed)
+        self._noise_id: int | None = None
+        self._noise_memo: list[np.ndarray | None] = []
 
     @property
     def layer_dims(self) -> tuple[int, ...]:
@@ -135,8 +144,16 @@ class BlockQuadratic(Objective):
     def _noise(self, batch: Batch | None, l: int) -> np.ndarray | None:
         if batch is None or self.noise_sigma == 0.0:
             return None
-        rng = stream(self.noise_seed, "noise", batch.id, l)
-        return self.noise_sigma * rng.standard_normal(self._dims[l])
+        if batch.id != self._noise_id:
+            self._noise_id = batch.id
+            self._noise_memo = [None] * self.n_layers
+        z = self._noise_memo[l]
+        if z is None:
+            rng = stream(self.noise_seed, "noise", batch.id, l)
+            z = self.noise_sigma * rng.standard_normal(self._dims[l])
+            z.flags.writeable = False
+            self._noise_memo[l] = z
+        return z
 
     def loss(self, x: LayeredVector, batch: Batch | None) -> float:
         self._check_x(x)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from sparsam import objectives
+from sparsam.config import OPTIMIZER_TYPES, ExperimentConfig
 from sparsam.errors import DivergenceError
 from sparsam.layered import ActiveSet, LayeredVector
 from sparsam.objectives import (
@@ -15,8 +17,10 @@ from sparsam.objectives import (
     mlp_loss_and_grad,
     quadratic_grad,
 )
+from sparsam.rng import stream
+from sparsam.runner import Trainer
 
-from conftest import lv
+from conftest import lv, scalar_batch
 
 
 def two_block_quadratic() -> BlockQuadratic:
@@ -85,6 +89,67 @@ class TestQuadraticGrad:
         ]
         mean = np.mean(draws, axis=0)
         assert np.allclose(mean, clean[0], atol=0.08)
+
+
+class TestNoiseMemo:
+    N_LAYERS = 8
+
+    @pytest.mark.parametrize("otype", OPTIMIZER_TYPES)
+    def test_one_stream_per_layer_per_step(self, otype, monkeypatch):
+        built = []
+        real_stream = objectives.stream
+
+        def counting_stream(*args):
+            built.append(args)
+            return real_stream(*args)
+
+        monkeypatch.setattr(objectives, "stream", counting_stream)
+        trainer = Trainer(
+            ExperimentConfig.from_dict({
+                "objective": {
+                    "type": "blockquadratic",
+                    "layer_dims": [3] * self.N_LAYERS,
+                    "noise_sigma": 1e-2,
+                },
+                "optimizer": {"type": otype},
+                "bandit": {"s_over_n": 0.25},
+                "train": {"steps": 3, "batch_size": 1, "seed": 0, "eval_every": 1},
+            })
+        )
+        # Step 1 is the single-pass types' dense bootstrap; later steps
+        # run their sampled or stale-perturbation paths.
+        for _ in range(3):
+            built.clear()
+            trainer.step()
+            assert len(built) == self.N_LAYERS
+            assert len(set(built)) == self.N_LAYERS
+
+    def test_memo_matches_fresh_draws_across_batches(self):
+        dims = [4, 2, 3]
+
+        def fresh() -> BlockQuadratic:
+            return BlockQuadratic(dims, noise_sigma=0.3, noise_seed=5)
+
+        obj = fresh()
+        x = lv([1.0, -2.0, 0.5, 3.0], [0.25, -1.0], [2.0, 1.5, -0.75])
+        b1, b2 = scalar_batch(1), scalar_batch(2)
+        sparse = ActiveSet.of(1)
+        assert obj.loss(x, b1) == fresh().loss(x, b1)
+        g = obj.grad(x, b2, sparse)
+        g_fresh = fresh().grad(x, b2, sparse)
+        for l in range(len(dims)):
+            assert np.array_equal(g[l], g_fresh[l])
+        assert obj.loss(x, b1) == fresh().loss(x, b1)
+        for l, d in enumerate(dims):
+            drawn = 0.3 * stream(5, "noise", b1.id, l).standard_normal(d)
+            assert np.array_equal(obj._noise(b1, l), drawn)
+
+    def test_memoised_noise_is_read_only(self):
+        obj = BlockQuadratic([3, 3], noise_sigma=1.0, noise_seed=2)
+        obj.loss(lv([0.0] * 3, [0.0] * 3), scalar_batch(4))
+        z = obj._noise(scalar_batch(4), 1)
+        with pytest.raises(ValueError):
+            z[0] = 0.0
 
 
 class TestMlpGrad:
