@@ -29,8 +29,6 @@ from sparsam.layered import ActiveSet
 logger = logging.getLogger(__name__)
 
 SUM_TOL = 1e-9
-PROJECT_SUM_TOL = 1e-12
-PROJECT_MAX_ITER = 200
 MAX_SAMPLE_ATTEMPTS = 10_000
 
 
@@ -161,9 +159,15 @@ def kl_project(u: np.ndarray, s: float, p_min: float) -> SamplingDistribution:
     """KL projection of positive weights u onto {q : sum(q) = s, p_min <= q <= 1}.
 
     The minimizer has the form q = clip(c * u, p_min, 1) for a scalar
-    c > 0; sum(clip(c * u)) is continuous and non-decreasing in c, so c
-    is found by bisection on [0, 1/min(u)]. The result is returned as a
-    distribution, which re-checks every constraint on construction.
+    c > 0 (the capping step of Warmuth & Kuzmin, JMLR 2008, here with a
+    floor as well as a cap). mass(c) = sum(clip(c * u, p_min, 1)) is
+    continuous, non-decreasing and piecewise linear in c, with
+    breakpoints at p_min / u_i and 1 / u_i. Cumulative sums over the
+    sorted u give the mass at every breakpoint. Between the two
+    breakpoints that bracket s the floored and capped coordinates are
+    fixed, so c solves one linear equation there. The result is
+    returned as a distribution, which re-checks every constraint on
+    construction.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 1 or u.size < 1:
@@ -177,23 +181,24 @@ def kl_project(u: np.ndarray, s: float, p_min: float) -> SamplingDistribution:
     if n * p_min > s + SUM_TOL or s > n + SUM_TOL:
         raise ValueError(f"target sum s={s} infeasible for n={n}, p_min={p_min}")
 
-    def mass(c: float) -> float:
-        return float(np.clip(c * u, p_min, 1.0).sum())
-
-    lo, hi = 0.0, 1.0 / float(u.min())
-    c = hi
-    for _ in range(PROJECT_MAX_ITER):
-        c = 0.5 * (lo + hi)
-        m = mass(c)
-        if abs(m - s) <= PROJECT_SUM_TOL:
-            break
-        if m < s:
-            lo = c
-        else:
-            hi = c
-    else:
-        if abs(mass(c) - s) > SUM_TOL:
-            raise ValueError("projection bisection failed to reach the target sum")
+    us = np.sort(u)
+    csum = np.concatenate(([0.0], np.cumsum(us)))
+    bps = np.sort(np.concatenate((p_min / us, 1.0 / us)))
+    # Coordinates at the floor and at the cap at each breakpoint.
+    n_floor = np.searchsorted(us, p_min / bps, side="right")
+    n_cap = np.minimum(n - np.searchsorted(us, 1.0 / bps, side="left"), n - n_floor)
+    masses = p_min * n_floor + n_cap + bps * (csum[n - n_cap] - csum[n_floor])
+    # masses[j - 1] < s <= masses[j]; when s sits at an end of the feasible
+    # range (all floored or all capped) the clamp puts c on the outer breakpoint.
+    j = min(max(int(np.searchsorted(masses, s)), 1), n + n - 1)
+    lo, hi = bps[j - 1], bps[j]
+    # Strictly inside the segment the floored and capped coordinates are
+    # fixed, so mass is linear in c there.
+    mid = 0.5 * (lo + hi)
+    k_floor, k_free_end = np.searchsorted(us, (p_min / mid, 1.0 / mid))
+    free = float(us[k_floor:k_free_end].sum())
+    fixed = p_min * k_floor + (n - k_free_end)
+    c = hi if free == 0.0 else min(max((s - fixed) / free, lo), hi)
     return SamplingDistribution(np.clip(c * u, p_min, 1.0), s, p_min)
 
 

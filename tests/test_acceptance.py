@@ -56,7 +56,7 @@ def project_oracle(u: np.ndarray, s: float, p_min: float) -> np.ndarray:
     The optimum has the form clip(c*u, p_min, 1); enumerate every
     floor/free/cap assignment, solve c on the free part, keep feasible
     candidates, and return the one of least divergence. Independent of
-    the bisection code path under test.
+    the closed-form solve under test.
     """
     n = u.size
     best_q, best_val = None, np.inf

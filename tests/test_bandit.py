@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sparsam.bandit import (
     BanditConfig,
@@ -275,6 +276,95 @@ class TestKlProject:
         assert abs(float(np.sum(q)) - s) <= 1e-9
         assert np.all(q >= p_min)
         assert np.all(q <= 1.0)
+
+
+def bisection_reference(u: np.ndarray, s: float, p_min: float) -> np.ndarray:
+    """The projection as first implemented: bisect the multiplier c.
+
+    sum(clip(c * u, p_min, 1)) is non-decreasing in c, so halving
+    [0, 1 / min(u)] until the mass is within 1e-12 of s finds c.
+    """
+
+    def mass(c: float) -> float:
+        return float(np.clip(c * u, p_min, 1.0).sum())
+
+    lo, hi = 0.0, 1.0 / float(u.min())
+    c = hi
+    for _ in range(200):
+        c = 0.5 * (lo + hi)
+        m = mass(c)
+        if abs(m - s) <= 1e-12:
+            break
+        if m < s:
+            lo = c
+        else:
+            hi = c
+    else:
+        assert abs(mass(c) - s) <= 1e-9, "reference bisection missed the target sum"
+    return np.clip(c * u, p_min, 1.0)
+
+
+@st.composite
+def projection_instances(draw):
+    """(u, s, p_min) with N up to 500, u over e^-50..e^50, and the budget edges."""
+    n = draw(st.integers(1, 500))
+    exponents = draw(hnp.arrays(np.float64, n, elements=st.floats(-50.0, 50.0)))
+    if draw(st.booleans()):
+        exponents = np.round(exponents / 10.0) * 10.0  # coarse grid: many ties
+    p_min = 10.0 ** draw(st.floats(-6.0, 0.0))
+    edge = draw(st.sampled_from(["interior", "s=N", "s=N*p_min", "p_min=s/N"]))
+    if edge == "s=N":
+        s = float(n)
+    elif edge == "s=N*p_min":
+        s = n * p_min
+    elif edge == "p_min=s/N":
+        s = n * p_min
+        p_min = s / n
+    else:
+        s = n * p_min + draw(st.floats(0.0, 1.0)) * n * (1.0 - p_min)
+    return np.exp(exponents), s, p_min
+
+
+class TestKlProjectProperties:
+    @given(projection_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_feasible_and_matches_bisection(self, instance):
+        u, s, p_min = instance
+        q = kl_project(u, s, p_min).p
+        assert abs(float(q.sum()) - s) <= 1e-12
+        assert np.all(q >= p_min) and np.all(q <= 1.0)
+        assert np.max(np.abs(q - bisection_reference(u, s, p_min))) <= 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 500])
+    def test_budget_edges(self, n):
+        u = np.exp(np.linspace(-50.0, 50.0, n))
+        assert np.allclose(kl_project(u, float(n), 0.01).p, 1.0, rtol=0.0, atol=1e-12)
+        assert np.allclose(kl_project(u, n * 0.01, 0.01).p, 0.01, rtol=0.0, atol=1e-12)
+        assert np.allclose(kl_project(np.ones(n), n * 0.3, 0.01).p, 0.3, rtol=0.0, atol=1e-12)
+
+    def test_ties_share_one_probability(self):
+        q = kl_project(np.array([2.0, 1.0, 1.0, 1.0, 1e-30]), 2.0, 0.05).p
+        assert q[1] == q[2] == q[3]
+        assert q[4] == 0.05
+
+    @pytest.mark.parametrize(
+        "u, s, p_min, message",
+        [
+            (np.array([]), 1.0, 0.1, "non-empty 1-d"),
+            (np.ones((2, 2)), 1.0, 0.1, "non-empty 1-d"),
+            (np.array([0.0, 1.0]), 1.0, 0.1, "finite and strictly positive"),
+            (np.array([-1.0, 1.0]), 1.0, 0.1, "finite and strictly positive"),
+            (np.array([np.nan, 1.0]), 1.0, 0.1, "finite and strictly positive"),
+            (np.array([np.inf, 1.0]), 1.0, 0.1, "finite and strictly positive"),
+            (np.array([1.0, 1.0]), 1.0, 0.0, r"p_min must be in \(0, 1\]"),
+            (np.array([1.0, 1.0]), 1.0, 1.5, r"p_min must be in \(0, 1\]"),
+            (np.array([1.0, 1.0]), 1.0, 0.6, "infeasible"),
+            (np.array([1.0, 1.0]), 2.5, 0.1, "infeasible"),
+        ],
+    )
+    def test_rejects_bad_input(self, u, s, p_min, message):
+        with pytest.raises(ValueError, match=message):
+            kl_project(u, s, p_min)
 
 
 class TestUpdateDistribution:
