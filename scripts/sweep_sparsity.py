@@ -21,11 +21,12 @@ BUDGETS = [0.1, 0.2, 0.4, 0.6, 0.8, 1.0]
 
 
 def run_one(s_over_n: float, steps: int, seed: int) -> tuple[float, float]:
+    eval_every = max(1, steps // 10)  # at least one probe, even for short runs
     config = ExperimentConfig.from_dict({
         "objective": {"type": "blockquadratic", "layer_dims": [4] * 5, "noise_sigma": 1e-4},
         "optimizer": {"type": "slsam", "eta": 4e-3},
         "bandit": {"s_over_n": s_over_n},
-        "train": {"steps": steps, "batch_size": 1, "seed": seed, "eval_every": steps // 10},
+        "train": {"steps": steps, "batch_size": 1, "seed": seed, "eval_every": eval_every},
     })
     trainer = Trainer(config)
     trainer.run_all()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -257,3 +258,14 @@ class TestCli:
 
     def test_unknown_subcommand(self, capsys):
         assert main(["tune"]) == 1
+
+
+class TestScripts:
+    def test_sweep_runs_shorter_than_ten_steps(self):
+        path = Path(__file__).resolve().parent.parent / "scripts" / "sweep_sparsity.py"
+        spec = importlib.util.spec_from_file_location("sweep_sparsity", path)
+        sweep = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sweep)
+        ratio, grad = sweep.run_one(0.2, 5, 0)
+        assert 0.0 < ratio <= 2.0
+        assert np.isfinite(grad)
