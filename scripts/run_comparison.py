@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import argparse
 
-from sparsam.config import ExperimentConfig
+from sparsam.config import OPTIMIZER_TYPES, ExperimentConfig
 from sparsam.runner import compare
-
-OPTIMIZERS = ["adamw", "adasam", "s2sam", "slsam", "sl_s2sam", "random_slsam", "top_slsam"]
 
 
 def main() -> None:
@@ -33,7 +31,7 @@ def main() -> None:
         "bandit": {"s_over_n": args.s_over_n},
         "train": {"steps": args.steps, "batch_size": 32, "seed": args.seed, "eval_every": 200},
     })
-    table = compare(config, OPTIMIZERS, args.out)
+    table = compare(config, list(OPTIMIZER_TYPES), args.out)
     print(table.read_text(), end="")
     print(f"\nper-run files under {args.out}/<optimizer>/")
 

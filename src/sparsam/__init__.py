@@ -5,8 +5,8 @@ The package splits into small focused modules:
     layered     layered parameter vectors and active-set arithmetic
     objectives  block quadratics and a small MLP with exact gradients
     bandit      sampling distribution over layers and its update rule
-    optimizers  AdamW and the SAM family (dense, sparse, single-step)
-    datasets    synthetic datasets, IDX files, minibatch streams
+    optimizers  AdamW, the optimizer type table and the one SAM step core
+    datasets    synthetic datasets and minibatch streams
     telemetry   per-step records and run-level metrics
     config      experiment configuration loading and validation
     runner      training loop, CSV/JSON outputs, comparisons

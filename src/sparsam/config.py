@@ -18,19 +18,9 @@ from typing import Any
 from sparsam.bandit import BanditConfig
 from sparsam.errors import ConfigError
 from sparsam.objectives import BlockQuadratic, MlpClassifier, Objective
-from sparsam.optimizers import AdamWConfig, SamConfig
+from sparsam.optimizers import OPTIMIZERS, AdamWConfig, Ascent, SamConfig, Selector
 
-OPTIMIZER_TYPES = (
-    "adamw",
-    "adasam",
-    "slsam",
-    "s2sam",
-    "sl_s2sam",
-    "random_slsam",
-    "top_slsam",
-)
-SPARSE_OPTIMIZERS = ("slsam", "sl_s2sam", "random_slsam", "top_slsam")
-SINGLE_PASS_OPTIMIZERS = ("adamw", "s2sam", "sl_s2sam")
+OPTIMIZER_TYPES = tuple(OPTIMIZERS)
 DATASET_TYPES = ("none", "two_moons", "blobs")
 
 
@@ -163,12 +153,17 @@ class OptimizerConfig:
             raise ConfigError(f"optimizer: {e}") from e
         return cfg
 
+    def kind(self) -> tuple[Selector, Ascent]:
+        """The type's layer selector and ascent source."""
+        _require(self.type in OPTIMIZERS, f"unknown optimizer type {self.type!r}")
+        return OPTIMIZERS[self.type]
+
     def resolved_perturb_norm(self) -> str:
         """Sampled-layer variants perturb per layer, dense ones globally,
         unless the config pins a mode."""
         if self.perturb_norm is not None:
             return self.perturb_norm
-        return "per_layer" if self.type in SPARSE_OPTIMIZERS else "global"
+        return "global" if self.kind()[0] == "all" else "per_layer"
 
     def adamw(self) -> AdamWConfig:
         return AdamWConfig(
@@ -311,7 +306,7 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
-        self.objective.build(noise_seed=0)
+        n = self.objective.build(noise_seed=0).n_layers
         if self.objective.type == "mlp":
             _require(
                 self.dataset.type != "none",
@@ -339,24 +334,14 @@ class ExperimentConfig:
                 self.dataset.type == "none",
                 "blockquadratic runs on synthetic batches; set dataset type to 'none'",
             )
-        if self.optimizer.type in SPARSE_OPTIMIZERS:
-            n = len(self.objective.layer_dims) if self.objective.type == "blockquadratic" else None
-            if n is None:
-                mlp = self.objective
-                stages = len(mlp.widths) - 1
-                n = stages if mlp.bias_mode == "fused" else 2 * stages
-            try:
-                # Feasibility of the uniform start stands in for the whole run.
-                s = self.bandit.budget(n)
-                _require(s > 0, "layer budget must be positive")
-                _require(
-                    self.bandit.p_min() <= s / n,
-                    f"p_min={self.bandit.p_min()} above uniform start {s / n}",
-                )
-            except ConfigError:
-                raise
-            except ValueError as e:
-                raise ConfigError(f"bandit: {e}") from e
+        if self.optimizer.kind()[0] != "all":
+            # Feasibility of the uniform start stands in for the whole run.
+            s = self.bandit.budget(n)
+            _require(s > 0, "layer budget must be positive")
+            _require(
+                self.bandit.p_min() <= s / n,
+                f"p_min={self.bandit.p_min()} above uniform start {s / n}",
+            )
 
     def resolved(self) -> dict:
         return {

@@ -1,4 +1,4 @@
-"""Synthetic datasets, IDX files, and deterministic minibatch streams.
+"""Synthetic datasets and deterministic minibatch streams.
 
 Generators are pure functions of their parameters and seed, drawing
 from the counter-based streams in sparsam.rng, so outputs are
@@ -7,17 +7,12 @@ byte-identical across runs and platforms for a fixed numpy version.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from sparsam.objectives import Batch
 from sparsam.rng import stream
-
-IDX_MAGIC_IMAGES = 0x00000803
-IDX_MAGIC_LABELS = 0x00000801
 
 # Batch ids pack (epoch, index); indexes get the low bits.
 BATCH_INDEX_BITS = 20
@@ -89,51 +84,6 @@ def gen_blobs(n: int, k: int, sigma: float, seed: int) -> Dataset:
     if sigma > 0:
         features = features + sigma * stream(seed, "dataset").standard_normal(features.shape)
     return Dataset(features, labels, class_count=k, seed=seed)
-
-
-def read_idx(path: str | Path) -> np.ndarray:
-    """Read one IDX tensor: float images in [0, 1] or an integer label vector."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 4:
-        raise ValueError(f"{path}: too short for an IDX header")
-    (magic,) = struct.unpack(">i", raw[:4])
-    if magic == IDX_MAGIC_IMAGES:
-        ndim = 3
-    elif magic == IDX_MAGIC_LABELS:
-        ndim = 1
-    else:
-        raise ValueError(f"{path}: bad IDX magic 0x{magic:08x}")
-    header_end = 4 + 4 * ndim
-    if len(raw) < header_end:
-        raise ValueError(f"{path}: truncated IDX dimension header")
-    dims = struct.unpack(f">{ndim}i", raw[4:header_end])
-    if any(d < 0 for d in dims):
-        raise ValueError(f"{path}: negative IDX dimension {dims}")
-    expected = int(np.prod(dims, dtype=np.int64))
-    payload = raw[header_end:]
-    if len(payload) != expected:
-        raise ValueError(f"{path}: payload holds {len(payload)} bytes, header declares {expected}")
-    data = np.frombuffer(payload, dtype=np.uint8).reshape(dims)
-    if magic == IDX_MAGIC_IMAGES:
-        return data.astype(np.float64) / 255.0
-    return data.astype(np.int64)
-
-
-def write_idx(path: str | Path, arr: np.ndarray) -> None:
-    """Write a uint8 tensor in IDX form: 3-d as images, 1-d as labels."""
-    arr = np.asarray(arr)
-    if arr.dtype != np.uint8:
-        raise ValueError(f"IDX payloads are unsigned bytes, got dtype {arr.dtype}")
-    if arr.ndim == 3:
-        magic = IDX_MAGIC_IMAGES
-    elif arr.ndim == 1:
-        magic = IDX_MAGIC_LABELS
-    else:
-        raise ValueError(f"IDX tensors are 1-d or 3-d, got {arr.ndim}-d")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">i", magic))
-        fh.write(struct.pack(f">{arr.ndim}i", *arr.shape))
-        fh.write(arr.tobytes())
 
 
 def batch_id(epoch: int, index: int) -> int:

@@ -346,20 +346,6 @@ class MlpClassifier(Objective):
         return LayeredVector(blocks)
 
 
-def quadratic_grad(
-    obj: BlockQuadratic, x: LayeredVector, batch: Batch | None, active: ActiveSet
-) -> LayeredVector:
-    """Analytic gradient of a block quadratic restricted to `active`."""
-    return obj.grad(x, batch, active)
-
-
-def mlp_loss_and_grad(
-    obj: MlpClassifier, x: LayeredVector, batch: Batch, active: ActiveSet
-) -> tuple[float, LayeredVector]:
-    """Forward plus reverse pass of the classifier in one call."""
-    return obj.loss_and_grad(x, batch, active)
-
-
 def finite_diff_grad(
     obj: Objective, x: LayeredVector, batch: Batch | None, h: float = 1e-6
 ) -> LayeredVector:

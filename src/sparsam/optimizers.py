@@ -1,20 +1,29 @@
 """AdamW and the sharpness-aware optimizer family built on it.
 
-Every variant shares one primitive, `adamw_step`, which updates moments
-and parameters without bias correction and only on the active layer
-set. The variants differ in how they obtain the descent gradient:
+The optimizer types differ on two axes only, and `OPTIMIZERS` is the one
+table of them: which layers a step touches (the selector: all of them,
+bandit-sampled, uniform without replacement, or the top-k by full
+gradient norm) and where its ascent direction comes from (none, a fresh
+ascent pass, or a stale per-layer stash of earlier gradients). Every
+type-dependent choice elsewhere is read from that table.
 
-    adamw_baseline_step   one plain gradient pass
-    adasam_step           dense ascent pass, perturb, dense descent pass
-    slsam_step            sampled layers, sparse ascent and descent passes
-    s2sam_step            perturb along last step's gradient, one pass
-    sl_s2sam_step         sampled layers, stale per-layer perturbations
+`sam_step` is the one function that runs a step's gradient passes, for
+any active set and ascent source; it updates with `adamw_step`, which
+touches moments and parameters only on the active layers and applies
+no bias correction. The per-type entry points are thin wrappers over it:
+
+    adamw_baseline_step   all layers, no ascent
+    adasam_step           all layers, fresh ascent
+    s2sam_step            all layers, stale ascent
+    slsam_step            bandit layers, fresh ascent, distribution update
+    sl_s2sam_step         bandit layers, stale ascent, distribution update
+    ablation_step         uniform or top-k layers, fresh ascent
 
 Step functions mutate x and state in place and return a StepTelemetry
 (plus the updated sampling distribution where one is involved). The
 telemetry loss is the loss at the point where the step's first gradient
-was evaluated; for single-step variants past their bootstrap that is
-the perturbed point, the only point they ever visit.
+was evaluated; for stale steps past their bootstrap that is the
+perturbed point, the only point they ever visit.
 """
 
 from __future__ import annotations
@@ -43,8 +52,19 @@ from sparsam.layered import (
 from sparsam.objectives import Batch, Objective
 from sparsam.telemetry import StepTelemetry
 
-SelectorKind = Literal["bandit", "uniform_random", "greedy_topk"]
-SELECTOR_KINDS: tuple[str, ...] = ("bandit", "uniform_random", "greedy_topk")
+Selector = Literal["all", "bandit", "uniform_random", "greedy_topk"]
+Ascent = Literal["none", "fresh", "stale"]
+
+# Optimizer type -> (selector, ascent source).
+OPTIMIZERS: dict[str, tuple[Selector, Ascent]] = {
+    "adamw": ("all", "none"),
+    "adasam": ("all", "fresh"),
+    "s2sam": ("all", "stale"),
+    "slsam": ("bandit", "fresh"),
+    "sl_s2sam": ("bandit", "stale"),
+    "random_slsam": ("uniform_random", "fresh"),
+    "top_slsam": ("greedy_topk", "fresh"),
+}
 
 
 @dataclass(frozen=True)
@@ -155,6 +175,93 @@ def _perturbed(x: LayeredVector, eps: LayeredVector, active: ActiveSet) -> Layer
     return masked_axpy(x_pert, 1.0, eps, active)
 
 
+def sam_step(
+    obj: Objective,
+    x: LayeredVector,
+    batch: Batch | None,
+    state: OptimizerState,
+    active: ActiveSet,
+    ascent: Ascent,
+    sam_cfg: SamConfig | None,
+    adamw_cfg: AdamWConfig,
+) -> StepTelemetry:
+    """One AdamW step on the active layers, descending from an ascent point.
+
+    `ascent` picks where the perturbation direction comes from:
+
+        none    no perturbation; one gradient pass (sam_cfg is unused)
+        fresh   an ascent pass at x, perturb, a descent pass at x + eps
+        stale   perturb along the per-layer stash of earlier gradients,
+                one pass; the active blocks of the new gradient replace
+                their stashed ones and the staleness of each is recorded
+
+    A stale step with an empty stash is the bootstrap: a plain dense
+    step that stashes every layer. Both passes see the same minibatch.
+    The telemetry loss, grad_l1 and per-layer norms come from the step's
+    first gradient; a step with no ascent records no per-layer norms.
+    """
+    n = obj.n_layers
+    step_no = state.t + 1
+    stale = ascent == "stale"
+    bootstrap = stale and state.prev_grad is None
+    if bootstrap:
+        active = ActiveSet.full(n)
+    active.validate(n)
+    staleness: dict[int, int] = {}
+    if ascent == "fresh":
+        loss, first = obj.loss_and_grad(x, batch, active)
+        eps = sam_perturb(first, active, sam_cfg)
+        g = obj.grad(_perturbed(x, eps, active), batch, active)
+    else:
+        x_eval = x
+        if stale and not bootstrap:
+            stashed = state.stash_step[active.indices()]
+            if (stashed < 1).any():
+                raise AssertionError("an active layer has no stashed gradient after the bootstrap")
+            staleness = dict(zip(active, (step_no - stashed).tolist()))
+            eps = sam_perturb(state.prev_grad, active, sam_cfg)
+            x_eval = _perturbed(x, eps, active)
+        loss, g = obj.loss_and_grad(x_eval, batch, active)
+        first = g
+    adamw_step(state, x, g, active, adamw_cfg)
+    if stale:
+        if bootstrap:
+            state.prev_grad, state.stash_step = g, np.zeros(n, dtype=np.int64)
+        else:
+            for l in active:
+                state.prev_grad.blocks[l] = g[l]
+        state.stash_step[active.indices()] = step_no
+    return StepTelemetry(
+        step=step_no,
+        loss=loss,
+        grad_l1=total_l1_norm(first),
+        active_layers=active,
+        active_param_count=obj.dim if len(active) == n else active_param_count(x, active),
+        grad_passes=2 if ascent == "fresh" else 1,
+        per_layer_r_norms={} if ascent == "none" else {l: layer_l2_norm(first, l) for l in active},
+        per_layer_staleness=staleness,
+    )
+
+
+def _bandit_update(
+    dist: SamplingDistribution,
+    tel: StepTelemetry,
+    bandit_cfg: BanditConfig,
+    g_prior: float | None,
+) -> SamplingDistribution:
+    """Distribution update from a sampled step's per-layer norms.
+
+    When bandit_cfg.g_mode is "running" the caller passes the largest
+    norm seen so far as `g_prior`, and the update uses max(g_prior,
+    current norms) as its envelope.
+    """
+    norms = tel.per_layer_r_norms
+    env = None
+    if bandit_cfg.g_mode == "running" and g_prior is not None:
+        env = max(g_prior, max(norms.values()))
+    return update_distribution(dist, tel.active_layers, norms, bandit_cfg, g=env)
+
+
 def adamw_baseline_step(
     obj: Objective,
     x: LayeredVector,
@@ -164,17 +271,7 @@ def adamw_baseline_step(
 ) -> StepTelemetry:
     """One plain dense AdamW step: a single gradient pass over all layers."""
     full = ActiveSet.full(obj.n_layers)
-    step_no = state.t + 1
-    loss, g = obj.loss_and_grad(x, batch, full)
-    adamw_step(state, x, g, full, adamw_cfg)
-    return StepTelemetry(
-        step=step_no,
-        loss=loss,
-        grad_l1=total_l1_norm(g),
-        active_layers=full,
-        active_param_count=obj.dim,
-        grad_passes=1,
-    )
+    return sam_step(obj, x, batch, state, full, "none", None, adamw_cfg)
 
 
 def adasam_step(
@@ -185,56 +282,22 @@ def adasam_step(
     sam_cfg: SamConfig,
     adamw_cfg: AdamWConfig,
 ) -> StepTelemetry:
-    """Dense two-pass step: ascent gradient, perturb, descent gradient.
-
-    Both passes see the same minibatch.
-    """
+    """Dense two-pass step: ascent gradient, perturb, descent gradient."""
     full = ActiveSet.full(obj.n_layers)
-    step_no = state.t + 1
-    loss, r = obj.loss_and_grad(x, batch, full)
-    eps = sam_perturb(r, full, sam_cfg)
-    g = obj.grad(_perturbed(x, eps, full), batch, full)
-    adamw_step(state, x, g, full, adamw_cfg)
-    return StepTelemetry(
-        step=step_no,
-        loss=loss,
-        grad_l1=total_l1_norm(r),
-        active_layers=full,
-        active_param_count=obj.dim,
-        grad_passes=2,
-        per_layer_r_norms={l: layer_l2_norm(r, l) for l in full},
-    )
+    return sam_step(obj, x, batch, state, full, "fresh", sam_cfg, adamw_cfg)
 
 
-def sparse_sam_step(
+def s2sam_step(
     obj: Objective,
     x: LayeredVector,
     batch: Batch | None,
     state: OptimizerState,
-    active: ActiveSet,
     sam_cfg: SamConfig,
     adamw_cfg: AdamWConfig,
 ) -> StepTelemetry:
-    """Two-pass SAM restricted to a given active set.
-
-    The sampling policy that produced the set is the caller's business;
-    this core is shared by the bandit optimizer and the ablations.
-    """
-    active.validate(obj.n_layers)
-    step_no = state.t + 1
-    loss, r = obj.loss_and_grad(x, batch, active)
-    eps = sam_perturb(r, active, sam_cfg)
-    g = obj.grad(_perturbed(x, eps, active), batch, active)
-    adamw_step(state, x, g, active, adamw_cfg)
-    return StepTelemetry(
-        step=step_no,
-        loss=loss,
-        grad_l1=total_l1_norm(r),
-        active_layers=active,
-        active_param_count=active_param_count(x, active),
-        grad_passes=2,
-        per_layer_r_norms={l: layer_l2_norm(r, l) for l in active},
-    )
+    """Single-pass dense SAM: perturb along the previous step's gradient."""
+    full = ActiveSet.full(obj.n_layers)
+    return sam_step(obj, x, batch, state, full, "stale", sam_cfg, adamw_cfg)
 
 
 def slsam_step(
@@ -249,57 +312,11 @@ def slsam_step(
     rng: np.random.Generator,
     g_prior: float | None = None,
 ) -> tuple[SamplingDistribution, StepTelemetry]:
-    """Bandit-sampled sparse SAM step plus the distribution update.
-
-    `g_prior` feeds the running-envelope mode: when bandit_cfg.g_mode is
-    "running" the caller passes the largest ascent norm seen so far and
-    the update uses max(g_prior, current norms) as its envelope.
-    """
+    """Bandit-sampled two-pass SAM plus the distribution update."""
     active, redraws = sample_active_set(dist, rng)
-    tel = sparse_sam_step(obj, x, batch, state, active, sam_cfg, adamw_cfg)
+    tel = sam_step(obj, x, batch, state, active, "fresh", sam_cfg, adamw_cfg)
     tel.redraws = redraws
-    env = None
-    if bandit_cfg.g_mode == "running" and g_prior is not None:
-        env = max(g_prior, max(tel.per_layer_r_norms.values()))
-    new_dist = update_distribution(dist, active, tel.per_layer_r_norms, bandit_cfg, g=env)
-    return new_dist, tel
-
-
-def s2sam_step(
-    obj: Objective,
-    x: LayeredVector,
-    batch: Batch | None,
-    state: OptimizerState,
-    sam_cfg: SamConfig,
-    adamw_cfg: AdamWConfig,
-) -> StepTelemetry:
-    """Single-pass dense SAM: perturb along the previous step's gradient.
-
-    The first step has nothing stashed and runs a plain AdamW step, then
-    every later step costs exactly one gradient pass.
-    """
-    full = ActiveSet.full(obj.n_layers)
-    step_no = state.t + 1
-    if state.prev_grad is None:
-        loss, g = obj.loss_and_grad(x, batch, full)
-        staleness: dict[int, int] = {}
-    else:
-        eps = sam_perturb(state.prev_grad, full, sam_cfg)
-        loss, g = obj.loss_and_grad(_perturbed(x, eps, full), batch, full)
-        staleness = {l: step_no - int(state.stash_step[l]) for l in full}
-    adamw_step(state, x, g, full, adamw_cfg)
-    state.prev_grad = g
-    state.stash_step = np.full(obj.n_layers, step_no, dtype=np.int64)
-    return StepTelemetry(
-        step=step_no,
-        loss=loss,
-        grad_l1=total_l1_norm(g),
-        active_layers=full,
-        active_param_count=obj.dim,
-        grad_passes=1,
-        per_layer_r_norms={l: layer_l2_norm(g, l) for l in full},
-        per_layer_staleness=staleness,
-    )
+    return _bandit_update(dist, tel, bandit_cfg, g_prior), tel
 
 
 def sl_s2sam_step(
@@ -314,63 +331,22 @@ def sl_s2sam_step(
     rng: np.random.Generator,
     g_prior: float | None = None,
 ) -> tuple[SamplingDistribution, StepTelemetry]:
-    """Sampled single-pass SAM with per-layer stale perturbation gradients.
+    """Bandit-sampled single-pass SAM with per-layer stale perturbations.
 
-    Step 1 is a dense AdamW bootstrap that stashes every layer's
-    gradient; afterwards each sampled layer is perturbed along its most
-    recently stashed gradient (staleness recorded per layer), refreshed
-    with the new sparse gradient, and the sampling distribution is
-    updated from the fresh norms.
+    The dense bootstrap draws no layers and leaves the distribution as it
+    is.
     """
-    step_no = state.t + 1
     if state.prev_grad is None:
         full = ActiveSet.full(obj.n_layers)
-        loss, g = obj.loss_and_grad(x, batch, full)
-        adamw_step(state, x, g, full, adamw_cfg)
-        state.prev_grad = g.copy()
-        state.stash_step = np.full(obj.n_layers, step_no, dtype=np.int64)
-        tel = StepTelemetry(
-            step=step_no,
-            loss=loss,
-            grad_l1=total_l1_norm(g),
-            active_layers=full,
-            active_param_count=obj.dim,
-            grad_passes=1,
-            per_layer_r_norms={l: layer_l2_norm(g, l) for l in full},
-        )
-        return dist, tel
-
+        return dist, sam_step(obj, x, batch, state, full, "stale", sam_cfg, adamw_cfg)
     active, redraws = sample_active_set(dist, rng)
-    if any(int(state.stash_step[l]) < 1 for l in active):
-        raise AssertionError("sampled a layer with no stashed gradient after bootstrap")
-    staleness = {l: step_no - int(state.stash_step[l]) for l in active}
-    eps = sam_perturb(state.prev_grad, active, sam_cfg)
-    loss, g = obj.loss_and_grad(_perturbed(x, eps, active), batch, active)
-    adamw_step(state, x, g, active, adamw_cfg)
-    for l in active:
-        state.prev_grad.blocks[l] = g[l]
-        state.stash_step[l] = step_no
-    g_norms = {l: layer_l2_norm(g, l) for l in active}
-    env = None
-    if bandit_cfg.g_mode == "running" and g_prior is not None:
-        env = max(g_prior, max(g_norms.values()))
-    new_dist = update_distribution(dist, active, g_norms, bandit_cfg, g=env)
-    tel = StepTelemetry(
-        step=step_no,
-        loss=loss,
-        grad_l1=total_l1_norm(g),
-        active_layers=active,
-        active_param_count=active_param_count(x, active),
-        grad_passes=1,
-        per_layer_r_norms=g_norms,
-        per_layer_staleness=staleness,
-        redraws=redraws,
-    )
-    return new_dist, tel
+    tel = sam_step(obj, x, batch, state, active, "stale", sam_cfg, adamw_cfg)
+    tel.redraws = redraws
+    return _bandit_update(dist, tel, bandit_cfg, g_prior), tel
 
 
 def select_layers_ablation(
-    kind: SelectorKind,
+    kind: Selector,
     obj: Objective,
     x: LayeredVector,
     batch: Batch | None,
@@ -383,10 +359,8 @@ def select_layers_ablation(
     greedy_topk spends a full gradient pass on selection; callers must
     charge obj.dim to the step's selection_param_count.
     """
-    if kind == "bandit":
-        raise ValueError("bandit selection happens in sample_active_set")
-    if kind not in SELECTOR_KINDS:
-        raise ValueError(f"unknown selector kind {kind!r}")
+    if kind not in ("uniform_random", "greedy_topk"):
+        raise ValueError(f"unknown ablation selector {kind!r}")
     if not 1 <= k <= obj.n_layers:
         raise ValueError(f"k={k} out of range for {obj.n_layers} layers")
     if kind == "uniform_random":
@@ -399,7 +373,7 @@ def select_layers_ablation(
 
 
 def ablation_step(
-    kind: SelectorKind,
+    kind: Selector,
     obj: Objective,
     x: LayeredVector,
     batch: Batch | None,
@@ -409,9 +383,9 @@ def ablation_step(
     adamw_cfg: AdamWConfig,
     rng: np.random.Generator,
 ) -> StepTelemetry:
-    """Sparse SAM step whose active set comes from an ablation selector."""
+    """Two-pass SAM step whose active set comes from an ablation selector."""
     active = select_layers_ablation(kind, obj, x, batch, k, rng)
-    tel = sparse_sam_step(obj, x, batch, state, active, sam_cfg, adamw_cfg)
+    tel = sam_step(obj, x, batch, state, active, "fresh", sam_cfg, adamw_cfg)
     if kind == "greedy_topk":
         tel.selection_param_count = obj.dim
     return tel

@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from sparsam.bandit import init_uniform
-from sparsam.config import SPARSE_OPTIMIZERS, ExperimentConfig, OPTIMIZER_TYPES
+from sparsam.config import ExperimentConfig, OPTIMIZER_TYPES
 from sparsam.datasets import Dataset, batch_id, gen_blobs, gen_two_moons, minibatches
 from sparsam.errors import ConfigError, DivergenceError
 from sparsam.layered import ActiveSet, total_l1_norm
@@ -63,6 +63,7 @@ def build_datasets(config: ExperimentConfig) -> tuple[Dataset | None, Dataset | 
 class Trainer:
     def __init__(self, config: ExperimentConfig):
         self.config = config
+        self.selector, self.ascent = config.optimizer.kind()
         self.objective = config.objective.build(noise_seed=config.train.seed)
         self.train_ds, self.test_ds = build_datasets(config)
         seed = config.train.seed
@@ -74,7 +75,7 @@ class Trainer:
         self.otype = config.optimizer.type
         n = self.objective.n_layers
         self.dist = None
-        if self.otype in ("slsam", "sl_s2sam"):
+        if self.selector == "bandit":
             self.dist = init_uniform(n, config.bandit.budget(n), config.bandit.p_min())
         self.k = config.bandit.ablation_k(n)
         self.bandit_rng = stream(seed, "bandit")
@@ -105,22 +106,13 @@ class Trainer:
     def step(self) -> StepTelemetry:
         batch = next(self._batches)
         t0 = time.perf_counter_ns()
-        if self.otype == "adamw":
-            tel = adamw_baseline_step(self.objective, self.x, batch, self.state, self.adamw_cfg)
-        elif self.otype == "adasam":
-            tel = adasam_step(
-                self.objective, self.x, batch, self.state, self.sam_cfg, self.adamw_cfg
-            )
-        elif self.otype == "s2sam":
-            tel = s2sam_step(
-                self.objective, self.x, batch, self.state, self.sam_cfg, self.adamw_cfg
-            )
-        elif self.otype == "slsam":
-            self.dist, tel = slsam_step(
-                self.objective,
-                self.x,
-                batch,
-                self.state,
+        # Step functions are looked up here at call time, never cached, so
+        # whatever wraps the module globals sees every call.
+        head = (self.objective, self.x, batch, self.state)
+        if self.selector == "bandit":
+            step_fn = slsam_step if self.ascent == "fresh" else sl_s2sam_step
+            self.dist, tel = step_fn(
+                *head,
                 self.dist,
                 self.sam_cfg,
                 self.adamw_cfg,
@@ -128,34 +120,15 @@ class Trainer:
                 self.bandit_rng,
                 g_prior=self._g_env,
             )
-        elif self.otype == "sl_s2sam":
-            self.dist, tel = sl_s2sam_step(
-                self.objective,
-                self.x,
-                batch,
-                self.state,
-                self.dist,
-                self.sam_cfg,
-                self.adamw_cfg,
-                self.bandit_cfg,
-                self.bandit_rng,
-                g_prior=self._g_env,
-            )
-        elif self.otype in ("random_slsam", "top_slsam"):
-            kind = "uniform_random" if self.otype == "random_slsam" else "greedy_topk"
+        elif self.selector != "all":
             tel = ablation_step(
-                kind,
-                self.objective,
-                self.x,
-                batch,
-                self.state,
-                self.k,
-                self.sam_cfg,
-                self.adamw_cfg,
-                self.bandit_rng,
+                self.selector, *head, self.k, self.sam_cfg, self.adamw_cfg, self.bandit_rng
             )
+        elif self.ascent == "none":
+            tel = adamw_baseline_step(*head, self.adamw_cfg)
         else:
-            raise ConfigError(f"unknown optimizer type {self.otype!r}")
+            step_fn = adasam_step if self.ascent == "fresh" else s2sam_step
+            tel = step_fn(*head, self.sam_cfg, self.adamw_cfg)
         tel.wall_ns = time.perf_counter_ns() - t0
         if tel.per_layer_r_norms:
             self._g_env = max(self._g_env, max(tel.per_layer_r_norms.values()))
@@ -198,7 +171,7 @@ class Trainer:
             "steps": rec.n_steps,
             "train_accuracy": self.accuracy(self.train_ds),
             "test_accuracy": self.accuracy(self.test_ds),
-            "expensive_selection": self.otype == "top_slsam",
+            "expensive_selection": self.selector == "greedy_topk",
             "probes": [[p.step, p.loss, p.grad_l1] for p in rec.probes],
         }
 

@@ -1,8 +1,6 @@
-"""Synthetic generators, IDX file round-trips, minibatch scheduling."""
+"""Synthetic generators and minibatch scheduling."""
 
 from __future__ import annotations
-
-import struct
 
 import numpy as np
 import pytest
@@ -14,8 +12,6 @@ from sparsam.datasets import (
     gen_blobs,
     gen_two_moons,
     minibatches,
-    read_idx,
-    write_idx,
 )
 
 
@@ -83,51 +79,6 @@ class TestBlobs:
             gen_blobs(1, k=2, sigma=0.1, seed=0)
         with pytest.raises(ValueError):
             gen_blobs(4, k=1, sigma=0.1, seed=0)
-
-
-class TestIdx:
-    def test_label_file_decoding(self, tmp_path):
-        path = tmp_path / "labels.idx"
-        path.write_bytes(struct.pack(">ii", 0x00000801, 2) + bytes([7, 2]))
-        arr = read_idx(path)
-        assert np.array_equal(arr, [7, 2])
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.idx"
-        path.write_bytes(struct.pack(">ii", 0x00000805, 2) + bytes([7, 2]))
-        with pytest.raises(ValueError, match="magic"):
-            read_idx(path)
-
-    def test_truncated_payload(self, tmp_path):
-        path = tmp_path / "trunc.idx"
-        path.write_bytes(struct.pack(">iiii", 0x00000803, 2, 2, 2) + bytes(7))
-        with pytest.raises(ValueError):
-            read_idx(path)
-
-    def test_truncated_header(self, tmp_path):
-        path = tmp_path / "short.idx"
-        path.write_bytes(b"\x00\x00")
-        with pytest.raises(ValueError):
-            read_idx(path)
-
-    def test_image_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        imgs = rng.integers(0, 256, size=(3, 4, 5), dtype=np.uint8)
-        path = tmp_path / "imgs.idx"
-        write_idx(path, imgs)
-        back = read_idx(path)
-        assert back.shape == (3, 4, 5)
-        assert np.array_equal(back, imgs / 255.0)
-
-    def test_label_round_trip(self, tmp_path):
-        labels = np.array([0, 9, 255, 3], dtype=np.uint8)
-        path = tmp_path / "lab.idx"
-        write_idx(path, labels)
-        assert np.array_equal(read_idx(path), labels)
-
-    def test_write_rejects_non_uint8(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_idx(tmp_path / "x.idx", np.zeros(3, dtype=np.float64))
 
 
 class TestDataset:

@@ -14,8 +14,6 @@ from sparsam.objectives import (
     BlockQuadratic,
     MlpClassifier,
     finite_diff_grad,
-    mlp_loss_and_grad,
-    quadratic_grad,
 )
 from sparsam.rng import stream
 from sparsam.runner import Trainer
@@ -44,25 +42,25 @@ class TestBatch:
 class TestQuadraticGrad:
     def test_forced_derivative(self):
         obj = two_block_quadratic()
-        g = quadratic_grad(obj, lv([2.0], [1.0]), None, ActiveSet.full(2))
+        g = obj.grad(lv([2.0], [1.0]), None, ActiveSet.full(2))
         assert g[0][0] == 2.0
         assert g[1][0] == 10.0
 
     def test_zero_at_center(self):
         obj = two_block_quadratic()
-        g = quadratic_grad(obj, lv([0.0], [0.0]), None, ActiveSet.full(2))
+        g = obj.grad(lv([0.0], [0.0]), None, ActiveSet.full(2))
         assert np.array_equal(g.to_flat(), [0.0, 0.0])
 
     def test_masking_leaves_block_absent(self):
         obj = two_block_quadratic()
-        g = quadratic_grad(obj, lv([2.0], [1.0]), None, ActiveSet.of(1))
+        g = obj.grad(lv([2.0], [1.0]), None, ActiveSet.of(1))
         assert g[0][0] == 0.0
         assert g[1][0] == 10.0
 
     def test_shape_mismatch(self):
         obj = two_block_quadratic()
         with pytest.raises(ValueError):
-            quadratic_grad(obj, lv([2.0, 3.0], [1.0]), None, ActiveSet.full(2))
+            obj.grad(lv([2.0, 3.0], [1.0]), None, ActiveSet.full(2))
 
     def test_noise_keyed_by_batch_id(self):
         obj = BlockQuadratic([3], noise_sigma=0.5, noise_seed=9)
@@ -70,19 +68,19 @@ class TestQuadraticGrad:
         b0 = Batch(np.zeros((1, 1)), np.zeros(1, dtype=np.int64), id=0)
         b0_again = Batch(np.ones((1, 1)), np.zeros(1, dtype=np.int64), id=0)
         b1 = Batch(np.zeros((1, 1)), np.zeros(1, dtype=np.int64), id=1)
-        g0 = quadratic_grad(obj, x, b0, ActiveSet.full(1))
-        g0b = quadratic_grad(obj, x, b0_again, ActiveSet.full(1))
-        g1 = quadratic_grad(obj, x, b1, ActiveSet.full(1))
+        g0 = obj.grad(x, b0, ActiveSet.full(1))
+        g0b = obj.grad(x, b0_again, ActiveSet.full(1))
+        g1 = obj.grad(x, b1, ActiveSet.full(1))
         assert np.array_equal(g0[0], g0b[0])
         assert not np.array_equal(g0[0], g1[0])
 
     def test_noise_mean_gradient_is_population_gradient(self):
         obj = BlockQuadratic([2], noise_sigma=1.0, noise_seed=3)
         x = lv([0.5, -0.5])
-        clean = quadratic_grad(obj, x, None, ActiveSet.full(1))
+        clean = obj.grad(x, None, ActiveSet.full(1))
         draws = [
-            quadratic_grad(
-                obj, x, Batch(np.zeros((1, 1)), np.zeros(1, dtype=np.int64), id=i),
+            obj.grad(
+                x, Batch(np.zeros((1, 1)), np.zeros(1, dtype=np.int64), id=i),
                 ActiveSet.full(1),
             )[0]
             for i in range(4000)
@@ -159,7 +157,7 @@ class TestMlpGrad:
         obj = MlpClassifier([1, 2], activation="tanh")
         x = LayeredVector.zeros(obj.layer_dims)
         batch = Batch(np.array([[1.0]]), np.array([0], dtype=np.int64))
-        loss, g = mlp_loss_and_grad(obj, x, batch, ActiveSet.full(obj.n_layers))
+        loss, g = obj.loss_and_grad(x, batch, ActiveSet.full(obj.n_layers))
         assert loss == pytest.approx(np.log(2.0), rel=1e-12)
         assert np.allclose(g[0], [-0.5, 0.5], atol=1e-12)  # 1x2 weight
         assert np.allclose(g[1], [-0.5, 0.5], atol=1e-12)  # bias

@@ -21,10 +21,10 @@ from sparsam.optimizers import (
     adasam_step,
     s2sam_step,
     sam_perturb,
+    sam_step,
     select_layers_ablation,
     sl_s2sam_step,
     slsam_step,
-    sparse_sam_step,
 )
 from sparsam.rng import stream
 
@@ -176,8 +176,8 @@ class TestSparseSamStep:
         obj = scalar_objective()
         x = lv([1.0])
         state = OptimizerState.init(obj.layer_dims)
-        tel = sparse_sam_step(
-            obj, x, None, state, ActiveSet.of(0), SamConfig(0.1, "per_layer"), CFG
+        tel = sam_step(
+            obj, x, None, state, ActiveSet.of(0), "fresh", SamConfig(0.1, "per_layer"), CFG
         )
         assert x[0][0] == pytest.approx(SAM_SCALAR_X1, rel=1e-12)
         assert tel.active_param_count == 1
@@ -192,7 +192,7 @@ class TestSparseSamStep:
         sb = OptimizerState.init(obj.layer_dims)
         for t in range(20):
             batch = scalar_batch(t)
-            sparse_sam_step(obj, xa, batch, sa, active, SamConfig(0.0, "per_layer"), CFG)
+            sam_step(obj, xa, batch, sa, active, "fresh", SamConfig(0.0, "per_layer"), CFG)
             g = obj.grad(xb, batch, active)
             adamw_step(sb, xb, g, active, CFG)
             for la, lb in zip(xa, xb):
@@ -203,7 +203,7 @@ class TestSparseSamStep:
         x = obj.init_params(0)
         before = x.copy()
         state = OptimizerState.init(obj.layer_dims)
-        sparse_sam_step(obj, x, None, state, ActiveSet.of(0), SamConfig(0.01, "per_layer"), CFG)
+        sam_step(obj, x, None, state, ActiveSet.of(0), "fresh", SamConfig(0.01, "per_layer"), CFG)
         assert np.array_equal(x[1], before[1])
 
 

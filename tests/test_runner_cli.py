@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,8 @@ import pytest
 
 from sparsam import runner
 from sparsam.cli import main
-from sparsam.config import ExperimentConfig
-from sparsam.errors import DivergenceError
+from sparsam.config import OPTIMIZER_TYPES, ExperimentConfig, OptimizerConfig
+from sparsam.errors import ConfigError, DivergenceError
 
 
 def quad_cfg(**over) -> ExperimentConfig:
@@ -114,6 +115,34 @@ class TestRun:
         assert lines[0] == runner.CSV_HEADER
         assert 1 < len(lines) < 201
         assert not (tmp_path / "summary.json").exists()
+
+
+class TestTrainerStep:
+    @pytest.mark.parametrize("otype", OPTIMIZER_TYPES)
+    def test_accounted_passes_match_passes_made(self, otype, monkeypatch):
+        trainer = runner.Trainer(quad_cfg(
+            optimizer={"type": otype},
+            objective={"layer_dims": [3] * 8},
+            bandit={"s_over_n": 0.25},
+            train={"eval_every": 1000},
+        ))
+        trainer.step()  # the single-pass types' dense bootstrap
+        calls = []
+        real = trainer.objective.loss_and_grad
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        # Objective.grad goes through loss_and_grad, so this sees every pass.
+        monkeypatch.setattr(trainer.objective, "loss_and_grad", counting)
+        tel = trainer.step()
+        assert len(calls) == tel.grad_passes + (tel.selection_param_count > 0)
+
+    def test_unknown_type_rejected_at_construction(self):
+        cfg = replace(quad_cfg(), optimizer=OptimizerConfig(type="bogus"))
+        with pytest.raises(ConfigError, match="bogus"):
+            runner.Trainer(cfg)
 
 
 class TestCompare:
