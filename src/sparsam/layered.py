@@ -1,88 +1,134 @@
 """Layered parameter vectors and active-set arithmetic.
 
-A LayeredVector is an ordered list of float64 blocks, one per layer. All
-optimizer math runs block-wise so that a frozen layer is provably
-untouched: no operation below ever reads or writes a block outside the
-active set it was given.
+A LayeredVector keeps all of its layers in one contiguous float64
+buffer, `data`; `blocks[l]` is a view of layer l at a fixed offset into
+it. Writing a block (`v[l] = a` or `v.blocks[l] = a`) copies into the
+buffer, so the views never go stale, `zeros` is one allocation and
+`copy` one memcpy.
+
+An ActiveSet holds its layers sorted, and grouped into runs of adjacent
+indices. Elementwise updates work run by run, one ufunc call over each
+run's slice of the buffer (the whole buffer for the full set), which
+gives the same bits as working block by block. Reductions stay per
+block and in layer order, so a norm does not depend on which other
+layers are active. No operation below ever reads or writes a block
+outside the active set it was given, so a frozen layer is provably
+untouched.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 
-@dataclass
-class LayeredVector:
-    blocks: list[np.ndarray]
+class Blocks(tuple):
+    """Per-layer views into one buffer. Assigning to an item copies the
+    value into that layer's view instead of rebinding it."""
 
-    def __post_init__(self) -> None:
-        if len(self.blocks) == 0:
-            raise ValueError("LayeredVector needs at least one layer")
-        converted = []
-        for i, b in enumerate(self.blocks):
-            arr = np.ascontiguousarray(b, dtype=np.float64).reshape(-1)
-            if arr.size == 0:
-                raise ValueError(f"layer {i} is empty")
-            converted.append(arr)
-        self.blocks = converted
+    __slots__ = ()
+
+    def __setitem__(self, l: int, value: np.ndarray) -> None:
+        view = self[l]
+        arr = np.asarray(value, dtype=np.float64).reshape(-1)
+        if arr.size != view.size:
+            raise ValueError(f"layer {l} has {view.size} entries, got {arr.size}")
+        view[...] = arr
+
+
+@lru_cache(maxsize=64)
+def layout(dims: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Layer sizes as ints and the n + 1 buffer offsets of a layout."""
+    dims = tuple(int(d) for d in dims)
+    if len(dims) == 0:
+        raise ValueError("LayeredVector needs at least one layer")
+    for i, d in enumerate(dims):
+        if d < 1:
+            raise ValueError(f"layer {i} is empty")
+    return dims, tuple(accumulate(dims, initial=0))
+
+
+class LayeredVector:
+    __slots__ = ("data", "dims", "offsets", "_blocks")
+
+    def __init__(self, blocks: Iterable[np.ndarray]) -> None:
+        arrays = [np.asarray(b, dtype=np.float64).reshape(-1) for b in blocks]
+        self.dims, self.offsets = layout(tuple(a.size for a in arrays))
+        self.data = np.concatenate(arrays)
+        self._blocks: Blocks | None = None
+
+    @classmethod
+    def _wrap(
+        cls, data: np.ndarray, dims: tuple[int, ...], offsets: tuple[int, ...]
+    ) -> "LayeredVector":
+        """A vector over `data` itself, which must hold offsets[-1] floats."""
+        v = cls.__new__(cls)
+        v.data, v.dims, v.offsets, v._blocks = data, dims, offsets, None
+        return v
 
     @classmethod
     def zeros(cls, dims: Sequence[int]) -> "LayeredVector":
-        return cls([np.zeros(int(d)) for d in dims])
-
-    @classmethod
-    def zeros_like(cls, other: "LayeredVector") -> "LayeredVector":
-        return cls.zeros(other.dims)
+        dims, offsets = layout(tuple(dims))
+        return cls._wrap(np.zeros(offsets[-1]), dims, offsets)
 
     @classmethod
     def from_flat(cls, flat: np.ndarray, dims: Sequence[int]) -> "LayeredVector":
-        flat = np.asarray(flat, dtype=np.float64).reshape(-1)
-        if flat.size != sum(dims):
-            raise ValueError(f"flat vector of size {flat.size} does not split into {list(dims)}")
-        out, ofs = [], 0
-        for d in dims:
-            out.append(flat[ofs : ofs + d].copy())
-            ofs += d
-        return cls(out)
+        dims, offsets = layout(tuple(dims))
+        data = np.array(flat, dtype=np.float64).reshape(-1)
+        if data.size != offsets[-1]:
+            raise ValueError(f"flat vector of size {data.size} does not split into {list(dims)}")
+        return cls._wrap(data, dims, offsets)
 
     def to_flat(self) -> np.ndarray:
-        return np.concatenate(self.blocks)
+        return self.data.copy()
 
     def copy(self) -> "LayeredVector":
-        return LayeredVector([b.copy() for b in self.blocks])
+        return LayeredVector._wrap(self.data.copy(), self.dims, self.offsets)
+
+    @property
+    def blocks(self) -> Blocks:
+        # Built on first use: many vectors are only ever touched run-wise.
+        if self._blocks is None:
+            d, o = self.data, self.offsets
+            self._blocks = Blocks(d[o[l] : o[l + 1]] for l in range(len(self.dims)))
+        return self._blocks
 
     @property
     def n_layers(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(b.size for b in self.blocks)
+        return len(self.dims)
 
     @property
     def dim(self) -> int:
-        return sum(b.size for b in self.blocks)
+        return self.data.size
+
+    def active_slices(self, active: "ActiveSet") -> list[slice]:
+        """Slices of `data` covering the active layers, one per run."""
+        active.validate(len(self.dims))
+        o = self.offsets
+        return [slice(o[lo], o[hi]) for lo, hi in active.runs]
 
     def __len__(self) -> int:
-        return len(self.blocks)
+        return len(self.dims)
 
     def __getitem__(self, l: int) -> np.ndarray:
         return self.blocks[l]
 
     def __setitem__(self, l: int, value: np.ndarray) -> None:
-        arr = np.ascontiguousarray(value, dtype=np.float64).reshape(-1)
-        if arr.size != self.blocks[l].size:
-            raise ValueError(f"layer {l} has {self.blocks[l].size} entries, got {arr.size}")
-        self.blocks[l] = arr
+        self.blocks[l] = value
 
     def __iter__(self) -> Iterator[np.ndarray]:
         return iter(self.blocks)
 
+    def __repr__(self) -> str:
+        return f"LayeredVector(dims={self.dims})"
+
     def all_finite(self) -> bool:
-        return all(np.isfinite(b).all() for b in self.blocks)
+        return bool(np.isfinite(self.data).all())
 
     def same_shape(self, other: "LayeredVector") -> bool:
         return self.dims == other.dims
@@ -90,17 +136,31 @@ class LayeredVector:
 
 @dataclass(frozen=True)
 class ActiveSet:
-    """An immutable subset of layer indices. Iteration order is sorted."""
+    """An immutable subset of layer indices. Iteration order is sorted.
+
+    `runs` lists the maximal ranges [lo, hi) of adjacent member indices.
+    """
 
     members: frozenset[int] = field(default_factory=frozenset)
+    _sorted: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    runs: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "members", frozenset(int(i) for i in self.members))
-        if any(i < 0 for i in self.members):
+        members = frozenset(map(int, self.members))
+        ordered = tuple(sorted(members))
+        if ordered and ordered[0] < 0:
             raise ValueError("layer indices must be non-negative")
+        starts = [i for i in ordered if i - 1 not in members]
+        ends = [i + 1 for i in ordered if i + 1 not in members]
+        runs = tuple(zip(starts, ends))
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "_sorted", ordered)
+        object.__setattr__(self, "runs", runs)
 
     @classmethod
+    @lru_cache(maxsize=128)
     def full(cls, n_layers: int) -> "ActiveSet":
+        # Cached: the sets are immutable, and dense steps ask for one each time.
         return cls(frozenset(range(n_layers)))
 
     @classmethod
@@ -112,21 +172,21 @@ class ActiveSet:
         return cls(frozenset(indices))
 
     def validate(self, n_layers: int) -> None:
-        bad = [i for i in self.members if i >= n_layers]
-        if bad:
-            raise ValueError(f"layer indices {sorted(bad)} out of range for {n_layers} layers")
+        if self._sorted and self._sorted[-1] >= n_layers:
+            bad = [i for i in self._sorted if i >= n_layers]
+            raise ValueError(f"layer indices {bad} out of range for {n_layers} layers")
 
     def __contains__(self, l: int) -> bool:
         return l in self.members
 
     def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self.members))
+        return iter(self._sorted)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self._sorted)
 
     def indices(self) -> list[int]:
-        return sorted(self.members)
+        return list(self._sorted)
 
 
 def _check_layer(v: LayeredVector, l: int) -> None:
@@ -136,16 +196,25 @@ def _check_layer(v: LayeredVector, l: int) -> None:
 
 def layer_l2_norm(v: LayeredVector, l: int) -> float:
     _check_layer(v, l)
-    return float(np.linalg.norm(v[l]))
+    b = v[l]
+    # What np.linalg.norm computes for a 1-d float vector, without its overhead.
+    return math.sqrt(b.dot(b))
 
 
-def total_l1_norm(v: LayeredVector) -> float:
-    return float(sum(np.abs(b).sum() for b in v.blocks))
+def total_l1_norm(v: LayeredVector, active: ActiveSet | None = None) -> float:
+    """Sum of |v| block by block in layer order, over the active blocks
+    only when a set is given. Skipping a block of +0.0 entries leaves
+    the sum bit-identical, so a gradient restricted to `active` gives
+    the same value with or without it."""
+    if active is None:
+        active = ActiveSet.full(v.n_layers)
+    active.validate(v.n_layers)
+    a, o = np.abs(v.data), v.offsets
+    return float(sum(a[o[l] : o[l + 1]].sum() for l in active))
 
 
 def active_param_count(v: LayeredVector, active: ActiveSet) -> int:
-    active.validate(v.n_layers)
-    return sum(v[l].size for l in active)
+    return sum(s.stop - s.start for s in v.active_slices(active))
 
 
 def masked_axpy(y: LayeredVector, a: float, x: LayeredVector, active: ActiveSet) -> LayeredVector:
@@ -153,8 +222,7 @@ def masked_axpy(y: LayeredVector, a: float, x: LayeredVector, active: ActiveSet)
     are not touched, so they stay bit-identical."""
     if not y.same_shape(x):
         raise ValueError(f"shape mismatch: {y.dims} vs {x.dims}")
-    active.validate(y.n_layers)
     a = float(a)
-    for l in active:
-        y[l] += a * x[l]
+    for s in y.active_slices(active):
+        y.data[s] += a * x.data[s]
     return y

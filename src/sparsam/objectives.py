@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from sparsam.errors import DivergenceError
-from sparsam.layered import ActiveSet, LayeredVector
+from sparsam.layered import ActiveSet, LayeredVector, layout
 from sparsam.rng import stream
 
 
@@ -98,12 +98,17 @@ class BlockQuadratic(Objective):
     gradient to a layer subset never changes any layer's draw.
     `batch=None` selects the noiseless population objective.
 
-    Each layer's draw for the latest batch id is memoised, so a step
-    that evaluates the loss and one or more gradients on one batch
-    builds each (batch, layer) stream once. The memo is exact: the draw
-    is a pure function of (noise_seed, batch.id, l). It holds one batch
-    (a new id discards it), so it costs at most one parameter vector,
-    and its arrays are read-only so no caller can alter a later draw.
+    Scales, centers and noise are kept as flat per-entry arrays laid out
+    like a LayeredVector's buffer, so the gradient is one expression per
+    run of active layers. The loss keeps one dot product per layer,
+    summed in layer order.
+
+    The noise of the latest batch id is memoised as one flat vector, so
+    a step that evaluates the loss and one or more gradients on one
+    batch builds each (batch, layer) stream once. The memo is exact: a
+    layer's draw is a pure function of (noise_seed, batch.id, l). It
+    holds one batch (a new id replaces it), so it costs one parameter
+    vector, and it is read-only so no caller can alter a later draw.
     """
 
     def __init__(
@@ -130,63 +135,69 @@ class BlockQuadratic(Objective):
         if noise_sigma < 0:
             raise ValueError("noise_sigma must be non-negative")
         self._dims = dims
+        self._offsets = layout(dims)[1]
         self.scales = scales
-        self.centers = centers
+        self._scale = np.repeat(scales, dims)
+        self._center = np.concatenate(centers)
         self.noise_sigma = float(noise_sigma)
         self.noise_seed = int(noise_seed)
         self._noise_id: int | None = None
-        self._noise_memo: list[np.ndarray | None] = []
+        self._noise_memo: np.ndarray | None = None
 
     @property
     def layer_dims(self) -> tuple[int, ...]:
         return self._dims
 
-    def _noise(self, batch: Batch | None, l: int) -> np.ndarray | None:
+    def _noise(self, batch: Batch | None) -> np.ndarray | None:
+        """The flat noise vector of `batch`, or None for a noiseless call."""
         if batch is None or self.noise_sigma == 0.0:
             return None
         if batch.id != self._noise_id:
-            self._noise_id = batch.id
-            self._noise_memo = [None] * self.n_layers
-        z = self._noise_memo[l]
-        if z is None:
-            rng = stream(self.noise_seed, "noise", batch.id, l)
-            z = self.noise_sigma * rng.standard_normal(self._dims[l])
+            o = self._offsets
+            z = np.empty(o[-1])
+            for l in range(self.n_layers):
+                rng = stream(self.noise_seed, "noise", batch.id, l)
+                rng.standard_normal(out=z[o[l] : o[l + 1]])
+            z *= self.noise_sigma
             z.flags.writeable = False
-            self._noise_memo[l] = z
-        return z
+            self._noise_id, self._noise_memo = batch.id, z
+        return self._noise_memo
 
     def loss(self, x: LayeredVector, batch: Batch | None) -> float:
         self._check_x(x)
+        z = self._noise(batch)
+        xd, o = x.data, self._offsets
         total = 0.0
         # Overflow to inf is the divergence signal, not a warning condition.
         with np.errstate(over="ignore", invalid="ignore"):
-            for l in range(self.n_layers):
-                diff = x[l] - self.centers[l]
-                total += 0.5 * self.scales[l] * float(diff @ diff)
-                z = self._noise(batch, l)
+            diff = xd - self._center
+            for a, lo, hi in zip(self.scales, o, o[1:]):
+                d = diff[lo:hi]
+                total += 0.5 * a * float(d.dot(d))
                 if z is not None:
-                    total += float(z @ x[l])
+                    total += float(z[lo:hi].dot(xd[lo:hi]))
         return self._check_loss(total)
 
     def loss_and_grad(
         self, x: LayeredVector, batch: Batch | None, active: ActiveSet
     ) -> tuple[float, LayeredVector]:
         self._check_x(x)
-        active.validate(self.n_layers)
         g = LayeredVector.zeros(self._dims)
+        z = self._noise(batch)
         with np.errstate(over="ignore", invalid="ignore"):
-            for l in active:
-                g.blocks[l] = self.scales[l] * (x[l] - self.centers[l])
-                z = self._noise(batch, l)
+            for s in x.active_slices(active):
+                gs = g.data[s]
+                np.subtract(x.data[s], self._center[s], out=gs)
+                gs *= self._scale[s]
                 if z is not None:
-                    g.blocks[l] = g.blocks[l] + z
+                    gs += z[s]
         return self.loss(x, batch), g
 
     def init_params(self, seed: int) -> LayeredVector:
         # Deterministic start one unit from each center; seed is unused here
         # but kept so all objectives share the same signature.
         del seed
-        return LayeredVector([c + 1.0 for c in self.centers])
+        return LayeredVector.from_flat(self._center + 1.0, self._dims)
 
 
 class MlpClassifier(Objective):

@@ -126,47 +126,57 @@ def adamw_step(
     """Moment and parameter update on the active layers, no bias correction.
 
     Blocks outside the active set are left bit-identical, in x and in
-    both moment vectors.
+    both moment vectors. A non-finite gradient on an active layer raises
+    DivergenceError before anything is written.
     """
     if not x.same_shape(state.m) or not x.same_shape(g):
         raise ValueError(f"shape mismatch: x {x.dims}, m {state.m.dims}, g {g.dims}")
-    active.validate(x.n_layers)
-    for l in active:
-        gl = g[l]
-        if not np.isfinite(gl).all():
-            raise DivergenceError(f"non-finite gradient in layer {l} at step {state.t + 1}")
-        state.m.blocks[l] = cfg.beta1 * state.m[l] + (1.0 - cfg.beta1) * gl
-        state.v.blocks[l] = cfg.beta2 * state.v[l] + (1.0 - cfg.beta2) * gl * gl
-        x.blocks[l] = (
-            x[l]
-            - cfg.eta * state.m[l] / np.sqrt(state.v[l] + cfg.adam_eps)
-            - cfg.eta * cfg.weight_decay * x[l]
-        )
+    runs = x.active_slices(active)
+    for s in runs:
+        if not np.isfinite(g.data[s]).all():
+            bad = next(l for l in active if not np.isfinite(g[l]).all())
+            raise DivergenceError(f"non-finite gradient in layer {bad} at step {state.t + 1}")
+    for s in runs:
+        gs, m, v, xs = g.data[s], state.m.data[s], state.v.data[s], x.data[s]
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * gs
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * gs * gs
+        decay = cfg.eta * cfg.weight_decay * xs
+        xs -= cfg.eta * m / np.sqrt(v + cfg.adam_eps)
+        xs -= decay
     state.t += 1
     return x, state
 
 
-def sam_perturb(r: LayeredVector, active: ActiveSet, cfg: SamConfig) -> LayeredVector:
+def sam_perturb(
+    r: LayeredVector,
+    active: ActiveSet,
+    cfg: SamConfig,
+    norms: dict[int, float] | None = None,
+) -> LayeredVector:
     """Ascent perturbation of radius rho along r, zero off the active set.
 
     per_layer mode scales each active block to norm rho on its own;
     global mode scales the whole active restriction jointly. Zero-norm
-    input maps to a zero perturbation.
+    input maps to a zero perturbation. `norms`, when given, holds
+    layer_l2_norm(r, l) for every active l, so they are not recomputed.
     """
     active.validate(r.n_layers)
     eps = LayeredVector.zeros(r.dims)
     if cfg.rho == 0.0 or len(active) == 0:
         return eps
+    if norms is None:
+        norms = {l: layer_l2_norm(r, l) for l in active}
     if cfg.perturb_norm == "per_layer":
         for l in active:
-            norm = layer_l2_norm(r, l)
-            if norm > 0.0:
-                eps.blocks[l] = (cfg.rho / norm) * r[l]
+            if norms[l] > 0.0:
+                np.multiply(cfg.rho / norms[l], r[l], out=eps[l])
     else:
-        joint = math.sqrt(sum(layer_l2_norm(r, l) ** 2 for l in active))
+        joint = math.sqrt(sum(norms[l] ** 2 for l in active))
         if joint > 0.0:
-            for l in active:
-                eps.blocks[l] = (cfg.rho / joint) * r[l]
+            for s in r.active_slices(active):
+                np.multiply(cfg.rho / joint, r.data[s], out=eps.data[s])
     return eps
 
 
@@ -184,6 +194,7 @@ def sam_step(
     ascent: Ascent,
     sam_cfg: SamConfig | None,
     adamw_cfg: AdamWConfig,
+    ascent_grad: tuple[float, LayeredVector] | None = None,
 ) -> StepTelemetry:
     """One AdamW step on the active layers, descending from an ascent point.
 
@@ -199,6 +210,11 @@ def sam_step(
     step that stashes every layer. Both passes see the same minibatch.
     The telemetry loss, grad_l1 and per-layer norms come from the step's
     first gradient; a step with no ascent records no per-layer norms.
+
+    A fresh step takes its ascent loss and gradient from `ascent_grad`
+    when the caller already evaluated them at (x, batch); only the active
+    blocks of that gradient are read, and they equal the restricted
+    gradient's.
     """
     n = obj.n_layers
     step_no = state.t + 1
@@ -209,8 +225,11 @@ def sam_step(
     active.validate(n)
     staleness: dict[int, int] = {}
     if ascent == "fresh":
-        loss, first = obj.loss_and_grad(x, batch, active)
-        eps = sam_perturb(first, active, sam_cfg)
+        if ascent_grad is None:
+            ascent_grad = obj.loss_and_grad(x, batch, active)
+        loss, first = ascent_grad
+        norms = {l: layer_l2_norm(first, l) for l in active}
+        eps = sam_perturb(first, active, sam_cfg, norms)
         g = obj.grad(_perturbed(x, eps, active), batch, active)
     else:
         x_eval = x
@@ -223,22 +242,23 @@ def sam_step(
             x_eval = _perturbed(x, eps, active)
         loss, g = obj.loss_and_grad(x_eval, batch, active)
         first = g
+        norms = {} if ascent == "none" else {l: layer_l2_norm(g, l) for l in active}
     adamw_step(state, x, g, active, adamw_cfg)
     if stale:
         if bootstrap:
             state.prev_grad, state.stash_step = g, np.zeros(n, dtype=np.int64)
         else:
-            for l in active:
-                state.prev_grad.blocks[l] = g[l]
+            for s in g.active_slices(active):
+                state.prev_grad.data[s] = g.data[s]
         state.stash_step[active.indices()] = step_no
     return StepTelemetry(
         step=step_no,
         loss=loss,
-        grad_l1=total_l1_norm(first),
+        grad_l1=total_l1_norm(first, active),
         active_layers=active,
-        active_param_count=obj.dim if len(active) == n else active_param_count(x, active),
+        active_param_count=active_param_count(x, active),
         grad_passes=2 if ascent == "fresh" else 1,
-        per_layer_r_norms={} if ascent == "none" else {l: layer_l2_norm(first, l) for l in active},
+        per_layer_r_norms=norms,
         per_layer_staleness=staleness,
     )
 
@@ -352,12 +372,14 @@ def select_layers_ablation(
     batch: Batch | None,
     k: int,
     rng: np.random.Generator,
+    full_grad: LayeredVector | None = None,
 ) -> ActiveSet:
     """Non-bandit layer selection: uniform without replacement, or the k
     layers with the largest full-gradient norms (ties to the lower index).
 
-    greedy_topk spends a full gradient pass on selection; callers must
-    charge obj.dim to the step's selection_param_count.
+    greedy_topk spends a full gradient pass on selection, unless the
+    caller passes that gradient at (x, batch) as `full_grad`; either way
+    callers must charge obj.dim to the step's selection_param_count.
     """
     if kind not in ("uniform_random", "greedy_topk"):
         raise ValueError(f"unknown ablation selector {kind!r}")
@@ -366,7 +388,7 @@ def select_layers_ablation(
     if kind == "uniform_random":
         idx = rng.choice(obj.n_layers, size=k, replace=False)
         return ActiveSet.from_iterable(int(i) for i in idx)
-    g = obj.grad(x, batch, ActiveSet.full(obj.n_layers))
+    g = full_grad if full_grad is not None else obj.grad(x, batch, ActiveSet.full(obj.n_layers))
     norms = np.array([layer_l2_norm(g, l) for l in range(obj.n_layers)])
     order = np.argsort(-norms, kind="stable")
     return ActiveSet.from_iterable(int(i) for i in order[:k])
@@ -383,9 +405,18 @@ def ablation_step(
     adamw_cfg: AdamWConfig,
     rng: np.random.Generator,
 ) -> StepTelemetry:
-    """Two-pass SAM step whose active set comes from an ablation selector."""
-    active = select_layers_ablation(kind, obj, x, batch, k, rng)
-    tel = sam_step(obj, x, batch, state, active, "fresh", sam_cfg, adamw_cfg)
+    """Two-pass SAM step whose active set comes from an ablation selector.
+
+    greedy_topk's selection gradient also serves as its ascent gradient:
+    its active blocks are the ones the ascent pass would compute. The
+    step is still charged a full selection pass plus two sparse passes.
+    """
+    ascent_grad = full_grad = None
+    if kind == "greedy_topk":
+        ascent_grad = obj.loss_and_grad(x, batch, ActiveSet.full(obj.n_layers))
+        full_grad = ascent_grad[1]
+    active = select_layers_ablation(kind, obj, x, batch, k, rng, full_grad)
+    tel = sam_step(obj, x, batch, state, active, "fresh", sam_cfg, adamw_cfg, ascent_grad)
     if kind == "greedy_topk":
         tel.selection_param_count = obj.dim
     return tel

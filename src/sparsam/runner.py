@@ -3,14 +3,15 @@
 A Trainer owns one objective, parameter vector, optimizer state, and
 (for sampled variants) sampling distribution, and advances them one
 step at a time so tests can inspect full trajectories. `run` drives a
-Trainer to completion and writes the step CSV and summary JSON;
-`compare` repeats a config across optimizer types with identical data
-and seed.
+Trainer to completion and writes the step CSV, the sampler CSV and the
+summary JSON; `compare` repeats a config across optimizer types with
+identical data and seed.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -21,7 +22,7 @@ import numpy as np
 from sparsam.bandit import init_uniform
 from sparsam.config import ExperimentConfig, OPTIMIZER_TYPES
 from sparsam.datasets import Dataset, batch_id, gen_blobs, gen_two_moons, minibatches
-from sparsam.errors import ConfigError, DivergenceError
+from sparsam.errors import ConfigError
 from sparsam.layered import ActiveSet, total_l1_norm
 from sparsam.objectives import Batch, MlpClassifier
 from sparsam.optimizers import (
@@ -43,6 +44,7 @@ from sparsam.telemetry import (
 )
 
 CSV_HEADER = "step,loss,grad_l1,active_layers,active_params,grad_passes,wall_ns"
+SAMPLER_HEADER = "step,redraws,staleness"
 
 
 def build_datasets(config: ExperimentConfig) -> tuple[Dataset | None, Dataset | None]:
@@ -195,30 +197,48 @@ def _csv_row(t: StepTelemetry) -> str:
     )
 
 
-def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> RunRecord:
-    """Execute one training run, streaming the step CSV as it goes.
+def _sampler_row(t: StepTelemetry) -> str:
+    staleness = "|".join(f"{l}:{n}" for l, n in sorted(t.per_layer_staleness.items()))
+    return f"{t.step},{t.redraws},{staleness}"
 
-    On divergence the rows written so far stay on disk and the error
-    propagates to the caller.
+
+def _write_json_atomic(path: Path, obj: dict) -> None:
+    """Write `obj` to a temp file beside `path`, then rename it over
+    `path`, so a failed write never leaves a partial file."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(obj, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> RunRecord:
+    """Execute one training run, streaming the step and sampler CSVs as
+    it goes.
+
+    `sampler.csv` has one row per step: the bandit's redraw count and,
+    for stale-perturbation steps, `layer:staleness` pairs for the active
+    layers (`|`-separated, empty otherwise). On divergence the rows
+    written so far stay on disk and the error propagates to the caller.
     """
     trainer = Trainer(config)
     out = Path(out_dir) if out_dir is not None else Path(config.output.dir)
     out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "steps.csv"
-    with open(csv_path, "w") as fh:
+    with open(out / "steps.csv", "w") as fh, open(out / "sampler.csv", "w") as sfh:
         fh.write(CSV_HEADER + "\n")
-        try:
-            for _ in range(config.train.steps):
-                tel = trainer.step()
-                fh.write(_csv_row(tel) + "\n")
-                fh.flush()
-        except DivergenceError:
+        sfh.write(SAMPLER_HEADER + "\n")
+        for _ in range(config.train.steps):
+            tel = trainer.step()
+            fh.write(_csv_row(tel) + "\n")
+            sfh.write(_sampler_row(tel) + "\n")
             fh.flush()
-            raise
+            sfh.flush()
     trainer.finalize()
-    with open(out / "summary.json", "w") as fh:
-        json.dump(trainer.record.summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json_atomic(out / "summary.json", trainer.record.summary)
     return trainer.record
 
 

@@ -59,6 +59,17 @@ class TestTotalL1Norm:
     def test_negative_singletons(self):
         assert total_l1_norm(lv([-1.0], [-1.0], [-1.0])) == 3.0
 
+    @given(dims=dims_strategy, seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_active_sum_equals_sum_of_restriction(self, dims, seed):
+        rng = np.random.default_rng(seed)
+        v = random_layered(rng, dims)
+        active = ActiveSet.from_iterable(l for l in range(len(dims)) if rng.random() < 0.5)
+        restricted = LayeredVector.zeros(dims)
+        for l in active:
+            restricted[l] = v[l]
+        assert total_l1_norm(v, active) == total_l1_norm(restricted)
+
 
 class TestMaskedAxpy:
     def test_partial_active(self):
@@ -130,6 +141,51 @@ class TestLayeredVector:
         c.blocks[0][0] = 9.0
         assert v[0][0] == 1.0
 
+    def test_blocks_are_views_of_one_buffer(self):
+        v = lv([1.0, 2.0], [3.0], [4.0, 5.0, 6.0])
+        assert v.data.flags.c_contiguous and v.data.dtype == np.float64
+        assert v.offsets == (0, 2, 3, 6)
+        for l, b in enumerate(v.blocks):
+            assert np.shares_memory(b, v.data)
+            assert b.size == v.dims[l]
+        v.data[3] = -4.0
+        assert v[2][0] == -4.0
+
+    def test_copy_owns_its_buffer(self):
+        v = lv([1.0, 2.0], [3.0])
+        c = v.copy()
+        assert not np.shares_memory(c.data, v.data)
+        c.data[:] = 0.0
+        assert np.array_equal(v.data, [1.0, 2.0, 3.0])
+        assert np.shares_memory(c[1], c.data)
+
+    def test_constructor_and_from_flat_copy_their_input(self):
+        a = np.array([1.0, 2.0])
+        v = LayeredVector([a])
+        flat = np.array([1.0, 2.0, 3.0])
+        w = LayeredVector.from_flat(flat, (2, 1))
+        a[0] = flat[0] = 7.0
+        assert v[0][0] == 1.0 and w[0][0] == 1.0
+
+    def test_block_assignment_writes_through(self):
+        v = lv([1.0, 2.0], [3.0], [4.0, 5.0, 6.0])
+        views = tuple(v.blocks)
+        v.blocks[0] = [8.0, 9.0]
+        v[2] = np.arange(3.0)
+        v.blocks[1] += 1.0
+        assert np.array_equal(v.data, [8.0, 9.0, 4.0, 0.0, 1.0, 2.0])
+        assert all(a is b for a, b in zip(views, v.blocks))
+        with pytest.raises(ValueError):
+            v.blocks[1] = np.zeros(2)
+
+    def test_active_slices_cover_runs(self):
+        v = lv([1.0] * 2, [1.0] * 3, [1.0], [1.0] * 4)
+        assert v.active_slices(ActiveSet.full(4)) == [slice(0, 10)]
+        assert v.active_slices(ActiveSet.of(0, 2, 3)) == [slice(0, 2), slice(5, 10)]
+        assert v.active_slices(ActiveSet.of()) == []
+        with pytest.raises(ValueError):
+            v.active_slices(ActiveSet.of(4))
+
     def test_rejects_empty_block(self):
         with pytest.raises(ValueError):
             LayeredVector([np.zeros(0)])
@@ -162,6 +218,12 @@ class TestActiveSet:
 
     def test_sorted_iteration(self):
         assert list(ActiveSet.of(2, 0, 1)) == [0, 1, 2]
+
+    @given(members=st.frozensets(st.integers(0, 40)))
+    def test_runs_partition_members(self, members):
+        runs = ActiveSet(members).runs
+        assert [l for lo, hi in runs for l in range(lo, hi)] == sorted(members)
+        assert all(a[1] < b[0] for a, b in zip(runs, runs[1:]))
 
     def test_membership_and_len(self):
         s = ActiveSet.of(1, 3)

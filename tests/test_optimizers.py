@@ -6,10 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsam.bandit import BanditConfig, SamplingDistribution, init_uniform
 from sparsam.errors import DivergenceError
-from sparsam.layered import ActiveSet, LayeredVector, layer_l2_norm
+from sparsam.layered import ActiveSet, LayeredVector, layer_l2_norm, masked_axpy
 from sparsam.objectives import Batch, BlockQuadratic, MlpClassifier
 from sparsam.optimizers import (
     AdamWConfig,
@@ -71,6 +73,16 @@ class TestAdamwStep:
         state = OptimizerState.init([1])
         with pytest.raises(DivergenceError):
             adamw_step(state, lv([1.0]), lv([np.nan]), ActiveSet.of(0), CFG)
+
+    def test_nonfinite_gradient_names_layer_and_writes_nothing(self):
+        state = OptimizerState.init([1, 2, 1])
+        x = lv([1.0], [2.0, 3.0], [4.0])
+        before = x.copy()
+        with pytest.raises(DivergenceError, match="layer 2 at step 1"):
+            adamw_step(state, x, lv([1.0], [1.0, 1.0], [np.inf]), ActiveSet.full(3), CFG)
+        assert np.array_equal(x.data, before.data)
+        assert not state.m.data.any() and not state.v.data.any()
+        assert state.t == 0
 
     def test_shape_mismatch(self):
         state = OptimizerState.init([1])
@@ -431,6 +443,122 @@ class TestAblationSelectors:
             stream(0, "sel"),
         )
         assert tel2.selection_param_count == 0
+
+    @pytest.mark.parametrize("perturb_norm", ["global", "per_layer"])
+    def test_greedy_reused_ascent_matches_fresh_pass(self, perturb_norm):
+        # The selection gradient's active blocks stand in for the ascent
+        # pass; a step that recomputes them must land on the same bits.
+        obj = BlockQuadratic([3, 1, 4, 2, 5], scales=[1.0, 3.0, 0.5, 2.0, 1.5], noise_sigma=0.1)
+        sam = SamConfig(0.05, perturb_norm)
+        xa, sa = obj.init_params(0), OptimizerState.init(obj.layer_dims)
+        xb, sb = obj.init_params(0), OptimizerState.init(obj.layer_dims)
+        for t in range(20):
+            b = scalar_batch(t)
+            ta = ablation_step("greedy_topk", obj, xa, b, sa, 2, sam, CFG, stream(0, "sel"))
+            active = select_layers_ablation("greedy_topk", obj, xb, b, 2, stream(0, "sel"))
+            tb = sam_step(obj, xb, b, sb, active, "fresh", sam, CFG)
+            assert ta.active_layers == tb.active_layers
+            assert (ta.loss, ta.grad_l1, ta.per_layer_r_norms) == (
+                tb.loss, tb.grad_l1, tb.per_layer_r_norms
+            )
+            for u, w in ((xa, xb), (sa.m, sb.m), (sa.v, sb.v)):
+                assert np.array_equal(u.data, w.data)
+
+
+def _per_block_adamw(state, x, g, active, cfg):
+    """Block-by-block AdamW, the reference for the run-wise update."""
+    for l in active:
+        gl = g[l]
+        state.m[l] = cfg.beta1 * state.m[l] + (1.0 - cfg.beta1) * gl
+        state.v[l] = cfg.beta2 * state.v[l] + (1.0 - cfg.beta2) * gl * gl
+        x[l] = (
+            x[l]
+            - cfg.eta * state.m[l] / np.sqrt(state.v[l] + cfg.adam_eps)
+            - cfg.eta * cfg.weight_decay * x[l]
+        )
+
+
+def _per_block_perturb(r, active, cfg):
+    """Block-by-block perturbation, the reference for sam_perturb."""
+    eps = [np.zeros(d) for d in r.dims]
+    norms = {l: float(np.linalg.norm(r[l])) for l in active}
+    if cfg.rho == 0.0 or not norms:
+        return eps
+    if cfg.perturb_norm == "per_layer":
+        for l in active:
+            if norms[l] > 0.0:
+                eps[l] = (cfg.rho / norms[l]) * r[l]
+    else:
+        joint = math.sqrt(sum(norms[l] ** 2 for l in active))
+        if joint > 0.0:
+            for l in active:
+                eps[l] = (cfg.rho / joint) * r[l]
+    return eps
+
+
+class TestRunWiseMatchesPerBlock:
+    """Run-wise updates over the flat buffer give the per-block bits, and
+    leave every inactive slice of x, m and v untouched."""
+
+    @given(
+        n=st.integers(1, 500),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["random", "full", "singleton"]),
+        wd=st.sampled_from([0.0, 0.01]),
+        rho=st.sampled_from([0.0, 0.05]),
+        a=st.floats(-4.0, 4.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_adamw_axpy_perturb(self, n, seed, kind, wd, rho, a):
+        rng = np.random.default_rng(seed)
+        dims = rng.integers(1, 9, n)
+        if kind == "full":
+            active = ActiveSet.full(n)
+        elif kind == "singleton":
+            active = ActiveSet.of(int(rng.integers(n)))
+        else:
+            active = ActiveSet.from_iterable(np.flatnonzero(rng.random(n) < 0.5))
+        cfg = AdamWConfig(eta=0.01, weight_decay=wd)
+
+        def rand():
+            return LayeredVector([rng.standard_normal(d) for d in dims])
+
+        x, g = rand(), rand()
+        state = OptimizerState(rand(), LayeredVector([rng.random(d) for d in dims]))
+        x_ref, ref = x.copy(), OptimizerState(state.m.copy(), state.v.copy())
+        adamw_step(state, x, g, active, cfg)
+        _per_block_adamw(ref, x_ref, g, active, cfg)
+        for got, want in ((x, x_ref), (state.m, ref.m), (state.v, ref.v)):
+            assert np.array_equal(got.data, want.data)
+
+        y = rand()
+        y_ref = [b.copy() for b in y]
+        masked_axpy(y, a, g, active)
+        for l in active:
+            y_ref[l] += a * g[l]
+        assert np.array_equal(y.data, np.concatenate(y_ref))
+
+        for mode in ("global", "per_layer"):
+            eps = sam_perturb(g, active, SamConfig(rho, mode))
+            want = _per_block_perturb(g, active, SamConfig(rho, mode))
+            assert np.array_equal(eps.data, np.concatenate(want))
+
+    @given(n=st.integers(1, 500), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_inactive_slices_untouched(self, n, seed):
+        rng = np.random.default_rng(seed)
+        dims = rng.integers(1, 9, n)
+        active = ActiveSet.from_iterable(np.flatnonzero(rng.random(n) < 0.3))
+        x = LayeredVector([rng.standard_normal(d) for d in dims])
+        g = LayeredVector([rng.standard_normal(d) for d in dims])
+        state = OptimizerState.init(dims)
+        before = [v.data.copy() for v in (x, state.m, state.v)]
+        adamw_step(state, x, g, active, AdamWConfig(eta=0.01, weight_decay=0.01))
+        masked_axpy(x, 2.0, g, active)
+        for v, old in zip((x, state.m, state.v), before):
+            for l in range(n):
+                if l not in active:
+                    assert np.array_equal(v[l], old[x.offsets[l] : x.offsets[l + 1]])
 
 
 class TestMomentRatioBound:
