@@ -106,6 +106,8 @@ class OptimizerState:
     prev_grad: LayeredVector | None = None
     # Step at which prev_grad[l] was written; 0 means never stashed.
     stash_step: np.ndarray | None = None
+    # layer_l2_norm(prev_grad, l), recorded when prev_grad[l] was written.
+    stash_norm: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if not self.m.same_shape(self.v):
@@ -234,11 +236,13 @@ def sam_step(
     else:
         x_eval = x
         if stale and not bootstrap:
-            stashed = state.stash_step[active.indices()]
+            idx = active.indices()
+            stashed = state.stash_step[idx]
             if (stashed < 1).any():
                 raise AssertionError("an active layer has no stashed gradient after the bootstrap")
             staleness = dict(zip(active, (step_no - stashed).tolist()))
-            eps = sam_perturb(state.prev_grad, active, sam_cfg)
+            stash_norms = dict(zip(active, state.stash_norm[idx].tolist()))
+            eps = sam_perturb(state.prev_grad, active, sam_cfg, stash_norms)
             x_eval = _perturbed(x, eps, active)
         loss, g = obj.loss_and_grad(x_eval, batch, active)
         first = g
@@ -247,10 +251,13 @@ def sam_step(
     if stale:
         if bootstrap:
             state.prev_grad, state.stash_step = g, np.zeros(n, dtype=np.int64)
+            state.stash_norm = np.zeros(n)
         else:
             for s in g.active_slices(active):
                 state.prev_grad.data[s] = g.data[s]
-        state.stash_step[active.indices()] = step_no
+        idx = active.indices()
+        state.stash_step[idx] = step_no
+        state.stash_norm[idx] = [norms[l] for l in active]
     return StepTelemetry(
         step=step_no,
         loss=loss,

@@ -22,7 +22,7 @@ import numpy as np
 from sparsam.bandit import init_uniform
 from sparsam.config import ExperimentConfig, OPTIMIZER_TYPES
 from sparsam.datasets import Dataset, batch_id, gen_blobs, gen_two_moons, minibatches
-from sparsam.errors import ConfigError
+from sparsam.errors import ConfigError, DivergenceError
 from sparsam.layered import ActiveSet, total_l1_norm
 from sparsam.objectives import Batch, MlpClassifier
 from sparsam.optimizers import (
@@ -250,7 +250,10 @@ def compare(
     """Run the same config under several optimizer types and tabulate.
 
     Every row sees identical data and seed; only the optimizer section's
-    type (and with it the resolved perturbation mode) changes.
+    type (and with it the resolved perturbation mode) changes. A type
+    that diverges gets a `diverged` row and the remaining types still
+    run; once the table is written, a DivergenceError naming every
+    diverged type propagates to the caller.
     """
     if len(optimizers) < 2:
         raise ConfigError("compare needs at least two optimizers")
@@ -261,11 +264,16 @@ def compare(
             raise ConfigError(f"unknown optimizer type {o!r}")
     out = Path(out_dir) if out_dir is not None else Path(config.output.dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
+    rows, diverged = [], []
     for o in optimizers:
         row_config = replace(config, optimizer=replace(config.optimizer, type=o))
         row_config.validate()
-        rec = run(row_config, out / o)
+        try:
+            rec = run(row_config, out / o)
+        except DivergenceError as e:
+            diverged.append(f"{o}: {e}")
+            rows.append([o, "", "", "", "", "diverged"])
+            continue
         s = rec.summary
         rows.append(
             [
@@ -282,4 +290,6 @@ def compare(
         fh.write("optimizer,final_loss,train_acc,test_acc,active_ratio,notes\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
+    if diverged:
+        raise DivergenceError(f"{'; '.join(diverged)} (table written to {table})")
     return table

@@ -419,3 +419,39 @@ class TestUpdateDistribution:
         cfg = BanditConfig(g_mode="running")
         new = update_distribution(dist, ActiveSet.of(0), {0: 1.0}, cfg, g=5.0)
         assert abs(float(np.sum(new.p)) - 1.0) <= 1e-9
+
+
+@st.composite
+def sampler_edges(draw):
+    """(n, s, p_min) with the sampler's edge cases drawn often: one layer,
+    the full budget s = N, the floor p_min = s/N and N = 500."""
+    edge = draw(st.sampled_from(["n1", "s_is_n", "floor_is_mean", "n500", "any"]))
+    n = {"n1": 1, "n500": 500}.get(edge) or draw(st.integers(1, 40))
+    s = float(n) if edge == "s_is_n" else n * draw(st.floats(0.05, 1.0))
+    p_min = s / n if edge == "floor_is_mean" else draw(st.floats(0.01, 1.0)) * s / n
+    return n, s, p_min
+
+
+class TestSamplerEdges:
+    @given(
+        case=sampler_edges(),
+        seed=st.integers(0, 2**32),
+        alpha=st.floats(1e-5, 1.0),
+        norm_scale=st.floats(0.0, 1e3),
+        steps=st.integers(1, 8),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_sample_then_update_keeps_invariants(self, case, seed, alpha, norm_scale, steps):
+        n, s, p_min = case
+        dist = init_uniform(n, s, p_min)
+        cfg = BanditConfig(alpha_p=alpha)
+        rng = stream(seed, "bandit")
+        norms_rng = np.random.default_rng(seed)
+        for _ in range(steps):
+            active, _ = sample_active_set(dist, rng)
+            assert len(active) >= 1
+            assert all(0 <= l < n for l in active)
+            norms = {l: norm_scale * float(norms_rng.random()) for l in active}
+            dist = update_distribution(dist, active, norms, cfg)
+            assert abs(float(dist.p.sum()) - s) <= 1e-9
+            assert (dist.p >= p_min).all() and (dist.p <= 1.0).all()

@@ -94,14 +94,14 @@ class TestNoiseMemo:
 
     @pytest.mark.parametrize("otype", OPTIMIZER_TYPES)
     def test_one_stream_per_layer_per_step(self, otype, monkeypatch):
-        built = []
-        real_stream = objectives.stream
+        derived = []
+        real_keys = objectives.philox_keys
 
-        def counting_stream(*args):
-            built.append(args)
-            return real_stream(*args)
+        def counting_keys(*args, n):
+            derived.append((args, n))
+            return real_keys(*args, n=n)
 
-        monkeypatch.setattr(objectives, "stream", counting_stream)
+        monkeypatch.setattr(objectives, "philox_keys", counting_keys)
         trainer = Trainer(
             ExperimentConfig.from_dict({
                 "objective": {
@@ -115,12 +115,26 @@ class TestNoiseMemo:
             })
         )
         # Step 1 is the single-pass types' dense bootstrap; later steps
-        # run their sampled or stale-perturbation paths.
+        # run their sampled or stale-perturbation paths. Each step derives
+        # the keys of all layers' streams once, for its own batch.
+        batch_ids = []
         for _ in range(3):
-            built.clear()
+            derived.clear()
             trainer.step()
-            assert len(built) == self.N_LAYERS
-            assert len(set(built)) == self.N_LAYERS
+            assert len(derived) == 1
+            (args, n), = derived
+            assert args[1] == "noise" and n == self.N_LAYERS
+            batch_ids.append(args[2])
+        assert len(set(batch_ids)) == 3
+
+    def test_noise_equals_per_layer_streams(self):
+        dims = [4, 1, 7, 2, 3]
+        obj = BlockQuadratic(dims, noise_sigma=0.7, noise_seed=2**70 + 9)
+        for bid in [3, 2**33 + 1, 3, 0, 2**40, 0]:
+            drawn = [
+                stream(2**70 + 9, "noise", bid, l).standard_normal(d) for l, d in enumerate(dims)
+            ]
+            assert np.array_equal(obj._noise(scalar_batch(bid)), 0.7 * np.concatenate(drawn))
 
     def test_memo_matches_fresh_draws_across_batches(self):
         dims = [4, 2, 3]

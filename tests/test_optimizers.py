@@ -359,6 +359,14 @@ class TestSlS2samStep:
                 assert tel.per_layer_staleness[l] >= 1
                 last_stash[l] = tel.step
 
+    def test_stashed_norms_match_stashed_gradient(self):
+        # The stale perturbation reads its norms from stash_norm instead of
+        # recomputing them, so each entry must be its stashed block's norm.
+        for n_steps in (1, 2, 30):
+            _, state = self.run_steps(n_steps)
+            for l in range(4):
+                assert state.stash_norm[l] == layer_l2_norm(state.prev_grad, l)
+
     def test_step_two_staleness_one(self):
         # A layer held at p=1 is sampled immediately after the bootstrap.
         obj = BlockQuadratic([2, 2])

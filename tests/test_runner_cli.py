@@ -213,6 +213,19 @@ class TestCompare:
         assert by_name["top_slsam"].endswith("expensive:full-gradient-selection")
         assert by_name["adamw"].endswith(",")
 
+    def test_diverged_row_keeps_the_table(self, tmp_path):
+        # A huge rho overflows every SAM type's perturbed loss; adamw
+        # ignores rho and finishes.
+        cfg = quad_cfg(optimizer={"rho": 1e300})
+        with pytest.raises(DivergenceError, match="adasam") as info:
+            runner.compare(cfg, ["adasam", "adamw"], tmp_path)
+        assert "adamw:" not in str(info.value)
+        lines = rows(tmp_path / "compare.csv")
+        assert lines[1] == "adasam,,,,,diverged"
+        assert lines[2].startswith("adamw,") and float(lines[2].split(",")[1]) > 0
+        assert (tmp_path / "adamw" / "summary.json").exists()
+        assert not (tmp_path / "adasam" / "summary.json").exists()
+
     def test_rejects_short_and_duplicate_lists(self, tmp_path):
         from sparsam.errors import ConfigError
 
@@ -299,6 +312,23 @@ class TestCli:
         assert (out / "compare.csv").exists()
         printed = capsys.readouterr().out
         assert "optimizer,final_loss" in printed
+
+    def test_compare_divergence_writes_table_then_exits_2(self, tmp_path, capsys):
+        raw = dict(QUAD_RAW, optimizer={"type": "adamw", "eta": 1e-3, "rho": 1e300})
+        cfg = write_cfg(tmp_path, raw)
+        out = tmp_path / "cmp"
+        code = main([
+            "compare", "--config", cfg,
+            "--optimizers", "slsam,adamw",
+            "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "divergence" in err and "slsam" in err and "compare.csv" in err
+        lines = rows(out / "compare.csv")
+        assert [l.split(",")[0] for l in lines[1:]] == ["slsam", "adamw"]
+        assert lines[1].endswith(",diverged") and not lines[2].endswith(",diverged")
+        assert (out / "adamw" / "summary.json").exists()
 
     def test_compare_single_optimizer_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, QUAD_RAW)
