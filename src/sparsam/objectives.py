@@ -11,14 +11,13 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from sparsam.errors import DivergenceError
 from sparsam.layered import ActiveSet, LayeredVector, layout
-from sparsam.rng import philox_keys, stream
+from sparsam.rng import stream
 
 
 @dataclass(frozen=True)
@@ -94,9 +93,9 @@ class BlockQuadratic(Objective):
     """f(x, batch) = sum_l a_l/2 ||x_l - c_l||^2 + <z_batch, x>.
 
     The noise vector z is zero-mean Gaussian with scale `noise_sigma`,
-    drawn per layer from a stream keyed by (noise_seed, batch.id, l), so
-    the same batch always sees the same drift and restricting the
-    gradient to a layer subset never changes any layer's draw.
+    drawn whole from one stream keyed by (noise_seed, batch.id), so the
+    same batch always sees the same drift and restricting the gradient
+    to a layer subset never changes any layer's draw.
     `batch=None` selects the noiseless population objective.
 
     Scales, centers and noise are kept as flat per-entry arrays laid out
@@ -104,19 +103,12 @@ class BlockQuadratic(Objective):
     run of active layers. The loss keeps one dot product per layer,
     summed in layer order.
 
-    The noise of the latest batch id is memoised as one flat vector, so
-    a step that evaluates the loss and one or more gradients on one
-    batch draws each (batch, layer) stream once. The memo is exact: a
-    layer's draw is a pure function of (noise_seed, batch.id, l). It
-    holds one batch (a new id replaces it), so it costs one parameter
-    vector, and it is read-only so no caller can alter a later draw.
-
-    A new batch's per-layer Philox keys are derived in one vectorized
-    pass (`rng.philox_keys`), and every layer is drawn through one
-    Philox generator kept by the objective, reset to that layer's key
-    with its counter at zero. The draws equal `stream(noise_seed,
-    "noise", batch.id, l)`'s; a test pins the keys against
-    np.random.SeedSequence.
+    The noise of the latest batch id is memoised, so a step that
+    evaluates the loss and one or more gradients on one batch draws its
+    stream once. The memo is exact: the draw is a pure function of
+    (noise_seed, batch.id). It holds one batch (a new id replaces it),
+    so it costs one parameter vector, and it is read-only so no caller
+    can alter a later draw.
     """
 
     def __init__(
@@ -156,33 +148,12 @@ class BlockQuadratic(Objective):
     def layer_dims(self) -> tuple[int, ...]:
         return self._dims
 
-    @cached_property
-    def _noise_rng(self) -> np.random.Generator:
-        # Built at the first noisy draw, so objectives that never draw noise
-        # (config validation builds one per run) skip its construction.
-        return np.random.Generator(np.random.Philox(key=0))
-
     def _noise(self, batch: Batch | None) -> np.ndarray | None:
         """The flat noise vector of `batch`, or None for a noiseless call."""
         if batch is None or self.noise_sigma == 0.0:
             return None
         if batch.id != self._noise_id:
-            o = self._offsets
-            z = np.empty(o[-1])
-            keys = philox_keys(self.noise_seed, "noise", batch.id, n=self.n_layers)
-            rng = self._noise_rng
-            for l, key in enumerate(keys.tolist()):
-                # The state of a fresh Philox with this key: counter zero,
-                # its four-word output buffer empty.
-                rng.bit_generator.state = {
-                    "bit_generator": "Philox",
-                    "state": {"counter": (0, 0, 0, 0), "key": key},
-                    "buffer": (0, 0, 0, 0),
-                    "buffer_pos": 4,
-                    "has_uint32": 0,
-                    "uinteger": 0,
-                }
-                rng.standard_normal(out=z[o[l] : o[l + 1]])
+            z = stream(self.noise_seed, "noise", batch.id).standard_normal(self.dim)
             z *= self.noise_sigma
             z.flags.writeable = False
             self._noise_id, self._noise_memo = batch.id, z

@@ -2,10 +2,12 @@
 
 Each case runs `runner.run` for about 50 steps and hashes (SHA-256) the
 step CSV with its `wall_ns` column removed, and `summary.json`. The
-digests were recorded from the code as it stood before any performance
-refactor; a change that is meant to keep every trajectory identical must
-pass this test unchanged. An intended numeric change regenerates the
-digests in a commit of its own that says why.
+MLP digests were recorded from the code as it stood before any
+performance refactor. The quad digests were regenerated when the block
+quadratic's noise became one stream per batch rather than one per
+(batch, layer). A change that is meant to keep every trajectory
+identical must pass this test unchanged. An intended numeric change
+regenerates the digests in a commit of its own that says why.
 
 The digests pin float64 results on one platform (x86-64, NumPy 2.x);
 a different BLAS or SIMD math library can move the MLP's low-order bits.
@@ -69,32 +71,32 @@ GOLDEN: dict[tuple[str, str], tuple[str, str]] = {
         "c15a20142cfda9571f62076365d1b93912d0a93d00ce7bd2ec6670752e4b5f4e",
     ),
     ("quad", "adamw"): (
-        "8853c831c42673394580aa9ae717374bbd09e62d07467afde514e6d1974b291e",
-        "61cddacc455a88a9914aac56d5dff09ccc9dd52f8557caffa7e788a572138b65",
+        "83a2fb055c1ca52eef671ed6bcdfe887322309193ba3ea8e8aaf67bdaa480153",
+        "1d391a92d5d4d84973558a79480654dcc849491b68ce7571e4a9077d52f5b69f",
     ),
     ("quad", "adasam"): (
-        "4c2ebf42684fe72bcf36daae4c5374fece332acd054158aa871da9d76d298f2b",
-        "69e97556e1ed2614110ec1089260ffadbdd7dfb1145c99d84e144b97fc30d77f",
+        "a1802d5a276b12fc3414a7ff5160382daf026e6928d4152b7333ea537ff2f209",
+        "685f050a557da4fd36dc939e358bbd025b14514e2fe5a5912dd009d42feef861",
     ),
     ("quad", "slsam"): (
-        "a74b7be7df835651d4ee6b8afcb9f1318cb4e18791f94174c1ff81dd8404ed2c",
-        "e1250b0a7f999a0528a13e59c1cac2c3e9dfef2e6a5af631c690b6c247c5e377",
+        "d73e61ca27b75a4ada807ef5444c5575d2203913f5c6886b37ddf5142d208e11",
+        "ea5596b64196db5cf70b1b78957094a731fb97bdd0b7acfba3a4a9e37c7df4a9",
     ),
     ("quad", "s2sam"): (
-        "00d6dd45bf99c34402c07832f2197f98368b84603eb98b34412150b7ef98451c",
-        "0a5b33de5c9b185e341071a048792340148cf3675e733cbec5dded2766e88558",
+        "bd009cfb74a3a0cec099fc15b37e2832bbaea6efd45a2e27914c1e55ab25d042",
+        "aa8ca7337339ecf8a13eee8ceec6994d8fab504042a60a69889913e582149e66",
     ),
     ("quad", "sl_s2sam"): (
-        "81cd7173d029f141ffc68905861e2eec0253dfd292455775048b4f57c611d013",
-        "084b6051560d85949a0bcdc00ec490806ef1502c86b4773ff213a202143edb8b",
+        "44793f858047f607f2d57640e5c9c8f7c976daef80d0df832a994ce07503bf0f",
+        "0c15d23fda79edd439d2acc1c67250a0033d1452bab24449667fcbf1f048ab78",
     ),
     ("quad", "random_slsam"): (
-        "4453801d9d9ae31d1427926fd27865ca2bfe234b2c40f0f337040a1c0d526b0e",
-        "4ee80401f3ad1dbcfd3e83701b1b1261bc8a65f5ebb2e7753effdfd05300cf09",
+        "fa7a0830d8be563c65237066a8052eb5dcab4f81332c925529d382341dfbcd97",
+        "491709d6b9103077742e2f4e5349033c49ebafed34bbb41ad84f4d987a45202f",
     ),
     ("quad", "top_slsam"): (
-        "451d9ed57f64d8af6cfebeb8b82645c5e589e1298f85603c7f1d90ba4d6af221",
-        "7e07fd3b67cbb2cf6af03220952469e99fe397f61ec1592efb07170c0bf15c6c",
+        "cf5c55af5977ead383fd429a3960bf120bec5c7990e66b29a8e0014ad79c44c7",
+        "ab10c779d8ecbf460e7dda417df71d59444bef53661d133a02421179133b92ed",
     ),
 }
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsam import objectives
 from sparsam.config import OPTIMIZER_TYPES, ExperimentConfig
@@ -94,14 +96,14 @@ class TestNoiseMemo:
 
     @pytest.mark.parametrize("otype", OPTIMIZER_TYPES)
     def test_one_stream_per_layer_per_step(self, otype, monkeypatch):
-        derived = []
-        real_keys = objectives.philox_keys
+        paths = []
+        real_stream = objectives.stream
 
-        def counting_keys(*args, n):
-            derived.append((args, n))
-            return real_keys(*args, n=n)
+        def counting_stream(seed, *path):
+            paths.append(path)
+            return real_stream(seed, *path)
 
-        monkeypatch.setattr(objectives, "philox_keys", counting_keys)
+        monkeypatch.setattr(objectives, "stream", counting_stream)
         trainer = Trainer(
             ExperimentConfig.from_dict({
                 "objective": {
@@ -115,26 +117,25 @@ class TestNoiseMemo:
             })
         )
         # Step 1 is the single-pass types' dense bootstrap; later steps
-        # run their sampled or stale-perturbation paths. Each step derives
-        # the keys of all layers' streams once, for its own batch.
+        # run their sampled or stale-perturbation paths. Each step draws
+        # the whole noise vector of its own batch from one stream, once.
         batch_ids = []
         for _ in range(3):
-            derived.clear()
+            paths.clear()
             trainer.step()
-            assert len(derived) == 1
-            (args, n), = derived
-            assert args[1] == "noise" and n == self.N_LAYERS
-            batch_ids.append(args[2])
+            assert len(paths) == 1
+            (label, bid), = paths
+            assert label == "noise"
+            batch_ids.append(bid)
         assert len(set(batch_ids)) == 3
 
     def test_noise_equals_per_layer_streams(self):
         dims = [4, 1, 7, 2, 3]
-        obj = BlockQuadratic(dims, noise_sigma=0.7, noise_seed=2**70 + 9)
+        seed = 2**70 + 9
+        obj = BlockQuadratic(dims, noise_sigma=0.7, noise_seed=seed)
         for bid in [3, 2**33 + 1, 3, 0, 2**40, 0]:
-            drawn = [
-                stream(2**70 + 9, "noise", bid, l).standard_normal(d) for l, d in enumerate(dims)
-            ]
-            assert np.array_equal(obj._noise(scalar_batch(bid)), 0.7 * np.concatenate(drawn))
+            drawn = 0.7 * stream(seed, "noise", bid).standard_normal(sum(dims))
+            assert np.array_equal(obj._noise(scalar_batch(bid)), drawn)
 
     def test_memo_matches_fresh_draws_across_batches(self):
         dims = [4, 2, 3]
@@ -144,16 +145,43 @@ class TestNoiseMemo:
 
         obj = fresh()
         x = lv([1.0, -2.0, 0.5, 3.0], [0.25, -1.0], [2.0, 1.5, -0.75])
-        b1, b2 = scalar_batch(1), scalar_batch(2)
+        b1, b2, b_big = scalar_batch(1), scalar_batch(2), scalar_batch(2**32 + 1)
         sparse = ActiveSet.of(1)
         assert obj.loss(x, b1) == fresh().loss(x, b1)
         g = obj.grad(x, b2, sparse)
         g_fresh = fresh().grad(x, b2, sparse)
         for l in range(len(dims)):
             assert np.array_equal(g[l], g_fresh[l])
+        assert obj.loss(x, b_big) == fresh().loss(x, b_big)
         assert obj.loss(x, b1) == fresh().loss(x, b1)
-        drawn = [0.3 * stream(5, "noise", b1.id, l).standard_normal(d) for l, d in enumerate(dims)]
-        assert np.array_equal(obj._noise(b1), np.concatenate(drawn))
+        for b in (b1, b_big, b2):
+            drawn = 0.3 * stream(5, "noise", b.id).standard_normal(sum(dims))
+            assert np.array_equal(obj._noise(b), drawn)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_restriction_only_masks_noisy_blocks(self, data):
+        dims = data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=12))
+        n = len(dims)
+        scales = data.draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+        seed = data.draw(st.integers(0, 2**70))
+        bid = data.draw(st.integers(0, 2**40))
+        layers = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = LayeredVector([rng.standard_normal(d) for d in dims])
+
+        def fresh() -> BlockQuadratic:
+            return BlockQuadratic(dims, scales=scales, noise_sigma=0.5, noise_seed=seed)
+
+        batch = scalar_batch(bid)
+        full = fresh().grad(x, batch, ActiveSet.full(n))
+        # A fresh objective draws the noise for the restricted call alone.
+        part = fresh().grad(x, batch, ActiveSet.of(*layers))
+        for l in range(n):
+            if l in layers:
+                assert np.array_equal(part[l], full[l])
+            else:
+                assert np.array_equal(part[l], np.zeros(dims[l]))
 
     def test_memoised_noise_is_read_only(self):
         obj = BlockQuadratic([3, 3], noise_sigma=1.0, noise_seed=2)

@@ -1,67 +1,32 @@
-"""Named streams and the vectorized Philox key derivation."""
+"""Named random streams."""
 
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from sparsam.rng import philox_keys, stream
-
-NOISE = zlib.crc32(b"noise")
+from sparsam.rng import stream
 
 
-def seed_sequence_keys(seed: int, *spawn_key: int, n: int) -> np.ndarray:
-    return np.array(
-        [
-            np.random.SeedSequence(seed, spawn_key=(*spawn_key, l)).generate_state(2, np.uint64)
-            for l in range(n)
-        ],
-        dtype=np.uint64,
-    ).reshape(n, 2)
-
-
-class TestPhiloxKeys:
-    @given(
-        seed=st.integers(0, 2**130),
-        bid=st.integers(0, 2**40),
-        n=st.integers(1, 500),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_equal_seed_sequence_keys(self, seed, bid, n):
-        keys = philox_keys(seed, "noise", bid, n=n)
-        assert keys.dtype == np.uint64 and keys.shape == (n, 2)
-        assert np.array_equal(keys, seed_sequence_keys(seed, NOISE, bid, n=n))
+class TestStream:
+    def test_same_path_same_draws(self):
+        a = stream(2**70 + 9, "noise", 2**33 + 1).standard_normal(16)
+        b = stream(2**70 + 9, "noise", 2**33 + 1).standard_normal(16)
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize(
-        "seed",
-        # Word-count boundaries: SeedSequence pads the root entropy to four
-        # words below 2**96 and splits seeds of 2**32 and above.
-        [0, 1, 2**32 - 1, 2**32, 2**64, 2**96 - 1, 2**96, 2**128 - 1, 2**128, 2**160 + 5],
+        "path",
+        [("noise", 4), ("noise", 3, 0), ("data", 3), ("noise",), ()],
     )
-    @pytest.mark.parametrize("bid", [0, 2**32 - 1, 2**32, 2**64 + 1])
-    def test_word_boundaries(self, seed, bid):
-        assert np.array_equal(
-            philox_keys(seed, "noise", bid, n=3), seed_sequence_keys(seed, NOISE, bid, n=3)
+    def test_different_paths_different_draws(self, path):
+        base = stream(7, "noise", 3).standard_normal(16)
+        assert not np.array_equal(stream(7, *path).standard_normal(16), base)
+
+    def test_different_seeds_different_draws(self):
+        assert not np.array_equal(
+            stream(7, "noise", 3).standard_normal(16), stream(8, "noise", 3).standard_normal(16)
         )
 
-    def test_any_path(self):
-        assert np.array_equal(philox_keys(7, n=4), seed_sequence_keys(7, n=4))
-        assert np.array_equal(
-            philox_keys(7, "data", 3, "x", n=2),
-            seed_sequence_keys(7, zlib.crc32(b"data"), 3, zlib.crc32(b"x"), n=2),
-        )
-
-    def test_keys_drive_the_streams(self):
-        for l, key in enumerate(philox_keys(3, "noise", 11, n=4).tolist()):
-            assert stream(3, "noise", 11, l).bit_generator.state["state"]["key"].tolist() == key
-
-    def test_empty_and_negative(self):
-        assert philox_keys(0, "noise", 1, n=0).shape == (0, 2)
+    def test_negative_path_int(self):
         with pytest.raises(ValueError):
-            philox_keys(-1, "noise", 1, n=2)
-        with pytest.raises(ValueError):
-            philox_keys(0, "noise", -1, n=2)
+            stream(0, "noise", -1)
