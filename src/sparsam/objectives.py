@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from sparsam.errors import DivergenceError
-from sparsam.layered import ActiveSet, LayeredVector, layout
+from sparsam.layered import ActiveSet, LayeredVector
 from sparsam.rng import stream
 
 
@@ -99,9 +99,8 @@ class BlockQuadratic(Objective):
     `batch=None` selects the noiseless population objective.
 
     Scales, centers and noise are kept as flat per-entry arrays laid out
-    like a LayeredVector's buffer, so the gradient is one expression per
-    run of active layers. The loss keeps one dot product per layer,
-    summed in layer order.
+    like a LayeredVector's buffer, so the loss is one expression over the
+    whole buffer and the gradient one expression per run of active layers.
 
     The noise of the latest batch id is memoised, so a step that
     evaluates the loss and one or more gradients on one batch draws its
@@ -135,8 +134,6 @@ class BlockQuadratic(Objective):
         if noise_sigma < 0:
             raise ValueError("noise_sigma must be non-negative")
         self._dims = dims
-        self._offsets = layout(dims)[1]
-        self.scales = scales
         self._scale = np.repeat(scales, dims)
         self._center = np.concatenate(centers)
         self.noise_sigma = float(noise_sigma)
@@ -162,16 +159,12 @@ class BlockQuadratic(Objective):
     def loss(self, x: LayeredVector, batch: Batch | None) -> float:
         self._check_x(x)
         z = self._noise(batch)
-        xd, o = x.data, self._offsets
-        total = 0.0
         # Overflow to inf is the divergence signal, not a warning condition.
         with np.errstate(over="ignore", invalid="ignore"):
-            diff = xd - self._center
-            for a, lo, hi in zip(self.scales, o, o[1:]):
-                d = diff[lo:hi]
-                total += 0.5 * a * float(d.dot(d))
-                if z is not None:
-                    total += float(z[lo:hi].dot(xd[lo:hi]))
+            diff = x.data - self._center
+            total = 0.5 * float((self._scale * diff).dot(diff))
+            if z is not None:
+                total += float(z.dot(x.data))
         return self._check_loss(total)
 
     def loss_and_grad(

@@ -5,9 +5,11 @@ step CSV with its `wall_ns` column removed, and `summary.json`. The
 MLP digests were recorded from the code as it stood before any
 performance refactor. The quad digests were regenerated when the block
 quadratic's noise became one stream per batch rather than one per
-(batch, layer). A change that is meant to keep every trajectory
-identical must pass this test unchanged. An intended numeric change
-regenerates the digests in a commit of its own that says why.
+(batch, layer), and again when its loss became one dot product over
+the whole buffer rather than one per layer. A change that is meant to
+keep every trajectory identical must pass this test unchanged. An
+intended numeric change regenerates the digests in a commit of its own
+that says why.
 
 The digests pin float64 results on one platform (x86-64, NumPy 2.x);
 a different BLAS or SIMD math library can move the MLP's low-order bits.
@@ -71,32 +73,32 @@ GOLDEN: dict[tuple[str, str], tuple[str, str]] = {
         "c15a20142cfda9571f62076365d1b93912d0a93d00ce7bd2ec6670752e4b5f4e",
     ),
     ("quad", "adamw"): (
-        "83a2fb055c1ca52eef671ed6bcdfe887322309193ba3ea8e8aaf67bdaa480153",
-        "1d391a92d5d4d84973558a79480654dcc849491b68ce7571e4a9077d52f5b69f",
+        "c6b436f37379864d6037b84bb2394e570e0a955dac223ed3719ee51c442a2a06",
+        "cf37e2974e78549f46aef94b43ba4810bba558824cc685cbb00ca707cd63e299",
     ),
     ("quad", "adasam"): (
-        "a1802d5a276b12fc3414a7ff5160382daf026e6928d4152b7333ea537ff2f209",
-        "685f050a557da4fd36dc939e358bbd025b14514e2fe5a5912dd009d42feef861",
+        "d11940e9ea1258fed8575acfd63842c445dd78617f9b50e0faa41d8f3d9bfad1",
+        "fbdf8a2648edc7e7424be367bed3018d37b770457605c9aeb8f99fef3084290a",
     ),
     ("quad", "slsam"): (
-        "d73e61ca27b75a4ada807ef5444c5575d2203913f5c6886b37ddf5142d208e11",
-        "ea5596b64196db5cf70b1b78957094a731fb97bdd0b7acfba3a4a9e37c7df4a9",
+        "4b2987c8e368ea7f43e5de50e1505f553edcd5e84989bd1beeb26c6e6cbc0812",
+        "b4b0a3fe223f5b0fcec52d40aacf10953f20d06f63dc1ff89925f42bcfab7c0b",
     ),
     ("quad", "s2sam"): (
-        "bd009cfb74a3a0cec099fc15b37e2832bbaea6efd45a2e27914c1e55ab25d042",
-        "aa8ca7337339ecf8a13eee8ceec6994d8fab504042a60a69889913e582149e66",
+        "a367ef5ed8b5d706ece46ea9eaae59f491e269c32ea3288b35b2b1d1c9b10de0",
+        "1c3449e3d984b039d9db1b22d8cee02cb561b1a861436ce334ba5936bd1ba6a1",
     ),
     ("quad", "sl_s2sam"): (
-        "44793f858047f607f2d57640e5c9c8f7c976daef80d0df832a994ce07503bf0f",
-        "0c15d23fda79edd439d2acc1c67250a0033d1452bab24449667fcbf1f048ab78",
+        "0230ac1df83ee72521206a2fd1fef88a2acc24c913c085b74c59fb237f22d47a",
+        "7c325496d2d6448447c855c20f0aacc287a04b93f574c857469111636bb204f5",
     ),
     ("quad", "random_slsam"): (
-        "fa7a0830d8be563c65237066a8052eb5dcab4f81332c925529d382341dfbcd97",
-        "491709d6b9103077742e2f4e5349033c49ebafed34bbb41ad84f4d987a45202f",
+        "b4fc786bbcfd2f2bcc4059dd7ee43da78e1793eeccbf28a7842e5c0546bda869",
+        "5689f8159e4c0829b6399135e2649b6378459ae696d0196f3810bb68915cc410",
     ),
     ("quad", "top_slsam"): (
-        "cf5c55af5977ead383fd429a3960bf120bec5c7990e66b29a8e0014ad79c44c7",
-        "ab10c779d8ecbf460e7dda417df71d59444bef53661d133a02421179133b92ed",
+        "04cf147db4e21589906975537613fe8ed63855ff153ab4a802f756aa9bba94fd",
+        "08e2b647f5e3533089a0fe9eb7f6b40bec529d0d76bbfadd2711a03eb6344989",
     ),
 }
 

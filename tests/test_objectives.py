@@ -91,6 +91,54 @@ class TestQuadraticGrad:
         assert np.allclose(mean, clean[0], atol=0.08)
 
 
+def per_layer_loss(obj: BlockQuadratic, x: LayeredVector, batch: Batch | None, scales) -> float:
+    """The quadratic loss summed layer by layer, as a reference."""
+    z = obj._noise(batch)
+    total = 0.0
+    for l, a in enumerate(scales):
+        lo, hi = x.offsets[l], x.offsets[l + 1]
+        d = x.data[lo:hi] - obj._center[lo:hi]
+        total += 0.5 * a * float(d.dot(d))
+        if z is not None:
+            total += float(z[lo:hi].dot(x.data[lo:hi]))
+    return total
+
+
+class TestQuadraticLoss:
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_layer_sum(self, data):
+        dims = data.draw(st.lists(st.integers(1, 64), min_size=1, max_size=20))
+        n = len(dims)
+        scales = data.draw(st.lists(st.floats(0.5, 20.0), min_size=n, max_size=n))
+        sigma = data.draw(st.sampled_from([0.0, 1e-3, 1e-2]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        centers = [rng.uniform(-1.0, 1.0, d) for d in dims]
+        # Each entry sits 1 to 2 from its center, so no sum cancels.
+        x = LayeredVector([
+            c + rng.choice([-1.0, 1.0], d) * rng.uniform(1.0, 2.0, d)
+            for c, d in zip(centers, dims)
+        ])
+        obj = BlockQuadratic(dims, scales=scales, centers=centers, noise_sigma=sigma, noise_seed=4)
+        for batch in (None, scalar_batch(data.draw(st.integers(0, 2**40)))):
+            ref = per_layer_loss(obj, x, batch, scales)
+            assert obj.loss(x, batch) == pytest.approx(ref, rel=1e-12)
+
+    def test_two_blocks_exact(self):
+        obj = two_block_quadratic()
+        # 0.5 * 1 * 2^2 + 0.5 * 10 * 1^2
+        assert obj.loss(lv([2.0], [1.0]), None) == 7.0
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    def test_overflow_raises_divergence(self, sigma):
+        obj = BlockQuadratic([3, 2], scales=[1.0, 2.0], noise_sigma=sigma)
+        x = lv([1e200, -1e200, 1e200], [1e200, 1e200])
+        with pytest.raises(DivergenceError):
+            obj.loss(x, scalar_batch(1))
+        with pytest.raises(DivergenceError):
+            obj.loss_and_grad(x, scalar_batch(1), ActiveSet.of(0))
+
+
 class TestNoiseMemo:
     N_LAYERS = 8
 
