@@ -127,9 +127,6 @@ class LayeredVector:
     def __repr__(self) -> str:
         return f"LayeredVector(dims={self.dims})"
 
-    def all_finite(self) -> bool:
-        return bool(np.isfinite(self.data).all())
-
     def same_shape(self, other: "LayeredVector") -> bool:
         return self.dims == other.dims
 

@@ -199,12 +199,6 @@ class TestLayeredVector:
         with pytest.raises(ValueError):
             v[0] = np.zeros(3)
 
-    def test_all_finite(self):
-        assert lv([1.0]).all_finite()
-        bad = lv([1.0, 2.0])
-        bad.blocks[0][1] = np.inf
-        assert not bad.all_finite()
-
 
 class TestActiveSet:
     def test_full(self):
