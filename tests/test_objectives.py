@@ -124,11 +124,6 @@ class TestQuadraticLoss:
             ref = per_layer_loss(obj, x, batch, scales)
             assert obj.loss(x, batch) == pytest.approx(ref, rel=1e-12)
 
-    def test_two_blocks_exact(self):
-        obj = two_block_quadratic()
-        # 0.5 * 1 * 2^2 + 0.5 * 10 * 1^2
-        assert obj.loss(lv([2.0], [1.0]), None) == 7.0
-
     @pytest.mark.parametrize("sigma", [0.0, 1.0])
     def test_overflow_raises_divergence(self, sigma):
         obj = BlockQuadratic([3, 2], scales=[1.0, 2.0], noise_sigma=sigma)

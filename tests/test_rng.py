@@ -22,11 +22,6 @@ class TestStream:
         base = stream(7, "noise", 3).standard_normal(16)
         assert not np.array_equal(stream(7, *path).standard_normal(16), base)
 
-    def test_different_seeds_different_draws(self):
-        assert not np.array_equal(
-            stream(7, "noise", 3).standard_normal(16), stream(8, "noise", 3).standard_normal(16)
-        )
-
     def test_negative_path_int(self):
         with pytest.raises(ValueError):
             stream(0, "noise", -1)
