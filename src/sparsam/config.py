@@ -2,16 +2,25 @@
 
 Configs are JSON documents with six sections (objective, dataset,
 optimizer, bandit, train, output), all optional, all keys defaulted.
-Unknown keys are rejected by name so typos fail loudly instead of
-silently running a default. The resolved config has a canonical dict
-form whose SHA-256 digest identifies the run in every output file.
+Each section is a frozen dataclass and each option is declared once, as
+a field with its default, in the dataclass that uses it; the range
+checks run when a section is built. A section's keys, its parsing and
+its canonical form all come from those fields. Unknown keys are
+rejected by name so typos fail loudly instead of silently running a
+default.
+
+Values are stored in canonical form as they are parsed: a float key
+holds a float, an int key an int (an integral 5.0 becomes 5, and 2.5 is
+rejected). The SHA-256 digest of the canonical dict therefore
+identifies exactly the run that executes, in every output file.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -23,16 +32,8 @@ from sparsam.optimizers import OPTIMIZERS, AdamWConfig, Ascent, SamConfig, Selec
 OPTIMIZER_TYPES = tuple(OPTIMIZERS)
 DATASET_TYPES = ("none", "two_moons", "blobs")
 
-
-def _section(raw: Any, name: str, allowed: tuple[str, ...]) -> dict:
-    if raw is None:
-        return {}
-    if not isinstance(raw, dict):
-        raise ConfigError(f"section {name!r} must be an object")
-    for key in raw:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in section {name!r}")
-    return dict(raw)
+# Field name -> config key, where the config spelling is a reserved word here.
+_SPELLING = {"weight_decay": "lambda"}
 
 
 def _require(condition: bool, message: str) -> None:
@@ -40,31 +41,120 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-@dataclass
-class ObjectiveConfig:
-    type: str = "blockquadratic"
-    # blockquadratic keys
-    layer_dims: list[int] = field(default_factory=lambda: [4, 4, 4, 4, 4])
-    scales: list[float] | None = None
-    noise_sigma: float = 0.0
-    # mlp keys
-    widths: list[int] = field(default_factory=lambda: [2, 16, 16, 2])
-    activation: str = "tanh"
-    bias_mode: str = "separate"
+def _as_int(v: Any) -> int:
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise TypeError
 
-    _QUAD_KEYS = ("type", "layer_dims", "scales", "noise_sigma")
-    _MLP_KEYS = ("type", "widths", "activation", "bias_mode")
+
+def _as_float(v: Any) -> float:
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        return float(v)
+    raise TypeError
+
+
+def _as_str(v: Any) -> str:
+    if isinstance(v, str):
+        return v
+    raise TypeError
+
+
+def _list_of(item):
+    def coerce(v: Any) -> list:
+        if not isinstance(v, list):
+            raise TypeError
+        return [item(x) for x in v]
+
+    return coerce
+
+
+def _or_none(coerce):
+    return lambda v: None if v is None else coerce(v)
+
+
+# A field's annotation, as written -> the coercion of a JSON value to it.
+_COERCE = {
+    "int": _as_int,
+    "float": _as_float,
+    "str": _as_str,
+    "str | None": _or_none(_as_str),
+    "list[int]": _list_of(_as_int),
+    "list[float] | None": _or_none(_list_of(_as_float)),
+}
+
+
+def _only(kind: str, **kw) -> Any:
+    """A field that only the given objective kind reads."""
+    return field(metadata={"kind": kind}, **kw)
+
+
+@functools.cache
+def _keys(cls: type, kind: str | None) -> dict[str, tuple[str, str]]:
+    """Config key -> (field name, annotation) for the fields of `cls`;
+    with a kind, only the fields that kind reads (all of them, for
+    sections without per-kind fields)."""
+    return {
+        _SPELLING.get(f.name, f.name): (f.name, f.type)
+        for f in fields(cls)
+        if kind is None or f.metadata.get("kind", kind) == kind
+    }
+
+
+class _Section:
+    """Parsing and canonical form of a config section, from its fields."""
 
     @classmethod
-    def from_dict(cls, raw: Any) -> "ObjectiveConfig":
+    def from_dict(cls, raw: Any, name: str):
         if raw is None:
             raw = {}
         if not isinstance(raw, dict):
-            raise ConfigError("section 'objective' must be an object")
-        kind = raw.get("type", "blockquadratic")
-        _require(kind in ("blockquadratic", "mlp"), f"unknown objective type {kind!r}")
-        allowed = cls._QUAD_KEYS if kind == "blockquadratic" else cls._MLP_KEYS
-        return cls(**_section(raw, "objective", allowed))
+            raise ConfigError(f"section {name!r} must be an object")
+        keys = _keys(cls, None)
+        data = {}
+        for key, value in raw.items():
+            if key not in keys:
+                raise ConfigError(f"unknown key {key!r} in section {name!r}")
+            field_name, annotation = keys[key]
+            try:
+                data[field_name] = _COERCE[annotation](value)
+            except TypeError:
+                raise ConfigError(
+                    f"key {key!r} in section {name!r} must be {annotation}, got {value!r}"
+                ) from None
+        try:
+            cfg = cls(**data)
+        except ConfigError:
+            raise
+        except ValueError as e:
+            raise ConfigError(f"{name}: {e}") from e
+        read = cfg._read_keys()
+        for key in raw:
+            if key not in read:
+                raise ConfigError(f"unknown key {key!r} in section {name!r}")
+        return cfg
+
+    def _read_keys(self) -> dict[str, tuple[str, str]]:
+        return _keys(type(self), getattr(self, "type", None))
+
+    def resolved(self) -> dict:
+        """Every key this section reads, under its config spelling."""
+        return {key: getattr(self, f) for key, (f, _) in self._read_keys().items()}
+
+
+@dataclass(frozen=True)
+class ObjectiveConfig(_Section):
+    type: str = "blockquadratic"
+    layer_dims: list[int] = _only("blockquadratic", default_factory=lambda: [4, 4, 4, 4, 4])
+    scales: list[float] | None = _only("blockquadratic", default=None)
+    noise_sigma: float = _only("blockquadratic", default=0.0)
+    widths: list[int] = _only("mlp", default_factory=lambda: [2, 16, 16, 2])
+    activation: str = _only("mlp", default="tanh")
+    bias_mode: str = _only("mlp", default="separate")
+
+    def __post_init__(self) -> None:
+        _require(self.type in ("blockquadratic", "mlp"), f"unknown objective type {self.type!r}")
 
     def build(self, noise_seed: int) -> Objective:
         try:
@@ -79,136 +169,67 @@ class ObjectiveConfig:
         except ValueError as e:
             raise ConfigError(f"objective: {e}") from e
 
-    def resolved(self) -> dict:
-        if self.type == "blockquadratic":
-            return {
-                "type": self.type,
-                "layer_dims": [int(d) for d in self.layer_dims],
-                "scales": None if self.scales is None else [float(a) for a in self.scales],
-                "noise_sigma": float(self.noise_sigma),
-            }
-        return {
-            "type": self.type,
-            "widths": [int(w) for w in self.widths],
-            "activation": self.activation,
-            "bias_mode": self.bias_mode,
-        }
 
-
-@dataclass
-class DatasetConfig:
+@dataclass(frozen=True)
+class DatasetConfig(_Section):
     type: str = "none"
     n: int = 256
     noise: float = 0.1
     seed: int = 0
 
-    @classmethod
-    def from_dict(cls, raw: Any) -> "DatasetConfig":
-        cfg = cls(**_section(raw, "dataset", ("type", "n", "noise", "seed")))
-        _require(cfg.type in DATASET_TYPES, f"unknown dataset type {cfg.type!r}")
-        _require(cfg.n >= 2, "dataset n must be at least 2")
-        _require(cfg.noise >= 0, "dataset noise must be non-negative")
-        _require(cfg.seed >= 0, "dataset seed must be non-negative")
-        return cfg
-
-    def resolved(self) -> dict:
-        return {
-            "type": self.type,
-            "n": int(self.n),
-            "noise": float(self.noise),
-            "seed": int(self.seed),
-        }
+    def __post_init__(self) -> None:
+        _require(self.type in DATASET_TYPES, f"unknown dataset type {self.type!r}")
+        _require(self.n >= 2, "dataset n must be at least 2")
+        _require(self.noise >= 0, "dataset noise must be non-negative")
+        _require(self.seed >= 0, "dataset seed must be non-negative")
 
 
-@dataclass
-class OptimizerConfig:
+@dataclass(frozen=True)
+class OptimizerConfig(SamConfig, AdamWConfig, _Section):
+    """The AdamW base, the SAM radius and the optimizer type.
+
+    An unset perturb_norm follows the type: sampled-layer variants
+    perturb per layer, dense ones globally.
+    """
+
     type: str = "adamw"
-    eta: float = 1e-3
-    weight_decay: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    rho: float = 0.01
     perturb_norm: str | None = None
 
-    @classmethod
-    def from_dict(cls, raw: Any) -> "OptimizerConfig":
-        allowed = ("type", "eta", "lambda", "beta1", "beta2", "adam_eps", "rho", "perturb_norm")
-        data = _section(raw, "optimizer", allowed)
-        # The decay coefficient is spelled "lambda" in config files but that
-        # is a reserved word here.
-        if "lambda" in data:
-            data["weight_decay"] = data.pop("lambda")
-        cfg = cls(**data)
-        _require(cfg.type in OPTIMIZER_TYPES, f"unknown optimizer type {cfg.type!r}")
-        if cfg.perturb_norm is not None:
-            _require(
-                cfg.perturb_norm in ("global", "per_layer"),
-                f"unknown perturb_norm {cfg.perturb_norm!r}",
-            )
-        try:
-            cfg.adamw()
-            cfg.sam()
-        except ValueError as e:
-            raise ConfigError(f"optimizer: {e}") from e
-        return cfg
+    def __post_init__(self) -> None:
+        _require(self.type in OPTIMIZERS, f"unknown optimizer type {self.type!r}")
+        AdamWConfig.__post_init__(self)
+        self.sam()  # checks rho and the resolved perturb_norm
 
     def kind(self) -> tuple[Selector, Ascent]:
         """The type's layer selector and ascent source."""
-        _require(self.type in OPTIMIZERS, f"unknown optimizer type {self.type!r}")
         return OPTIMIZERS[self.type]
 
     def resolved_perturb_norm(self) -> str:
-        """Sampled-layer variants perturb per layer, dense ones globally,
-        unless the config pins a mode."""
         if self.perturb_norm is not None:
             return self.perturb_norm
         return "global" if self.kind()[0] == "all" else "per_layer"
 
-    def adamw(self) -> AdamWConfig:
-        return AdamWConfig(
-            eta=self.eta,
-            weight_decay=self.weight_decay,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            adam_eps=self.adam_eps,
-        )
-
     def sam(self) -> SamConfig:
+        """The SAM settings with the perturbation mode resolved for the type."""
         return SamConfig(rho=self.rho, perturb_norm=self.resolved_perturb_norm())
 
     def resolved(self) -> dict:
-        return {
-            "type": self.type,
-            "eta": float(self.eta),
-            "lambda": float(self.weight_decay),
-            "beta1": float(self.beta1),
-            "beta2": float(self.beta2),
-            "adam_eps": float(self.adam_eps),
-            "rho": float(self.rho),
-            "perturb_norm": self.resolved_perturb_norm(),
-        }
+        return {**super().resolved(), "perturb_norm": self.resolved_perturb_norm()}
 
 
-@dataclass
-class BanditSection:
+@dataclass(frozen=True)
+class BanditSection(BanditConfig, _Section):
+    """The sampler's step settings plus the layer budget and its floor."""
+
     s_over_n: float = 0.2
     p_min_factor: float = 0.1
-    alpha_p: float = 1e-4
-    exponent_clamp: float = 50.0
-    g_mode: str = "current"
 
-    @classmethod
-    def from_dict(cls, raw: Any) -> "BanditSection":
-        allowed = ("s_over_n", "p_min_factor", "alpha_p", "exponent_clamp", "g_mode")
-        cfg = cls(**_section(raw, "bandit", allowed))
-        _require(0.0 < cfg.s_over_n <= 1.0, f"s_over_n={cfg.s_over_n} outside (0, 1]")
-        _require(0.0 < cfg.p_min_factor < 1.0, f"p_min_factor={cfg.p_min_factor} outside (0, 1)")
-        try:
-            cfg.to_bandit_config()
-        except ValueError as e:
-            raise ConfigError(f"bandit: {e}") from e
-        return cfg
+    def __post_init__(self) -> None:
+        _require(0.0 < self.s_over_n <= 1.0, f"s_over_n={self.s_over_n} outside (0, 1]")
+        _require(
+            0.0 < self.p_min_factor < 1.0, f"p_min_factor={self.p_min_factor} outside (0, 1)"
+        )
+        super().__post_init__()
 
     def budget(self, n_layers: int) -> float:
         return self.s_over_n * n_layers
@@ -219,56 +240,24 @@ class BanditSection:
     def ablation_k(self, n_layers: int) -> int:
         return max(1, round(self.s_over_n * n_layers))
 
-    def to_bandit_config(self) -> BanditConfig:
-        return BanditConfig(
-            alpha_p=self.alpha_p, exponent_clamp=self.exponent_clamp, g_mode=self.g_mode
-        )
 
-    def resolved(self) -> dict:
-        return {
-            "s_over_n": float(self.s_over_n),
-            "p_min_factor": float(self.p_min_factor),
-            "alpha_p": float(self.alpha_p),
-            "exponent_clamp": float(self.exponent_clamp),
-            "g_mode": self.g_mode,
-        }
-
-
-@dataclass
-class TrainConfig:
+@dataclass(frozen=True)
+class TrainConfig(_Section):
     steps: int = 200
     batch_size: int = 32
     seed: int = 0
     eval_every: int = 10
 
-    @classmethod
-    def from_dict(cls, raw: Any) -> "TrainConfig":
-        cfg = cls(**_section(raw, "train", ("steps", "batch_size", "seed", "eval_every")))
-        _require(cfg.steps >= 1, "train steps must be at least 1")
-        _require(cfg.batch_size >= 1, "batch_size must be at least 1")
-        _require(cfg.eval_every >= 1, "eval_every must be at least 1")
-        _require(cfg.seed >= 0, "seed must be non-negative")
-        return cfg
-
-    def resolved(self) -> dict:
-        return {
-            "steps": int(self.steps),
-            "batch_size": int(self.batch_size),
-            "seed": int(self.seed),
-            "eval_every": int(self.eval_every),
-        }
+    def __post_init__(self) -> None:
+        _require(self.steps >= 1, "train steps must be at least 1")
+        _require(self.batch_size >= 1, "batch_size must be at least 1")
+        _require(self.eval_every >= 1, "eval_every must be at least 1")
+        _require(self.seed >= 0, "seed must be non-negative")
 
 
-@dataclass
-class OutputConfig:
+@dataclass(frozen=True)
+class OutputConfig(_Section):
     dir: str = "runs"
-
-    @classmethod
-    def from_dict(cls, raw: Any) -> "OutputConfig":
-        return cls(**_section(raw, "output", ("dir",)))
-
-    def resolved(self) -> dict:
-        return {"dir": self.dir}
 
 
 @dataclass
@@ -280,28 +269,14 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
 
-    SECTIONS = ("objective", "dataset", "optimizer", "bandit", "train", "output")
-
     @classmethod
     def from_dict(cls, raw: Any) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config root must be an object")
         for key in raw:
-            if key not in cls.SECTIONS:
+            if key not in _SECTIONS:
                 raise ConfigError(f"unknown key {key!r} at config top level")
-        try:
-            cfg = cls(
-                objective=ObjectiveConfig.from_dict(raw.get("objective")),
-                dataset=DatasetConfig.from_dict(raw.get("dataset")),
-                optimizer=OptimizerConfig.from_dict(raw.get("optimizer")),
-                bandit=BanditSection.from_dict(raw.get("bandit")),
-                train=TrainConfig.from_dict(raw.get("train")),
-                output=OutputConfig.from_dict(raw.get("output")),
-            )
-        except (TypeError, ValueError) as e:
-            if isinstance(e, ConfigError):
-                raise
-            raise ConfigError(f"bad config value: {e}") from e
+        cfg = cls(**{k: s.from_dict(raw.get(k), k) for k, s in _SECTIONS.items()})
         cfg.validate()
         return cfg
 
@@ -344,18 +319,15 @@ class ExperimentConfig:
             )
 
     def resolved(self) -> dict:
-        return {
-            "objective": self.objective.resolved(),
-            "dataset": self.dataset.resolved(),
-            "optimizer": self.optimizer.resolved(),
-            "bandit": self.bandit.resolved(),
-            "train": self.train.resolved(),
-            "output": self.output.resolved(),
-        }
+        return {k: getattr(self, k).resolved() for k in _SECTIONS}
 
     def digest(self) -> str:
         canon = json.dumps(self.resolved(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+
+
+# Section name -> section class, in declaration order.
+_SECTIONS = {f.name: f.default_factory for f in fields(ExperimentConfig)}
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

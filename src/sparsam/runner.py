@@ -71,9 +71,9 @@ class Trainer:
         seed = config.train.seed
         self.x = self.objective.init_params(seed)
         self.state = OptimizerState.init(self.objective.layer_dims)
-        self.adamw_cfg = config.optimizer.adamw()
+        self.adamw_cfg = config.optimizer
         self.sam_cfg = config.optimizer.sam()
-        self.bandit_cfg = config.bandit.to_bandit_config()
+        self.bandit_cfg = config.bandit
         self.otype = config.optimizer.type
         n = self.objective.n_layers
         self.dist = None

@@ -75,24 +75,22 @@ class RunRecord:
         return len(self.steps)
 
 
-def active_ratio(record: RunRecord, total_params: int | None = None) -> float:
+def active_ratio(record: RunRecord) -> float:
     """Gradient work relative to full-vector passes, one per step.
 
     Each step contributes grad_passes * active_param_count, plus any
-    selection-rule parameters; the denominator is steps * total params
-    (taken from the record unless given). Dense AdamW gives exactly 1.0
-    and the dense two-pass variant 2.0.
+    selection-rule parameters; the denominator is steps * the record's
+    total params. Dense AdamW gives exactly 1.0 and the dense two-pass
+    variant 2.0.
     """
     if not record.steps:
         raise ValueError("empty run")
-    if total_params is None:
-        total_params = record.total_params
-    if total_params < 1:
+    if record.total_params < 1:
         raise ValueError("total_params must be positive")
     work = sum(
         t.grad_passes * t.active_param_count + t.selection_param_count for t in record.steps
     )
-    return work / (record.n_steps * total_params)
+    return work / (record.n_steps * record.total_params)
 
 
 def layer_frequency(record: RunRecord) -> np.ndarray:
@@ -106,25 +104,12 @@ def layer_frequency(record: RunRecord) -> np.ndarray:
     return counts / record.n_steps
 
 
-def grad_l1_trend(record: RunRecord, window: int) -> list[tuple[int, float]]:
-    """Mean step grad_l1 over consecutive windows of `window` steps.
+def probe_trend(record: RunRecord, window: int) -> list[tuple[int, float]]:
+    """Mean probe grad_l1 over consecutive windows of `window` probes.
 
-    Each entry carries the last step number of its window; a short
+    Each entry carries the step of its window's last probe; a short
     trailing window is averaged over what it holds.
     """
-    if window < 1:
-        raise ValueError("window must be at least 1")
-    if not record.steps:
-        raise ValueError("empty run")
-    out = []
-    for start in range(0, len(record.steps), window):
-        chunk = record.steps[start : start + window]
-        out.append((chunk[-1].step, float(np.mean([t.grad_l1 for t in chunk]))))
-    return out
-
-
-def probe_trend(record: RunRecord, window: int) -> list[tuple[int, float]]:
-    """Windowed means of the probe gradient series, same scheme as grad_l1_trend."""
     if window < 1:
         raise ValueError("window must be at least 1")
     if not record.probes:

@@ -1,4 +1,4 @@
-"""Config parsing: defaults, unknown-key rejection, ranges, digests."""
+"""Config parsing: defaults, unknown-key rejection, ranges, canonical form, digests."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from sparsam.config import ExperimentConfig, load_config
+from sparsam.config import BanditSection, ExperimentConfig, TrainConfig, load_config
 from sparsam.errors import ConfigError
 
 
@@ -64,6 +64,10 @@ class TestUnknownKeys:
         with pytest.raises(ConfigError, match="widths"):
             make({"objective": {"type": "blockquadratic", "widths": [2, 2]}})
 
+    def test_weight_decay_is_spelled_lambda(self):
+        with pytest.raises(ConfigError, match="unknown key 'weight_decay' in section 'optimizer'"):
+            make({"optimizer": {"weight_decay": 0.1}})
+
 
 class TestRanges:
     def test_s_over_n_above_one(self):
@@ -97,6 +101,26 @@ class TestRanges:
     def test_bad_value_type(self):
         with pytest.raises(ConfigError):
             make({"train": {"steps": "many"}})
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("optimizer", "eta", "0.1"),
+            ("optimizer", "perturb_norm", 1),
+            ("bandit", "s_over_n", True),
+            ("objective", "scales", 2.0),
+            ("output", "dir", 5),
+        ],
+    )
+    def test_wrong_value_type_names_section_and_key(self, section, key, value):
+        with pytest.raises(ConfigError, match=f"'{key}' in section '{section}'"):
+            make({section: {key: value}})
+
+    def test_sections_check_ranges_when_built(self):
+        with pytest.raises(ConfigError, match="eval_every"):
+            TrainConfig(eval_every=0)
+        with pytest.raises(ValueError, match="alpha_p"):
+            BanditSection(alpha_p=0.0)
 
 
 class TestCrossRules:
@@ -198,3 +222,85 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.json")
+
+
+# Every key away from its default (dataset.type "none" is forced for the
+# quadratic), so the digests below pin the canonical form of each key.
+QUAD_ALL_SET = {
+    "objective": {
+        "type": "blockquadratic", "layer_dims": [3, 5, 2], "scales": [0.5, 2.0, 1.5],
+        "noise_sigma": 0.01,
+    },
+    "dataset": {"type": "none", "n": 100, "noise": 0.2, "seed": 3},
+    "optimizer": {
+        "type": "slsam", "eta": 0.005, "lambda": 0.01, "beta1": 0.8, "beta2": 0.99,
+        "adam_eps": 1e-6, "rho": 0.05, "perturb_norm": "global",
+    },
+    "bandit": {
+        "s_over_n": 0.5, "p_min_factor": 0.2, "alpha_p": 0.001, "exponent_clamp": 20.0,
+        "g_mode": "running",
+    },
+    "train": {"steps": 50, "batch_size": 8, "seed": 7, "eval_every": 5},
+    "output": {"dir": "out/quad"},
+}
+MLP_ALL_SET = {
+    "objective": {"type": "mlp", "widths": [2, 8, 3], "activation": "relu", "bias_mode": "fused"},
+    "dataset": {"type": "blobs", "n": 90, "noise": 0.3, "seed": 4},
+    "optimizer": {
+        "type": "sl_s2sam", "eta": 0.02, "lambda": 0.001, "beta1": 0.85, "beta2": 0.95,
+        "adam_eps": 1e-7, "rho": 0.1, "perturb_norm": "global",
+    },
+    "bandit": {
+        "s_over_n": 0.25, "p_min_factor": 0.5, "alpha_p": 0.01, "exponent_clamp": 10.0,
+        "g_mode": "running",
+    },
+    "train": {"steps": 30, "batch_size": 16, "seed": 2, "eval_every": 3},
+    "output": {"dir": "out/mlp"},
+}
+
+
+class TestCanonicalForm:
+    @pytest.mark.parametrize(
+        "raw,want",
+        [
+            (QUAD_ALL_SET, "566a8ea3256bd9e86c6114770e0b3e2d24d3d977165ace1f054fba48b888c390"),
+            (MLP_ALL_SET, "5ba784f53de36f6b440875418f88172225315b7eba66701a93d4007581c09292"),
+        ],
+        ids=["quad", "mlp"],
+    )
+    def test_digest_pinned_beyond_defaults(self, raw, want):
+        assert make(raw).digest() == want
+
+    @pytest.mark.parametrize("raw", [{}, QUAD_ALL_SET, MLP_ALL_SET], ids=["defaults", "quad", "mlp"])
+    def test_resolved_round_trips(self, raw):
+        cfg = make(raw)
+        assert make(cfg.resolved()).digest() == cfg.digest()
+
+    def test_integral_spellings_of_float_keys(self):
+        assert make({"optimizer": {"eta": 1}}).digest() == make({"optimizer": {"eta": 1.0}}).digest()
+        a = make({"objective": {"layer_dims": [4, 4], "scales": [1, 2]}})
+        b = make({"objective": {"layer_dims": [4, 4], "scales": [1.0, 2.0]}})
+        assert a.digest() == b.digest()
+
+    @pytest.mark.parametrize("key", ["steps", "batch_size", "seed", "eval_every"])
+    def test_integral_float_stored_as_int(self, key):
+        cfg = make({"train": {key: 4.0}})
+        value = getattr(cfg.train, key)
+        assert value == 4 and type(value) is int
+        assert cfg.digest() == make({"train": {key: 4}}).digest()
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("train", "steps", 5.5),
+            ("train", "batch_size", 8.5),
+            ("train", "seed", 1.5),
+            ("train", "eval_every", 2.5),
+            ("dataset", "n", 100.5),
+            ("dataset", "seed", 0.5),
+            ("objective", "layer_dims", [4, 4.5]),
+        ],
+    )
+    def test_non_integral_int_rejected(self, section, key, value):
+        with pytest.raises(ConfigError, match=f"'{key}' in section '{section}' must be"):
+            make({section: {key: value}})

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import importlib.util
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -187,9 +186,8 @@ class TestTrainerStep:
         assert len(calls) == tel.grad_passes + (tel.selection_param_count > 0) - reused
 
     def test_unknown_type_rejected_at_construction(self):
-        cfg = replace(quad_cfg(), optimizer=OptimizerConfig(type="bogus"))
         with pytest.raises(ConfigError, match="bogus"):
-            runner.Trainer(cfg)
+            OptimizerConfig(type="bogus")
 
 
 class TestCompare:
@@ -225,6 +223,15 @@ class TestCompare:
         assert lines[2].startswith("adamw,") and float(lines[2].split(",")[1]) > 0
         assert (tmp_path / "adamw" / "summary.json").exists()
         assert not (tmp_path / "adasam" / "summary.json").exists()
+
+    def test_rows_resolve_perturb_norm_per_type(self, tmp_path):
+        # The adamw base resolves to global; the slsam row must not inherit it.
+        runner.compare(quad_cfg(), ["adamw", "slsam"], tmp_path)
+        for otype, mode in (("adamw", "global"), ("slsam", "per_layer")):
+            standalone = quad_cfg(optimizer={"type": otype})
+            assert standalone.optimizer.resolved_perturb_norm() == mode
+            summary = json.loads((tmp_path / otype / "summary.json").read_text())
+            assert summary["config_digest"] == standalone.digest()
 
     def test_rejects_short_and_duplicate_lists(self, tmp_path):
         from sparsam.errors import ConfigError
@@ -274,6 +281,17 @@ class TestCli:
         cfg = write_cfg(tmp_path, {"optimizer": {"type": "adamw", "rho_": 1}})
         assert main(["train", "--config", cfg]) == 1
         assert "rho_" in capsys.readouterr().err
+
+    def test_train_integral_float_steps(self, tmp_path, capsys):
+        raw = dict(QUAD_RAW, train={"steps": 5.0, "batch_size": 1.0, "seed": 0, "eval_every": 5})
+        out = tmp_path / "out"
+        assert main(["train", "--config", write_cfg(tmp_path, raw), "--out", str(out)]) == 0
+        assert len(rows(out / "steps.csv")) == 6
+
+    def test_train_fractional_seed_exit_code(self, tmp_path, capsys):
+        raw = dict(QUAD_RAW, train={"steps": 5, "batch_size": 1, "seed": 1.5, "eval_every": 5})
+        assert main(["train", "--config", write_cfg(tmp_path, raw)]) == 1
+        assert "'seed' in section 'train'" in capsys.readouterr().err
 
     def test_train_divergence_exit_code(self, tmp_path, capsys):
         raw = dict(QUAD_RAW)

@@ -15,7 +15,6 @@ from sparsam.telemetry import (
     RunRecord,
     StepTelemetry,
     active_ratio,
-    grad_l1_trend,
     layer_frequency,
     probe_trend,
 )
@@ -88,11 +87,6 @@ class TestActiveRatio:
         rec.append(tel(1, ActiveSet.of(0, 2), 80, 2, selection_param_count=100))
         assert active_ratio(rec) == pytest.approx(2.6, rel=1e-15)
 
-    def test_total_params_override(self):
-        rec = record(3, 100)
-        rec.append(tel(1, ActiveSet.of(0), 50, 1))
-        assert active_ratio(rec, total_params=200) == pytest.approx(0.25, rel=1e-15)
-
     def test_uniform_sampling_converges_to_twice_budget_fraction(self):
         # Equal layer sizes, p held uniform at s/N: the ratio concentrates
         # around 2 s/N. N is large enough that conditioning on nonempty
@@ -132,37 +126,6 @@ class TestLayerFrequency:
 
 
 class TestTrends:
-    def build(self, values):
-        rec = record(1, 1)
-        for t, v in enumerate(values, start=1):
-            rec.append(
-                StepTelemetry(
-                    step=t, loss=0.0, grad_l1=float(v),
-                    active_layers=ActiveSet.of(0), active_param_count=1, grad_passes=1,
-                )
-            )
-        return rec
-
-    def test_constant_series(self):
-        trend = grad_l1_trend(self.build([3.0] * 9), window=3)
-        assert trend == [(3, 3.0), (6, 3.0), (9, 3.0)]
-
-    def test_window_equals_length(self):
-        trend = grad_l1_trend(self.build([1.0, 2.0, 3.0]), window=3)
-        assert trend == [(3, 2.0)]
-
-    def test_window_one(self):
-        trend = grad_l1_trend(self.build([4.0, 2.0]), window=1)
-        assert trend == [(1, 4.0), (2, 2.0)]
-
-    def test_trailing_partial_window(self):
-        trend = grad_l1_trend(self.build([1.0, 1.0, 4.0]), window=2)
-        assert trend == [(2, 1.0), (3, 4.0)]
-
-    def test_window_must_be_positive(self):
-        with pytest.raises(ValueError):
-            grad_l1_trend(self.build([1.0]), window=0)
-
     def test_probe_trend(self):
         rec = record(1, 1)
         rec.probes.extend(
