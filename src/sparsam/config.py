@@ -10,8 +10,8 @@ rejected by name so typos fail loudly instead of silently running a
 default.
 
 Values are stored in canonical form as they are parsed: a float key
-holds a float, an int key an int (an integral 5.0 becomes 5, and 2.5 is
-rejected). The SHA-256 digest of the canonical dict therefore
+holds a finite float, an int key an int (an integral 5.0 becomes 5, and
+2.5 is rejected). The SHA-256 digest of the canonical dict therefore
 identifies exactly the run that executes, in every output file.
 """
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
@@ -50,9 +51,16 @@ def _as_int(v: Any) -> int:
 
 
 def _as_float(v: Any) -> float:
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return float(v)
-    raise TypeError
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError
+    try:
+        f = float(v)
+    except OverflowError:  # an integer beyond the float range
+        f = math.inf
+    if not math.isfinite(f):
+        # JSON's NaN and Infinity parse, but a run would die on them mid-training.
+        raise ValueError("must be finite")
+    return f
 
 
 def _as_str(v: Any) -> str:
@@ -123,6 +131,8 @@ class _Section:
                 raise ConfigError(
                     f"key {key!r} in section {name!r} must be {annotation}, got {value!r}"
                 ) from None
+            except ValueError as e:
+                raise ConfigError(f"key {key!r} in section {name!r} {e}, got {value!r}") from None
         try:
             cfg = cls(**data)
         except ConfigError:

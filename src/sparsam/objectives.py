@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -189,6 +189,15 @@ class BlockQuadratic(Objective):
         return LayeredVector.from_flat(self._center + 1.0, self._dims)
 
 
+class _Workspace(NamedTuple):
+    """Buffers of one batch row count, one entry per affine stage i."""
+
+    pre: list[np.ndarray]  # z_i = a_i @ W_i + b_i; the last one holds the logits
+    act: list[np.ndarray]  # a_{i+1} = activation(z_i), hidden stages only
+    delta: list[np.ndarray]  # d loss / d z_i
+    deriv: list[np.ndarray]  # activation'(z_i), hidden stages only
+
+
 class MlpClassifier(Objective):
     """Fully connected softmax classifier with mean cross-entropy loss.
 
@@ -197,6 +206,16 @@ class MlpClassifier(Objective):
     bias_mode="separate" each affine stage contributes two layers (weight
     matrix, bias vector); with "fused" the pair forms a single layer, which
     gives every layer the same parameter count when all widths are equal.
+
+    Passes compute into a workspace kept per batch row count: one
+    (rows, width) buffer per stage for the pre-activation, the hidden
+    activation, the backprop delta and the activation derivative. It is
+    built on a row count's first pass and reused by every later pass
+    with that count, so a warm pass allocates nothing of batch size
+    (a few (rows, classes) softmax temporaries aside). Nothing of it
+    escapes: gradients are fresh LayeredVectors and `logits()` and
+    `predict()` return fresh arrays. Being per-instance scratch, it makes
+    one instance unsafe to share between threads.
     """
 
     def __init__(
@@ -225,6 +244,7 @@ class MlpClassifier(Objective):
             else:
                 dims.extend([w_dim, b_dim])
         self._dims = tuple(dims)
+        self._work: dict[int, _Workspace] = {}
 
     @property
     def layer_dims(self) -> tuple[int, ...]:
@@ -246,51 +266,79 @@ class MlpClassifier(Objective):
             b = x[2 * i + 1]
         return w, b
 
-    def _stage_layers(self, i: int) -> tuple[int, ...]:
-        return (i,) if self.bias_mode == "fused" else (2 * i, 2 * i + 1)
+    def _stage_layers(self, i: int) -> tuple[int, int]:
+        """The layers holding stage i's weight matrix and its bias."""
+        return (i, i) if self.bias_mode == "fused" else (2 * i, 2 * i + 1)
 
-    def _act(self, z: np.ndarray) -> np.ndarray:
-        return np.tanh(z) if self.activation == "tanh" else np.maximum(z, 0.0)
+    def _workspace(self, rows: int) -> _Workspace:
+        ws = self._work.get(rows)
+        if ws is None:
+            outs, hidden = self.widths[1:], self.widths[1:-1]
+            ws = _Workspace(
+                pre=[np.empty((rows, w)) for w in outs],
+                act=[np.empty((rows, w)) for w in hidden],
+                delta=[np.empty((rows, w)) for w in outs],
+                deriv=[np.empty((rows, w)) for w in hidden],
+            )
+            self._work[rows] = ws
+        return ws
 
-    def _act_deriv(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-        # tanh' expressed through the activation value to reuse the forward cache.
-        return 1.0 - a * a if self.activation == "tanh" else (z > 0.0).astype(np.float64)
-
-    def _forward(self, x: LayeredVector, inputs: np.ndarray) -> tuple[list, list]:
-        acts, pre = [np.ascontiguousarray(inputs, dtype=np.float64)], []
+    def _forward(
+        self, x: LayeredVector, inputs: np.ndarray
+    ) -> tuple[list[np.ndarray], _Workspace]:
+        """Activations a_0 (the inputs) to a_L (the logits), computed into
+        the workspace of the inputs' row count."""
+        acts = [np.ascontiguousarray(inputs, dtype=np.float64)]
+        ws = self._workspace(acts[0].shape[0])
         # Overflow to inf/nan surfaces as a divergence error at the loss check.
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(self.n_stages):
                 w, b = self._unpack(x, i)
-                z = acts[-1] @ w + b
-                pre.append(z)
-                acts.append(self._act(z) if i < self.n_stages - 1 else z)
-        return acts, pre
+                z = np.matmul(acts[-1], w, out=ws.pre[i])
+                z += b
+                if i == self.n_stages - 1:
+                    acts.append(z)
+                elif self.activation == "tanh":
+                    acts.append(np.tanh(z, out=ws.act[i]))
+                else:
+                    acts.append(np.maximum(z, 0.0, out=ws.act[i]))
+        return acts, ws
+
+    def _act_deriv(self, z: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+        if self.activation == "tanh":
+            # tanh' = 1 - a*a, through the activation value the forward pass kept.
+            np.multiply(a, a, out=out)
+            return np.subtract(1.0, out, out=out)
+        return np.greater(z, 0.0, out=out)
 
     def logits(self, x: LayeredVector, inputs: np.ndarray) -> np.ndarray:
         self._check_x(x)
-        return self._forward(x, inputs)[0][-1]
+        return self._forward(x, inputs)[0][-1].copy()
 
     def predict(self, x: LayeredVector, inputs: np.ndarray) -> np.ndarray:
-        return np.argmax(self.logits(x, inputs), axis=1)
+        self._check_x(x)
+        return np.argmax(self._forward(x, inputs)[0][-1], axis=1)
 
     @staticmethod
     def _log_softmax(logits: np.ndarray) -> np.ndarray:
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        with np.errstate(over="ignore", invalid="ignore"):
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
-    def _ce(self, logits: np.ndarray, targets: np.ndarray) -> float:
+    def _ce(self, log_p: np.ndarray, targets: np.ndarray) -> float:
+        """The checked mean cross-entropy, from the log-probabilities."""
         if targets.min() < 0 or targets.max() >= self.n_classes:
             raise ValueError(f"targets outside [0, {self.n_classes})")
         with np.errstate(over="ignore", invalid="ignore"):
-            log_p = self._log_softmax(logits)
-            return float(-log_p[np.arange(targets.size), targets].mean())
+            value = float(-log_p[np.arange(targets.size), targets].mean())
+        return self._check_loss(value)
 
     def loss(self, x: LayeredVector, batch: Batch | None) -> float:
         if batch is None:
             raise ValueError("MlpClassifier has no population objective; pass a batch")
         self._check_x(x)
-        return self._check_loss(self._ce(self.logits(x, batch.inputs), batch.targets))
+        logits = self._forward(x, batch.inputs)[0][-1]
+        return self._ce(self._log_softmax(logits), batch.targets)
 
     def loss_and_grad(
         self, x: LayeredVector, batch: Batch | None, active: ActiveSet
@@ -299,37 +347,33 @@ class MlpClassifier(Objective):
             raise ValueError("MlpClassifier has no population objective; pass a batch")
         self._check_x(x)
         active.validate(self.n_layers)
-        acts, pre = self._forward(x, batch.inputs)
-        logits = acts[-1]
-        loss = self._check_loss(self._ce(logits, batch.targets))
+        acts, ws = self._forward(x, batch.inputs)
+        log_p = self._log_softmax(acts[-1])
+        loss = self._ce(log_p, batch.targets)
 
         n = batch.size
-        probs = np.exp(self._log_softmax(logits))
-        delta = probs
+        delta = np.exp(log_p, out=ws.delta[-1])
         delta[np.arange(n), batch.targets] -= 1.0
         delta /= n
 
         g = LayeredVector.zeros(self._dims)
-        # Backprop runs through every stage; masking only skips writing the
-        # per-layer gradient blocks, so active blocks match the full gradient
-        # bit for bit.
-        for i in range(self.n_stages - 1, -1, -1):
-            layers = self._stage_layers(i)
-            touched = any(l in active for l in layers)
-            if touched:
-                dw = acts[i].T @ delta
-                db = delta.sum(axis=0)
-                if self.bias_mode == "fused":
-                    if layers[0] in active:
-                        g.blocks[layers[0]] = np.concatenate([dw.reshape(-1), db])
-                else:
-                    if layers[0] in active:
-                        g.blocks[layers[0]] = dw.reshape(-1)
-                    if layers[1] in active:
-                        g.blocks[layers[1]] = db
-            if i > 0:
+        # Backprop stops at the lowest stage holding an active layer, and
+        # each stage computes only its active blocks. A block's arithmetic
+        # does not depend on which other layers are active, so active
+        # blocks match the full gradient bit for bit.
+        per_stage = 1 if self.bias_mode == "fused" else 2
+        lowest = min(active, default=self.n_layers) // per_stage
+        for i in range(self.n_stages - 1, lowest - 1, -1):
+            w_layer, b_layer = self._stage_layers(i)
+            gw, gb = self._unpack(g, i)
+            if w_layer in active:
+                np.matmul(acts[i].T, delta, out=gw)
+            if b_layer in active:
+                np.sum(delta, axis=0, out=gb)
+            if i > lowest:
                 w, _ = self._unpack(x, i)
-                delta = (delta @ w.T) * self._act_deriv(pre[i - 1], acts[i])
+                delta = np.matmul(delta, w.T, out=ws.delta[i - 1])
+                delta *= self._act_deriv(ws.pre[i - 1], acts[i], ws.deriv[i - 1])
         return loss, g
 
     def init_params(self, seed: int) -> LayeredVector:

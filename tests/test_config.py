@@ -116,6 +116,21 @@ class TestRanges:
         with pytest.raises(ConfigError, match=f"'{key}' in section '{section}'"):
             make({section: {key: value}})
 
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("optimizer", "eta", float("nan")),
+            ("optimizer", "eta", float("inf")),
+            ("optimizer", "rho", float("nan")),
+            ("bandit", "alpha_p", float("nan")),
+            ("objective", "noise_sigma", float("nan")),
+            pytest.param("optimizer", "eta", 10**400, id="optimizer-eta-int_beyond_float"),
+        ],
+    )
+    def test_non_finite_float_names_section_and_key(self, section, key, value):
+        with pytest.raises(ConfigError, match=f"'{key}' in section '{section}' must be finite"):
+            make({section: {key: value}})
+
     def test_sections_check_ranges_when_built(self):
         with pytest.raises(ConfigError, match="eval_every"):
             TrainConfig(eval_every=0)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -246,19 +249,24 @@ class TestMlpGrad:
         assert np.allclose(g[0], [-0.5, 0.5], atol=1e-12)  # 1x2 weight
         assert np.allclose(g[1], [-0.5, 0.5], atol=1e-12)  # bias
 
-    def test_masked_blocks_bit_identical_to_full(self):
-        obj = MlpClassifier([2, 16, 2], activation="tanh")
+    @pytest.mark.parametrize("bias_mode", ["separate", "fused"])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_masked_blocks_bit_identical_to_full(self, activation, bias_mode):
+        # Three stages, so subsets whose lowest layer sits above stage 0
+        # stop backprop early; every non-empty subset is checked.
+        obj = MlpClassifier([2, 8, 8, 2], activation=activation, bias_mode=bias_mode)
         x = obj.init_params(1)
         rng = np.random.default_rng(5)
         batch = Batch(rng.standard_normal((8, 2)), rng.integers(0, 2, 8))
         full = obj.grad(x, batch, ActiveSet.full(obj.n_layers))
-        active = ActiveSet.of(1, 3)
-        part = obj.grad(x, batch, active)
-        for l in range(obj.n_layers):
-            if l in active:
-                assert np.array_equal(part[l], full[l])
-            else:
-                assert np.array_equal(part[l], np.zeros(obj.layer_dims[l]))
+        layers = range(obj.n_layers)
+        for k in range(1, obj.n_layers + 1):
+            for members in itertools.combinations(layers, k):
+                active = ActiveSet.of(*members)
+                part = obj.grad(x, batch, active)
+                for l in layers:
+                    want = full[l] if l in active else np.zeros(obj.layer_dims[l])
+                    assert np.array_equal(part[l], want), (members, l)
 
     def test_deterministic(self):
         obj = MlpClassifier([2, 8, 2], activation="relu")
@@ -292,6 +300,50 @@ class TestMlpGrad:
         batch = Batch(np.full((1, 2), 1e200), np.array([0], dtype=np.int64))
         with pytest.raises(DivergenceError):
             obj.loss_and_grad(x, batch, ActiveSet.full(obj.n_layers))
+
+
+class TestMlpWorkspace:
+    def test_reuse_never_aliases_results(self):
+        widths = [2, 16, 16, 2]
+        obj = MlpClassifier(widths)
+        rng = np.random.default_rng(9)
+        xs = [obj.init_params(0), obj.init_params(1)]
+        batches = {n: Batch(rng.standard_normal((n, 2)), rng.integers(0, 2, n)) for n in (32, 1024)}
+        full = ActiveSet.full(obj.n_layers)
+        kept = []
+        for n, k in [(32, 0), (1024, 1), (32, 1), (1024, 0), (32, 0)]:
+            x, batch = xs[k], batches[n]
+            fresh = MlpClassifier(widths)
+            loss, g = obj.loss_and_grad(x, batch, full)
+            want_loss, want_g = fresh.loss_and_grad(x, batch, full)
+            assert loss == want_loss
+            assert np.array_equal(g.data, want_g.data)
+            logits = obj.logits(x, batch.inputs)
+            assert np.array_equal(logits, fresh.logits(x, batch.inputs))
+            kept.append((g, g.data.copy(), logits, logits.copy()))
+        for g, g_then, logits, logits_then in kept:
+            assert np.array_equal(g.data, g_then)
+            assert np.array_equal(logits, logits_then)
+
+    def test_warm_pass_allocates_no_batch_sized_temporaries(self):
+        obj = MlpClassifier([2, 64, 64, 64, 2])
+        x = obj.init_params(0)
+        rng = np.random.default_rng(3)
+        batch = Batch(rng.standard_normal((1024, 2)), rng.integers(0, 2, 1024))
+        full = ActiveSet.full(obj.n_layers)
+        obj.loss_and_grad(x, batch, full)
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            obj.loss_and_grad(x, batch, full)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak < 1024 * 64 * 8
 
 
 class TestFiniteDiff:

@@ -293,6 +293,11 @@ class TestCli:
         assert main(["train", "--config", write_cfg(tmp_path, raw)]) == 1
         assert "'seed' in section 'train'" in capsys.readouterr().err
 
+    def test_train_nan_config_value_exit_code(self, tmp_path, capsys):
+        raw = dict(QUAD_RAW, optimizer={"type": "adamw", "eta": float("nan")})
+        assert main(["train", "--config", write_cfg(tmp_path, raw)]) == 1
+        assert "'eta' in section 'optimizer' must be finite" in capsys.readouterr().err
+
     def test_train_divergence_exit_code(self, tmp_path, capsys):
         raw = dict(QUAD_RAW)
         raw["optimizer"] = {"type": "adamw", "eta": 10.0, "lambda": 1e5}
