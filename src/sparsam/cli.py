@@ -5,8 +5,9 @@
     sparsam project --probs weights.csv --s 2.0 --pmin 0.02
 
 Exit codes: 0 success, 1 config error (including bad usage), 2 training
-divergence (for compare, after the table with its `diverged` rows is
-written). SPARSAM_SEED in the environment overrides the config seed.
+divergence, named by step and pass (for compare, after the table with
+its `diverged` rows is written). SPARSAM_SEED in the environment
+overrides the config seed.
 """
 
 from __future__ import annotations

@@ -100,7 +100,8 @@ class BlockQuadratic(Objective):
 
     Scales, centers and noise are kept as flat per-entry arrays laid out
     like a LayeredVector's buffer, so the loss is one expression over the
-    whole buffer and the gradient one expression per run of active layers.
+    whole buffer and the gradient one expression per key of
+    `LayeredVector.select`.
 
     The noise of the latest batch id is memoised, so a step that
     evaluates the loss and one or more gradients on one batch draws its
@@ -127,15 +128,17 @@ class BlockQuadratic(Objective):
         if len(scales) != len(dims) or any(a <= 0 for a in scales):
             raise ValueError("need one positive scale per layer")
         if centers is None:
-            centers = [np.zeros(d) for d in dims]
-        centers = [np.ascontiguousarray(c, dtype=np.float64).reshape(-1) for c in centers]
-        if tuple(c.size for c in centers) != dims:
-            raise ValueError("center dims do not match layer dims")
+            center = np.zeros(sum(dims))
+        else:
+            centers = [np.ascontiguousarray(c, dtype=np.float64).reshape(-1) for c in centers]
+            if tuple(c.size for c in centers) != dims:
+                raise ValueError("center dims do not match layer dims")
+            center = np.concatenate(centers)
         if noise_sigma < 0:
             raise ValueError("noise_sigma must be non-negative")
         self._dims = dims
         self._scale = np.repeat(scales, dims)
-        self._center = np.concatenate(centers)
+        self._center = center
         self.noise_sigma = float(noise_sigma)
         self.noise_seed = int(noise_seed)
         self._noise_id: int | None = None
@@ -174,12 +177,13 @@ class BlockQuadratic(Objective):
         g = LayeredVector.zeros(self._dims)
         z = self._noise(batch)
         with np.errstate(over="ignore", invalid="ignore"):
-            for s in x.active_slices(active):
-                gs = g.data[s]
-                np.subtract(x.data[s], self._center[s], out=gs)
-                gs *= self._scale[s]
+            for k in x.select(active):
+                gs = g.data[k]
+                np.subtract(x.data[k], self._center[k], out=gs)
+                gs *= self._scale[k]
                 if z is not None:
-                    gs += z[s]
+                    gs += z[k]
+                g.data[k] = gs
         return self.loss(x, batch), g
 
     def init_params(self, seed: int) -> LayeredVector:

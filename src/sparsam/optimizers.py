@@ -40,7 +40,7 @@ from sparsam.bandit import (
     sample_active_set,
     update_distribution,
 )
-from sparsam.errors import DivergenceError
+from sparsam.errors import DivergenceError, in_pass
 from sparsam.layered import (
     ActiveSet,
     LayeredVector,
@@ -133,13 +133,13 @@ def adamw_step(
     """
     if not x.same_shape(state.m) or not x.same_shape(g):
         raise ValueError(f"shape mismatch: x {x.dims}, m {state.m.dims}, g {g.dims}")
-    runs = x.active_slices(active)
-    for s in runs:
-        if not np.isfinite(g.data[s]).all():
-            bad = next(l for l in active if not np.isfinite(g[l]).all())
-            raise DivergenceError(f"non-finite gradient in layer {bad} at step {state.t + 1}")
-    for s in runs:
-        gs, m, v, xs = g.data[s], state.m.data[s], state.v.data[s], x.data[s]
+    keys = x.select(active)
+    grads = [g.data[k] for k in keys]
+    if not all(np.isfinite(gs).all() for gs in grads):
+        bad = next(l for l in active if not np.isfinite(g[l]).all())
+        raise DivergenceError(f"non-finite gradient in layer {bad} at step {state.t + 1}")
+    for k, gs in zip(keys, grads):
+        m, v, xs = state.m.data[k], state.v.data[k], x.data[k]
         m *= cfg.beta1
         m += (1.0 - cfg.beta1) * gs
         v *= cfg.beta2
@@ -147,6 +147,7 @@ def adamw_step(
         decay = cfg.eta * cfg.weight_decay * xs
         xs -= cfg.eta * m / np.sqrt(v + cfg.adam_eps)
         xs -= decay
+        state.m.data[k], state.v.data[k], x.data[k] = m, v, xs
     state.t += 1
     return x, state
 
@@ -171,14 +172,17 @@ def sam_perturb(
     if norms is None:
         norms = {l: layer_l2_norm(r, l) for l in active}
     if cfg.perturb_norm == "per_layer":
+        o = r.offsets
         for l in active:
             if norms[l] > 0.0:
-                np.multiply(cfg.rho / norms[l], r[l], out=eps[l])
+                s = slice(o[l], o[l + 1])
+                np.multiply(cfg.rho / norms[l], r.data[s], out=eps.data[s])
     else:
         joint = math.sqrt(sum(norms[l] ** 2 for l in active))
         if joint > 0.0:
-            for s in r.active_slices(active):
-                np.multiply(cfg.rho / joint, r.data[s], out=eps.data[s])
+            scale = cfg.rho / joint
+            for k in r.select(active):
+                eps.data[k] = scale * r.data[k]
     return eps
 
 
@@ -212,6 +216,7 @@ def sam_step(
     step that stashes every layer. Both passes see the same minibatch.
     The telemetry loss, grad_l1 and per-layer norms come from the step's
     first gradient; a step with no ascent records no per-layer norms.
+    A non-finite loss raises DivergenceError naming the step and the pass.
 
     A fresh step takes its ascent loss and gradient from `ascent_grad`
     when the caller already evaluated them at (x, batch); only the active
@@ -228,11 +233,11 @@ def sam_step(
     staleness: dict[int, int] = {}
     if ascent == "fresh":
         if ascent_grad is None:
-            ascent_grad = obj.loss_and_grad(x, batch, active)
+            ascent_grad = in_pass(step_no, "ascent", obj.loss_and_grad, x, batch, active)
         loss, first = ascent_grad
         norms = {l: layer_l2_norm(first, l) for l in active}
         eps = sam_perturb(first, active, sam_cfg, norms)
-        g = obj.grad(_perturbed(x, eps, active), batch, active)
+        g = in_pass(step_no, "descent", obj.grad, _perturbed(x, eps, active), batch, active)
     else:
         x_eval = x
         if stale and not bootstrap:
@@ -244,7 +249,7 @@ def sam_step(
             stash_norms = dict(zip(active, state.stash_norm[idx].tolist()))
             eps = sam_perturb(state.prev_grad, active, sam_cfg, stash_norms)
             x_eval = _perturbed(x, eps, active)
-        loss, g = obj.loss_and_grad(x_eval, batch, active)
+        loss, g = in_pass(step_no, "descent", obj.loss_and_grad, x_eval, batch, active)
         first = g
         norms = {} if ascent == "none" else {l: layer_l2_norm(g, l) for l in active}
     adamw_step(state, x, g, active, adamw_cfg)
@@ -253,8 +258,8 @@ def sam_step(
             state.prev_grad, state.stash_step = g, np.zeros(n, dtype=np.int64)
             state.stash_norm = np.zeros(n)
         else:
-            for s in g.active_slices(active):
-                state.prev_grad.data[s] = g.data[s]
+            for k in g.select(active):
+                state.prev_grad.data[k] = g.data[k]
         idx = active.indices()
         state.stash_step[idx] = step_no
         state.stash_norm[idx] = [norms[l] for l in active]
@@ -420,7 +425,8 @@ def ablation_step(
     """
     ascent_grad = full_grad = None
     if kind == "greedy_topk":
-        ascent_grad = obj.loss_and_grad(x, batch, ActiveSet.full(obj.n_layers))
+        full = ActiveSet.full(obj.n_layers)
+        ascent_grad = in_pass(state.t + 1, "ascent", obj.loss_and_grad, x, batch, full)
         full_grad = ascent_grad[1]
     active = select_layers_ablation(kind, obj, x, batch, k, rng, full_grad)
     tel = sam_step(obj, x, batch, state, active, "fresh", sam_cfg, adamw_cfg, ascent_grad)

@@ -22,7 +22,7 @@ import numpy as np
 from sparsam.bandit import init_uniform
 from sparsam.config import ExperimentConfig, OPTIMIZER_TYPES
 from sparsam.datasets import Dataset, batch_id, gen_blobs, gen_two_moons, minibatches
-from sparsam.errors import ConfigError, DivergenceError
+from sparsam.errors import ConfigError, DivergenceError, in_pass
 from sparsam.layered import ActiveSet, total_l1_norm
 from sparsam.objectives import Batch, MlpClassifier
 from sparsam.optimizers import (
@@ -143,10 +143,8 @@ class Trainer:
         """Full population gradient for the trend metric; off the books for
         pass counting."""
         full = ActiveSet.full(self.objective.n_layers)
-        if self.train_ds is None:
-            loss, g = self.objective.loss_and_grad(self.x, None, full)
-        else:
-            loss, g = self.objective.loss_and_grad(self.x, self.train_ds.as_batch(), full)
+        batch = None if self.train_ds is None else self.train_ds.as_batch()
+        loss, g = in_pass(step, "probe", self.objective.loss_and_grad, self.x, batch, full)
         self.record.probes.append(ProbeRecord(step, loss, total_l1_norm(g)))
 
     def run_all(self) -> RunRecord:

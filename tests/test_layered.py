@@ -178,13 +178,41 @@ class TestLayeredVector:
         with pytest.raises(ValueError):
             v.blocks[1] = np.zeros(2)
 
-    def test_active_slices_cover_runs(self):
-        v = lv([1.0] * 2, [1.0] * 3, [1.0], [1.0] * 4)
-        assert v.active_slices(ActiveSet.full(4)) == [slice(0, 10)]
-        assert v.active_slices(ActiveSet.of(0, 2, 3)) == [slice(0, 2), slice(5, 10)]
-        assert v.active_slices(ActiveSet.of()) == []
+    @given(
+        dims=st.lists(st.sampled_from([1, 3, 255, 256, 300]), min_size=1, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_select_covers_each_active_entry_once(self, dims, seed):
+        rng = np.random.default_rng(seed)
+        v = LayeredVector.zeros(dims)
+        n = len(dims)
+        for active in (
+            ActiveSet.full(n),
+            ActiveSet.of(int(rng.integers(n))),
+            ActiveSet.from_iterable(np.flatnonzero(rng.random(n) < 0.5)),
+        ):
+            hits = np.zeros(v.dim, dtype=np.int64)
+            for k in v.select(active):
+                if isinstance(k, slice):
+                    hits[k] += 1
+                else:
+                    assert not k.flags.writeable
+                    np.add.at(hits, k, 1)
+            for l in range(n):
+                block = hits[v.offsets[l] : v.offsets[l + 1]]
+                assert (block == (1 if l in active else 0)).all()
+
+    def test_select_keeps_long_runs_and_the_full_set_as_slices(self):
+        v = LayeredVector.zeros([2, 3, 300, 1, 4])
+        assert v.select(ActiveSet.full(5)) == (slice(0, 310),)
+        assert v.select(ActiveSet.of(0, 2)) == (slice(0, 2), slice(5, 305))
+        long_run, index = v.select(ActiveSet.of(0, 2, 4))
+        assert long_run == slice(5, 305)
+        assert index.tolist() == [0, 1, 306, 307, 308, 309]
+        assert v.select(ActiveSet.of()) == ()
         with pytest.raises(ValueError):
-            v.active_slices(ActiveSet.of(4))
+            v.select(ActiveSet.of(5))
 
     def test_rejects_empty_block(self):
         with pytest.raises(ValueError):

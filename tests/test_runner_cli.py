@@ -161,6 +161,12 @@ class TestRun:
 
 
 class TestTrainerStep:
+    def test_probe_divergence_names_step_and_pass(self):
+        # The step's own pass is finite; its update sends x to ~1e300.
+        trainer = runner.Trainer(quad_cfg(optimizer={"eta": 1e300}, train={"eval_every": 1}))
+        with pytest.raises(DivergenceError, match=r"\(inf\) in the probe pass of step 1$"):
+            trainer.step()
+
     @pytest.mark.parametrize("otype", OPTIMIZER_TYPES)
     def test_accounted_passes_match_passes_made(self, otype, monkeypatch):
         trainer = runner.Trainer(quad_cfg(
@@ -308,6 +314,13 @@ class TestCli:
         assert "divergence" in capsys.readouterr().err
         assert (out / "steps.csv").exists()
         assert not (out / "summary.json").exists()
+
+    def test_train_divergence_names_step_and_pass(self, tmp_path, capsys):
+        raw = {"optimizer": {"type": "slsam", "rho": 1e300}, "train": {"steps": 20}}
+        out = tmp_path / "out"
+        assert main(["train", "--config", write_cfg(tmp_path, raw), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "divergence: loss is non-finite (inf) in the descent pass of step 1" in err
 
     def test_env_seed_override(self, tmp_path, monkeypatch, capsys):
         cfg = write_cfg(tmp_path, QUAD_RAW)

@@ -1,0 +1,68 @@
+"""The benchmark's span targets still name call sites of the package.
+
+`perfbench/spans.py` wraps module globals and class attributes by name;
+a renamed function would otherwise only surface in a traced benchmark
+run.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from sparsam.config import ExperimentConfig
+from sparsam.runner import Trainer
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def raw(target):
+    if isinstance(target.owner, type):
+        return target.owner.__dict__[target.attr]
+    return getattr(target.owner, target.attr)
+
+
+def test_every_target_resolves():
+    for t in load_spans().package_targets():
+        if isinstance(t.owner, type):
+            assert t.attr in t.owner.__dict__, t.name
+        assert callable(getattr(t.owner, t.attr)), t.name
+
+
+def test_tracer_sees_a_sparse_step_and_restores_every_target():
+    spans = load_spans()
+    targets = spans.package_targets()
+    before = [raw(t) for t in targets]
+    trainer = Trainer(ExperimentConfig.from_dict({
+        "objective": {"type": "blockquadratic", "layer_dims": [4] * 10, "noise_sigma": 1e-3},
+        "optimizer": {"type": "slsam"},
+        "train": {"steps": 2, "batch_size": 1, "seed": 0, "eval_every": 1},
+    }))
+    with spans.Tracer(targets) as tracer:
+        assert all(raw(t) is not b for t, b in zip(targets, before))
+        trainer.step()
+    assert all(raw(t) is b for t, b in zip(targets, before))
+    seen = {tracer.names[i] for i in tracer.name_id}
+    assert {
+        "Trainer.step",
+        "optimizers.slsam_step",
+        "optimizers.adamw_step",
+        "optimizers.sam_perturb",
+        "layered.masked_axpy",
+        "layered.layer_l2_norm",
+        "layered.total_l1_norm",
+        "layered.active_param_count",
+        "BlockQuadratic.loss",
+        "BlockQuadratic.loss_and_grad",
+        "Objective.grad",
+        "RunRecord.append",
+    } <= seen
