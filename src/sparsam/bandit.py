@@ -19,7 +19,9 @@ Unsampled layers score zero and are only rescaled by the projection.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping
 
 import numpy as np
@@ -54,7 +56,8 @@ class SamplingDistribution:
             raise ValueError(f"budget s={self.s} infeasible: below {n} * p_min={self.p_min}")
         if self.s > n + SUM_TOL:
             raise ValueError(f"budget s={self.s} exceeds layer count {n}")
-        if (p < self.p_min - SUM_TOL).any() or (p > 1.0 + SUM_TOL).any():
+        # min and max propagate NaN, which then fails the comparison.
+        if not (self.p_min - SUM_TOL <= p.min() and p.max() <= 1.0 + SUM_TOL):
             raise ValueError("probabilities leave [p_min, 1]")
         if abs(float(p.sum()) - self.s) > SUM_TOL:
             raise ValueError(f"sum(p)={float(p.sum())} deviates from s={self.s}")
@@ -102,11 +105,11 @@ def sample_active_set(
     """
     redraws = 0
     while True:
-        mask = rng.random(dist.n_layers) < dist.p
-        if mask.any():
+        members = np.flatnonzero(rng.random(dist.n_layers) < dist.p).tolist()
+        if members:
             if redraws:
                 logger.debug("active set empty %d time(s); redrew", redraws)
-            return ActiveSet.from_iterable(np.flatnonzero(mask)), redraws
+            return ActiveSet.from_iterable(members), redraws
         redraws += 1
         if redraws >= MAX_SAMPLE_ATTEMPTS:
             raise RuntimeError(f"no non-empty active set after {redraws} draws")
@@ -134,12 +137,16 @@ def pseudo_loss(
     g_env = max(norms.values()) if g is None else float(g)
     if g_env < max(norms.values()):
         raise ValueError("envelope G below a sampled gradient norm")
-    k = np.zeros(dist.n_layers)
+    # Python floats: a float `** 2` calls C pow, as the NumPy scalar of a
+    # per-layer loop does; a vectorised square computes x*x, which can
+    # differ in the last bit.
+    p, top = dist.p.tolist(), (g_env / dist.p_min) ** 2
+    k = [0.0] * dist.n_layers
     for l in active:
-        k[l] = (g_env / dist.p_min) ** 2 - (norms[l] / dist.p[l]) ** 2
-    if (k < 0).any():
+        k[l] = top - (norms[l] / p[l]) ** 2
+    if min(k) < 0:
         raise AssertionError("pseudo-loss must be non-negative")
-    return k
+    return np.array(k)
 
 
 def exp_update(
@@ -162,40 +169,48 @@ def kl_project(u: np.ndarray, s: float, p_min: float) -> SamplingDistribution:
     c > 0 (the capping step of Warmuth & Kuzmin, JMLR 2008, here with a
     floor as well as a cap). mass(c) = sum(clip(c * u, p_min, 1)) is
     continuous, non-decreasing and piecewise linear in c, with
-    breakpoints at p_min / u_i and 1 / u_i. Cumulative sums over the
-    sorted u give the mass at every breakpoint. Between the two
-    breakpoints that bracket s the floored and capped coordinates are
-    fixed, so c solves one linear equation there. The result is
-    returned as a distribution, which re-checks every constraint on
-    construction.
+    breakpoints at p_min / u_i and 1 / u_i, built by one sort.
+
+    A binary search over the sorted breakpoints finds the segment whose
+    mass brackets s, evaluating the mass only at the breakpoints it
+    probes, about log2(2N) of them. At a breakpoint the counts of
+    floored and capped coordinates come from bisecting the sorted u, and
+    a prefix sum over it gives the free coordinates' total. Strictly
+    inside the segment those counts are fixed, so c solves one linear
+    equation there. The result is returned as a distribution, which
+    re-checks every constraint on construction.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 1 or u.size < 1:
         raise ValueError("u must be a non-empty 1-d array")
-    if not np.isfinite(u).all() or (u <= 0).any():
+    # The sort puts NaN last, so the ends of the sorted u check it all.
+    us = np.sort(u)
+    ul = us.tolist()
+    if not (0.0 < ul[0] and ul[-1] < np.inf):
         raise ValueError("u must be finite and strictly positive")
     n = u.size
     s = float(s)
     if not 0.0 < p_min <= 1.0:
         raise ValueError(f"p_min must be in (0, 1], got {p_min}")
-    if n * p_min > s + SUM_TOL or s > n + SUM_TOL:
+    # Written so that a NaN s fails it too.
+    if not (n * p_min <= s + SUM_TOL and s <= n + SUM_TOL):
         raise ValueError(f"target sum s={s} infeasible for n={n}, p_min={p_min}")
 
-    us = np.sort(u)
-    csum = np.concatenate(([0.0], np.cumsum(us)))
-    bps = np.sort(np.concatenate((p_min / us, 1.0 / us)))
-    # Coordinates at the floor and at the cap at each breakpoint.
-    n_floor = np.searchsorted(us, p_min / bps, side="right")
-    n_cap = np.minimum(n - np.searchsorted(us, 1.0 / bps, side="left"), n - n_floor)
-    masses = p_min * n_floor + n_cap + bps * (csum[n - n_cap] - csum[n_floor])
-    # masses[j - 1] < s <= masses[j]; when s sits at an end of the feasible
-    # range (all floored or all capped) the clamp puts c on the outer breakpoint.
-    j = min(max(int(np.searchsorted(masses, s)), 1), n + n - 1)
+    bps = np.sort(np.concatenate((p_min / us, 1.0 / us))).tolist()
+    csum = list(accumulate(ul, initial=0.0))  # np.cumsum's sequential sums
+
+    def mass(c: float) -> float:
+        n_floor = bisect_right(ul, p_min / c)
+        n_cap = min(n - bisect_left(ul, 1.0 / c), n - n_floor)
+        return p_min * n_floor + n_cap + c * (csum[n - n_cap] - csum[n_floor])
+
+    # mass(bps[j - 1]) < s <= mass(bps[j]); when s sits at an end of the
+    # feasible range (all floored or all capped) the clamp puts c on the
+    # outer breakpoint.
+    j = min(max(bisect_left(bps, s, key=mass), 1), n + n - 1)
     lo, hi = bps[j - 1], bps[j]
-    # Strictly inside the segment the floored and capped coordinates are
-    # fixed, so mass is linear in c there.
     mid = 0.5 * (lo + hi)
-    k_floor, k_free_end = np.searchsorted(us, (p_min / mid, 1.0 / mid))
+    k_floor, k_free_end = bisect_left(ul, p_min / mid), bisect_left(ul, 1.0 / mid)
     free = float(us[k_floor:k_free_end].sum())
     fixed = p_min * k_floor + (n - k_free_end)
     c = hi if free == 0.0 else min(max((s - fixed) / free, lo), hi)

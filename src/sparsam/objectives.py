@@ -20,6 +20,12 @@ from sparsam.layered import ActiveSet, LayeredVector
 from sparsam.rng import stream
 
 
+def _quiet() -> np.errstate:
+    """The floating-point state of a pass: overflow to inf or NaN is the
+    divergence signal, raised by the loss check, not a warning."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 @dataclass(frozen=True)
 class Batch:
     """One minibatch. `id` keys deterministic per-batch noise streams."""
@@ -162,8 +168,7 @@ class BlockQuadratic(Objective):
     def loss(self, x: LayeredVector, batch: Batch | None) -> float:
         self._check_x(x)
         z = self._noise(batch)
-        # Overflow to inf is the divergence signal, not a warning condition.
-        with np.errstate(over="ignore", invalid="ignore"):
+        with _quiet():
             diff = x.data - self._center
             total = 0.5 * float((self._scale * diff).dot(diff))
             if z is not None:
@@ -176,7 +181,7 @@ class BlockQuadratic(Objective):
         self._check_x(x)
         g = LayeredVector.zeros(self._dims)
         z = self._noise(batch)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with _quiet():
             for k in x.select(active):
                 gs = g.data[k]
                 np.subtract(x.data[k], self._center[k], out=gs)
@@ -259,16 +264,12 @@ class MlpClassifier(Objective):
         return self.widths[-1]
 
     def _unpack(self, x: LayeredVector, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Weight matrix and bias of affine stage i as views into x."""
+        """Weight matrix and bias of affine stage i as views into x's buffer,
+        where in either bias mode the bias directly follows the weights."""
         fan_in, fan_out = self.widths[i], self.widths[i + 1]
-        if self.bias_mode == "fused":
-            block = x[i]
-            w = block[: fan_in * fan_out].reshape(fan_in, fan_out)
-            b = block[fan_in * fan_out :]
-        else:
-            w = x[2 * i].reshape(fan_in, fan_out)
-            b = x[2 * i + 1]
-        return w, b
+        start = x.offsets[self._stage_layers(i)[0]]
+        mid = start + fan_in * fan_out
+        return x.data[start:mid].reshape(fan_in, fan_out), x.data[mid : mid + fan_out]
 
     def _stage_layers(self, i: int) -> tuple[int, int]:
         """The layers holding stage i's weight matrix and its bias."""
@@ -291,21 +292,20 @@ class MlpClassifier(Objective):
         self, x: LayeredVector, inputs: np.ndarray
     ) -> tuple[list[np.ndarray], _Workspace]:
         """Activations a_0 (the inputs) to a_L (the logits), computed into
-        the workspace of the inputs' row count."""
+        the workspace of the inputs' row count. Callers run it under
+        `_quiet()`, like the rest of their pass."""
         acts = [np.ascontiguousarray(inputs, dtype=np.float64)]
         ws = self._workspace(acts[0].shape[0])
-        # Overflow to inf/nan surfaces as a divergence error at the loss check.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(self.n_stages):
-                w, b = self._unpack(x, i)
-                z = np.matmul(acts[-1], w, out=ws.pre[i])
-                z += b
-                if i == self.n_stages - 1:
-                    acts.append(z)
-                elif self.activation == "tanh":
-                    acts.append(np.tanh(z, out=ws.act[i]))
-                else:
-                    acts.append(np.maximum(z, 0.0, out=ws.act[i]))
+        for i in range(self.n_stages):
+            w, b = self._unpack(x, i)
+            z = np.matmul(acts[-1], w, out=ws.pre[i])
+            z += b
+            if i == self.n_stages - 1:
+                acts.append(z)
+            elif self.activation == "tanh":
+                acts.append(np.tanh(z, out=ws.act[i]))
+            else:
+                acts.append(np.maximum(z, 0.0, out=ws.act[i]))
         return acts, ws
 
     def _act_deriv(self, z: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -317,32 +317,31 @@ class MlpClassifier(Objective):
 
     def logits(self, x: LayeredVector, inputs: np.ndarray) -> np.ndarray:
         self._check_x(x)
-        return self._forward(x, inputs)[0][-1].copy()
+        with _quiet():
+            return self._forward(x, inputs)[0][-1].copy()
 
     def predict(self, x: LayeredVector, inputs: np.ndarray) -> np.ndarray:
-        self._check_x(x)
-        return np.argmax(self._forward(x, inputs)[0][-1], axis=1)
+        return np.argmax(self.logits(x, inputs), axis=1)
 
     @staticmethod
     def _log_softmax(logits: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
     def _ce(self, log_p: np.ndarray, targets: np.ndarray) -> float:
         """The checked mean cross-entropy, from the log-probabilities."""
         if targets.min() < 0 or targets.max() >= self.n_classes:
             raise ValueError(f"targets outside [0, {self.n_classes})")
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = float(-log_p[np.arange(targets.size), targets].mean())
-        return self._check_loss(value)
+        # What .mean() computes: the pairwise sum over the row count.
+        return self._check_loss(-(log_p[np.arange(targets.size), targets].sum() / targets.size))
 
     def loss(self, x: LayeredVector, batch: Batch | None) -> float:
         if batch is None:
             raise ValueError("MlpClassifier has no population objective; pass a batch")
         self._check_x(x)
-        logits = self._forward(x, batch.inputs)[0][-1]
-        return self._ce(self._log_softmax(logits), batch.targets)
+        with _quiet():
+            logits = self._forward(x, batch.inputs)[0][-1]
+            return self._ce(self._log_softmax(logits), batch.targets)
 
     def loss_and_grad(
         self, x: LayeredVector, batch: Batch | None, active: ActiveSet
@@ -351,33 +350,34 @@ class MlpClassifier(Objective):
             raise ValueError("MlpClassifier has no population objective; pass a batch")
         self._check_x(x)
         active.validate(self.n_layers)
-        acts, ws = self._forward(x, batch.inputs)
-        log_p = self._log_softmax(acts[-1])
-        loss = self._ce(log_p, batch.targets)
+        with _quiet():
+            acts, ws = self._forward(x, batch.inputs)
+            log_p = self._log_softmax(acts[-1])
+            loss = self._ce(log_p, batch.targets)
 
-        n = batch.size
-        delta = np.exp(log_p, out=ws.delta[-1])
-        delta[np.arange(n), batch.targets] -= 1.0
-        delta /= n
+            n = batch.size
+            delta = np.exp(log_p, out=ws.delta[-1])
+            delta[np.arange(n), batch.targets] -= 1.0
+            delta /= n
 
-        g = LayeredVector.zeros(self._dims)
-        # Backprop stops at the lowest stage holding an active layer, and
-        # each stage computes only its active blocks. A block's arithmetic
-        # does not depend on which other layers are active, so active
-        # blocks match the full gradient bit for bit.
-        per_stage = 1 if self.bias_mode == "fused" else 2
-        lowest = min(active, default=self.n_layers) // per_stage
-        for i in range(self.n_stages - 1, lowest - 1, -1):
-            w_layer, b_layer = self._stage_layers(i)
-            gw, gb = self._unpack(g, i)
-            if w_layer in active:
-                np.matmul(acts[i].T, delta, out=gw)
-            if b_layer in active:
-                np.sum(delta, axis=0, out=gb)
-            if i > lowest:
-                w, _ = self._unpack(x, i)
-                delta = np.matmul(delta, w.T, out=ws.delta[i - 1])
-                delta *= self._act_deriv(ws.pre[i - 1], acts[i], ws.deriv[i - 1])
+            g = LayeredVector.zeros(self._dims)
+            # Backprop stops at the lowest stage holding an active layer, and
+            # each stage computes only its active blocks. A block's arithmetic
+            # does not depend on which other layers are active, so active
+            # blocks match the full gradient bit for bit.
+            per_stage = 1 if self.bias_mode == "fused" else 2
+            lowest = min(active, default=self.n_layers) // per_stage
+            for i in range(self.n_stages - 1, lowest - 1, -1):
+                w_layer, b_layer = self._stage_layers(i)
+                gw, gb = self._unpack(g, i)
+                if w_layer in active:
+                    np.matmul(acts[i].T, delta, out=gw)
+                if b_layer in active:
+                    np.add.reduce(delta, axis=0, out=gb)  # np.sum without its wrapper
+                if i > lowest:
+                    w, _ = self._unpack(x, i)
+                    delta = np.matmul(delta, w.T, out=ws.delta[i - 1])
+                    delta *= self._act_deriv(ws.pre[i - 1], acts[i], ws.deriv[i - 1])
         return loss, g
 
     def init_params(self, seed: int) -> LayeredVector:

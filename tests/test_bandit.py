@@ -55,6 +55,13 @@ class TestSamplingDistribution:
         with pytest.raises(ValueError):
             SamplingDistribution(np.array([0.5, 0.5]), s=1.0, p_min=0.6)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_probability(self, bad):
+        # Every comparison with NaN is false, so a check written as
+        # "p < p_min or p > 1" lets a NaN through.
+        with pytest.raises(ValueError, match=r"probabilities leave \[p_min, 1\]"):
+            SamplingDistribution(np.array([bad, 0.5]), s=1.0, p_min=0.1)
+
 
 class TestInitUniform:
     def test_ten_layers_budget_two(self):
@@ -164,6 +171,49 @@ class TestPseudoLoss:
         norms = {l: data.draw(st.floats(0.0, 100.0)) for l in active}
         k = pseudo_loss(norms, dist, active)
         assert np.all(k >= 0.0)
+
+
+def per_layer_pseudo_loss(r_norms, dist, active, g=None) -> np.ndarray:
+    """The pseudo-loss as first implemented: a loop over NumPy scalars,
+    where `** 2` calls C pow, as a Python float's does."""
+    g_env = max(r_norms.values()) if g is None else g
+    k = np.zeros(dist.n_layers)
+    for l in active:
+        k[l] = (g_env / dist.p_min) ** 2 - (r_norms[l] / dist.p[l]) ** 2
+    return k
+
+
+class TestPseudoLossBits:
+    def test_square_is_pow_not_a_product(self):
+        # Layer 1's (1.463 / 0.054) ** 2 through glibc's pow and the same
+        # square as x*x differ in the last bit, and so do the two k_1.
+        dist = SamplingDistribution(np.array([0.946, 0.054]), s=1.0, p_min=0.05)
+        norms = {0: 0.852, 1: 1.463}
+        k = pseudo_loss(norms, dist, ActiveSet.of(0, 1))
+        assert np.array_equal(k, per_layer_pseudo_loss(norms, dist, ActiveSet.of(0, 1)))
+        x = 1.463 / 0.054
+        if x**2 != x * x:  # always, unless libm's pow squares exactly
+            assert k[1] != (1.463 / 0.05) ** 2 - x * x
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_layer_numpy_scalars(self, data):
+        n = data.draw(st.integers(1, 40))
+        s = n * data.draw(st.floats(0.05, 1.0))
+        p_min = data.draw(st.floats(0.01, 1.0)) * s / n
+        dist = init_uniform(n, s, p_min)
+        # A few exponentiated updates move p off the uniform start.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        for _ in range(3):
+            u = exp_update(dist, rng.random(n) * 1e3, BanditConfig(alpha_p=1e-3))
+            dist = kl_project(u, dist.s, dist.p_min)
+        members = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+        active = ActiveSet.from_iterable(members)
+        norms = {l: data.draw(st.floats(0.0, 1e3)) for l in active}
+        g = data.draw(st.one_of(st.none(), st.floats(1.0, 2.0)))
+        g = None if g is None else g * max(norms.values())
+        want = per_layer_pseudo_loss(norms, dist, active, g)
+        assert np.array_equal(pseudo_loss(norms, dist, active, g), want)
 
 
 class TestExpUpdate:
@@ -304,6 +354,26 @@ def bisection_reference(u: np.ndarray, s: float, p_min: float) -> np.ndarray:
     return np.clip(c * u, p_min, 1.0)
 
 
+def closed_form_reference(u: np.ndarray, s: float, p_min: float) -> np.ndarray:
+    """The closed-form projection as first implemented: the mass at all
+    2N breakpoints by cumulative sums, then one searchsorted."""
+    n = u.size
+    us = np.sort(u)
+    csum = np.concatenate(([0.0], np.cumsum(us)))
+    bps = np.sort(np.concatenate((p_min / us, 1.0 / us)))
+    n_floor = np.searchsorted(us, p_min / bps, side="right")
+    n_cap = np.minimum(n - np.searchsorted(us, 1.0 / bps, side="left"), n - n_floor)
+    masses = p_min * n_floor + n_cap + bps * (csum[n - n_cap] - csum[n_floor])
+    j = min(max(int(np.searchsorted(masses, s)), 1), n + n - 1)
+    lo, hi = bps[j - 1], bps[j]
+    mid = 0.5 * (lo + hi)
+    k_floor, k_free_end = np.searchsorted(us, (p_min / mid, 1.0 / mid))
+    free = float(us[k_floor:k_free_end].sum())
+    fixed = p_min * k_floor + (n - k_free_end)
+    c = hi if free == 0.0 else min(max((s - fixed) / free, lo), hi)
+    return np.clip(c * u, p_min, 1.0)
+
+
 @st.composite
 def projection_instances(draw):
     """(u, s, p_min) with N up to 500, u over e^-50..e^50, and the budget edges."""
@@ -335,6 +405,12 @@ class TestKlProjectProperties:
         assert np.all(q >= p_min) and np.all(q <= 1.0)
         assert np.max(np.abs(q - bisection_reference(u, s, p_min))) <= 1e-9
 
+    @given(projection_instances())
+    @settings(max_examples=500, deadline=None)
+    def test_bit_equal_to_closed_form_reference(self, instance):
+        u, s, p_min = instance
+        assert np.array_equal(kl_project(u, s, p_min).p, closed_form_reference(u, s, p_min))
+
     @pytest.mark.parametrize("n", [1, 2, 7, 500])
     def test_budget_edges(self, n):
         u = np.exp(np.linspace(-50.0, 50.0, n))
@@ -360,6 +436,10 @@ class TestKlProjectProperties:
             (np.array([1.0, 1.0]), 1.0, 1.5, r"p_min must be in \(0, 1\]"),
             (np.array([1.0, 1.0]), 1.0, 0.6, "infeasible"),
             (np.array([1.0, 1.0]), 2.5, 0.1, "infeasible"),
+            (np.array([1.0, 1.0]), np.nan, 0.1, "target sum s=nan infeasible"),
+            (np.array([1.0, 1.0]), np.inf, 0.1, "target sum s=inf infeasible"),
+            (np.array([np.nan, 1.0]), np.nan, 0.1, "finite and strictly positive"),
+            (np.array([1.0, 1.0]), np.nan, 0.0, r"p_min must be in \(0, 1\]"),
         ],
     )
     def test_rejects_bad_input(self, u, s, p_min, message):

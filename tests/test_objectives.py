@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -300,6 +301,83 @@ class TestMlpGrad:
         batch = Batch(np.full((1, 2), 1e200), np.array([0], dtype=np.int64))
         with pytest.raises(DivergenceError):
             obj.loss_and_grad(x, batch, ActiveSet.full(obj.n_layers))
+
+
+def plain_mlp_pass(
+    obj: MlpClassifier, x: LayeredVector, batch: Batch
+) -> tuple[float, LayeredVector]:
+    """Loss and full gradient of the MLP written plainly: stages unpacked
+    from x's per-layer blocks, fresh arrays, and the loss by .mean()."""
+
+    def unpack(v: LayeredVector, i: int) -> tuple[np.ndarray, np.ndarray]:
+        fan_in, fan_out = obj.widths[i], obj.widths[i + 1]
+        if obj.bias_mode == "fused":
+            block = v.blocks[i]
+            return block[: fan_in * fan_out].reshape(fan_in, fan_out), block[fan_in * fan_out :]
+        return v.blocks[2 * i].reshape(fan_in, fan_out), v.blocks[2 * i + 1]
+
+    acts, pre = [batch.inputs], []
+    for i in range(obj.n_stages):
+        w, b = unpack(x, i)
+        pre.append(acts[-1] @ w + b)
+        if i < obj.n_stages - 1:
+            acts.append(np.tanh(pre[-1]) if obj.activation == "tanh" else np.maximum(pre[-1], 0.0))
+    shifted = pre[-1] - pre[-1].max(axis=1, keepdims=True)
+    log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    rows = np.arange(batch.size)
+    loss = float(-log_p[rows, batch.targets].mean())
+    delta = np.exp(log_p)
+    delta[rows, batch.targets] -= 1.0
+    delta /= batch.size
+    g = LayeredVector.zeros(x.dims)
+    for i in reversed(range(obj.n_stages)):
+        gw, gb = unpack(g, i)
+        gw[...] = acts[i].T @ delta
+        gb[...] = delta.sum(axis=0)
+        if i:
+            a = acts[i]
+            deriv = 1.0 - a * a if obj.activation == "tanh" else pre[i - 1] > 0.0
+            delta = (delta @ unpack(x, i)[0].T) * deriv
+    return loss, g
+
+
+class TestMlpPassBits:
+    @pytest.mark.parametrize(
+        "widths, activation, bias_mode",
+        [([2, 16, 16, 2], "tanh", "separate"), ([3, 8, 8, 3], "relu", "fused")],
+    )
+    def test_every_batch_size_matches_plain_pass(self, widths, activation, bias_mode):
+        # The golden traces cover 32 and 128 rows; the pairwise sums of
+        # the loss and the bias gradients change shape with the row count.
+        obj = MlpClassifier(widths, activation=activation, bias_mode=bias_mode)
+        x = obj.init_params(4)
+        x.data += 0.1 * np.random.default_rng(2).standard_normal(x.dim)
+        rng = np.random.default_rng(8)
+        full = ActiveSet.full(obj.n_layers)
+        for n in range(1, 301):
+            batch = Batch(rng.standard_normal((n, widths[0])), rng.integers(0, widths[-1], n))
+            want_loss, want_g = plain_mlp_pass(obj, x, batch)
+            loss, g = obj.loss_and_grad(x, batch, full)
+            assert loss == want_loss, n
+            assert np.array_equal(g.data, want_g.data), n
+            assert obj.loss(x, batch) == want_loss, n
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_overflow_raises_divergence_without_warnings(self, activation):
+        # 1e308 weights overflow the hidden and the logit matmuls; the
+        # inf - inf of the softmax shift makes NaN.
+        obj = MlpClassifier([2, 4, 2], activation=activation)
+        x = obj.init_params(0)
+        x.data[:] = 1e308
+        batch = Batch(np.full((3, 2), 1e200), np.array([0, 1, 0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError):
+                obj.loss_and_grad(x, batch, ActiveSet.full(obj.n_layers))
+            with pytest.raises(DivergenceError):
+                obj.loss(x, batch)
+            assert not np.isfinite(obj.logits(x, batch.inputs)).all()
+            obj.predict(x, batch.inputs)
 
 
 class TestMlpWorkspace:

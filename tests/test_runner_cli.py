@@ -389,6 +389,12 @@ class TestCli:
         probs.write_text("1.0,1.0\n")
         assert main(["project", "--probs", str(probs), "--s", "1.0", "--pmin", "0.9"]) == 1
 
+    def test_project_nan_budget_names_the_target_sum(self, tmp_path, capsys):
+        probs = tmp_path / "w.csv"
+        probs.write_text("1.0,1.0,1.0\n")
+        assert main(["project", "--probs", str(probs), "--s", "nan", "--pmin", "0.1"]) == 1
+        assert "target sum s=nan infeasible for n=3, p_min=0.1" in capsys.readouterr().err
+
     def test_project_bad_numbers(self, tmp_path, capsys):
         probs = tmp_path / "w.csv"
         probs.write_text("0.5,banana\n")
