@@ -15,16 +15,30 @@ from sparsam import objectives
 from sparsam.config import OPTIMIZER_TYPES, ExperimentConfig
 from sparsam.errors import DivergenceError
 from sparsam.layered import ActiveSet, LayeredVector
-from sparsam.objectives import (
-    Batch,
-    BlockQuadratic,
-    MlpClassifier,
-    finite_diff_grad,
-)
+from sparsam.objectives import Batch, BlockQuadratic, MlpClassifier, Objective
 from sparsam.rng import stream
 from sparsam.runner import Trainer
 
 from conftest import lv, scalar_batch
+
+
+def finite_diff_grad(
+    obj: Objective, x: LayeredVector, batch: Batch | None, h: float = 1e-6
+) -> LayeredVector:
+    """Central-difference gradient, one objective pair per coordinate."""
+    if h <= 0:
+        raise ValueError("h must be positive")
+    g = LayeredVector.zeros(x.dims)
+    for l in range(x.n_layers):
+        for j in range(x.dims[l]):
+            orig = x[l][j]
+            x[l][j] = orig + h
+            up = obj.loss(x, batch)
+            x[l][j] = orig - h
+            down = obj.loss(x, batch)
+            x[l][j] = orig
+            g[l][j] = (up - down) / (2.0 * h)
+    return g
 
 
 def two_block_quadratic() -> BlockQuadratic:
