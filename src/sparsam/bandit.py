@@ -22,7 +22,6 @@ import logging
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Mapping
 
 import numpy as np
 
@@ -116,37 +115,38 @@ def sample_active_set(
 
 
 def pseudo_loss(
-    r_norms: Mapping[int, float],
+    r_norms: np.ndarray,
     dist: SamplingDistribution,
     active: ActiveSet,
     g: float | None = None,
 ) -> np.ndarray:
     """Per-layer scores k, zero off the active set and >= 0 on it.
 
-    `g` overrides the envelope G; by default it is the max gradient norm
-    over the current active set.
+    `r_norms` holds the active layers' gradient norms, aligned with
+    `active.indices()`. `g` overrides the envelope G; by default it is
+    the max gradient norm over the current active set. Both terms are
+    squared as products, so a layer at the envelope with p = p_min
+    scores exactly 0.
     """
     active.validate(dist.n_layers)
     if len(active) == 0:
         raise ValueError("active set is empty")
-    if set(r_norms) != set(active.members):
-        raise ValueError("r_norms keys must match the active set")
-    norms = {l: float(v) for l, v in r_norms.items()}
-    if any(v < 0 for v in norms.values()):
+    norms = np.asarray(r_norms, dtype=np.float64)
+    if norms.shape != (len(active),):
+        raise ValueError(f"need one norm per active layer, got shape {norms.shape}")
+    if np.minimum.reduce(norms) < 0.0:
         raise ValueError("gradient norms must be non-negative")
-    g_env = max(norms.values()) if g is None else float(g)
-    if g_env < max(norms.values()):
+    top = float(np.maximum.reduce(norms))
+    g_env = top if g is None else float(g)
+    if g_env < top:
         raise ValueError("envelope G below a sampled gradient norm")
-    # Python floats: a float `** 2` calls C pow, as the NumPy scalar of a
-    # per-layer loop does; a vectorised square computes x*x, which can
-    # differ in the last bit.
-    p, top = dist.p.tolist(), (g_env / dist.p_min) ** 2
-    k = [0.0] * dist.n_layers
-    for l in active:
-        k[l] = top - (norms[l] / p[l]) ** 2
-    if min(k) < 0:
+    env, r = g_env / dist.p_min, norms / dist.p[active.index]
+    scores = env * env - r * r
+    if np.minimum.reduce(scores) < 0.0:
         raise AssertionError("pseudo-loss must be non-negative")
-    return np.array(k)
+    k = np.zeros(dist.n_layers)
+    k[active.index] = scores
+    return k
 
 
 def exp_update(
@@ -220,7 +220,7 @@ def kl_project(u: np.ndarray, s: float, p_min: float) -> SamplingDistribution:
 def update_distribution(
     dist: SamplingDistribution,
     active: ActiveSet,
-    r_norms: Mapping[int, float],
+    r_norms: np.ndarray,
     config: BanditConfig,
     g: float | None = None,
 ) -> SamplingDistribution:

@@ -21,30 +21,46 @@ and 1.2-5x slower at 1,024-4,096; over two runs it breaks even near 256
 floats, the cutoff. Either way the arithmetic is elementwise, so it
 gives the same bits as working block by block.
 
-Reductions stay per block and in layer order, slicing `data` at
-`offsets`, so a norm does not depend on which other layers are active.
+Per-layer values are arrays aligned with `active.indices()`.
+`v.segments(active)` reads the active layers in layer order as one
+contiguous array (the buffer's own view when the set is one run, one
+gather otherwise), with each layer's start and size in it. A per-layer
+L2 or L1 norm is one `np.add.reduceat` over that array at the starts:
+one NumPy call for the whole set, whatever its size. A layer's segment
+holds the same values wherever it sits, and reduceat reduces it on its
+own, so a layer's norm does not depend on which other layers are
+active. The total L1 norm is the running sum of the per-layer ones.
 No operation below ever reads or writes a block outside the active set
 it was given, so a frozen layer is provably untouched.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 # Runs of fewer floats than this are gathered, longer ones stay views.
 GATHER_BELOW = 256
 
-# The last select() result as (set, offsets, keys). One entry keyed on
-# identity: a step asks for its set's keys several times, and no set a
-# telemetry record keeps holds on to keys of its own. Keys are immutable
-# and a pure function of (set, offsets), so sharing them is safe.
-_last_select: tuple = (None, None, ())
+
+class Segments(NamedTuple):
+    """The active layers of a layout as one contiguous array, `data[key]`."""
+
+    key: slice | np.ndarray
+    starts: np.ndarray  # where each active layer begins in data[key]
+    sizes: np.ndarray  # each active layer's entry count
+
+
+# The last plan, (select() keys, segments), as (set, offsets, dims as an
+# array, plan). One entry keyed on identity: a step addresses its set
+# several times, and no set a telemetry record keeps holds on to a plan
+# of its own. A plan is a pure function of (set, offsets) that no caller
+# writes to, so sharing it is safe.
+_last_plan: tuple = (None, None, None, None)
 
 
 class Blocks(tuple):
@@ -132,22 +148,13 @@ class LayeredVector:
         (a lone short run is a slice too). `data[k]` is a view for a slice
         and a copy for the index array, so an update writes its part back
         with `data[k] = part`, which NumPy skips for a view onto itself."""
-        global _last_select
-        last, offsets, keys = _last_select
-        if last is active and offsets is self.offsets:
-            return keys
-        active.validate(len(self.dims))
-        o = self.offsets
-        spans = [(o[lo], o[hi]) for lo, hi in active.runs]
-        short = [(a, b) for a, b in spans if b - a < GATHER_BELOW]
-        if len(short) < 2:
-            keys = tuple(slice(a, b) for a, b in spans)
-        else:
-            index = np.concatenate([np.arange(a, b) for a, b in short])
-            index.flags.writeable = False
-            keys = (*(slice(a, b) for a, b in spans if b - a >= GATHER_BELOW), index)
-        _last_select = (active, self.offsets, keys)
-        return keys
+        return _plan(self, active)[0]
+
+    def segments(self, active: "ActiveSet") -> Segments:
+        """A key reading the active layers in layer order, and where each
+        begins and how long it is in `data[key]`: a slice when the set is
+        one run, else one read-only index array."""
+        return _plan(self, active)[1]
 
     def __len__(self) -> int:
         return len(self.dims)
@@ -172,12 +179,14 @@ class LayeredVector:
 class ActiveSet:
     """An immutable subset of layer indices. Iteration order is sorted.
 
-    `runs` lists the maximal ranges [lo, hi) of adjacent member indices.
+    `runs` lists the maximal ranges [lo, hi) of adjacent member indices;
+    `index` holds the members, sorted, as a read-only integer array.
     """
 
     members: frozenset[int] = field(default_factory=frozenset)
     _sorted: tuple[int, ...] = field(init=False, repr=False, compare=False)
     runs: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         members = frozenset(map(int, self.members))
@@ -190,6 +199,7 @@ class ActiveSet:
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "_sorted", ordered)
         object.__setattr__(self, "runs", runs)
+        object.__setattr__(self, "index", _frozen(np.array(ordered, dtype=np.intp)))
 
     @classmethod
     @lru_cache(maxsize=128)
@@ -223,31 +233,64 @@ class ActiveSet:
         return list(self._sorted)
 
 
-def layer_l2_norm(v: LayeredVector, l: int) -> float:
-    if not 0 <= l < v.n_layers:
-        raise ValueError(f"layer index {l} out of range for {v.n_layers} layers")
+def _plan(v: LayeredVector, active: ActiveSet) -> tuple[tuple, Segments]:
+    """select()'s keys and the segments of `active` in v's layout."""
+    global _last_plan
+    last, offsets, dims, plan = _last_plan
+    if last is active and offsets is v.offsets:
+        return plan
+    active.validate(len(v.dims))
     o = v.offsets
-    b = v.data[o[l] : o[l + 1]]
-    # What np.linalg.norm computes for a 1-d float vector, without its overhead.
-    return math.sqrt(b.dot(b))
+    if offsets is not o:
+        dims = np.array(v.dims)
+    spans = [(o[lo], o[hi]) for lo, hi in active.runs]
+    short = [(a, b) for a, b in spans if b - a < GATHER_BELOW]
+    if len(short) < 2:
+        keys = tuple(slice(a, b) for a, b in spans)
+    else:
+        keys = (*(slice(a, b) for a, b in spans if b - a >= GATHER_BELOW), _gather(short))
+    if len(spans) < 2:
+        key = slice(*spans[0]) if spans else slice(0, 0)
+    else:
+        key = keys[0] if len(short) == len(spans) else _gather(spans)
+    sizes = dims[active.index]
+    ends = np.add.accumulate(sizes)
+    plan = (keys, Segments(key, ends - sizes, sizes))
+    _last_plan = (active, o, dims, plan)
+    return plan
+
+
+def _gather(spans: list[tuple[int, int]]) -> np.ndarray:
+    """One read-only index array of the entries of [a, b) spans, in order."""
+    return _frozen(np.concatenate([np.arange(a, b) for a, b in spans]))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def layer_l2_norm(v: LayeredVector, active: ActiveSet) -> np.ndarray:
+    """The L2 norm of each active layer, aligned with `active.indices()`."""
+    key, starts, _ = v.segments(active)
+    a = v.data[key]
+    return np.sqrt(np.add.reduceat(a * a, starts))
 
 
 def total_l1_norm(v: LayeredVector, active: ActiveSet | None = None) -> float:
-    """Sum of |v| block by block in layer order, over the active blocks
-    only when a set is given. Skipping a block of +0.0 entries leaves
-    the sum bit-identical, so a gradient restricted to `active` gives
-    the same value with or without it."""
+    """Sum of |v| over the active layers (all of them by default): each
+    layer's L1 norm, then their running sum in layer order. A block of
+    +0.0 entries adds exactly nothing to it, so a gradient restricted to
+    `active` gives the same value with or without the set."""
     if active is None:
         active = ActiveSet.full(v.n_layers)
-    active.validate(v.n_layers)
-    a, o = np.abs(v.data), v.offsets
-    return float(sum(a[o[l] : o[l + 1]].sum() for l in active))
+    key, starts, _ = v.segments(active)
+    per_layer = np.add.reduceat(np.abs(v.data[key]), starts)
+    return float(np.cumsum(per_layer)[-1]) if per_layer.size else 0.0
 
 
 def active_param_count(v: LayeredVector, active: ActiveSet) -> int:
-    active.validate(v.n_layers)
-    o = v.offsets
-    return sum(o[hi] - o[lo] for lo, hi in active.runs)
+    return int(np.add.reduce(v.segments(active).sizes))
 
 
 def masked_axpy(y: LayeredVector, a: float, x: LayeredVector, active: ActiveSet) -> LayeredVector:

@@ -156,33 +156,30 @@ def sam_perturb(
     r: LayeredVector,
     active: ActiveSet,
     cfg: SamConfig,
-    norms: dict[int, float] | None = None,
+    norms: np.ndarray | None = None,
 ) -> LayeredVector:
     """Ascent perturbation of radius rho along r, zero off the active set.
 
     per_layer mode scales each active block to norm rho on its own;
     global mode scales the whole active restriction jointly. Zero-norm
     input maps to a zero perturbation. `norms`, when given, holds
-    layer_l2_norm(r, l) for every active l, so they are not recomputed.
+    layer_l2_norm(r, active), so they are not recomputed.
     """
-    active.validate(r.n_layers)
     eps = LayeredVector.zeros(r.dims)
+    key, _, sizes = r.segments(active)
     if cfg.rho == 0.0 or len(active) == 0:
         return eps
     if norms is None:
-        norms = {l: layer_l2_norm(r, l) for l in active}
+        norms = layer_l2_norm(r, active)
+    part = r.data[key]
     if cfg.perturb_norm == "per_layer":
-        o = r.offsets
-        for l in active:
-            if norms[l] > 0.0:
-                s = slice(o[l], o[l + 1])
-                np.multiply(cfg.rho / norms[l], r.data[s], out=eps.data[s])
+        scale = (cfg.rho / np.where(norms > 0.0, norms, np.inf)).repeat(sizes)
+        # A zero-norm block stays +0.0, whatever the signs of its entries.
+        eps.data[key] = np.multiply(scale, part, out=np.zeros(part.size), where=scale > 0.0)
     else:
-        joint = math.sqrt(sum(norms[l] ** 2 for l in active))
+        joint = math.sqrt(norms @ norms)
         if joint > 0.0:
-            scale = cfg.rho / joint
-            for k in r.select(active):
-                eps.data[k] = scale * r.data[k]
+            eps.data[key] = (cfg.rho / joint) * part
     return eps
 
 
@@ -230,28 +227,27 @@ def sam_step(
     if bootstrap:
         active = ActiveSet.full(n)
     active.validate(n)
-    staleness: dict[int, int] = {}
+    idx = active.index
+    staleness = np.zeros(0, dtype=np.int64)
     if ascent == "fresh":
         if ascent_grad is None:
             ascent_grad = in_pass(step_no, "ascent", obj.loss_and_grad, x, batch, active)
         loss, first = ascent_grad
-        norms = {l: layer_l2_norm(first, l) for l in active}
+        norms = layer_l2_norm(first, active)
         eps = sam_perturb(first, active, sam_cfg, norms)
         g = in_pass(step_no, "descent", obj.grad, _perturbed(x, eps, active), batch, active)
     else:
         x_eval = x
         if stale and not bootstrap:
-            idx = active.indices()
             stashed = state.stash_step[idx]
             if (stashed < 1).any():
                 raise AssertionError("an active layer has no stashed gradient after the bootstrap")
-            staleness = dict(zip(active, (step_no - stashed).tolist()))
-            stash_norms = dict(zip(active, state.stash_norm[idx].tolist()))
-            eps = sam_perturb(state.prev_grad, active, sam_cfg, stash_norms)
+            staleness = step_no - stashed
+            eps = sam_perturb(state.prev_grad, active, sam_cfg, state.stash_norm[idx])
             x_eval = _perturbed(x, eps, active)
         loss, g = in_pass(step_no, "descent", obj.loss_and_grad, x_eval, batch, active)
         first = g
-        norms = {} if ascent == "none" else {l: layer_l2_norm(g, l) for l in active}
+        norms = np.zeros(0) if ascent == "none" else layer_l2_norm(g, active)
     adamw_step(state, x, g, active, adamw_cfg)
     if stale:
         if bootstrap:
@@ -260,9 +256,8 @@ def sam_step(
         else:
             for k in g.select(active):
                 state.prev_grad.data[k] = g.data[k]
-        idx = active.indices()
         state.stash_step[idx] = step_no
-        state.stash_norm[idx] = [norms[l] for l in active]
+        state.stash_norm[idx] = norms
     return StepTelemetry(
         step=step_no,
         loss=loss,
@@ -290,7 +285,7 @@ def _bandit_update(
     norms = tel.per_layer_r_norms
     env = None
     if bandit_cfg.g_mode == "running" and g_prior is not None:
-        env = max(g_prior, max(norms.values()))
+        env = max(g_prior, float(norms.max()))
     return update_distribution(dist, tel.active_layers, norms, bandit_cfg, g=env)
 
 
@@ -401,7 +396,7 @@ def select_layers_ablation(
         idx = rng.choice(obj.n_layers, size=k, replace=False)
         return ActiveSet.from_iterable(int(i) for i in idx)
     g = full_grad if full_grad is not None else obj.grad(x, batch, ActiveSet.full(obj.n_layers))
-    norms = np.array([layer_l2_norm(g, l) for l in range(obj.n_layers)])
+    norms = layer_l2_norm(g, ActiveSet.full(obj.n_layers))
     order = np.argsort(-norms, kind="stable")
     return ActiveSet.from_iterable(int(i) for i in order[:k])
 

@@ -132,8 +132,8 @@ class Trainer:
             step_fn = adasam_step if self.ascent == "fresh" else s2sam_step
             tel = step_fn(*head, self.sam_cfg, self.adamw_cfg)
         tel.wall_ns = time.perf_counter_ns() - t0
-        if tel.per_layer_r_norms:
-            self._g_env = max(self._g_env, max(tel.per_layer_r_norms.values()))
+        if tel.per_layer_r_norms.size:
+            self._g_env = max(self._g_env, float(tel.per_layer_r_norms.max()))
         self.record.append(tel)
         if tel.step % self.config.train.eval_every == 0:
             self._probe(tel.step)
@@ -196,7 +196,7 @@ def _csv_row(t: StepTelemetry) -> str:
 
 
 def _sampler_row(t: StepTelemetry) -> str:
-    staleness = "|".join(f"{l}:{n}" for l, n in sorted(t.per_layer_staleness.items()))
+    staleness = "|".join(f"{l}:{n}" for l, n in zip(t.active_layers, t.per_layer_staleness))
     return f"{t.step},{t.redraws},{staleness}"
 
 

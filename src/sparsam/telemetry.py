@@ -24,12 +24,14 @@ class StepTelemetry:
     active_layers: ActiveSet
     active_param_count: int
     grad_passes: int
-    per_layer_r_norms: dict[int, float] = field(default_factory=dict)
+    # Per-layer arrays are aligned with active_layers.indices(), or empty
+    # when the step records none.
+    per_layer_r_norms: np.ndarray = field(default_factory=lambda: np.zeros(0))
     # Parameters touched by a selection rule outside the optimizer's own
     # gradient passes (greedy full-gradient scoring); counted into
     # active_ratio but not into grad_passes, which stays in {1, 2}.
     selection_param_count: int = 0
-    per_layer_staleness: dict[int, int] = field(default_factory=dict)
+    per_layer_staleness: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     redraws: int = 0
     wall_ns: int = 0
 
@@ -42,7 +44,10 @@ class StepTelemetry:
             raise ValueError("parameter counts must be non-negative")
         if len(self.active_layers) == 0:
             raise ValueError("a step must touch at least one layer")
-        if any(st < 1 for st in self.per_layer_staleness.values()):
+        for a in (self.per_layer_r_norms, self.per_layer_staleness):
+            if a.size not in (0, len(self.active_layers)):
+                raise ValueError("per-layer values must align with the active layers")
+        if self.per_layer_staleness.size and self.per_layer_staleness.min() < 1:
             raise ValueError("staleness counters start at 1")
 
 
@@ -97,11 +102,8 @@ def layer_frequency(record: RunRecord) -> np.ndarray:
     """Fraction of steps on which each layer was active."""
     if not record.steps:
         raise ValueError("empty run")
-    counts = np.zeros(record.n_layers)
-    for t in record.steps:
-        for l in t.active_layers:
-            counts[l] += 1.0
-    return counts / record.n_steps
+    layers = np.concatenate([t.active_layers.index for t in record.steps])
+    return np.bincount(layers, minlength=record.n_layers) / record.n_steps
 
 
 def probe_trend(record: RunRecord, window: int) -> list[tuple[int, float]]:

@@ -155,13 +155,8 @@ def slsam_trace():
     p_hist[0] = dist.p
     included = np.zeros(5)
     ratio_max = 0.0
-    g_env = 0.0
     for t in range(steps):
-        dist, tel = slsam_step(
-            obj, x, qbatch(t), state, dist, sam, adamw, bandit, rng, g_prior=g_env
-        )
-        if tel.per_layer_r_norms:
-            g_env = max(g_env, max(tel.per_layer_r_norms.values()))
+        dist, tel = slsam_step(obj, x, qbatch(t), state, dist, sam, adamw, bandit, rng)
         p_hist[t + 1] = dist.p
         for l in tel.active_layers:
             included[l] += 1
@@ -291,7 +286,6 @@ def test_zero_rho_and_full_budget_reductions(capsys):
     xr = obj.init_params(0)
     m = [np.zeros(d) for d in obj.layer_dims]
     v = [np.zeros(d) for d in obj.layer_dims]
-    g_env = 0.0
     masked_ok = True
     for t in range(steps):
         dist, tel = slsam_step(
@@ -304,10 +298,7 @@ def test_zero_rho_and_full_budget_reductions(capsys):
             adamw,
             BanditConfig(),
             rng,
-            g_prior=g_env,
         )
-        if tel.per_layer_r_norms:
-            g_env = max(g_env, max(tel.per_layer_r_norms.values()))
         _, g = obj.loss_and_grad(xr, qbatch(t), tel.active_layers)
         for l in tel.active_layers:
             gl = g[l]
@@ -327,14 +318,9 @@ def test_zero_rho_and_full_budget_reductions(capsys):
     dist = init_uniform(5, 5.0, 0.02)
     rng = stream(0, "bandit")
     sam = SamConfig(rho=0.01, perturb_norm="per_layer")
-    g_env = 0.0
     full_ok = True
     for t in range(steps):
-        dist, tel = slsam_step(
-            obj, xf, qbatch(t), sf, dist, sam, adamw, BanditConfig(), rng, g_prior=g_env
-        )
-        if tel.per_layer_r_norms:
-            g_env = max(g_env, max(tel.per_layer_r_norms.values()))
+        dist, tel = slsam_step(obj, xf, qbatch(t), sf, dist, sam, adamw, BanditConfig(), rng)
         adasam_step(obj, xd, qbatch(t), sd, sam, adamw)
         full_ok = full_ok and bit_equal(xf, xd)
 

@@ -134,29 +134,29 @@ class TestSampleActiveSet:
 class TestPseudoLoss:
     def test_worked_example(self):
         dist = SamplingDistribution(np.array([0.5, 0.5]), s=1.0, p_min=0.1)
-        k = pseudo_loss({0: 2.0}, dist, ActiveSet.of(0))
+        k = pseudo_loss(np.array([2.0]), dist, ActiveSet.of(0))
         assert k[0] == 384.0
         assert k[1] == 0.0
 
     def test_exact_cancellation_at_floor(self):
         dist = SamplingDistribution(np.array([0.1, 0.9]), s=1.0, p_min=0.1)
-        k = pseudo_loss({0: 2.0}, dist, ActiveSet.of(0))
+        k = pseudo_loss(np.array([2.0]), dist, ActiveSet.of(0))
         assert k[0] == 0.0
 
     def test_unsampled_layers_zero(self):
         dist = init_uniform(4, 1.0, 0.02)
-        k = pseudo_loss({1: 1.0, 2: 0.5}, dist, ActiveSet.of(1, 2))
+        k = pseudo_loss(np.array([1.0, 0.5]), dist, ActiveSet.of(1, 2))
         assert k[0] == 0.0 and k[3] == 0.0
 
     def test_empty_active_rejected(self):
         dist = init_uniform(2, 1.0, 0.1)
         with pytest.raises(ValueError):
-            pseudo_loss({}, dist, ActiveSet.from_iterable([]))
+            pseudo_loss(np.zeros(0), dist, ActiveSet.from_iterable([]))
 
     def test_norms_must_cover_active(self):
         dist = init_uniform(3, 1.0, 0.02)
         with pytest.raises(ValueError):
-            pseudo_loss({0: 1.0}, dist, ActiveSet.of(0, 1))
+            pseudo_loss(np.array([1.0]), dist, ActiveSet.of(0, 1))
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -168,36 +168,45 @@ class TestPseudoLoss:
             st.lists(st.integers(0, n - 1), min_size=size, max_size=size, unique=True)
         )
         active = ActiveSet.from_iterable(members)
-        norms = {l: data.draw(st.floats(0.0, 100.0)) for l in active}
+        norms = np.array([data.draw(st.floats(0.0, 100.0)) for _ in active])
         k = pseudo_loss(norms, dist, active)
         assert np.all(k >= 0.0)
 
 
-def per_layer_pseudo_loss(r_norms, dist, active, g=None) -> np.ndarray:
-    """The pseudo-loss as first implemented: a loop over NumPy scalars,
-    where `** 2` calls C pow, as a Python float's does."""
-    g_env = max(r_norms.values()) if g is None else g
+def closed_form_pseudo_loss(r_norms, dist, active, g=None) -> np.ndarray:
+    """k_l = (G / p_min)^2 - (r_l / p_l)^2 on the active layers, layer by
+    layer in Python floats, each square a product."""
+    g_env = max(r_norms) if g is None else g
     k = np.zeros(dist.n_layers)
-    for l in active:
-        k[l] = (g_env / dist.p_min) ** 2 - (r_norms[l] / dist.p[l]) ** 2
+    for l, r in zip(active, r_norms):
+        env, x = g_env / dist.p_min, r / float(dist.p[l])
+        k[l] = env * env - x * x
     return k
 
 
-class TestPseudoLossBits:
-    def test_square_is_pow_not_a_product(self):
+class TestPseudoLossClosedForm:
+    def test_squares_are_products(self):
         # Layer 1's (1.463 / 0.054) ** 2 through glibc's pow and the same
-        # square as x*x differ in the last bit, and so do the two k_1.
+        # square as x*x differ in the last bit; the score takes x*x.
         dist = SamplingDistribution(np.array([0.946, 0.054]), s=1.0, p_min=0.05)
-        norms = {0: 0.852, 1: 1.463}
-        k = pseudo_loss(norms, dist, ActiveSet.of(0, 1))
-        assert np.array_equal(k, per_layer_pseudo_loss(norms, dist, ActiveSet.of(0, 1)))
-        x = 1.463 / 0.054
-        if x**2 != x * x:  # always, unless libm's pow squares exactly
-            assert k[1] != (1.463 / 0.05) ** 2 - x * x
+        k = pseudo_loss(np.array([0.852, 1.463]), dist, ActiveSet.of(0, 1))
+        env, x = 1.463 / 0.05, 1.463 / 0.054
+        assert k[1] == env * env - x * x
+
+    @given(
+        norm=st.floats(1e-100, 1e100),
+        p_min=st.floats(1e-3, 0.5),
+        other=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_envelope_layer_at_the_floor_scores_zero(self, norm, p_min, other):
+        dist = SamplingDistribution(np.array([p_min, 1.0]), s=1.0 + p_min, p_min=p_min)
+        k = pseudo_loss(np.array([norm, other * norm]), dist, ActiveSet.of(0, 1))
+        assert k[0] == 0.0
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
-    def test_matches_per_layer_numpy_scalars(self, data):
+    def test_matches_closed_form(self, data):
         n = data.draw(st.integers(1, 40))
         s = n * data.draw(st.floats(0.05, 1.0))
         p_min = data.draw(st.floats(0.01, 1.0)) * s / n
@@ -209,10 +218,10 @@ class TestPseudoLossBits:
             dist = kl_project(u, dist.s, dist.p_min)
         members = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
         active = ActiveSet.from_iterable(members)
-        norms = {l: data.draw(st.floats(0.0, 1e3)) for l in active}
+        norms = np.array([data.draw(st.floats(0.0, 1e3)) for _ in active])
         g = data.draw(st.one_of(st.none(), st.floats(1.0, 2.0)))
-        g = None if g is None else g * max(norms.values())
-        want = per_layer_pseudo_loss(norms, dist, active, g)
+        g = None if g is None else g * norms.max()
+        want = closed_form_pseudo_loss(norms, dist, active, g)
         assert np.array_equal(pseudo_loss(norms, dist, active, g), want)
 
 
@@ -451,19 +460,19 @@ class TestUpdateDistribution:
     def test_chained_worked_example(self):
         dist = SamplingDistribution(np.array([0.5, 0.5]), s=1.0, p_min=0.1)
         cfg = BanditConfig(alpha_p=0.01)
-        new = update_distribution(dist, ActiveSet.of(0), {0: 2.0}, cfg)
+        new = update_distribution(dist, ActiveSet.of(0), np.array([2.0]), cfg)
         assert np.allclose(new.p, [0.1, 0.9], atol=1e-6)
 
     def test_symmetry_identity(self):
         dist = init_uniform(4, 1.0, 0.02)
         new = update_distribution(
-            dist, ActiveSet.full(4), {l: 1.0 for l in range(4)}, BanditConfig()
+            dist, ActiveSet.full(4), np.ones(4), BanditConfig()
         )
         assert np.allclose(new.p, dist.p, atol=1e-9)
 
     def test_identity_chain_at_floor(self):
         dist = SamplingDistribution(np.array([0.1, 0.9]), s=1.0, p_min=0.1)
-        new = update_distribution(dist, ActiveSet.of(0), {0: 3.0}, BanditConfig(alpha_p=0.01))
+        new = update_distribution(dist, ActiveSet.of(0), np.array([3.0]), BanditConfig(alpha_p=0.01))
         assert np.allclose(new.p, dist.p, atol=1e-9)
 
     def test_larger_norm_never_lowers_relative_probability(self):
@@ -471,7 +480,7 @@ class TestUpdateDistribution:
         dist = init_uniform(3, 1.2, 0.02)
         cfg = BanditConfig(alpha_p=0.05)
         new = update_distribution(
-            dist, ActiveSet.full(3), {0: 3.0, 1: 2.0, 2: 1.0}, cfg
+            dist, ActiveSet.full(3), np.array([3.0, 2.0, 1.0]), cfg
         )
         assert new.p[0] >= new.p[1] >= new.p[2]
 
@@ -487,7 +496,7 @@ class TestUpdateDistribution:
             st.lists(st.integers(0, n - 1), min_size=size, max_size=size, unique=True)
         )
         active = ActiveSet.from_iterable(members)
-        norms = {l: data.draw(st.floats(0.0, 50.0)) for l in active}
+        norms = np.array([data.draw(st.floats(0.0, 50.0)) for _ in active])
         alpha = data.draw(st.floats(1e-5, 0.1))
         new = update_distribution(dist, active, norms, BanditConfig(alpha_p=alpha))
         assert abs(float(np.sum(new.p)) - s) <= 1e-9
@@ -497,7 +506,7 @@ class TestUpdateDistribution:
     def test_running_envelope_accepted(self):
         dist = init_uniform(3, 1.0, 0.02)
         cfg = BanditConfig(g_mode="running")
-        new = update_distribution(dist, ActiveSet.of(0), {0: 1.0}, cfg, g=5.0)
+        new = update_distribution(dist, ActiveSet.of(0), np.array([1.0]), cfg, g=5.0)
         assert abs(float(np.sum(new.p)) - 1.0) <= 1e-9
 
 
@@ -531,7 +540,7 @@ class TestSamplerEdges:
             active, _ = sample_active_set(dist, rng)
             assert len(active) >= 1
             assert all(0 <= l < n for l in active)
-            norms = {l: norm_scale * float(norms_rng.random()) for l in active}
+            norms = norm_scale * norms_rng.random(len(active))
             dist = update_distribution(dist, active, norms, cfg)
             assert abs(float(dist.p.sum()) - s) <= 1e-9
             assert (dist.p >= p_min).all() and (dist.p <= 1.0).all()

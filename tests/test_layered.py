@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsam.layered import (
+    GATHER_BELOW,
     ActiveSet,
     LayeredVector,
     active_param_count,
@@ -28,25 +31,84 @@ dims_strategy = st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_
 
 class TestLayerL2Norm:
     def test_three_four_five(self):
-        assert layer_l2_norm(lv([3.0, 4.0]), 0) == 5.0
+        assert layer_l2_norm(lv([3.0, 4.0]), ActiveSet.of(0)).tolist() == [5.0]
 
     def test_zero_block(self):
-        assert layer_l2_norm(lv([0.0, 0.0, 0.0]), 0) == 0.0
+        assert layer_l2_norm(lv([0.0, 0.0, 0.0]), ActiveSet.of(0)).tolist() == [0.0]
 
     def test_four_ones(self):
-        assert layer_l2_norm(lv([1.0, 1.0, 1.0, 1.0]), 0) == 2.0
+        assert layer_l2_norm(lv([1.0, 1.0, 1.0, 1.0]), ActiveSet.of(0)).tolist() == [2.0]
 
     def test_bad_layer_index(self):
         with pytest.raises(ValueError):
-            layer_l2_norm(lv([1.0]), 1)
+            layer_l2_norm(lv([1.0]), ActiveSet.of(1))
+
+    def test_aligned_with_the_active_layers(self):
+        v = lv([3.0, 4.0], [1.0], [0.0, 2.0], [5.0, 12.0])
+        assert layer_l2_norm(v, ActiveSet.of(0, 2, 3)).tolist() == [5.0, 2.0, 13.0]
+        assert layer_l2_norm(v, ActiveSet.of()).size == 0
 
     @given(dims=dims_strategy, seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=50, deadline=None)
     def test_squared_norm_matches_dot(self, dims, seed):
         v = random_layered(np.random.default_rng(seed), dims)
+        norms = layer_l2_norm(v, ActiveSet.full(v.n_layers))
         for l in range(v.n_layers):
             dot = float(v[l] @ v[l])
-            assert layer_l2_norm(v, l) ** 2 == pytest.approx(dot, rel=1e-12, abs=1e-300)
+            assert norms[l] ** 2 == pytest.approx(dot, rel=1e-12, abs=1e-300)
+
+
+@st.composite
+def segmented_cases(draw):
+    """A vector of 1-500 layers of 1-600 floats (both sides of GATHER_BELOW),
+    some blocks zero, and an active set that is full, one run, or many runs
+    (gathered when they are short, sliced when they are long)."""
+    n = draw(st.integers(1, 500))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim_mode = draw(st.sampled_from(["small", "large", "mixed"]))
+    hi = {"small": 16, "large": 600, "mixed": 600}[dim_mode]
+    lo = GATHER_BELOW if dim_mode == "large" else 1
+    dims = rng.integers(lo, hi + 1, n)
+    v = LayeredVector([rng.standard_normal(d) * 10.0 ** rng.integers(-3, 4) for d in dims])
+    for l in np.flatnonzero(rng.random(n) < 0.2):
+        v[l] = np.zeros(dims[l])
+    kind = draw(st.sampled_from(["full", "run", "random"]))
+    if kind == "full":
+        active = ActiveSet.full(n)
+    elif kind == "run":
+        a = int(rng.integers(n))
+        active = ActiveSet.from_iterable(range(a, int(rng.integers(a, n)) + 1))
+    else:
+        active = ActiveSet.from_iterable(np.flatnonzero(rng.random(n) < rng.random()))
+    return v, active
+
+
+class TestSegmentedReductions:
+    """One reduceat per norm gives per-block results to a relative 1e-13."""
+
+    @given(case=segmented_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_match_per_block_fsum(self, case):
+        v, active = case
+        norms = layer_l2_norm(v, active)
+        assert norms.shape == (len(active),)
+        for l, got in zip(active, norms):
+            want = math.sqrt(math.fsum(v[l] * v[l]))
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        want = math.fsum(math.fsum(np.abs(v[l])) for l in active)
+        assert total_l1_norm(v, active) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @given(case=segmented_cases(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_layer_norm_does_not_depend_on_the_other_layers(self, case, seed):
+        # top_slsam scores layers on the full set and reuses those norms
+        # for the sampled set, so each must be the same bits either way.
+        v, active = case
+        full = layer_l2_norm(v, ActiveSet.full(v.n_layers))
+        assert np.array_equal(layer_l2_norm(v, active), full[active.indices()])
+        rng = np.random.default_rng(seed)
+        other = ActiveSet.from_iterable(np.flatnonzero(rng.random(v.n_layers) < 0.5))
+        assert np.array_equal(layer_l2_norm(v, other), full[other.indices()])
 
 
 class TestTotalL1Norm:

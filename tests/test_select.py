@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsam.config import ExperimentConfig
-from sparsam.layered import GATHER_BELOW, ActiveSet, LayeredVector, masked_axpy
+from sparsam.layered import GATHER_BELOW, ActiveSet, LayeredVector, layer_l2_norm, masked_axpy
 from sparsam.objectives import BlockQuadratic
 from sparsam.optimizers import (
     AdamWConfig,
@@ -63,13 +63,15 @@ def ref_perturb(r, active, cfg):
     eps = LayeredVector.zeros(r.dims)
     if cfg.rho == 0.0 or len(active) == 0:
         return eps
-    norms = {l: math.sqrt(r[l].dot(r[l])) for l in active}
+    # The norms are the segmented reduction's, checked against fsum in
+    # test_layered; this reference checks the scaling run by run.
+    norms = dict(zip(active, layer_l2_norm(r, active).tolist()))
     if cfg.perturb_norm == "per_layer":
         for l in active:
             if norms[l] > 0.0:
                 np.multiply(cfg.rho / norms[l], r[l], out=eps[l])
     else:
-        joint = math.sqrt(sum(norms[l] ** 2 for l in active))
+        joint = math.sqrt(np.dot(list(norms.values()), list(norms.values())))
         if joint > 0.0:
             for s in run_slices(r, active):
                 np.multiply(cfg.rho / joint, r.data[s], out=eps.data[s])

@@ -11,6 +11,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 from sparsam.config import ExperimentConfig
 from sparsam.runner import Trainer
 
@@ -66,3 +68,24 @@ def test_tracer_sees_a_sparse_step_and_restores_every_target():
         "Objective.grad",
         "RunRecord.append",
     } <= seen
+
+
+def layered_spans_per_step(otype: str, n_layers: int) -> int:
+    """`layered.*` spans one step records on an n-layer quadratic."""
+    spans = load_spans()
+    trainer = Trainer(ExperimentConfig.from_dict({
+        "objective": {"type": "blockquadratic", "layer_dims": [4] * n_layers, "noise_sigma": 1e-3},
+        "optimizer": {"type": otype},
+        "bandit": {"s_over_n": 0.5},
+        "train": {"steps": 2, "batch_size": 1, "seed": 0, "eval_every": 1000},
+    }))
+    with spans.Tracer(spans.package_targets()) as tracer:
+        trainer.step()
+    return sum(tracer.names[i].startswith("layered.") for i in tracer.name_id)
+
+
+@pytest.mark.parametrize("otype", ["adasam", "slsam"])
+def test_layered_calls_per_step_do_not_grow_with_the_layer_count(otype):
+    # Per-layer norms and the L1 sum are one segmented reduction each,
+    # so the count is the same for 10 layers and for 200.
+    assert layered_spans_per_step(otype, 10) == layered_spans_per_step(otype, 200)

@@ -45,7 +45,14 @@ class TestStepTelemetry:
 
     def test_staleness_positive(self):
         with pytest.raises(ValueError):
-            tel(1, ActiveSet.of(0), 1, 1, per_layer_staleness={0: 0})
+            tel(1, ActiveSet.of(0), 1, 1, per_layer_staleness=np.array([0]))
+
+    def test_per_layer_values_align_with_the_active_layers(self):
+        tel(1, ActiveSet.of(0, 3), 2, 2, per_layer_r_norms=np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="align"):
+            tel(1, ActiveSet.of(0, 3), 2, 2, per_layer_r_norms=np.array([1.0]))
+        with pytest.raises(ValueError, match="align"):
+            tel(1, ActiveSet.of(0), 1, 1, per_layer_staleness=np.array([1, 1]))
 
 
 class TestRunRecord:
