@@ -2,14 +2,22 @@
 
 Each case runs `runner.run` for about 50 steps and hashes (SHA-256) the
 step CSV with its `wall_ns` column removed, and `summary.json`. The
-MLP digests were recorded from the code as it stood before any
-performance refactor. The quad digests were regenerated when the block
-quadratic's noise became one stream per batch rather than one per
-(batch, layer), and again when its loss became one dot product over
-the whole buffer rather than one per layer. A change that is meant to
-keep every trajectory identical must pass this test unchanged. An
-intended numeric change regenerates the digests in a commit of its own
-that says why.
+quad digests were regenerated when the block quadratic's noise became
+one stream per batch rather than one per (batch, layer), and again when
+its loss became one dot product over the whole buffer rather than one
+per layer. All of them were regenerated when the per-layer bookkeeping
+became arrays: per-layer L2 and L1 norms became one `np.add.reduceat`
+over the active layers instead of a `dot` or `.sum()` per layer, the
+global perturbation's joint norm a dot product of those norms instead
+of a Python sum of `pow` squares, and the pseudo-loss squares products
+instead of `pow` results. Every step CSV moved through the low-order
+bits of `grad_l1`. The MLP losses of the six types that perturb moved
+through the norms; no quad loss and no active set changed. Three quad
+summaries (s2sam, random_slsam, top_slsam) kept their digests, since
+their probe values and final losses landed on the same bits. A change
+that is meant to keep every trajectory identical must pass this test
+unchanged. An intended numeric change regenerates the digests in a
+commit of its own that says why.
 
 The digests pin float64 results on one platform (x86-64, NumPy 2.x);
 a different BLAS or SIMD math library can move the MLP's low-order bits.
@@ -45,59 +53,59 @@ CONFIGS = {
 # (steps.csv without wall_ns, summary.json) digests per (config, type).
 GOLDEN: dict[tuple[str, str], tuple[str, str]] = {
     ("mlp", "adamw"): (
-        "a17e5d6544d73a8a28c46e411ab832b801e259e3997b860fb57e6e0fe2808764",
-        "0d22d6e94dec78f340bc69199bef8f98ff6bca45253511a40e7d067ff83a25fa",
+        "01ae2e43a42807be759c5e21aae082f761ca8dd2d4ecd0bde0f64a61cabacfb1",
+        "86de5e82703ef00ce3110bbf4e26991719d80ec71243fbdfb0c150d6d6ce4f30",
     ),
     ("mlp", "adasam"): (
-        "05ff461f5ae79b944f9bb16f015a4ca1655aa4b8238fab218dc4b27c3474f32b",
-        "64f931d3baaa41520f43de42a75a565c96dd81d523c52f3ef3c4df2369fa6872",
+        "8e179dfa2bcddb8df35188848d2bbc223f4d3663121cfc2e97a9355052380bc1",
+        "64f5d5b7557f1ed284cb3a136b961c2aa9a9347f969bf756f0ca317d35776670",
     ),
     ("mlp", "slsam"): (
-        "d5561068a56cd5c27a334877113065417f370c9733206f431da4d0925b08e05b",
-        "e8e8875173fc7413a1b66a8be6ef98a6ddb2568ce8055b31c042508e2fd2a107",
+        "140fe5a299a70cf9dc4473271b169c36078409941f4dcfee95da04aeaa3f088f",
+        "7b14accb81ccee96c59210654dfcb6876a7689dd26abbcd82fdb7a78ebf22f6d",
     ),
     ("mlp", "s2sam"): (
-        "2f2bc80f600e24b7650b77e58b0af8e7d8ac95dac21cb71ebe693003635d0f9b",
-        "5f43c76d6feeb851d5504c31f7d7174b6407786a0b13450806a7931c8b385c70",
+        "51d4bdc345cdac18c7d2e96b97b790d01cfb056a385ffb74b49954144d3670d4",
+        "60918503d5a5c5ed5c1f523c426d90fc498ef66591ceecfce9cd4c5a19f477ab",
     ),
     ("mlp", "sl_s2sam"): (
-        "c4285daa3ecacaacffd0e9cdeaac199d7e53c713180ef1046d19c2df376fa497",
-        "54b93ec888d7e4c9d032627e3ed2f78cde00c840220af42b0fb96d52a1f7ce41",
+        "3114212ca3a129ecb5080b2ee031d7194df061d7266447f63bcc8557d95ae21a",
+        "e5f3ad0a95d72e1aa7512ff351f1ff24538332d4531a14cfff4ab2af14a465b1",
     ),
     ("mlp", "random_slsam"): (
-        "5263836f757cd35edcb21c2e18b4f7d2216cdfdb7439532a91f8b0853b137ccb",
-        "a3421be63deface578040e7722e51ac42ab72972147c25f44fa4a51c6e0c8bb2",
+        "d1b57488e57fef7af36b661e74bfee72d185a80c9d0cba2a52917132347084cf",
+        "3236b9b00a9b6f024ee03c9444b9c2f7377407eadf665b3ba7b46275dc8bca6e",
     ),
     ("mlp", "top_slsam"): (
-        "f92d62c8b33921a8b10c615a76b79e82ff9f02ff63a08df7df88b3cded24642a",
-        "c15a20142cfda9571f62076365d1b93912d0a93d00ce7bd2ec6670752e4b5f4e",
+        "962d71f4affafc8d25cffd4c84e4b447fa5f776313f6a45c8842d7b2c7a9e7fd",
+        "92b7e802114a941c1d8e632b57d51309a7810754c2869b656df6ed97c144264c",
     ),
     ("quad", "adamw"): (
-        "c6b436f37379864d6037b84bb2394e570e0a955dac223ed3719ee51c442a2a06",
-        "cf37e2974e78549f46aef94b43ba4810bba558824cc685cbb00ca707cd63e299",
+        "ec6acee99fab878bfc2c2334e782a54088e1e5d67492fd371201b39bcf3e4431",
+        "cbbf09612099518b60bbbd30e721ed42e785a11086ce78526ac4998d40ed01b1",
     ),
     ("quad", "adasam"): (
-        "d11940e9ea1258fed8575acfd63842c445dd78617f9b50e0faa41d8f3d9bfad1",
-        "fbdf8a2648edc7e7424be367bed3018d37b770457605c9aeb8f99fef3084290a",
+        "1824b33e969557699f90287931c01bdb6c3b74f6fcc9f4b49698ddc5de210e8f",
+        "59d1aa05b65bdb51fd534392f63a44721da4342ed0f864c9557ecfa943cef0d2",
     ),
     ("quad", "slsam"): (
-        "4b2987c8e368ea7f43e5de50e1505f553edcd5e84989bd1beeb26c6e6cbc0812",
-        "b4b0a3fe223f5b0fcec52d40aacf10953f20d06f63dc1ff89925f42bcfab7c0b",
+        "32058e04cfcb6f33c3983d78d0c5b4a6a023a1854bcdcd22da16864c6670976d",
+        "ca96489d138504db3cf1fc1fa59bb9b3787918146519a5219cdf193b4c72e57c",
     ),
     ("quad", "s2sam"): (
-        "a367ef5ed8b5d706ece46ea9eaae59f491e269c32ea3288b35b2b1d1c9b10de0",
+        "a67a98c872a48532016199668b5965db64eb4f3f5b10251a4bde1ca611573a79",
         "1c3449e3d984b039d9db1b22d8cee02cb561b1a861436ce334ba5936bd1ba6a1",
     ),
     ("quad", "sl_s2sam"): (
-        "0230ac1df83ee72521206a2fd1fef88a2acc24c913c085b74c59fb237f22d47a",
-        "7c325496d2d6448447c855c20f0aacc287a04b93f574c857469111636bb204f5",
+        "6329decff7595d252a2a279728382b93a38dbdb80ba5733d35549aafe1d7a567",
+        "e9436014ffaa69c181b5360208771fcc919f0aa453210284d6d7e75564b9aff0",
     ),
     ("quad", "random_slsam"): (
-        "b4fc786bbcfd2f2bcc4059dd7ee43da78e1793eeccbf28a7842e5c0546bda869",
+        "a447050932b3ef6f4bb52781e11ff82eafe9dd6d902b584b2063d01a94039d88",
         "5689f8159e4c0829b6399135e2649b6378459ae696d0196f3810bb68915cc410",
     ),
     ("quad", "top_slsam"): (
-        "04cf147db4e21589906975537613fe8ed63855ff153ab4a802f756aa9bba94fd",
+        "378d9dd76d893a5150310506dc51f0df844d45d1a62d2a578d3b1c781a47c116",
         "08e2b647f5e3533089a0fe9eb7f6b40bec529d0d76bbfadd2711a03eb6344989",
     ),
 }
