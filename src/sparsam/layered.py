@@ -22,15 +22,17 @@ floats, the cutoff. Either way the arithmetic is elementwise, so it
 gives the same bits as working block by block.
 
 Per-layer values are arrays aligned with `active.indices()`.
-`v.segments(active)` reads the active layers in layer order as one
-contiguous array (the buffer's own view when the set is one run, one
-gather otherwise), with each layer's start and size in it. A per-layer
-L2 or L1 norm is one `np.add.reduceat` over that array at the starts:
-one NumPy call for the whole set, whatever its size. A layer's segment
-holds the same values wherever it sits, and reduceat reduces it on its
-own, so a layer's norm does not depend on which other layers are
-active. The total L1 norm is the running sum of the per-layer ones.
-No operation below ever reads or writes a block outside the active set
+`v.segments(active)` is the view of `data` from the first active layer
+to the end of the last, with the start and size of every layer in it
+and the positions of the active ones. A per-layer L2 or L1 norm is one
+`np.add.reduceat` over that view at the starts, keeping the active
+layers' results: one NumPy call for the whole set whatever its size,
+and no gather. Layers between active ones are read and their results
+dropped, so the cost follows the span of the set, at most the buffer,
+in contiguous arithmetic. reduceat reduces each segment on its own, so a
+layer's norm does not depend on which other layers are active. The
+total L1 norm is the running sum of the per-layer ones.
+No operation below ever writes a block outside the active set
 it was given, so a frozen layer is provably untouched.
 """
 
@@ -48,19 +50,21 @@ GATHER_BELOW = 256
 
 
 class Segments(NamedTuple):
-    """The active layers of a layout as one contiguous array, `data[key]`."""
+    """The layers from the first active one to the last as one view,
+    `data[key]`, and where the active ones sit among them."""
 
-    key: slice | np.ndarray
-    starts: np.ndarray  # where each active layer begins in data[key]
-    sizes: np.ndarray  # each active layer's entry count
+    key: slice
+    starts: np.ndarray  # where each layer of the range begins in data[key]
+    sizes: np.ndarray  # each layer's entry count
+    pick: np.ndarray  # the active layers' positions in the range
 
 
-# The last plan, (select() keys, segments), as (set, offsets, dims as an
-# array, plan). One entry keyed on identity: a step addresses its set
+# The last plan, (select() keys, segments), as (set, offsets, (offsets[:-1],
+# dims) as arrays, plan). One entry keyed on identity: a step addresses its set
 # several times, and no set a telemetry record keeps holds on to a plan
 # of its own. A plan is a pure function of (set, offsets) that no caller
 # writes to, so sharing it is safe.
-_last_plan: tuple = (None, None, None, None)
+_last_plan: tuple = (None, None, (None, None), None)
 
 
 class Blocks(tuple):
@@ -151,9 +155,9 @@ class LayeredVector:
         return _plan(self, active)[0]
 
     def segments(self, active: "ActiveSet") -> Segments:
-        """A key reading the active layers in layer order, and where each
-        begins and how long it is in `data[key]`: a slice when the set is
-        one run, else one read-only index array."""
+        """The slice of `data` from the first active layer to the end of
+        the last, where each layer in it begins and how long it is, and
+        which of them are active."""
         return _plan(self, active)[1]
 
     def __len__(self) -> int:
@@ -236,33 +240,25 @@ class ActiveSet:
 def _plan(v: LayeredVector, active: ActiveSet) -> tuple[tuple, Segments]:
     """select()'s keys and the segments of `active` in v's layout."""
     global _last_plan
-    last, offsets, dims, plan = _last_plan
+    last, offsets, (firsts, dims), plan = _last_plan
     if last is active and offsets is v.offsets:
         return plan
     active.validate(len(v.dims))
     o = v.offsets
     if offsets is not o:
-        dims = np.array(v.dims)
+        firsts, dims = np.array(o[:-1]), np.array(v.dims)
     spans = [(o[lo], o[hi]) for lo, hi in active.runs]
     short = [(a, b) for a, b in spans if b - a < GATHER_BELOW]
     if len(short) < 2:
         keys = tuple(slice(a, b) for a, b in spans)
     else:
-        keys = (*(slice(a, b) for a, b in spans if b - a >= GATHER_BELOW), _gather(short))
-    if len(spans) < 2:
-        key = slice(*spans[0]) if spans else slice(0, 0)
-    else:
-        key = keys[0] if len(short) == len(spans) else _gather(spans)
-    sizes = dims[active.index]
-    ends = np.add.accumulate(sizes)
-    plan = (keys, Segments(key, ends - sizes, sizes))
-    _last_plan = (active, o, dims, plan)
+        index = _frozen(np.concatenate([np.arange(a, b) for a, b in short]))
+        keys = (*(slice(a, b) for a, b in spans if b - a >= GATHER_BELOW), index)
+    lo, hi = (active.runs[0][0], active.runs[-1][1]) if spans else (0, 0)
+    segments = Segments(slice(o[lo], o[hi]), firsts[lo:hi] - o[lo], dims[lo:hi], active.index - lo)
+    plan = (keys, segments)
+    _last_plan = (active, o, (firsts, dims), plan)
     return plan
-
-
-def _gather(spans: list[tuple[int, int]]) -> np.ndarray:
-    """One read-only index array of the entries of [a, b) spans, in order."""
-    return _frozen(np.concatenate([np.arange(a, b) for a, b in spans]))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -272,9 +268,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def layer_l2_norm(v: LayeredVector, active: ActiveSet) -> np.ndarray:
     """The L2 norm of each active layer, aligned with `active.indices()`."""
-    key, starts, _ = v.segments(active)
+    key, starts, _, pick = v.segments(active)
     a = v.data[key]
-    return np.sqrt(np.add.reduceat(a * a, starts))
+    return np.sqrt(np.add.reduceat(a * a, starts)[pick])
 
 
 def total_l1_norm(v: LayeredVector, active: ActiveSet | None = None) -> float:
@@ -284,13 +280,15 @@ def total_l1_norm(v: LayeredVector, active: ActiveSet | None = None) -> float:
     `active` gives the same value with or without the set."""
     if active is None:
         active = ActiveSet.full(v.n_layers)
-    key, starts, _ = v.segments(active)
-    per_layer = np.add.reduceat(np.abs(v.data[key]), starts)
-    return float(np.cumsum(per_layer)[-1]) if per_layer.size else 0.0
+    key, starts, _, pick = v.segments(active)
+    per_layer = np.add.reduceat(np.abs(v.data[key]), starts)[pick]
+    return float(np.add.accumulate(per_layer)[-1]) if per_layer.size else 0.0
 
 
 def active_param_count(v: LayeredVector, active: ActiveSet) -> int:
-    return int(np.add.reduce(v.segments(active).sizes))
+    active.validate(v.n_layers)
+    o = v.offsets
+    return sum(o[hi] - o[lo] for lo, hi in active.runs)
 
 
 def masked_axpy(y: LayeredVector, a: float, x: LayeredVector, active: ActiveSet) -> LayeredVector:

@@ -166,20 +166,21 @@ def sam_perturb(
     layer_l2_norm(r, active), so they are not recomputed.
     """
     eps = LayeredVector.zeros(r.dims)
-    key, _, sizes = r.segments(active)
+    key, _, sizes, pick = r.segments(active)
     if cfg.rho == 0.0 or len(active) == 0:
         return eps
     if norms is None:
         norms = layer_l2_norm(r, active)
-    part = r.data[key]
     if cfg.perturb_norm == "per_layer":
-        scale = (cfg.rho / np.where(norms > 0.0, norms, np.inf)).repeat(sizes)
-        # A zero-norm block stays +0.0, whatever the signs of its entries.
-        eps.data[key] = np.multiply(scale, part, out=np.zeros(part.size), where=scale > 0.0)
+        factor = cfg.rho / np.where(norms > 0.0, norms, np.inf)
     else:
         joint = math.sqrt(norms @ norms)
-        if joint > 0.0:
-            eps.data[key] = (cfg.rho / joint) * part
+        factor = cfg.rho / joint if joint > 0.0 else 0.0
+    scale = np.zeros(sizes.size)
+    scale[pick] = factor
+    scale = scale.repeat(sizes)
+    # Inactive and zero-norm layers stay +0.0, whatever the signs in r.
+    np.multiply(scale, r.data[key], out=eps.data[key], where=scale > 0.0)
     return eps
 
 

@@ -62,12 +62,10 @@ class TestLayerL2Norm:
 def segmented_cases(draw):
     """A vector of 1-500 layers of 1-600 floats (both sides of GATHER_BELOW),
     some blocks zero, and an active set that is full, one run, or many runs
-    (gathered when they are short, sliced when they are long)."""
+    (whose update keys gather the short runs and slice the long ones)."""
     n = draw(st.integers(1, 500))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    dim_mode = draw(st.sampled_from(["small", "large", "mixed"]))
-    hi = {"small": 16, "large": 600, "mixed": 600}[dim_mode]
-    lo = GATHER_BELOW if dim_mode == "large" else 1
+    lo, hi = draw(st.sampled_from([(1, 16), (GATHER_BELOW, 600), (1, 600)]))
     dims = rng.integers(lo, hi + 1, n)
     v = LayeredVector([rng.standard_normal(d) * 10.0 ** rng.integers(-3, 4) for d in dims])
     for l in np.flatnonzero(rng.random(n) < 0.2):

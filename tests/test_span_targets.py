@@ -2,7 +2,8 @@
 
 `perfbench/spans.py` wraps module globals and class attributes by name;
 a renamed function would otherwise only surface in a traced benchmark
-run.
+run. Under the same tracer, a step's `layered.*` call count must not
+grow with the number of layers.
 """
 
 from __future__ import annotations
