@@ -59,11 +59,11 @@ class Segments(NamedTuple):
     pick: np.ndarray  # the active layers' positions in the range
 
 
-# The last plan, (select() keys, segments), as (set, offsets, (offsets[:-1],
-# dims) as arrays, plan). One entry keyed on identity: a step addresses its set
-# several times, and no set a telemetry record keeps holds on to a plan
-# of its own. A plan is a pure function of (set, offsets) that no caller
-# writes to, so sharing it is safe.
+# The last plan, (select() keys, segments), as (set, offsets,
+# (offsets[:-1], dims) as arrays, plan). One entry keyed on identity: a
+# step addresses its set several times, and no set a telemetry record
+# keeps holds on to a plan of its own. A plan is a pure function of
+# (set, offsets) that no caller writes to, so sharing it is safe.
 _last_plan: tuple = (None, None, (None, None), None)
 
 
