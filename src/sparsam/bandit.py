@@ -11,9 +11,10 @@ The pseudo-loss for a sampled layer is
 
     k_l = G^2 / p_min^2 - ||r_l||^2 / p_l^2
 
-with G an upper envelope on the sampled gradient norms, so k_l >= 0 and
+with G the largest gradient norm sampled this step, so k_l >= 0 and
 layers with large gradients relative to their probability shrink least.
-Unsampled layers score zero and are only rescaled by the projection.
+Only the sampled layers are scored and shrunk; an unsampled layer keeps
+u_l = p_l and is only rescaled by the projection.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from sparsam.errors import DivergenceError
 from sparsam.layered import ActiveSet
 
 logger = logging.getLogger(__name__)
@@ -70,15 +72,12 @@ class SamplingDistribution:
 class BanditConfig:
     alpha_p: float = 1e-4
     exponent_clamp: float = 50.0
-    g_mode: str = "current"
 
     def __post_init__(self) -> None:
         if self.alpha_p <= 0:
             raise ValueError("alpha_p must be positive")
         if self.exponent_clamp <= 0:
             raise ValueError("exponent_clamp must be positive")
-        if self.g_mode not in ("current", "running"):
-            raise ValueError(f"unknown g_mode {self.g_mode!r}")
 
 
 def init_uniform(n_layers: int, s: float, p_min: float) -> SamplingDistribution:
@@ -115,18 +114,16 @@ def sample_active_set(
 
 
 def pseudo_loss(
-    r_norms: np.ndarray,
-    dist: SamplingDistribution,
-    active: ActiveSet,
-    g: float | None = None,
+    r_norms: np.ndarray, dist: SamplingDistribution, active: ActiveSet
 ) -> np.ndarray:
-    """Per-layer scores k, zero off the active set and >= 0 on it.
+    """Scores k >= 0 of the active layers, aligned with `active.indices()`.
 
-    `r_norms` holds the active layers' gradient norms, aligned with
-    `active.indices()`. `g` overrides the envelope G; by default it is
-    the max gradient norm over the current active set. Both terms are
-    squared as products, so a layer at the envelope with p = p_min
-    scores exactly 0.
+    `r_norms` holds the active layers' gradient norms in the same order,
+    and the envelope G is the largest of them. Both terms are squared as
+    products, so a layer at the envelope with p = p_min scores exactly 0.
+    Scores that are not finite (G / p_min beyond about 1.3e154 squares to
+    inf, or a norm is NaN) raise DivergenceError naming the layer with
+    the largest or NaN norm.
     """
     active.validate(dist.n_layers)
     if len(active) == 0:
@@ -137,29 +134,19 @@ def pseudo_loss(
     if np.minimum.reduce(norms) < 0.0:
         raise ValueError("gradient norms must be non-negative")
     top = float(np.maximum.reduce(norms))
-    g_env = top if g is None else float(g)
-    if g_env < top:
-        raise ValueError("envelope G below a sampled gradient norm")
-    env, r = g_env / dist.p_min, norms / dist.p[active.index]
-    scores = env * env - r * r
+    with np.errstate(over="ignore", invalid="ignore"):
+        env, r = top / dist.p_min, norms / dist.p[active.index]
+        scores = env * env - r * r
+    if not np.isfinite(scores).all():
+        # The envelope layer's, or the first NaN, since r_l <= G / p_min.
+        i = int(np.argmax(norms))
+        raise DivergenceError(
+            f"pseudo-loss of layer {active.indices()[i]} is not finite: its gradient "
+            f"norm {float(norms[i])!r} is NaN or too large to square over p_min={dist.p_min}"
+        )
     if np.minimum.reduce(scores) < 0.0:
         raise AssertionError("pseudo-loss must be non-negative")
-    k = np.zeros(dist.n_layers)
-    k[active.index] = scores
-    return k
-
-
-def exp_update(
-    dist: SamplingDistribution, k: np.ndarray, config: BanditConfig
-) -> np.ndarray:
-    """Unnormalized exponentiated-gradient shrink u_l = p_l exp(-a k_l / p_l)."""
-    k = np.asarray(k, dtype=np.float64)
-    if k.shape != dist.p.shape:
-        raise ValueError(f"k shape {k.shape} does not match p shape {dist.p.shape}")
-    if (k < 0).any():
-        raise ValueError("pseudo-losses must be non-negative")
-    exponent = np.clip(-config.alpha_p * k / dist.p, -config.exponent_clamp, 0.0)
-    return dist.p * np.exp(exponent)
+    return scores
 
 
 def kl_project(u: np.ndarray, s: float, p_min: float) -> SamplingDistribution:
@@ -222,9 +209,16 @@ def update_distribution(
     active: ActiveSet,
     r_norms: np.ndarray,
     config: BanditConfig,
-    g: float | None = None,
 ) -> SamplingDistribution:
-    """One full sampler update: score, shrink, project."""
-    k = pseudo_loss(r_norms, dist, active, g=g)
-    u = exp_update(dist, k, config)
+    """One sampler update from a step's active-layer norms.
+
+    The active entries of a copy of p shrink by the exponentiated
+    gradient u_l = p_l exp(max(-alpha k_l / p_l, -clamp)), the others
+    keep u_l = p_l, and u is projected back onto the constraint set.
+    """
+    k = pseudo_loss(r_norms, dist, active)
+    idx = active.index
+    p = dist.p[idx]
+    u = dist.p.copy()
+    u[idx] = p * np.exp(np.maximum(-config.alpha_p * k / p, -config.exponent_clamp))
     return kl_project(u, dist.s, dist.p_min)

@@ -271,25 +271,6 @@ def sam_step(
     )
 
 
-def _bandit_update(
-    dist: SamplingDistribution,
-    tel: StepTelemetry,
-    bandit_cfg: BanditConfig,
-    g_prior: float | None,
-) -> SamplingDistribution:
-    """Distribution update from a sampled step's per-layer norms.
-
-    When bandit_cfg.g_mode is "running" the caller passes the largest
-    norm seen so far as `g_prior`, and the update uses max(g_prior,
-    current norms) as its envelope.
-    """
-    norms = tel.per_layer_r_norms
-    env = None
-    if bandit_cfg.g_mode == "running" and g_prior is not None:
-        env = max(g_prior, float(norms.max()))
-    return update_distribution(dist, tel.active_layers, norms, bandit_cfg, g=env)
-
-
 def adamw_baseline_step(
     obj: Objective,
     x: LayeredVector,
@@ -338,13 +319,12 @@ def slsam_step(
     adamw_cfg: AdamWConfig,
     bandit_cfg: BanditConfig,
     rng: np.random.Generator,
-    g_prior: float | None = None,
 ) -> tuple[SamplingDistribution, StepTelemetry]:
     """Bandit-sampled two-pass SAM plus the distribution update."""
     active, redraws = sample_active_set(dist, rng)
     tel = sam_step(obj, x, batch, state, active, "fresh", sam_cfg, adamw_cfg)
     tel.redraws = redraws
-    return _bandit_update(dist, tel, bandit_cfg, g_prior), tel
+    return update_distribution(dist, active, tel.per_layer_r_norms, bandit_cfg), tel
 
 
 def sl_s2sam_step(
@@ -357,7 +337,6 @@ def sl_s2sam_step(
     adamw_cfg: AdamWConfig,
     bandit_cfg: BanditConfig,
     rng: np.random.Generator,
-    g_prior: float | None = None,
 ) -> tuple[SamplingDistribution, StepTelemetry]:
     """Bandit-sampled single-pass SAM with per-layer stale perturbations.
 
@@ -370,14 +349,12 @@ def sl_s2sam_step(
     active, redraws = sample_active_set(dist, rng)
     tel = sam_step(obj, x, batch, state, active, "stale", sam_cfg, adamw_cfg)
     tel.redraws = redraws
-    return _bandit_update(dist, tel, bandit_cfg, g_prior), tel
+    return update_distribution(dist, active, tel.per_layer_r_norms, bandit_cfg), tel
 
 
 def select_layers_ablation(
     kind: Selector,
-    obj: Objective,
-    x: LayeredVector,
-    batch: Batch | None,
+    n_layers: int,
     k: int,
     rng: np.random.Generator,
     full_grad: LayeredVector | None = None,
@@ -385,19 +362,20 @@ def select_layers_ablation(
     """Non-bandit layer selection: uniform without replacement, or the k
     layers with the largest full-gradient norms (ties to the lower index).
 
-    greedy_topk spends a full gradient pass on selection, unless the
-    caller passes that gradient at (x, batch) as `full_grad`; either way
-    callers must charge obj.dim to the step's selection_param_count.
+    greedy_topk ranks the layers of `full_grad`, the full gradient at the
+    step's point and batch; callers must charge its pass (obj.dim) to the
+    step's selection_param_count.
     """
     if kind not in ("uniform_random", "greedy_topk"):
         raise ValueError(f"unknown ablation selector {kind!r}")
-    if not 1 <= k <= obj.n_layers:
-        raise ValueError(f"k={k} out of range for {obj.n_layers} layers")
+    if not 1 <= k <= n_layers:
+        raise ValueError(f"k={k} out of range for {n_layers} layers")
     if kind == "uniform_random":
-        idx = rng.choice(obj.n_layers, size=k, replace=False)
+        idx = rng.choice(n_layers, size=k, replace=False)
         return ActiveSet.from_iterable(int(i) for i in idx)
-    g = full_grad if full_grad is not None else obj.grad(x, batch, ActiveSet.full(obj.n_layers))
-    norms = layer_l2_norm(g, ActiveSet.full(obj.n_layers))
+    if full_grad is None:
+        raise ValueError("greedy_topk needs the full gradient to rank layers by")
+    norms = layer_l2_norm(full_grad, ActiveSet.full(n_layers))
     order = np.argsort(-norms, kind="stable")
     return ActiveSet.from_iterable(int(i) for i in order[:k])
 
@@ -424,7 +402,7 @@ def ablation_step(
         full = ActiveSet.full(obj.n_layers)
         ascent_grad = in_pass(state.t + 1, "ascent", obj.loss_and_grad, x, batch, full)
         full_grad = ascent_grad[1]
-    active = select_layers_ablation(kind, obj, x, batch, k, rng, full_grad)
+    active = select_layers_ablation(kind, obj.n_layers, k, rng, full_grad)
     tel = sam_step(obj, x, batch, state, active, "fresh", sam_cfg, adamw_cfg, ascent_grad)
     if kind == "greedy_topk":
         tel.selection_param_count = obj.dim

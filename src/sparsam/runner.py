@@ -89,7 +89,6 @@ class Trainer:
             optimizer=self.otype,
         )
         self._batches = self._batch_stream()
-        self._g_env = 0.0
 
     def _batch_stream(self) -> Iterator[Batch]:
         if self.train_ds is None:
@@ -114,13 +113,7 @@ class Trainer:
         if self.selector == "bandit":
             step_fn = slsam_step if self.ascent == "fresh" else sl_s2sam_step
             self.dist, tel = step_fn(
-                *head,
-                self.dist,
-                self.sam_cfg,
-                self.adamw_cfg,
-                self.bandit_cfg,
-                self.bandit_rng,
-                g_prior=self._g_env,
+                *head, self.dist, self.sam_cfg, self.adamw_cfg, self.bandit_cfg, self.bandit_rng
             )
         elif self.selector != "all":
             tel = ablation_step(
@@ -132,8 +125,6 @@ class Trainer:
             step_fn = adasam_step if self.ascent == "fresh" else s2sam_step
             tel = step_fn(*head, self.sam_cfg, self.adamw_cfg)
         tel.wall_ns = time.perf_counter_ns() - t0
-        if tel.per_layer_r_norms.size:
-            self._g_env = max(self._g_env, float(tel.per_layer_r_norms.max()))
         self.record.append(tel)
         if tel.step % self.config.train.eval_every == 0:
             self._probe(tel.step)

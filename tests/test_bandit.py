@@ -1,4 +1,4 @@
-"""Sampling distribution, pseudo-loss, exponential update, KL projection."""
+"""Sampling distribution, pseudo-loss, exponentiated update, KL projection."""
 
 from __future__ import annotations
 
@@ -10,16 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from sparsam import bandit
 from sparsam.bandit import (
     BanditConfig,
     SamplingDistribution,
-    exp_update,
     init_uniform,
     kl_project,
     pseudo_loss,
     sample_active_set,
     update_distribution,
 )
+from sparsam.errors import DivergenceError
 from sparsam.layered import ActiveSet
 from sparsam.rng import stream
 
@@ -135,18 +136,18 @@ class TestPseudoLoss:
     def test_worked_example(self):
         dist = SamplingDistribution(np.array([0.5, 0.5]), s=1.0, p_min=0.1)
         k = pseudo_loss(np.array([2.0]), dist, ActiveSet.of(0))
-        assert k[0] == 384.0
-        assert k[1] == 0.0
+        assert k.tolist() == [384.0]
 
     def test_exact_cancellation_at_floor(self):
         dist = SamplingDistribution(np.array([0.1, 0.9]), s=1.0, p_min=0.1)
         k = pseudo_loss(np.array([2.0]), dist, ActiveSet.of(0))
         assert k[0] == 0.0
 
-    def test_unsampled_layers_zero(self):
+    def test_scores_only_the_active_layers(self):
+        # One score per active layer, in the order of active.indices().
         dist = init_uniform(4, 1.0, 0.02)
-        k = pseudo_loss(np.array([1.0, 0.5]), dist, ActiveSet.of(1, 2))
-        assert k[0] == 0.0 and k[3] == 0.0
+        k = pseudo_loss(np.array([1.0, 0.5]), dist, ActiveSet.of(2, 1))
+        assert k.tolist() == [(1.0 / 0.02) ** 2 - 16.0, (1.0 / 0.02) ** 2 - 4.0]
 
     def test_empty_active_rejected(self):
         dist = init_uniform(2, 1.0, 0.1)
@@ -170,18 +171,36 @@ class TestPseudoLoss:
         active = ActiveSet.from_iterable(members)
         norms = np.array([data.draw(st.floats(0.0, 100.0)) for _ in active])
         k = pseudo_loss(norms, dist, active)
+        assert k.shape == (len(active),)
         assert np.all(k >= 0.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_names_the_layer(self):
+        # (1e154 / 0.5)^2 is beyond the float range: inf - inf would be NaN.
+        dist = SamplingDistribution(np.array([0.5, 1.0]), s=1.5, p_min=0.5)
+        norms, active = np.array([1e154, 0.0]), ActiveSet.of(0, 1)
+        with pytest.raises(DivergenceError, match="pseudo-loss of layer 0 is not finite"):
+            pseudo_loss(norms, dist, active)
+        with pytest.raises(DivergenceError, match="pseudo-loss of layer 0 is not finite"):
+            update_distribution(dist, active, norms, BanditConfig())
 
-def closed_form_pseudo_loss(r_norms, dist, active, g=None) -> np.ndarray:
-    """k_l = (G / p_min)^2 - (r_l / p_l)^2 on the active layers, layer by
-    layer in Python floats, each square a product."""
-    g_env = max(r_norms) if g is None else g
-    k = np.zeros(dist.n_layers)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_norm_names_the_layer(self):
+        dist = init_uniform(3, 1.0, 0.02)
+        with pytest.raises(DivergenceError, match="pseudo-loss of layer 1 is not finite"):
+            pseudo_loss(np.array([1.0, np.nan]), dist, ActiveSet.of(0, 1))
+
+
+def closed_form_pseudo_loss(r_norms, dist, active) -> np.ndarray:
+    """k_l = (G / p_min)^2 - (r_l / p_l)^2 for the active layers, in the
+    order of active.indices(), with G the largest of their norms; layer
+    by layer in Python floats, each square a product."""
+    env = max(r_norms) / dist.p_min
+    k = []
     for l, r in zip(active, r_norms):
-        env, x = g_env / dist.p_min, r / float(dist.p[l])
-        k[l] = env * env - x * x
-    return k
+        x = r / float(dist.p[l])
+        k.append(env * env - x * x)
+    return np.array(k)
 
 
 class TestPseudoLossClosedForm:
@@ -214,26 +233,50 @@ class TestPseudoLossClosedForm:
         # A few exponentiated updates move p off the uniform start.
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
         for _ in range(3):
-            u = exp_update(dist, rng.random(n) * 1e3, BanditConfig(alpha_p=1e-3))
+            u = reference_exp_update(dist, rng.random(n) * 1e3, BanditConfig(alpha_p=1e-3))
             dist = kl_project(u, dist.s, dist.p_min)
         members = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
         active = ActiveSet.from_iterable(members)
         norms = np.array([data.draw(st.floats(0.0, 1e3)) for _ in active])
-        g = data.draw(st.one_of(st.none(), st.floats(1.0, 2.0)))
-        g = None if g is None else g * norms.max()
-        want = closed_form_pseudo_loss(norms, dist, active, g)
-        assert np.array_equal(pseudo_loss(norms, dist, active, g), want)
+        want = closed_form_pseudo_loss(norms, dist, active)
+        assert np.array_equal(pseudo_loss(norms, dist, active), want)
+
+
+def reference_pseudo_loss(r_norms, dist, active) -> np.ndarray:
+    """The pseudo-loss as an N-vector, zero off the active set, as the
+    update first scored it."""
+    norms = np.asarray(r_norms, dtype=np.float64)
+    env, r = float(np.maximum.reduce(norms)) / dist.p_min, norms / dist.p[active.index]
+    k = np.zeros(dist.n_layers)
+    k[active.index] = env * env - r * r
+    return k
+
+
+def reference_exp_update(dist, k, config) -> np.ndarray:
+    """The shrink as first implemented, over every layer:
+    u_l = p_l exp(clip(-alpha k_l / p_l, -clamp, 0))."""
+    exponent = np.clip(-config.alpha_p * k / dist.p, -config.exponent_clamp, 0.0)
+    return dist.p * np.exp(exponent)
+
+
+def reference_update(dist, active, r_norms, config) -> SamplingDistribution:
+    """Score every layer, shrink every layer, project."""
+    k = reference_pseudo_loss(r_norms, dist, active)
+    return kl_project(reference_exp_update(dist, k, config), dist.s, dist.p_min)
 
 
 class TestExpUpdate:
+    """Worked examples of the reference shrink, which update_distribution
+    must equal bit for bit."""
+
     def test_zero_loss_identity(self):
         dist = init_uniform(3, 1.0, 0.02)
-        u = exp_update(dist, np.zeros(3), BanditConfig())
+        u = reference_exp_update(dist, np.zeros(3), BanditConfig())
         assert np.array_equal(u, dist.p)
 
     def test_frozen_value(self):
         dist = SamplingDistribution(np.array([0.5, 0.5]), s=1.0, p_min=0.1)
-        u = exp_update(dist, np.array([384.0, 0.0]), BanditConfig(alpha_p=0.01))
+        u = reference_exp_update(dist, np.array([384.0, 0.0]), BanditConfig(alpha_p=0.01))
         assert u[0] == pytest.approx(EXP_UPDATE_HALF_E768, rel=1e-10)
         assert u[0] == pytest.approx(2.30e-4, abs=1e-6)
         assert u[1] == 0.5
@@ -241,12 +284,12 @@ class TestExpUpdate:
     def test_clamp_floor(self):
         dist = SamplingDistribution(np.array([0.5, 0.5]), s=1.0, p_min=0.1)
         cfg = BanditConfig(alpha_p=1.0, exponent_clamp=50.0)
-        u = exp_update(dist, np.array([5e5, 0.0]), cfg)  # alpha*k/p = 1e6
+        u = reference_exp_update(dist, np.array([5e5, 0.0]), cfg)  # alpha*k/p = 1e6
         assert u[0] == 0.5 * math.exp(-50.0)
 
     def test_bounded_by_p(self):
         dist = init_uniform(4, 1.2, 0.02)
-        u = exp_update(dist, np.array([0.0, 1.0, 10.0, 1e9]), BanditConfig())
+        u = reference_exp_update(dist, np.array([0.0, 1.0, 10.0, 1e9]), BanditConfig())
         assert np.all(u > 0.0)
         assert np.all(u <= dist.p)
 
@@ -456,6 +499,28 @@ class TestKlProjectProperties:
             kl_project(u, s, p_min)
 
 
+@st.composite
+def update_instances(draw):
+    """(dist, active, norms, config) with p moved off the uniform start,
+    and step sizes from where no exponent reaches the clamp to where
+    every one with k > 0 passes it."""
+    n = draw(st.integers(1, 40))
+    s = n * draw(st.floats(0.05, 1.0))
+    p_min = draw(st.floats(0.01, 1.0)) * s / n
+    dist = init_uniform(n, s, p_min)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    for _ in range(draw(st.integers(0, 3))):
+        dist = reference_update(dist, ActiveSet.full(n), rng.random(n), BanditConfig(alpha_p=1e-3))
+    members = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    active = ActiveSet.from_iterable(members)
+    norms = np.array([draw(st.floats(0.0, 1e3)) for _ in active])
+    if draw(st.booleans()):
+        norms[draw(st.integers(0, len(active) - 1))] = norms.max()  # ties at the envelope
+    alpha = 10.0 ** draw(st.floats(-9.0, 6.0))
+    clamp = draw(st.floats(0.1, 100.0))
+    return dist, active, norms, BanditConfig(alpha_p=alpha, exponent_clamp=clamp)
+
+
 class TestUpdateDistribution:
     def test_chained_worked_example(self):
         dist = SamplingDistribution(np.array([0.5, 0.5]), s=1.0, p_min=0.1)
@@ -503,11 +568,22 @@ class TestUpdateDistribution:
         assert np.all(new.p >= p_min)
         assert np.all(new.p <= 1.0)
 
-    def test_running_envelope_accepted(self):
-        dist = init_uniform(3, 1.0, 0.02)
-        cfg = BanditConfig(g_mode="running")
-        new = update_distribution(dist, ActiveSet.of(0), np.array([1.0]), cfg, g=5.0)
-        assert abs(float(np.sum(new.p)) - 1.0) <= 1e-9
+    def test_unsampled_layers_keep_p(self, monkeypatch):
+        # The weights handed to the projection: only layer 1 shrinks.
+        seen = []
+        monkeypatch.setattr(bandit, "kl_project", lambda u, s, p_min: seen.append(u) or u)
+        dist = init_uniform(3, 1.2, 0.02)
+        update_distribution(dist, ActiveSet.of(1), np.array([2.0]), BanditConfig(alpha_p=1e-3))
+        (u,) = seen
+        assert u[0] == dist.p[0] and u[2] == dist.p[2]
+        assert 0.0 < u[1] < dist.p[1]
+
+    @given(update_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_equal_to_reference(self, instance):
+        dist, active, norms, cfg = instance
+        new = update_distribution(dist, active, norms, cfg)
+        assert np.array_equal(new.p, reference_update(dist, active, norms, cfg).p)
 
 
 @st.composite

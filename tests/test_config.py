@@ -60,6 +60,11 @@ class TestUnknownKeys:
         with pytest.raises(ConfigError, match="pmin"):
             make({"bandit": {"pmin": 0.1}})
 
+    def test_envelope_mode_is_not_a_key(self):
+        # The envelope G is always the step's largest sampled norm.
+        with pytest.raises(ConfigError, match="unknown key 'g_mode' in section 'bandit'"):
+            make({"bandit": {"g_mode": "current"}})
+
     def test_mlp_key_on_quadratic(self):
         with pytest.raises(ConfigError, match="widths"):
             make({"objective": {"type": "blockquadratic", "widths": [2, 2]}})
@@ -253,7 +258,6 @@ QUAD_ALL_SET = {
     },
     "bandit": {
         "s_over_n": 0.5, "p_min_factor": 0.2, "alpha_p": 0.001, "exponent_clamp": 20.0,
-        "g_mode": "running",
     },
     "train": {"steps": 50, "batch_size": 8, "seed": 7, "eval_every": 5},
     "output": {"dir": "out/quad"},
@@ -267,7 +271,6 @@ MLP_ALL_SET = {
     },
     "bandit": {
         "s_over_n": 0.25, "p_min_factor": 0.5, "alpha_p": 0.01, "exponent_clamp": 10.0,
-        "g_mode": "running",
     },
     "train": {"steps": 30, "batch_size": 16, "seed": 2, "eval_every": 3},
     "output": {"dir": "out/mlp"},
@@ -278,8 +281,8 @@ class TestCanonicalForm:
     @pytest.mark.parametrize(
         "raw,want",
         [
-            (QUAD_ALL_SET, "566a8ea3256bd9e86c6114770e0b3e2d24d3d977165ace1f054fba48b888c390"),
-            (MLP_ALL_SET, "5ba784f53de36f6b440875418f88172225315b7eba66701a93d4007581c09292"),
+            (QUAD_ALL_SET, "a5fcc1bf9efe8795f47f14097c3db47def1badf39bb9c3b6713521e881dded60"),
+            (MLP_ALL_SET, "d80871b6dec4c60b0036433ea263160c487555b92d5c42d3cde18cef077dc949"),
         ],
         ids=["quad", "mlp"],
     )

@@ -399,41 +399,39 @@ class TestSlS2samStep:
 class TestAblationSelectors:
     def test_greedy_ranks_largest_scale_first(self):
         obj = BlockQuadratic([1, 1], scales=[1.0, 10.0])
-        x = lv([1.0], [1.0])
-        active = select_layers_ablation("greedy_topk", obj, x, None, 1, stream(0, "sel"))
+        g = obj.grad(lv([1.0], [1.0]), None, ActiveSet.full(2))
+        active = select_layers_ablation("greedy_topk", 2, 1, stream(0, "sel"), g)
         assert active.indices() == [1]
 
     def test_uniform_k_equals_n_full_set(self):
-        obj = BlockQuadratic([1, 1, 1])
-        x = obj.init_params(0)
-        active = select_layers_ablation("uniform_random", obj, x, None, 3, stream(0, "sel"))
+        active = select_layers_ablation("uniform_random", 3, 3, stream(0, "sel"))
         assert active.indices() == [0, 1, 2]
 
     def test_greedy_tie_lower_index(self):
         obj = BlockQuadratic([1, 1], scales=[1.0, 1.0])
-        x = lv([1.0], [1.0])
-        active = select_layers_ablation("greedy_topk", obj, x, None, 1, stream(0, "sel"))
+        g = obj.grad(lv([1.0], [1.0]), None, ActiveSet.full(2))
+        active = select_layers_ablation("greedy_topk", 2, 1, stream(0, "sel"), g)
         assert active.indices() == [0]
 
+    def test_greedy_needs_the_full_gradient(self):
+        with pytest.raises(ValueError, match="greedy_topk needs the full gradient"):
+            select_layers_ablation("greedy_topk", 2, 1, stream(0, "sel"))
+
     def test_k_out_of_range(self):
-        obj = BlockQuadratic([1, 1])
         with pytest.raises(ValueError):
-            select_layers_ablation("uniform_random", obj, obj.init_params(0), None, 3, stream(0, "s"))
+            select_layers_ablation("uniform_random", 2, 3, stream(0, "s"))
         with pytest.raises(ValueError):
-            select_layers_ablation("uniform_random", obj, obj.init_params(0), None, 0, stream(0, "s"))
+            select_layers_ablation("uniform_random", 2, 0, stream(0, "s"))
 
     def test_bandit_kind_rejected(self):
-        obj = BlockQuadratic([1, 1])
         with pytest.raises(ValueError):
-            select_layers_ablation("bandit", obj, obj.init_params(0), None, 1, stream(0, "s"))
+            select_layers_ablation("bandit", 2, 1, stream(0, "s"))
 
     def test_uniform_random_spread(self):
-        obj = BlockQuadratic([1] * 6)
-        x = obj.init_params(0)
         rng = stream(4, "sel")
         counts = np.zeros(6)
         for _ in range(2000):
-            for l in select_layers_ablation("uniform_random", obj, x, None, 2, rng):
+            for l in select_layers_ablation("uniform_random", 6, 2, rng):
                 counts[l] += 1
         assert np.all(np.abs(counts / 2000 - 2 / 6) < 0.05)
 
@@ -463,7 +461,8 @@ class TestAblationSelectors:
         for t in range(20):
             b = scalar_batch(t)
             ta = ablation_step("greedy_topk", obj, xa, b, sa, 2, sam, CFG, stream(0, "sel"))
-            active = select_layers_ablation("greedy_topk", obj, xb, b, 2, stream(0, "sel"))
+            g = obj.grad(xb, b, ActiveSet.full(obj.n_layers))
+            active = select_layers_ablation("greedy_topk", obj.n_layers, 2, stream(0, "sel"), g)
             tb = sam_step(obj, xb, b, sb, active, "fresh", sam, CFG)
             assert ta.active_layers == tb.active_layers
             assert (ta.loss, ta.grad_l1) == (tb.loss, tb.grad_l1)

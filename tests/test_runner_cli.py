@@ -289,6 +289,11 @@ class TestCli:
         assert main(["train", "--config", cfg]) == 1
         assert "rho_" in capsys.readouterr().err
 
+    def test_train_envelope_mode_exit_code(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, dict(QUAD_RAW, bandit={"g_mode": "running"}))
+        assert main(["train", "--config", cfg]) == 1
+        assert "unknown key 'g_mode' in section 'bandit'" in capsys.readouterr().err
+
     def test_train_integral_float_steps(self, tmp_path, capsys):
         raw = dict(QUAD_RAW, train={"steps": 5.0, "batch_size": 1.0, "seed": 0, "eval_every": 5})
         out = tmp_path / "out"
