@@ -138,11 +138,11 @@ def pseudo_loss(
         env, r = top / dist.p_min, norms / dist.p[active.index]
         scores = env * env - r * r
     if not np.isfinite(scores).all():
-        # The envelope layer's, or the first NaN, since r_l <= G / p_min.
+        # r_l <= G / p_min, so only the envelope overflows: name its layer or the first NaN.
         i = int(np.argmax(norms))
         raise DivergenceError(
             f"pseudo-loss of layer {active.indices()[i]} is not finite: its gradient "
-            f"norm {float(norms[i])!r} is NaN or too large to square over p_min={dist.p_min}"
+            f"norm {float(norms[i])!r} over p_min={dist.p_min} has no finite square"
         )
     if np.minimum.reduce(scores) < 0.0:
         raise AssertionError("pseudo-loss must be non-negative")
