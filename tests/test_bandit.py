@@ -147,7 +147,8 @@ class TestPseudoLoss:
         # One score per active layer, in the order of active.indices().
         dist = init_uniform(4, 1.0, 0.02)
         k = pseudo_loss(np.array([1.0, 0.5]), dist, ActiveSet.of(2, 1))
-        assert k.tolist() == [(1.0 / 0.02) ** 2 - 16.0, (1.0 / 0.02) ** 2 - 4.0]
+        env = 1.0 / 0.02
+        assert k.tolist() == [env * env - 16.0, env * env - 4.0]
 
     def test_empty_active_rejected(self):
         dist = init_uniform(2, 1.0, 0.1)
