@@ -71,13 +71,10 @@ class SamplingDistribution:
 @dataclass(frozen=True)
 class BanditConfig:
     alpha_p: float = 1e-4
-    exponent_clamp: float = 50.0
 
     def __post_init__(self) -> None:
         if self.alpha_p <= 0:
             raise ValueError("alpha_p must be positive")
-        if self.exponent_clamp <= 0:
-            raise ValueError("exponent_clamp must be positive")
 
 
 def init_uniform(n_layers: int, s: float, p_min: float) -> SamplingDistribution:
@@ -204,6 +201,10 @@ def kl_project(u: np.ndarray, s: float, p_min: float) -> SamplingDistribution:
     return SamplingDistribution(np.clip(c * u, p_min, 1.0), s, p_min)
 
 
+# Floor of the shrink's exponent: it keeps every u_l > 0 for the projection.
+EXPONENT_CLAMP = 50.0
+
+
 def update_distribution(
     dist: SamplingDistribution,
     active: ActiveSet,
@@ -213,12 +214,15 @@ def update_distribution(
     """One sampler update from a step's active-layer norms.
 
     The active entries of a copy of p shrink by the exponentiated
-    gradient u_l = p_l exp(max(-alpha k_l / p_l, -clamp)), the others
-    keep u_l = p_l, and u is projected back onto the constraint set.
+    gradient u_l = p_l exp(max(-alpha k_l / p_l, -EXPONENT_CLAMP)), the
+    others keep u_l = p_l, and u is projected back onto the constraint
+    set. An exponent that overflows to -inf meets the clamp.
     """
     k = pseudo_loss(r_norms, dist, active)
     idx = active.index
     p = dist.p[idx]
     u = dist.p.copy()
-    u[idx] = p * np.exp(np.maximum(-config.alpha_p * k / p, -config.exponent_clamp))
+    with np.errstate(over="ignore"):
+        exponent = -config.alpha_p * k / p
+    u[idx] = p * np.exp(np.maximum(exponent, -EXPONENT_CLAMP))
     return kl_project(u, dist.s, dist.p_min)

@@ -6,23 +6,22 @@
 
 Exit codes: 0 success, 1 config error (including bad usage), 2 training
 divergence, named by step and pass (for compare, after the table with
-its `diverged` rows is written). SPARSAM_SEED in the environment
-overrides the config seed.
+its `diverged` rows is written). Output goes under `--out`, `runs` by
+default; the config decides everything a run computes, its seed
+included.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from sparsam import runner
 from sparsam.bandit import kl_project
-from sparsam.config import ExperimentConfig, load_config
+from sparsam.config import load_config
 from sparsam.errors import ConfigError, DivergenceError
 
 
@@ -39,12 +38,12 @@ def _build_parser() -> _Parser:
 
     p_train = sub.add_parser("train", help="run one training config")
     p_train.add_argument("--config", required=True, help="JSON experiment config")
-    p_train.add_argument("--out", default=None, help="output directory (default: config output.dir)")
+    p_train.add_argument("--out", default="runs", help="output directory (default: runs)")
 
     p_cmp = sub.add_parser("compare", help="run several optimizers on one config")
     p_cmp.add_argument("--config", required=True, help="JSON experiment config")
     p_cmp.add_argument("--optimizers", required=True, help="comma-separated optimizer types")
-    p_cmp.add_argument("--out", default=None, help="output directory (default: config output.dir)")
+    p_cmp.add_argument("--out", default="runs", help="output directory (default: runs)")
 
     p_proj = sub.add_parser("project", help="project weights onto the sampling constraint set")
     p_proj.add_argument("--probs", required=True, help="file of positive weights (csv)")
@@ -53,23 +52,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _apply_env_seed(config: ExperimentConfig) -> ExperimentConfig:
-    raw = os.environ.get("SPARSAM_SEED")
-    if raw is None:
-        return config
-    try:
-        seed = int(raw)
-    except ValueError as e:
-        raise ConfigError(f"SPARSAM_SEED must be an integer, got {raw!r}") from e
-    if seed < 0:
-        raise ConfigError("SPARSAM_SEED must be non-negative")
-    return replace(config, train=replace(config.train, seed=seed))
-
-
 def _train(args: argparse.Namespace) -> int:
-    config = _apply_env_seed(load_config(args.config))
-    record = runner.run(config, out_dir=args.out)
-    out = Path(args.out) if args.out is not None else Path(config.output.dir)
+    record = runner.run(load_config(args.config), out_dir=args.out)
+    out = Path(args.out)
     s = record.summary
     print(f"wrote {out / 'steps.csv'} and {out / 'summary.json'}")
     print(
@@ -80,9 +65,8 @@ def _train(args: argparse.Namespace) -> int:
 
 
 def _compare(args: argparse.Namespace) -> int:
-    config = _apply_env_seed(load_config(args.config))
     optimizers = [o.strip() for o in args.optimizers.split(",") if o.strip()]
-    table = runner.compare(config, optimizers, out_dir=args.out)
+    table = runner.compare(load_config(args.config), optimizers, out_dir=args.out)
     print(f"wrote {table}")
     print(table.read_text(), end="")
     return 0

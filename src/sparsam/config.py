@@ -1,7 +1,7 @@
 """Experiment configuration: parsing, validation, defaults, digest.
 
-Configs are JSON documents with six sections (objective, dataset,
-optimizer, bandit, train, output), all optional, all keys defaulted.
+Configs are JSON documents with five sections (objective, dataset,
+optimizer, bandit, train), all optional, all keys defaulted.
 Each section is a frozen dataclass and each option is declared once, as
 a field with its default, in the dataclass that uses it; the range
 checks run when a section is built. A section's keys, its parsing and
@@ -87,7 +87,6 @@ _COERCE = {
     "int": _as_int,
     "float": _as_float,
     "str": _as_str,
-    "str | None": _or_none(_as_str),
     "list[int]": _list_of(_as_int),
     "list[float] | None": _or_none(_list_of(_as_float)),
 }
@@ -195,36 +194,25 @@ class DatasetConfig(_Section):
 
 
 @dataclass(frozen=True)
-class OptimizerConfig(SamConfig, AdamWConfig, _Section):
-    """The AdamW base, the SAM radius and the optimizer type.
+class OptimizerConfig(AdamWConfig, _Section):
+    """The AdamW base, the SAM radius and the optimizer type."""
 
-    An unset perturb_norm follows the type: sampled-layer variants
-    perturb per layer, dense ones globally.
-    """
-
+    rho: float = 0.01
     type: str = "adamw"
-    perturb_norm: str | None = None
 
     def __post_init__(self) -> None:
         _require(self.type in OPTIMIZERS, f"unknown optimizer type {self.type!r}")
-        AdamWConfig.__post_init__(self)
-        self.sam()  # checks rho and the resolved perturb_norm
+        super().__post_init__()
+        self.sam()  # checks rho
 
     def kind(self) -> tuple[Selector, Ascent]:
         """The type's layer selector and ascent source."""
         return OPTIMIZERS[self.type]
 
-    def resolved_perturb_norm(self) -> str:
-        if self.perturb_norm is not None:
-            return self.perturb_norm
-        return "global" if self.kind()[0] == "all" else "per_layer"
-
     def sam(self) -> SamConfig:
-        """The SAM settings with the perturbation mode resolved for the type."""
-        return SamConfig(rho=self.rho, perturb_norm=self.resolved_perturb_norm())
-
-    def resolved(self) -> dict:
-        return {**super().resolved(), "perturb_norm": self.resolved_perturb_norm()}
+        """The SAM settings; the type decides the perturbation mode:
+        sampled-layer variants perturb per layer, dense ones globally."""
+        return SamConfig(self.rho, "global" if self.kind()[0] == "all" else "per_layer")
 
 
 @dataclass(frozen=True)
@@ -265,11 +253,6 @@ class TrainConfig(_Section):
         _require(self.seed >= 0, "seed must be non-negative")
 
 
-@dataclass(frozen=True)
-class OutputConfig(_Section):
-    dir: str = "runs"
-
-
 @dataclass
 class ExperimentConfig:
     objective: ObjectiveConfig = field(default_factory=ObjectiveConfig)
@@ -277,7 +260,6 @@ class ExperimentConfig:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     bandit: BanditSection = field(default_factory=BanditSection)
     train: TrainConfig = field(default_factory=TrainConfig)
-    output: OutputConfig = field(default_factory=OutputConfig)
 
     @classmethod
     def from_dict(cls, raw: Any) -> "ExperimentConfig":
@@ -291,7 +273,7 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
-        n = self.objective.build(noise_seed=0).n_layers
+        self.objective.build(noise_seed=0)  # checks the objective's own parameters
         if self.objective.type == "mlp":
             _require(
                 self.dataset.type != "none",
@@ -318,14 +300,6 @@ class ExperimentConfig:
             _require(
                 self.dataset.type == "none",
                 "blockquadratic runs on synthetic batches; set dataset type to 'none'",
-            )
-        if self.optimizer.kind()[0] != "all":
-            # Feasibility of the uniform start stands in for the whole run.
-            s = self.bandit.budget(n)
-            _require(s > 0, "layer budget must be positive")
-            _require(
-                self.bandit.p_min() <= s / n,
-                f"p_min={self.bandit.p_min()} above uniform start {s / n}",
             )
 
     def resolved(self) -> dict:

@@ -23,7 +23,6 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
     class_count: int
-    seed: int
 
     def __post_init__(self) -> None:
         self.features = np.ascontiguousarray(self.features, dtype=np.float64)
@@ -66,7 +65,7 @@ def gen_two_moons(n: int, noise: float, seed: int) -> Dataset:
     if noise > 0:
         features = features + noise * stream(seed, "dataset").standard_normal(features.shape)
     labels = np.concatenate([np.zeros(half, dtype=np.int64), np.ones(half, dtype=np.int64)])
-    return Dataset(features, labels, class_count=2, seed=seed)
+    return Dataset(features, labels, class_count=2)
 
 
 def gen_blobs(n: int, k: int, sigma: float, seed: int) -> Dataset:
@@ -83,7 +82,7 @@ def gen_blobs(n: int, k: int, sigma: float, seed: int) -> Dataset:
     features = centers[labels]
     if sigma > 0:
         features = features + sigma * stream(seed, "dataset").standard_normal(features.shape)
-    return Dataset(features, labels, class_count=k, seed=seed)
+    return Dataset(features, labels, class_count=k)
 
 
 def batch_id(epoch: int, index: int) -> int:

@@ -17,7 +17,8 @@ class DivergenceError(RuntimeError):
 
 def in_pass(step: int, name: str, fn: Callable[..., Any], *args: Any) -> Any:
     """fn(*args), re-raising a DivergenceError from it with the step and
-    the gradient pass (ascent, descent or probe) named."""
+    the pass (the ascent, descent or probe gradient, or the sampler
+    update) named."""
     try:
         return fn(*args)
     except DivergenceError as e:

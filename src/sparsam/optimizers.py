@@ -324,7 +324,8 @@ def slsam_step(
     active, redraws = sample_active_set(dist, rng)
     tel = sam_step(obj, x, batch, state, active, "fresh", sam_cfg, adamw_cfg)
     tel.redraws = redraws
-    return update_distribution(dist, active, tel.per_layer_r_norms, bandit_cfg), tel
+    r = tel.per_layer_r_norms
+    return in_pass(tel.step, "sampler", update_distribution, dist, active, r, bandit_cfg), tel
 
 
 def sl_s2sam_step(
@@ -349,7 +350,8 @@ def sl_s2sam_step(
     active, redraws = sample_active_set(dist, rng)
     tel = sam_step(obj, x, batch, state, active, "stale", sam_cfg, adamw_cfg)
     tel.redraws = redraws
-    return update_distribution(dist, active, tel.per_layer_r_norms, bandit_cfg), tel
+    r = tel.per_layer_r_norms
+    return in_pass(tel.step, "sampler", update_distribution, dist, active, r, bandit_cfg), tel
 
 
 def select_layers_ablation(

@@ -21,7 +21,7 @@ import numpy as np
 
 from sparsam.bandit import init_uniform
 from sparsam.config import ExperimentConfig, OPTIMIZER_TYPES
-from sparsam.datasets import Dataset, batch_id, gen_blobs, gen_two_moons, minibatches
+from sparsam.datasets import Dataset, gen_blobs, gen_two_moons, minibatches
 from sparsam.errors import ConfigError, DivergenceError, in_pass
 from sparsam.layered import ActiveSet, total_l1_norm
 from sparsam.objectives import Batch, MlpClassifier
@@ -205,7 +205,7 @@ def _write_json_atomic(path: Path, obj: dict) -> None:
         raise
 
 
-def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> RunRecord:
+def run(config: ExperimentConfig, out_dir: str | Path = "runs") -> RunRecord:
     """Execute one training run, streaming the step and sampler CSVs as
     it goes.
 
@@ -215,7 +215,7 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> RunRecor
     written so far stay on disk and the error propagates to the caller.
     """
     trainer = Trainer(config)
-    out = Path(out_dir) if out_dir is not None else Path(config.output.dir)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "steps.csv", "w") as fh, open(out / "sampler.csv", "w") as sfh:
         fh.write(CSV_HEADER + "\n")
@@ -234,12 +234,14 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> RunRecor
 def compare(
     config: ExperimentConfig,
     optimizers: list[str],
-    out_dir: str | Path | None = None,
+    out_dir: str | Path = "runs",
 ) -> Path:
     """Run the same config under several optimizer types and tabulate.
 
     Every row sees identical data and seed; only the optimizer section's
-    type (and with it the resolved perturbation mode) changes. A type
+    type changes, and with it the perturbation mode, which the type
+    decides. Each type writes its run under `out_dir/<type>` and the
+    table goes to `out_dir/compare.csv`. A type
     that diverges gets a `diverged` row and the remaining types still
     run; once the table is written, a DivergenceError naming every
     diverged type propagates to the caller.
@@ -251,7 +253,7 @@ def compare(
     for o in optimizers:
         if o not in OPTIMIZER_TYPES:
             raise ConfigError(f"unknown optimizer type {o!r}")
-    out = Path(out_dir) if out_dir is not None else Path(config.output.dir)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows, diverged = [], []
     for o in optimizers:

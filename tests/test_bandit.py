@@ -255,8 +255,8 @@ def reference_pseudo_loss(r_norms, dist, active) -> np.ndarray:
 
 def reference_exp_update(dist, k, config) -> np.ndarray:
     """The shrink as first implemented, over every layer:
-    u_l = p_l exp(clip(-alpha k_l / p_l, -clamp, 0))."""
-    exponent = np.clip(-config.alpha_p * k / dist.p, -config.exponent_clamp, 0.0)
+    u_l = p_l exp(clip(-alpha k_l / p_l, -EXPONENT_CLAMP, 0))."""
+    exponent = np.clip(-config.alpha_p * k / dist.p, -bandit.EXPONENT_CLAMP, 0.0)
     return dist.p * np.exp(exponent)
 
 
@@ -284,8 +284,9 @@ class TestExpUpdate:
 
     def test_clamp_floor(self):
         dist = SamplingDistribution(np.array([0.5, 0.5]), s=1.0, p_min=0.1)
-        cfg = BanditConfig(alpha_p=1.0, exponent_clamp=50.0)
+        cfg = BanditConfig(alpha_p=1.0)
         u = reference_exp_update(dist, np.array([5e5, 0.0]), cfg)  # alpha*k/p = 1e6
+        assert bandit.EXPONENT_CLAMP == 50.0
         assert u[0] == 0.5 * math.exp(-50.0)
 
     def test_bounded_by_p(self):
@@ -518,8 +519,7 @@ def update_instances(draw):
     if draw(st.booleans()):
         norms[draw(st.integers(0, len(active) - 1))] = norms.max()  # ties at the envelope
     alpha = 10.0 ** draw(st.floats(-9.0, 6.0))
-    clamp = draw(st.floats(0.1, 100.0))
-    return dist, active, norms, BanditConfig(alpha_p=alpha, exponent_clamp=clamp)
+    return dist, active, norms, BanditConfig(alpha_p=alpha)
 
 
 class TestUpdateDistribution:
@@ -528,6 +528,15 @@ class TestUpdateDistribution:
         cfg = BanditConfig(alpha_p=0.01)
         new = update_distribution(dist, ActiveSet.of(0), np.array([2.0]), cfg)
         assert np.allclose(new.p, [0.1, 0.9], atol=1e-6)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_exponent_meets_the_clamp(self):
+        # alpha * k = 1e306 * 384 overflows to inf; the shrink still floors at the clamp.
+        dist = SamplingDistribution(np.array([0.5, 0.5]), s=1.0, p_min=0.1)
+        cfg = BanditConfig(alpha_p=1e306)
+        new = update_distribution(dist, ActiveSet.of(0), np.array([2.0]), cfg)
+        clamped = np.array([0.5 * np.exp(-bandit.EXPONENT_CLAMP), 0.5])
+        assert np.array_equal(new.p, kl_project(clamped, 1.0, 0.1).p)
 
     def test_symmetry_identity(self):
         dist = init_uniform(4, 1.0, 0.02)

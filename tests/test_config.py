@@ -8,6 +8,7 @@ import pytest
 
 from sparsam.config import BanditSection, ExperimentConfig, TrainConfig, load_config
 from sparsam.errors import ConfigError
+from sparsam.optimizers import SamConfig
 
 
 def make(raw: dict) -> ExperimentConfig:
@@ -73,6 +74,24 @@ class TestUnknownKeys:
         with pytest.raises(ConfigError, match="unknown key 'weight_decay' in section 'optimizer'"):
             make({"optimizer": {"weight_decay": 0.1}})
 
+    @pytest.mark.parametrize(
+        "raw,message",
+        [
+            # The type decides the perturbation mode.
+            ({"optimizer": {"type": "slsam", "perturb_norm": "global"}},
+             "unknown key 'perturb_norm' in section 'optimizer'"),
+            # The shrink's exponent floor is the constant bandit.EXPONENT_CLAMP.
+            ({"bandit": {"exponent_clamp": 20.0}},
+             "unknown key 'exponent_clamp' in section 'bandit'"),
+            # The caller picks the output directory.
+            ({"output": {"dir": "runs"}}, "unknown key 'output' at config top level"),
+        ],
+        ids=["perturb_norm", "exponent_clamp", "output"],
+    )
+    def test_settings_with_another_home_are_unknown(self, raw, message):
+        with pytest.raises(ConfigError, match=message):
+            make(raw)
+
 
 class TestRanges:
     def test_s_over_n_above_one(self):
@@ -111,10 +130,9 @@ class TestRanges:
         "section,key,value",
         [
             ("optimizer", "eta", "0.1"),
-            ("optimizer", "perturb_norm", 1),
+            ("objective", "activation", 1),
             ("bandit", "s_over_n", True),
             ("objective", "scales", 2.0),
-            ("output", "dir", 5),
         ],
     )
     def test_wrong_value_type_names_section_and_key(self, section, key, value):
@@ -192,21 +210,13 @@ class TestCrossRules:
 class TestPerturbNormResolution:
     def test_sparse_defaults_per_layer(self):
         for opt in ("slsam", "sl_s2sam", "random_slsam", "top_slsam"):
-            cfg = make({"optimizer": {"type": opt}})
-            assert cfg.optimizer.resolved_perturb_norm() == "per_layer"
+            cfg = make({"optimizer": {"type": opt, "rho": 0.05}})
+            assert cfg.optimizer.sam() == SamConfig(0.05, "per_layer")
 
     def test_dense_defaults_global(self):
         for opt in ("adamw", "adasam", "s2sam"):
-            cfg = make({"optimizer": {"type": opt}})
-            assert cfg.optimizer.resolved_perturb_norm() == "global"
-
-    def test_explicit_override(self):
-        cfg = make({"optimizer": {"type": "slsam", "perturb_norm": "global"}})
-        assert cfg.optimizer.resolved_perturb_norm() == "global"
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ConfigError):
-            make({"optimizer": {"type": "slsam", "perturb_norm": "layerwise"}})
+            cfg = make({"optimizer": {"type": opt, "rho": 0.05}})
+            assert cfg.optimizer.sam() == SamConfig(0.05, "global")
 
 
 class TestDigest:
@@ -254,26 +264,20 @@ QUAD_ALL_SET = {
     "dataset": {"type": "none", "n": 100, "noise": 0.2, "seed": 3},
     "optimizer": {
         "type": "slsam", "eta": 0.005, "lambda": 0.01, "beta1": 0.8, "beta2": 0.99,
-        "adam_eps": 1e-6, "rho": 0.05, "perturb_norm": "global",
+        "adam_eps": 1e-6, "rho": 0.05,
     },
-    "bandit": {
-        "s_over_n": 0.5, "p_min_factor": 0.2, "alpha_p": 0.001, "exponent_clamp": 20.0,
-    },
+    "bandit": {"s_over_n": 0.5, "p_min_factor": 0.2, "alpha_p": 0.001},
     "train": {"steps": 50, "batch_size": 8, "seed": 7, "eval_every": 5},
-    "output": {"dir": "out/quad"},
 }
 MLP_ALL_SET = {
     "objective": {"type": "mlp", "widths": [2, 8, 3], "activation": "relu", "bias_mode": "fused"},
     "dataset": {"type": "blobs", "n": 90, "noise": 0.3, "seed": 4},
     "optimizer": {
         "type": "sl_s2sam", "eta": 0.02, "lambda": 0.001, "beta1": 0.85, "beta2": 0.95,
-        "adam_eps": 1e-7, "rho": 0.1, "perturb_norm": "global",
+        "adam_eps": 1e-7, "rho": 0.1,
     },
-    "bandit": {
-        "s_over_n": 0.25, "p_min_factor": 0.5, "alpha_p": 0.01, "exponent_clamp": 10.0,
-    },
+    "bandit": {"s_over_n": 0.25, "p_min_factor": 0.5, "alpha_p": 0.01},
     "train": {"steps": 30, "batch_size": 16, "seed": 2, "eval_every": 3},
-    "output": {"dir": "out/mlp"},
 }
 
 
@@ -281,8 +285,8 @@ class TestCanonicalForm:
     @pytest.mark.parametrize(
         "raw,want",
         [
-            (QUAD_ALL_SET, "a5fcc1bf9efe8795f47f14097c3db47def1badf39bb9c3b6713521e881dded60"),
-            (MLP_ALL_SET, "d80871b6dec4c60b0036433ea263160c487555b92d5c42d3cde18cef077dc949"),
+            (QUAD_ALL_SET, "a8f59b56af6c9045cb38f1745c6f5d774480a5c0e1f3a44b98b8be03976a7132"),
+            (MLP_ALL_SET, "340337743247d46d81ac33dfd5644f9ad75fc95a25b30a88b4dcf9b5c27b845c"),
         ],
         ids=["quad", "mlp"],
     )

@@ -84,7 +84,7 @@ class TestBlobs:
 class TestDataset:
     def test_label_range_checked(self):
         with pytest.raises(ValueError):
-            Dataset(np.zeros((2, 2)), np.array([0, 2]), class_count=2, seed=0)
+            Dataset(np.zeros((2, 2)), np.array([0, 2]), class_count=2)
 
     def test_as_batch(self):
         ds = gen_blobs(6, k=2, sigma=0.1, seed=0)

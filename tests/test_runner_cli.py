@@ -232,11 +232,10 @@ class TestCompare:
         assert not (tmp_path / "adasam" / "summary.json").exists()
 
     def test_rows_resolve_perturb_norm_per_type(self, tmp_path):
-        # The adamw base resolves to global; the slsam row must not inherit it.
+        # Each row is the run its type makes on its own, perturbation mode included.
         runner.compare(quad_cfg(), ["adamw", "slsam"], tmp_path)
-        for otype, mode in (("adamw", "global"), ("slsam", "per_layer")):
+        for otype in ("adamw", "slsam"):
             standalone = quad_cfg(optimizer={"type": otype})
-            assert standalone.optimizer.resolved_perturb_norm() == mode
             summary = json.loads((tmp_path / otype / "summary.json").read_text())
             assert summary["config_digest"] == standalone.digest()
 
@@ -328,19 +327,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert "divergence: loss is non-finite (inf) in the descent pass of step 1" in err
 
-    def test_env_seed_override(self, tmp_path, monkeypatch, capsys):
-        cfg = write_cfg(tmp_path, QUAD_RAW)
-        monkeypatch.setenv("SPARSAM_SEED", "7")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_train_sampler_divergence_names_step(self, tmp_path, capsys):
+        # Finite losses and norms, but the envelope G / p_min has no finite square.
+        raw = {"objective": {"noise_sigma": 5e152}, "optimizer": {"type": "slsam"}}
         out = tmp_path / "out"
-        assert main(["train", "--config", cfg, "--out", str(out)]) == 0
-        s = json.loads((out / "summary.json").read_text())
-        assert s["seed"] == 7
+        assert main(["train", "--config", write_cfg(tmp_path, raw), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "pseudo-loss of layer" in err and "in the sampler pass of step 1" in err
 
-    def test_env_seed_rejects_garbage(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_train_huge_alpha_p_meets_the_clamp(self, tmp_path, capsys):
+        raw = dict(QUAD_RAW, optimizer={"type": "slsam"}, bandit={"alpha_p": 1e306})
+        out = tmp_path / "out"
+        assert main(["train", "--config", write_cfg(tmp_path, raw), "--out", str(out)]) == 0
+        assert (out / "summary.json").exists()
+
+    def test_train_writes_under_runs_by_default(self, tmp_path, monkeypatch, capsys):
         cfg = write_cfg(tmp_path, QUAD_RAW)
-        monkeypatch.setenv("SPARSAM_SEED", "lucky")
-        assert main(["train", "--config", cfg]) == 1
-        assert "SPARSAM_SEED" in capsys.readouterr().err
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "--config", cfg]) == 0
+        assert (tmp_path / "runs" / "steps.csv").exists()
+        assert (tmp_path / "runs" / "summary.json").exists()
+        assert "wrote runs/steps.csv" in capsys.readouterr().out
 
     def test_compare_success(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, QUAD_RAW)
