@@ -336,13 +336,6 @@ class TestCli:
         err = capsys.readouterr().err
         assert "pseudo-loss of layer" in err and "in the sampler pass of step 1" in err
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_train_huge_alpha_p_meets_the_clamp(self, tmp_path, capsys):
-        raw = dict(QUAD_RAW, optimizer={"type": "slsam"}, bandit={"alpha_p": 1e306})
-        out = tmp_path / "out"
-        assert main(["train", "--config", write_cfg(tmp_path, raw), "--out", str(out)]) == 0
-        assert (out / "summary.json").exists()
-
     def test_train_writes_under_runs_by_default(self, tmp_path, monkeypatch, capsys):
         cfg = write_cfg(tmp_path, QUAD_RAW)
         monkeypatch.chdir(tmp_path)
