@@ -1,11 +1,14 @@
 """Adaptive sampling distribution over layers.
 
 The sampler keeps one inclusion probability per layer, constrained to
-the set {p : sum(p) = s, p_min <= p_l <= 1}. Each iteration the sparse
-optimizer draws an active set by independent Bernoulli trials, scores
-the sampled layers with a pseudo-loss built from their ascent gradient
-norms, shrinks probabilities by an exponentiated-gradient step, and
-projects back onto the constraint set in KL geometry.
+the set {p : sum(p) = s, p_min <= p_l <= 1}. A SamplingDistribution
+checks on construction that the set is non-empty and that p lies in
+it; `kl_project` runs the same feasibility check before projecting.
+Each iteration the sparse optimizer draws an active set by independent
+Bernoulli trials, scores the sampled layers with a pseudo-loss built
+from their ascent gradient norms, shrinks probabilities by an
+exponentiated-gradient step, and projects back onto the constraint set
+in KL geometry.
 
 The pseudo-loss for a sampled layer is
 
@@ -35,6 +38,15 @@ SUM_TOL = 1e-9
 MAX_SAMPLE_ATTEMPTS = 10_000
 
 
+def _check_feasible(n: int, s: float, p_min: float) -> None:
+    """Raise unless {p : sum(p) = s, p_min <= p_l <= 1} over n layers is non-empty."""
+    if not 0.0 < p_min <= 1.0:
+        raise ValueError(f"p_min must be in (0, 1], got {p_min}")
+    # Written so that a NaN s fails it too.
+    if not (n * p_min <= s + SUM_TOL and s <= n + SUM_TOL):
+        raise ValueError(f"target sum s={s} infeasible for n={n}, p_min={p_min}")
+
+
 @dataclass(frozen=True)
 class SamplingDistribution:
     """Per-layer inclusion probabilities with budget s and floor p_min."""
@@ -50,13 +62,7 @@ class SamplingDistribution:
         object.__setattr__(self, "p_min", float(self.p_min))
         if p.ndim != 1 or p.size < 1:
             raise ValueError("p must be a non-empty 1-d array")
-        n = p.size
-        if not 0.0 < self.p_min <= 1.0:
-            raise ValueError(f"p_min must be in (0, 1], got {self.p_min}")
-        if not n * self.p_min <= self.s + SUM_TOL:
-            raise ValueError(f"budget s={self.s} infeasible: below {n} * p_min={self.p_min}")
-        if self.s > n + SUM_TOL:
-            raise ValueError(f"budget s={self.s} exceeds layer count {n}")
+        _check_feasible(p.size, self.s, self.p_min)
         # min and max propagate NaN, which then fails the comparison.
         if not (self.p_min - SUM_TOL <= p.min() and p.max() <= 1.0 + SUM_TOL):
             raise ValueError("probabilities leave [p_min, 1]")
@@ -78,16 +84,10 @@ class BanditConfig:
 
 
 def init_uniform(n_layers: int, s: float, p_min: float) -> SamplingDistribution:
-    """Uniform feasible start p_l = s / n."""
+    """Uniform start p_l = s / n; the distribution rejects an infeasible s or p_min."""
     if n_layers < 1:
         raise ValueError("need at least one layer")
-    s = float(s)
-    if not 0.0 < s <= n_layers:
-        raise ValueError(f"budget s={s} must be in (0, {n_layers}]")
-    p0 = s / n_layers
-    if p0 < p_min:
-        raise ValueError(f"uniform start {p0} falls below p_min={p_min}")
-    return SamplingDistribution(np.full(n_layers, p0), s, p_min)
+    return SamplingDistribution(np.full(n_layers, s / n_layers), s, p_min)
 
 
 def sample_active_set(
@@ -174,11 +174,7 @@ def kl_project(u: np.ndarray, s: float, p_min: float) -> SamplingDistribution:
         raise ValueError("u must be finite and strictly positive")
     n = u.size
     s = float(s)
-    if not 0.0 < p_min <= 1.0:
-        raise ValueError(f"p_min must be in (0, 1], got {p_min}")
-    # Written so that a NaN s fails it too.
-    if not (n * p_min <= s + SUM_TOL and s <= n + SUM_TOL):
-        raise ValueError(f"target sum s={s} infeasible for n={n}, p_min={p_min}")
+    _check_feasible(n, s, p_min)
 
     bps = np.sort(np.concatenate((p_min / us, 1.0 / us))).tolist()
     csum = list(accumulate(ul, initial=0.0))  # np.cumsum's sequential sums

@@ -56,7 +56,7 @@ def _train(args: argparse.Namespace) -> int:
     record = runner.run(load_config(args.config), out_dir=args.out)
     out = Path(args.out)
     s = record.summary
-    print(f"wrote {out / 'steps.csv'} and {out / 'summary.json'}")
+    print(f"wrote {out / 'steps.csv'}, {out / 'sampler.csv'} and {out / 'summary.json'}")
     print(
         f"optimizer={s['optimizer']} final_loss={s['final_loss']!r} "
         f"active_ratio={s['active_ratio']!r} seed={s['seed']}"

@@ -267,10 +267,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def layer_l2_norm(v: LayeredVector, active: ActiveSet) -> np.ndarray:
-    """The L2 norm of each active layer, aligned with `active.indices()`."""
+    """The L2 norm of each active layer, aligned with `active.indices()`.
+    A layer whose squares overflow reads inf, without a warning."""
     key, starts, _, pick = v.segments(active)
     a = v.data[key]
-    return np.sqrt(np.add.reduceat(a * a, starts)[pick])
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.add.reduceat(a * a, starts)[pick])
 
 
 def total_l1_norm(v: LayeredVector, active: ActiveSet | None = None) -> float:

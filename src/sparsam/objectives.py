@@ -336,12 +336,8 @@ class MlpClassifier(Objective):
         return self._check_loss(-(log_p[np.arange(targets.size), targets].sum() / targets.size))
 
     def loss(self, x: LayeredVector, batch: Batch | None) -> float:
-        if batch is None:
-            raise ValueError("MlpClassifier has no population objective; pass a batch")
-        self._check_x(x)
-        with _quiet():
-            logits = self._forward(x, batch.inputs)[0][-1]
-            return self._ce(self._log_softmax(logits), batch.targets)
+        # A pass over no layers runs the forward pass and no backprop.
+        return self.loss_and_grad(x, batch, ActiveSet())[0]
 
     def loss_and_grad(
         self, x: LayeredVector, batch: Batch | None, active: ActiveSet

@@ -67,6 +67,10 @@ OPTIMIZERS: dict[str, tuple[Selector, Ascent]] = {
 }
 
 
+# Gradient entries at or beyond this square to inf.
+_SQUARABLE = math.sqrt(np.finfo(np.float64).max)
+
+
 @dataclass(frozen=True)
 class AdamWConfig:
     eta: float = 1e-3
@@ -128,16 +132,19 @@ def adamw_step(
     """Moment and parameter update on the active layers, no bias correction.
 
     Blocks outside the active set are left bit-identical, in x and in
-    both moment vectors. A non-finite gradient on an active layer raises
+    both moment vectors. A gradient entry on an active layer that has no
+    finite square (NaN, or |g| at least the square root of the float
+    maximum, about 1.34e154, where v's update would overflow) raises
     DivergenceError before anything is written.
     """
     if not x.same_shape(state.m) or not x.same_shape(g):
         raise ValueError(f"shape mismatch: x {x.dims}, m {state.m.dims}, g {g.dims}")
     keys = x.select(active)
     grads = [g.data[k] for k in keys]
-    if not all(np.isfinite(gs).all() for gs in grads):
-        bad = next(l for l in active if not np.isfinite(g[l]).all())
-        raise DivergenceError(f"non-finite gradient in layer {bad} at step {state.t + 1}")
+    # Written so that a NaN fails it too.
+    if not all(np.maximum.reduce(np.abs(gs)) < _SQUARABLE for gs in grads):
+        bad = next(l for l in active if not np.maximum.reduce(np.abs(g[l])) < _SQUARABLE)
+        raise DivergenceError(f"gradient in layer {bad} at step {state.t + 1} has no finite square")
     for k, gs in zip(keys, grads):
         m, v, xs = state.m.data[k], state.v.data[k], x.data[k]
         m *= cfg.beta1
@@ -167,8 +174,6 @@ def sam_perturb(
     """
     eps = LayeredVector.zeros(r.dims)
     key, _, sizes, pick = r.segments(active)
-    if cfg.rho == 0.0 or len(active) == 0:
-        return eps
     if norms is None:
         norms = layer_l2_norm(r, active)
     if cfg.perturb_norm == "per_layer":
@@ -179,7 +184,8 @@ def sam_perturb(
     scale = np.zeros(sizes.size)
     scale[pick] = factor
     scale = scale.repeat(sizes)
-    # Inactive and zero-norm layers stay +0.0, whatever the signs in r.
+    # Entries with a factor of 0 stay +0.0, whatever the signs in r: inactive
+    # layers, zero-norm layers in per_layer mode, and all of them when rho is 0.
     np.multiply(scale, r.data[key], out=eps.data[key], where=scale > 0.0)
     return eps
 
@@ -309,6 +315,17 @@ def s2sam_step(
     return sam_step(obj, x, batch, state, full, "stale", sam_cfg, adamw_cfg)
 
 
+def _bandit_step(ascent: Ascent, obj, x, batch, state, dist, sam_cfg, adamw_cfg, bandit_cfg, rng):
+    """The bandit round trip, on slsam_step's arguments: draw the active
+    set, step on it from `ascent`, and update the distribution from the
+    step's active-layer norms."""
+    active, redraws = sample_active_set(dist, rng)
+    tel = sam_step(obj, x, batch, state, active, ascent, sam_cfg, adamw_cfg)
+    tel.redraws = redraws
+    r = tel.per_layer_r_norms
+    return in_pass(tel.step, "sampler", update_distribution, dist, active, r, bandit_cfg), tel
+
+
 def slsam_step(
     obj: Objective,
     x: LayeredVector,
@@ -321,11 +338,7 @@ def slsam_step(
     rng: np.random.Generator,
 ) -> tuple[SamplingDistribution, StepTelemetry]:
     """Bandit-sampled two-pass SAM plus the distribution update."""
-    active, redraws = sample_active_set(dist, rng)
-    tel = sam_step(obj, x, batch, state, active, "fresh", sam_cfg, adamw_cfg)
-    tel.redraws = redraws
-    r = tel.per_layer_r_norms
-    return in_pass(tel.step, "sampler", update_distribution, dist, active, r, bandit_cfg), tel
+    return _bandit_step("fresh", obj, x, batch, state, dist, sam_cfg, adamw_cfg, bandit_cfg, rng)
 
 
 def sl_s2sam_step(
@@ -341,17 +354,12 @@ def sl_s2sam_step(
 ) -> tuple[SamplingDistribution, StepTelemetry]:
     """Bandit-sampled single-pass SAM with per-layer stale perturbations.
 
-    The dense bootstrap draws no layers and leaves the distribution as it
-    is.
+    The bootstrap is a dense s2sam step: it draws no layers and leaves
+    the distribution as it is.
     """
     if state.prev_grad is None:
-        full = ActiveSet.full(obj.n_layers)
-        return dist, sam_step(obj, x, batch, state, full, "stale", sam_cfg, adamw_cfg)
-    active, redraws = sample_active_set(dist, rng)
-    tel = sam_step(obj, x, batch, state, active, "stale", sam_cfg, adamw_cfg)
-    tel.redraws = redraws
-    r = tel.per_layer_r_norms
-    return in_pass(tel.step, "sampler", update_distribution, dist, active, r, bandit_cfg), tel
+        return dist, s2sam_step(obj, x, batch, state, sam_cfg, adamw_cfg)
+    return _bandit_step("stale", obj, x, batch, state, dist, sam_cfg, adamw_cfg, bandit_cfg, rng)
 
 
 def select_layers_ablation(

@@ -20,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from sparsam.bandit import init_uniform
-from sparsam.config import ExperimentConfig, OPTIMIZER_TYPES
+from sparsam.config import ExperimentConfig
 from sparsam.datasets import Dataset, gen_blobs, gen_two_moons, minibatches
 from sparsam.errors import ConfigError, DivergenceError, in_pass
 from sparsam.layered import ActiveSet, total_l1_norm
@@ -71,10 +71,7 @@ class Trainer:
         seed = config.train.seed
         self.x = self.objective.init_params(seed)
         self.state = OptimizerState.init(self.objective.layer_dims)
-        self.adamw_cfg = config.optimizer
         self.sam_cfg = config.optimizer.sam()
-        self.bandit_cfg = config.bandit
-        self.otype = config.optimizer.type
         n = self.objective.n_layers
         self.dist = None
         if self.selector == "bandit":
@@ -86,7 +83,6 @@ class Trainer:
             seed=seed,
             n_layers=n,
             total_params=self.objective.dim,
-            optimizer=self.otype,
         )
         self._batches = self._batch_stream()
 
@@ -100,7 +96,7 @@ class Trainer:
             epoch = 0
             while True:
                 yield from minibatches(
-                    self.train_ds, self.config.train.batch_size, self.record.seed, epoch
+                    self.train_ds, self.config.train.batch_size, self.config.train.seed, epoch
                 )
                 epoch += 1
 
@@ -110,20 +106,21 @@ class Trainer:
         # Step functions are looked up here at call time, never cached, so
         # whatever wraps the module globals sees every call.
         head = (self.objective, self.x, batch, self.state)
+        adamw_cfg = self.config.optimizer
         if self.selector == "bandit":
             step_fn = slsam_step if self.ascent == "fresh" else sl_s2sam_step
             self.dist, tel = step_fn(
-                *head, self.dist, self.sam_cfg, self.adamw_cfg, self.bandit_cfg, self.bandit_rng
+                *head, self.dist, self.sam_cfg, adamw_cfg, self.config.bandit, self.bandit_rng
             )
         elif self.selector != "all":
             tel = ablation_step(
-                self.selector, *head, self.k, self.sam_cfg, self.adamw_cfg, self.bandit_rng
+                self.selector, *head, self.k, self.sam_cfg, adamw_cfg, self.bandit_rng
             )
         elif self.ascent == "none":
-            tel = adamw_baseline_step(*head, self.adamw_cfg)
+            tel = adamw_baseline_step(*head, adamw_cfg)
         else:
             step_fn = adasam_step if self.ascent == "fresh" else s2sam_step
-            tel = step_fn(*head, self.sam_cfg, self.adamw_cfg)
+            tel = step_fn(*head, self.sam_cfg, adamw_cfg)
         tel.wall_ns = time.perf_counter_ns() - t0
         self.record.append(tel)
         if tel.step % self.config.train.eval_every == 0:
@@ -153,7 +150,7 @@ class Trainer:
     def finalize(self) -> None:
         rec = self.record
         rec.summary = {
-            "optimizer": self.otype,
+            "optimizer": self.config.optimizer.type,
             "final_loss": rec.steps[-1].loss if rec.steps else None,
             "active_ratio": active_ratio(rec) if rec.steps else None,
             "layer_frequency": [float(f) for f in layer_frequency(rec)] if rec.steps else [],
@@ -162,7 +159,7 @@ class Trainer:
             "steps": rec.n_steps,
             "train_accuracy": self.accuracy(self.train_ds),
             "test_accuracy": self.accuracy(self.test_ds),
-            "expensive_selection": self.selector == "greedy_topk",
+            "expensive_selection": any(t.selection_param_count for t in rec.steps),
             "probes": [[p.step, p.loss, p.grad_l1] for p in rec.probes],
         }
 
@@ -250,15 +247,13 @@ def compare(
         raise ConfigError("compare needs at least two optimizers")
     if len(set(optimizers)) != len(optimizers):
         raise ConfigError("duplicate optimizer in compare list")
-    for o in optimizers:
-        if o not in OPTIMIZER_TYPES:
-            raise ConfigError(f"unknown optimizer type {o!r}")
+    config.validate()
+    # Every row's config is built, and its type checked, before any row runs.
+    row_configs = [replace(config, optimizer=replace(config.optimizer, type=o)) for o in optimizers]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows, diverged = [], []
-    for o in optimizers:
-        row_config = replace(config, optimizer=replace(config.optimizer, type=o))
-        row_config.validate()
+    for o, row_config in zip(optimizers, row_configs):
         try:
             rec = run(row_config, out / o)
         except DivergenceError as e:

@@ -64,7 +64,6 @@ class RunRecord:
     seed: int
     n_layers: int
     total_params: int
-    optimizer: str = ""
     steps: list[StepTelemetry] = field(default_factory=list)
     probes: list[ProbeRecord] = field(default_factory=list)
     summary: dict = field(default_factory=dict)

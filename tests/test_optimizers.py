@@ -133,8 +133,12 @@ class TestSamPerturb:
         assert eps[1][0] == pytest.approx(0.5, rel=1e-12)
 
     def test_rho_zero(self):
-        eps = sam_perturb(lv([3.0]), ActiveSet.of(0), SamConfig(0.0, "per_layer"))
-        assert eps[0][0] == 0.0
+        # Layer 1 has zero norm; the signs in r must not reach the perturbation.
+        r = lv([3.0, -4.0], [-0.0, -0.0], [-1.0])
+        for mode in ("global", "per_layer"):
+            for active in (ActiveSet(), ActiveSet.of(1), ActiveSet.of(0, 1, 2)):
+                eps = sam_perturb(r, active, SamConfig(0.0, mode))
+                assert not eps.data.any() and not np.signbit(eps.data).any(), (mode, active)
 
 
 def scalar_objective() -> BlockQuadratic:

@@ -246,8 +246,10 @@ class TestCompare:
             runner.compare(quad_cfg(), ["adamw"], tmp_path)
         with pytest.raises(ConfigError):
             runner.compare(quad_cfg(), ["adamw", "adamw"], tmp_path)
-        with pytest.raises(ConfigError):
+        # An unknown type fails before any row runs, so no row's output exists.
+        with pytest.raises(ConfigError, match="'nonsense'"):
             runner.compare(quad_cfg(), ["adamw", "nonsense"], tmp_path)
+        assert not (tmp_path / "adamw").exists()
 
 
 def write_cfg(tmp_path: Path, raw: dict) -> str:
@@ -336,13 +338,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert "pseudo-loss of layer" in err and "in the sampler pass of step 1" in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("otype", OPTIMIZER_TYPES)
+    def test_train_unsquarable_gradient_names_layer_and_step(self, otype, tmp_path, capsys):
+        # Finite losses and gradients, but no gradient entry has a finite square,
+        # so AdamW's second moment would overflow to inf and freeze the run.
+        raw = {
+            "objective": {"noise_sigma": 1e160},
+            "optimizer": {"type": otype},
+            "train": {"steps": 3},
+        }
+        out = tmp_path / "out"
+        assert main(["train", "--config", write_cfg(tmp_path, raw), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "divergence: gradient in layer" in err and "at step 1" in err
+
     def test_train_writes_under_runs_by_default(self, tmp_path, monkeypatch, capsys):
         cfg = write_cfg(tmp_path, QUAD_RAW)
         monkeypatch.chdir(tmp_path)
         assert main(["train", "--config", cfg]) == 0
         assert (tmp_path / "runs" / "steps.csv").exists()
         assert (tmp_path / "runs" / "summary.json").exists()
-        assert "wrote runs/steps.csv" in capsys.readouterr().out
+        assert (tmp_path / "runs" / "sampler.csv").exists()
+        printed = capsys.readouterr().out
+        assert "wrote runs/steps.csv, runs/sampler.csv and runs/summary.json" in printed
 
     def test_compare_success(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, QUAD_RAW)
