@@ -75,11 +75,26 @@ class Objective(ABC):
 
     @abstractmethod
     def loss_and_grad(
-        self, x: LayeredVector, batch: Batch | None, active: ActiveSet
-    ) -> tuple[float, LayeredVector]: ...
+        self, x: LayeredVector, batch: Batch | None, active: ActiveSet, below: Forward | None = None
+    ) -> tuple[float, LayeredVector]:
+        """Loss at x and its gradient on the active layers.
 
-    def grad(self, x: LayeredVector, batch: Batch | None, active: ActiveSet) -> LayeredVector:
-        return self.loss_and_grad(x, batch, active)[1]
+        `below` is a handle from `last_forward()` on an earlier pass over
+        the same batch, at a point equal to x on every layer below the
+        lowest active one. An objective that keeps activations reads the
+        layers below from it instead of recomputing them; the result is
+        the same bit for bit.
+        """
+
+    def grad(
+        self, x: LayeredVector, batch: Batch | None, active: ActiveSet, below: Forward | None = None
+    ) -> LayeredVector:
+        return self.loss_and_grad(x, batch, active, below)[1]
+
+    def last_forward(self) -> Forward | None:
+        """The handle on the activations of this objective's latest pass,
+        or None for an objective that keeps none."""
+        return None
 
     @abstractmethod
     def init_params(self, seed: int) -> LayeredVector: ...
@@ -176,8 +191,9 @@ class BlockQuadratic(Objective):
         return self._check_loss(total)
 
     def loss_and_grad(
-        self, x: LayeredVector, batch: Batch | None, active: ActiveSet
+        self, x: LayeredVector, batch: Batch | None, active: ActiveSet, below: Forward | None = None
     ) -> tuple[float, LayeredVector]:
+        # A quadratic keeps no activations, so `below` is ignored.
         self._check_x(x)
         g = LayeredVector.zeros(self._dims)
         z = self._noise(batch)
@@ -198,13 +214,25 @@ class BlockQuadratic(Objective):
         return LayeredVector.from_flat(self._center + 1.0, self._dims)
 
 
-class _Workspace(NamedTuple):
+@dataclass(eq=False)
+class _Workspace:
     """Buffers of one batch row count, one entry per affine stage i."""
 
     pre: list[np.ndarray]  # z_i = a_i @ W_i + b_i; the last one holds the logits
     act: list[np.ndarray]  # a_{i+1} = activation(z_i), hidden stages only
     delta: list[np.ndarray]  # d loss / d z_i
     deriv: list[np.ndarray]  # activation'(z_i), hidden stages only
+    held: Forward | None = None  # the pass whose activations pre and act hold
+
+
+class Forward(NamedTuple):
+    """Handle on the forward activations one MLP pass left in its
+    workspace: the batch the pass ran on and the workspace. It is valid
+    while that workspace still holds them, that is, until the next pass
+    with the same row count."""
+
+    batch: Batch
+    ws: _Workspace
 
 
 class MlpClassifier(Objective):
@@ -225,6 +253,18 @@ class MlpClassifier(Objective):
     escapes: gradients are fresh LayeredVectors and `logits()` and
     `predict()` return fresh arrays. Being per-instance scratch, it makes
     one instance unsafe to share between threads.
+
+    A pass can start above the input. After a pass, `last_forward()`
+    hands out a `Forward` on the activations it left in the workspace.
+    A pass given that handle as `below`, on the same batch, computes the
+    forward and backprop only from the lowest stage holding an active
+    layer up and reads the activation entering that stage from the
+    workspace. The caller vouches that the two points agree on every
+    stage below, as a SAM descent point does with its ascent point, so
+    every loss and gradient keeps its bits. Such a pass skips the target
+    range check the handle's pass made. A handle from another batch, row
+    count or objective, or one whose workspace a later pass has
+    overwritten, raises ValueError.
     """
 
     def __init__(
@@ -254,6 +294,7 @@ class MlpClassifier(Objective):
                 dims.extend([w_dim, b_dim])
         self._dims = tuple(dims)
         self._work: dict[int, _Workspace] = {}
+        self._last: Forward | None = None
 
     @property
     def layer_dims(self) -> tuple[int, ...]:
@@ -289,24 +330,44 @@ class MlpClassifier(Objective):
         return ws
 
     def _forward(
-        self, x: LayeredVector, inputs: np.ndarray
+        self, x: LayeredVector, inputs: np.ndarray, start: int = 0
     ) -> tuple[list[np.ndarray], _Workspace]:
-        """Activations a_0 (the inputs) to a_L (the logits), computed into
-        the workspace of the inputs' row count. Callers run it under
-        `_quiet()`, like the rest of their pass."""
-        acts = [np.ascontiguousarray(inputs, dtype=np.float64)]
-        ws = self._workspace(acts[0].shape[0])
-        for i in range(self.n_stages):
+        """Activations a_0 (the inputs) to a_L (the logits) in the workspace
+        of the inputs' row count. Stages from `start` up are computed; the
+        activations below are what the workspace holds. Callers run it
+        under `_quiet()`, like the rest of their pass."""
+        inputs = np.ascontiguousarray(inputs, dtype=np.float64)
+        ws = self._workspace(inputs.shape[0])
+        ws.held = None
+        acts = [inputs, *ws.act, ws.pre[-1]]
+        for i in range(start, self.n_stages):
             w, b = self._unpack(x, i)
-            z = np.matmul(acts[-1], w, out=ws.pre[i])
+            z = np.matmul(acts[i], w, out=ws.pre[i])
             z += b
             if i == self.n_stages - 1:
-                acts.append(z)
-            elif self.activation == "tanh":
-                acts.append(np.tanh(z, out=ws.act[i]))
+                break  # the logits have no activation
+            if self.activation == "tanh":
+                np.tanh(z, out=ws.act[i])
             else:
-                acts.append(np.maximum(z, 0.0, out=ws.act[i]))
+                np.maximum(z, 0.0, out=ws.act[i])
         return acts, ws
+
+    def _start_stage(self, below: Forward | None, batch: Batch, lowest: int) -> int:
+        """The first stage a pass computes. Without a handle that is stage
+        0, once the targets are checked to lie in range; with a valid
+        handle on an earlier pass over `batch`, which checked them, it is
+        the lowest stage holding an active layer."""
+        if below is None:
+            if batch.targets.min() < 0 or batch.targets.max() >= self.n_classes:
+                raise ValueError(f"targets outside [0, {self.n_classes})")
+            return 0
+        if below.batch is not batch:
+            raise ValueError("forward handle is from another batch")
+        if self._work.get(batch.size) is not below.ws:
+            raise ValueError("forward handle is from another objective")
+        if below.ws.held is not below:
+            raise ValueError("forward handle is stale: a later pass overwrote its workspace")
+        return lowest
 
     def _act_deriv(self, z: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
         if self.activation == "tanh":
@@ -329,9 +390,8 @@ class MlpClassifier(Objective):
         return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
     def _ce(self, log_p: np.ndarray, targets: np.ndarray) -> float:
-        """The checked mean cross-entropy, from the log-probabilities."""
-        if targets.min() < 0 or targets.max() >= self.n_classes:
-            raise ValueError(f"targets outside [0, {self.n_classes})")
+        """The checked mean cross-entropy, from the log-probabilities of
+        targets already checked to lie in range."""
         # What .mean() computes: the pairwise sum over the row count.
         return self._check_loss(-(log_p[np.arange(targets.size), targets].sum() / targets.size))
 
@@ -339,15 +399,22 @@ class MlpClassifier(Objective):
         # A pass over no layers runs the forward pass and no backprop.
         return self.loss_and_grad(x, batch, ActiveSet())[0]
 
+    def last_forward(self) -> Forward | None:
+        return self._last
+
     def loss_and_grad(
-        self, x: LayeredVector, batch: Batch | None, active: ActiveSet
+        self, x: LayeredVector, batch: Batch | None, active: ActiveSet, below: Forward | None = None
     ) -> tuple[float, LayeredVector]:
         if batch is None:
             raise ValueError("MlpClassifier has no population objective; pass a batch")
         self._check_x(x)
         active.validate(self.n_layers)
+        per_stage = 1 if self.bias_mode == "fused" else 2
+        lowest = min(active, default=self.n_layers) // per_stage
+        start = self._start_stage(below, batch, lowest)
         with _quiet():
-            acts, ws = self._forward(x, batch.inputs)
+            acts, ws = self._forward(x, batch.inputs, start)
+            ws.held = self._last = Forward(batch, ws)
             log_p = self._log_softmax(acts[-1])
             loss = self._ce(log_p, batch.targets)
 
@@ -361,8 +428,6 @@ class MlpClassifier(Objective):
             # each stage computes only its active blocks. A block's arithmetic
             # does not depend on which other layers are active, so active
             # blocks match the full gradient bit for bit.
-            per_stage = 1 if self.bias_mode == "fused" else 2
-            lowest = min(active, default=self.n_layers) // per_stage
             for i in range(self.n_stages - 1, lowest - 1, -1):
                 w_layer, b_layer = self._stage_layers(i)
                 gw, gb = self._unpack(g, i)

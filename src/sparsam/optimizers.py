@@ -49,7 +49,7 @@ from sparsam.layered import (
     masked_axpy,
     total_l1_norm,
 )
-from sparsam.objectives import Batch, Objective
+from sparsam.objectives import Batch, Forward, Objective
 from sparsam.telemetry import StepTelemetry
 
 Selector = Literal["all", "bandit", "uniform_random", "greedy_topk"]
@@ -179,7 +179,12 @@ def sam_perturb(
     if cfg.perturb_norm == "per_layer":
         factor = cfg.rho / np.where(norms > 0.0, norms, np.inf)
     else:
-        joint = math.sqrt(norms @ norms)
+        with np.errstate(over="ignore"):
+            joint = math.sqrt(norms @ norms)
+        if joint == math.inf and (top := norms.max()) < math.inf:
+            # The squares overflowed, not the norm: sum them scaled by the largest.
+            u = norms / top
+            joint = top * math.sqrt(u @ u)
         factor = cfg.rho / joint if joint > 0.0 else 0.0
     scale = np.zeros(sizes.size)
     scale[pick] = factor
@@ -188,6 +193,15 @@ def sam_perturb(
     # layers, zero-norm layers in per_layer mode, and all of them when rho is 0.
     np.multiply(scale, r.data[key], out=eps.data[key], where=scale > 0.0)
     return eps
+
+
+def _ascent_pass(
+    obj: Objective, step_no: int, x: LayeredVector, batch: Batch | None, active: ActiveSet
+) -> tuple[float, LayeredVector, Forward | None]:
+    """A fresh step's ascent pass at (x, batch): its loss, its gradient on
+    `active` and the handle on its forward activations."""
+    loss, g = in_pass(step_no, "ascent", obj.loss_and_grad, x, batch, active)
+    return loss, g, obj.last_forward()
 
 
 def _perturbed(x: LayeredVector, eps: LayeredVector, active: ActiveSet) -> LayeredVector:
@@ -204,7 +218,7 @@ def sam_step(
     ascent: Ascent,
     sam_cfg: SamConfig | None,
     adamw_cfg: AdamWConfig,
-    ascent_grad: tuple[float, LayeredVector] | None = None,
+    ascent_pass: tuple[float, LayeredVector, Forward | None] | None = None,
 ) -> StepTelemetry:
     """One AdamW step on the active layers, descending from an ascent point.
 
@@ -222,10 +236,18 @@ def sam_step(
     first gradient; a step with no ascent records no per-layer norms.
     A non-finite loss raises DivergenceError naming the step and the pass.
 
-    A fresh step takes its ascent loss and gradient from `ascent_grad`
-    when the caller already evaluated them at (x, batch); only the active
-    blocks of that gradient are read, and they equal the restricted
-    gradient's.
+    A fresh step takes its ascent loss, gradient and forward handle from
+    `ascent_pass` when the caller already made a pass at (x, batch); only
+    the active blocks of that gradient are read, and they equal the
+    restricted gradient's.
+
+    The descent pass of a fresh step is handed the forward activations
+    of the pass at x. Below the lowest active layer x + eps equals x and
+    the batch is the same, so an objective that keeps activations (the
+    MLP) starts the descent forward and backprop at the lowest stage
+    holding an active layer, with every loss and gradient bit for bit
+    what a full pass would give. The descent loss is still computed and
+    checked.
     """
     n = obj.n_layers
     step_no = state.t + 1
@@ -237,12 +259,12 @@ def sam_step(
     idx = active.index
     staleness = np.zeros(0, dtype=np.int64)
     if ascent == "fresh":
-        if ascent_grad is None:
-            ascent_grad = in_pass(step_no, "ascent", obj.loss_and_grad, x, batch, active)
-        loss, first = ascent_grad
+        if ascent_pass is None:
+            ascent_pass = _ascent_pass(obj, step_no, x, batch, active)
+        loss, first, below = ascent_pass
         norms = layer_l2_norm(first, active)
         eps = sam_perturb(first, active, sam_cfg, norms)
-        g = in_pass(step_no, "descent", obj.grad, _perturbed(x, eps, active), batch, active)
+        g = in_pass(step_no, "descent", obj.grad, _perturbed(x, eps, active), batch, active, below)
     else:
         x_eval = x
         if stale and not bootstrap:
@@ -403,17 +425,17 @@ def ablation_step(
 ) -> StepTelemetry:
     """Two-pass SAM step whose active set comes from an ablation selector.
 
-    greedy_topk's selection gradient also serves as its ascent gradient:
-    its active blocks are the ones the ascent pass would compute. The
-    step is still charged a full selection pass plus two sparse passes.
+    greedy_topk's selection pass also serves as its ascent pass: its
+    gradient's active blocks are the ones the ascent pass would compute,
+    and its forward is the one the descent pass reads. The step is still
+    charged a full selection pass plus two sparse passes.
     """
-    ascent_grad = full_grad = None
+    ascent_pass = full_grad = None
     if kind == "greedy_topk":
-        full = ActiveSet.full(obj.n_layers)
-        ascent_grad = in_pass(state.t + 1, "ascent", obj.loss_and_grad, x, batch, full)
-        full_grad = ascent_grad[1]
+        ascent_pass = _ascent_pass(obj, state.t + 1, x, batch, ActiveSet.full(obj.n_layers))
+        full_grad = ascent_pass[1]
     active = select_layers_ablation(kind, obj.n_layers, k, rng, full_grad)
-    tel = sam_step(obj, x, batch, state, active, "fresh", sam_cfg, adamw_cfg, ascent_grad)
+    tel = sam_step(obj, x, batch, state, active, "fresh", sam_cfg, adamw_cfg, ascent_pass)
     if kind == "greedy_topk":
         tel.selection_param_count = obj.dim
     return tel

@@ -41,6 +41,13 @@ def finite_diff_grad(
     return g
 
 
+def nonempty_subsets(n: int):
+    """Every non-empty active set over n layers."""
+    for k in range(1, n + 1):
+        for members in itertools.combinations(range(n), k):
+            yield ActiveSet.of(*members)
+
+
 def two_block_quadratic() -> BlockQuadratic:
     return BlockQuadratic([1, 1], scales=[1.0, 10.0])
 
@@ -274,14 +281,11 @@ class TestMlpGrad:
         rng = np.random.default_rng(5)
         batch = Batch(rng.standard_normal((8, 2)), rng.integers(0, 2, 8))
         full = obj.grad(x, batch, ActiveSet.full(obj.n_layers))
-        layers = range(obj.n_layers)
-        for k in range(1, obj.n_layers + 1):
-            for members in itertools.combinations(layers, k):
-                active = ActiveSet.of(*members)
-                part = obj.grad(x, batch, active)
-                for l in layers:
-                    want = full[l] if l in active else np.zeros(obj.layer_dims[l])
-                    assert np.array_equal(part[l], want), (members, l)
+        for active in nonempty_subsets(obj.n_layers):
+            part = obj.grad(x, batch, active)
+            for l in range(obj.n_layers):
+                want = full[l] if l in active else np.zeros(obj.layer_dims[l])
+                assert np.array_equal(part[l], want), (list(active), l)
 
     def test_deterministic(self):
         obj = MlpClassifier([2, 8, 2], activation="relu")
@@ -436,6 +440,128 @@ class TestMlpWorkspace:
             if not was_tracing:
                 tracemalloc.stop()
         assert peak < 1024 * 64 * 8
+
+
+class TestMlpForwardHandover:
+    """A pass handed the forward of an earlier pass on the same batch, at a
+    point equal below the lowest active stage, starts there."""
+
+    @pytest.mark.parametrize("rows", [1, 7, 128])
+    @pytest.mark.parametrize("bias_mode", ["separate", "fused"])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_descent_from_the_ascent_forward_matches_a_fresh_pass(self, activation, bias_mode, rows):
+        # What a fresh SAM step does: an ascent pass at x on A (or, for
+        # top_slsam, on every layer), then a pass at x + eps on A, where
+        # eps is zero off A. Three stages, so every lowest stage occurs.
+        widths = [3, 6, 5, 2]
+        obj = MlpClassifier(widths, activation=activation, bias_mode=bias_mode)
+        x = obj.init_params(3)
+        rng = np.random.default_rng(rows)
+        x.data += 0.3 * rng.standard_normal(x.dim)
+        batch = Batch(rng.standard_normal((rows, widths[0])), rng.integers(0, 2, rows))
+        full = ActiveSet.full(obj.n_layers)
+        for active in nonempty_subsets(obj.n_layers):
+            eps = LayeredVector.zeros(x.dims)
+            for l in active:
+                eps[l] = 0.05 * rng.standard_normal(x.dims[l])
+            x_pert = LayeredVector.from_flat(x.data + eps.data, x.dims)
+            fresh = MlpClassifier(widths, activation=activation, bias_mode=bias_mode)
+            want_loss, want_g = fresh.loss_and_grad(x_pert, batch, active)
+            for ascent_set in (active, full):
+                obj.loss_and_grad(x, batch, ascent_set)
+                loss, g = obj.loss_and_grad(x_pert, batch, active, obj.last_forward())
+                assert np.array_equal(loss, want_loss), (list(active), ascent_set is full)
+                assert np.array_equal(g.data, want_g.data), (list(active), ascent_set is full)
+            # A loss pass at x hands over its forward too, through grad.
+            obj.loss(x, batch)
+            g = obj.grad(x_pert, batch, active, obj.last_forward())
+            assert np.array_equal(g.data, want_g.data), list(active)
+
+    @pytest.mark.parametrize("bias_mode", ["separate", "fused"])
+    def test_stages_below_the_lowest_active_one_are_read_from_the_handle(self, bias_mode):
+        # Given a point that differs from the handle's below the lowest
+        # active stage, the pass sees the handle's point there and its own
+        # from that stage up: it computes exactly the stages from there.
+        widths = [2, 4, 4, 4, 2]
+        obj = MlpClassifier(widths, bias_mode=bias_mode)
+        per_stage = 2 if bias_mode == "separate" else 1
+        rng = np.random.default_rng(0)
+        batch = Batch(rng.standard_normal((5, 2)), rng.integers(0, 2, 5))
+        x, y = obj.init_params(0), obj.init_params(1)
+        for stage in range(obj.n_stages):
+            split = x.offsets[stage * per_stage]
+            mixed = LayeredVector.from_flat(np.concatenate([x.data[:split], y.data[split:]]), x.dims)
+            active = ActiveSet.of(stage * per_stage)
+            obj.loss_and_grad(x, batch, active)
+            loss, g = obj.loss_and_grad(y, batch, active, obj.last_forward())
+            want_loss, want_g = MlpClassifier(widths, bias_mode=bias_mode).loss_and_grad(
+                mixed, batch, active
+            )
+            assert loss == want_loss, stage
+            assert np.array_equal(g.data, want_g.data), stage
+
+    def test_a_handle_is_never_read_silently(self):
+        widths = [2, 4, 2]
+        obj = MlpClassifier(widths)
+        x = obj.init_params(0)
+        rng = np.random.default_rng(1)
+
+        def batch(rows):
+            return Batch(rng.standard_normal((rows, 2)), rng.integers(0, 2, rows))
+
+        a, same_rows, other_rows = batch(7), batch(7), batch(128)
+        top = ActiveSet.of(obj.n_layers - 1)
+        assert obj.last_forward() is None
+        obj.loss_and_grad(x, a, top)
+        held = obj.last_forward()
+        with pytest.raises(ValueError, match="another batch"):
+            obj.loss_and_grad(x, same_rows, top, held)
+        with pytest.raises(ValueError, match="another batch"):
+            obj.loss_and_grad(x, other_rows, top, held)
+        with pytest.raises(ValueError, match="another objective"):
+            MlpClassifier(widths).loss_and_grad(x, a, top, held)
+        # A pass on another row count leaves the handle's workspace alone.
+        obj.loss(x, other_rows)
+        obj.loss_and_grad(x, a, top, held)
+        # Every pass with the same row count overwrites it, with or
+        # without a handle of its own, and so does a forward for logits.
+        for overwrite in (
+            lambda: obj.loss(x, same_rows),
+            lambda: obj.loss_and_grad(x, a, top),
+            lambda: obj.loss_and_grad(x, a, top, obj.last_forward()),
+            lambda: obj.logits(x, a.inputs),
+        ):
+            obj.loss_and_grad(x, a, top)
+            held = obj.last_forward()
+            overwrite()
+            with pytest.raises(ValueError, match="stale"):
+                obj.loss_and_grad(x, a, top, held)
+
+    def test_only_a_pass_without_a_handle_checks_the_targets(self):
+        obj = MlpClassifier([2, 4, 2])
+        x = obj.init_params(0)
+        good = Batch(np.zeros((3, 2)), np.array([0, 1, 0]))
+        bad = Batch(np.zeros((3, 2)), np.array([0, 2, 0]))
+        obj.loss_and_grad(x, good, ActiveSet.full(obj.n_layers))
+        held = obj.last_forward()
+        with pytest.raises(ValueError, match="targets outside"):
+            obj.loss_and_grad(x, bad, ActiveSet.full(obj.n_layers))
+        # The check comes before the forward, so a batch that fails it
+        # leaves no handle to skip it with, and the earlier one stands.
+        assert obj.last_forward() is held
+        obj.loss_and_grad(x, good, ActiveSet.full(obj.n_layers), held)
+
+    def test_quadratic_ignores_the_handle(self):
+        obj = BlockQuadratic([2, 3], noise_sigma=0.5)
+        x = obj.init_params(0)
+        active = ActiveSet.of(1)
+        assert obj.last_forward() is None
+        mlp = MlpClassifier([1, 2])
+        mlp.loss(mlp.init_params(0), scalar_batch(1))
+        want_loss, want_g = obj.loss_and_grad(x, scalar_batch(1), active)
+        loss, g = obj.loss_and_grad(x, scalar_batch(1), active, mlp.last_forward())
+        assert loss == want_loss
+        assert np.array_equal(g.data, want_g.data)
 
 
 class TestFiniteDiff:

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsam import optimizers
 from sparsam.bandit import BanditConfig, SamplingDistribution, init_uniform
+from sparsam.config import ExperimentConfig
 from sparsam.errors import DivergenceError
 from sparsam.layered import ActiveSet, LayeredVector, layer_l2_norm, masked_axpy
 from sparsam.objectives import Batch, BlockQuadratic, MlpClassifier
@@ -29,6 +32,7 @@ from sparsam.optimizers import (
     slsam_step,
 )
 from sparsam.rng import stream
+from sparsam.runner import Trainer
 
 from conftest import lv, scalar_batch
 
@@ -139,6 +143,29 @@ class TestSamPerturb:
             for active in (ActiveSet(), ActiveSet.of(1), ActiveSet.of(0, 1, 2)):
                 eps = sam_perturb(r, active, SamConfig(0.0, mode))
                 assert not eps.data.any() and not np.signbit(eps.data).any(), (mode, active)
+
+    def test_global_norm_whose_square_overflows(self, monkeypatch):
+        # Twenty layers of 64 gradient entries near 1e153: each layer's
+        # squared norm is finite, their sum is not. The joint norm must be
+        # too, or the step silently takes no ascent.
+        trainer = Trainer(ExperimentConfig.from_dict({
+            "objective": {"noise_sigma": 1e153, "layer_dims": [64] * 20},
+            "optimizer": {"type": "adasam"},
+            "train": {"steps": 3},
+        }))
+        norms = []
+
+        def recording(*args):
+            eps = sam_perturb(*args)
+            norms.append(np.linalg.norm(eps.data))
+            return eps
+
+        monkeypatch.setattr(optimizers, "sam_perturb", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(3):
+                trainer.step()
+        assert norms == pytest.approx([trainer.config.optimizer.rho] * 3, rel=1e-12)
 
 
 def scalar_objective() -> BlockQuadratic:

@@ -71,6 +71,24 @@ def test_tracer_sees_a_sparse_step_and_restores_every_target():
     } <= seen
 
 
+def test_tracer_sees_both_passes_of_an_mlp_top_slsam_step():
+    # The descent pass starts above the input when it reuses the
+    # selection pass's forward; it must still enter through the traced
+    # Objective.grad and MlpClassifier.loss_and_grad.
+    spans = load_spans()
+    trainer = Trainer(ExperimentConfig.from_dict({
+        "objective": {"type": "mlp", "widths": [2, 8, 8, 8, 2]},
+        "dataset": {"type": "blobs", "n": 64},
+        "optimizer": {"type": "top_slsam"},
+        "train": {"steps": 2, "batch_size": 16, "seed": 0, "eval_every": 1000},
+    }))
+    with spans.Tracer(spans.package_targets()) as tracer:
+        trainer.step()
+    calls = [tracer.names[i] for i in tracer.name_id]
+    assert calls.count("Objective.grad") == 1
+    assert calls.count("MlpClassifier.loss_and_grad") == 2
+
+
 def layered_spans_per_step(otype: str, n_layers: int) -> int:
     """`layered.*` spans one step records on an n-layer quadratic."""
     spans = load_spans()
