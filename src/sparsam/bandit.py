@@ -23,6 +23,7 @@ u_l = p_l and is only rescaled by the projection.
 from __future__ import annotations
 
 import logging
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -63,11 +64,12 @@ class SamplingDistribution:
         if p.ndim != 1 or p.size < 1:
             raise ValueError("p must be a non-empty 1-d array")
         _check_feasible(p.size, self.s, self.p_min)
-        # min and max propagate NaN, which then fails the comparison.
-        if not (self.p_min - SUM_TOL <= p.min() and p.max() <= 1.0 + SUM_TOL):
+        # minimum and maximum propagate NaN, which then fails the comparison.
+        if not (self.p_min - SUM_TOL <= np.minimum.reduce(p) and np.maximum.reduce(p) <= 1.0 + SUM_TOL):
             raise ValueError("probabilities leave [p_min, 1]")
-        if abs(float(p.sum()) - self.s) > SUM_TOL:
-            raise ValueError(f"sum(p)={float(p.sum())} deviates from s={self.s}")
+        total = float(np.add.reduce(p))
+        if abs(total - self.s) > SUM_TOL:
+            raise ValueError(f"sum(p)={total} deviates from s={self.s}")
 
     @property
     def n_layers(self) -> int:
@@ -95,16 +97,17 @@ def sample_active_set(
 ) -> tuple[ActiveSet, int]:
     """Independent Bernoulli draw per layer, redrawn until non-empty.
 
-    Returns the active set and how many redraws the non-empty guarantee
-    cost (0 almost always).
+    Returns the active set, built from the draw's mask (interned over at
+    most INTERN_LAYERS layers), and how many redraws the non-empty
+    guarantee cost (0 almost always).
     """
     redraws = 0
     while True:
-        members = np.flatnonzero(rng.random(dist.n_layers) < dist.p).tolist()
-        if members:
+        active = ActiveSet.from_mask(rng.random(dist.n_layers) < dist.p)
+        if len(active):
             if redraws:
                 logger.debug("active set empty %d time(s); redrew", redraws)
-            return ActiveSet.from_iterable(members), redraws
+            return active, redraws
         redraws += 1
         if redraws >= MAX_SAMPLE_ATTEMPTS:
             raise RuntimeError(f"no non-empty active set after {redraws} draws")
@@ -133,7 +136,12 @@ def pseudo_loss(
     top = float(np.maximum.reduce(norms))
     with np.errstate(over="ignore", invalid="ignore"):
         env, r = top / dist.p_min, norms / dist.p[active.index]
-        scores = env * env - r * r
+        square = env * env
+        scores = square - r * r
+    # No score exceeds a finite square of the envelope, so with none below
+    # zero (NaN fails the comparison) every score is finite.
+    if square < math.inf and np.minimum.reduce(scores) >= 0.0:
+        return scores
     if not np.isfinite(scores).all():
         # r_l <= G / p_min, so only the envelope overflows: name its layer or the first NaN.
         i = int(np.argmax(norms))
@@ -141,9 +149,7 @@ def pseudo_loss(
             f"pseudo-loss of layer {active.indices()[i]} is not finite: its gradient "
             f"norm {float(norms[i])!r} over p_min={dist.p_min} has no finite square"
         )
-    if np.minimum.reduce(scores) < 0.0:
-        raise AssertionError("pseudo-loss must be non-negative")
-    return scores
+    raise AssertionError("pseudo-loss must be non-negative")
 
 
 def kl_project(u: np.ndarray, s: float, p_min: float) -> SamplingDistribution:
@@ -194,7 +200,9 @@ def kl_project(u: np.ndarray, s: float, p_min: float) -> SamplingDistribution:
     free = float(us[k_floor:k_free_end].sum())
     fixed = p_min * k_floor + (n - k_free_end)
     c = hi if free == 0.0 else min(max((s - fixed) / free, lo), hi)
-    return SamplingDistribution(np.clip(c * u, p_min, 1.0), s, p_min)
+    q = c * u
+    np.maximum(q, p_min, out=q)
+    return SamplingDistribution(np.minimum(q, 1.0, out=q), s, p_min)
 
 
 # Floor of the shrink's exponent: it keeps every u_l > 0 for the projection.

@@ -34,6 +34,20 @@ layer's norm does not depend on which other layers are active. The
 total L1 norm is the running sum of the per-layer ones.
 No operation below ever writes a block outside the active set
 it was given, so a frozen layer is provably untouched.
+
+A set's select() keys and segments, its plan, live in one plan table,
+never on the set: every step's telemetry keeps its set. Sets that the
+sampler draws, that the ablation selectors pick and that `full` builds
+over at most INTERN_LAYERS (8) layers are interned there by membership,
+and each keeps its plan for the layout last asked about. There are at
+most 256 such sets, so the table holds them all and never evicts. Small
+models repeat their draws: over 2,000 steps at seeds 0 and 1, `slsam`
+drew 63 distinct sets on the 6-layer two-moons MLP (96.8% of steps
+repeat an earlier set) and 83-91 on the 8-layer one (95.5-95.8%), the
+other sampled types 91-99.8%; such a step builds no set and no plan. A
+draw over more layers makes a new set, as on the 100-layer quadratic,
+where none of 1,000 draws repeats, and keeps only the last such set's
+plan, matched by identity, since a step addresses its set several times.
 """
 
 from __future__ import annotations
@@ -59,12 +73,19 @@ class Segments(NamedTuple):
     pick: np.ndarray  # the active layers' positions in the range
 
 
-# The last plan, (select() keys, segments), as (set, offsets,
-# (offsets[:-1], dims) as arrays, plan). One entry keyed on identity: a
-# step addresses its set several times, and no set a telemetry record
-# keeps holds on to a plan of its own. A plan is a pure function of
-# (set, offsets) that no caller writes to, so sharing it is safe.
-_last_plan: tuple = (None, None, (None, None), None)
+# Sets built from a mask over at most this many layers are interned: the
+# 2**8 = 256 subsets of 8 layers all fit in the plan table, which never
+# evicts them. A constant of the layer count, whatever the model.
+INTERN_LAYERS = 8
+
+# The plan table. A plan, (select() keys, segments), is a pure function
+# of (members, layout) that no caller writes to, so one plan serves every
+# step that addresses the same members in the same layout. An interned
+# set's key (its mask as bytes, trailing zeros stripped) maps to (set,
+# offsets, (offsets[:-1], dims) as arrays, plan) for the layout last
+# asked about. The key None holds the same for the last set that is not
+# interned, matched by identity.
+_plans: dict[bytes | None, tuple] = {}
 
 
 class Blocks(tuple):
@@ -185,12 +206,16 @@ class ActiveSet:
 
     `runs` lists the maximal ranges [lo, hi) of adjacent member indices;
     `index` holds the members, sorted, as a read-only integer array.
+    Sets from `from_mask` (and `full`) over at most INTERN_LAYERS layers
+    are interned; any other construction makes a new set.
     """
 
     members: frozenset[int] = field(default_factory=frozenset)
     _sorted: tuple[int, ...] = field(init=False, repr=False, compare=False)
     runs: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     index: np.ndarray = field(init=False, repr=False, compare=False)
+    # The set's key in the plan table if it is interned, else None.
+    key: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         members = frozenset(map(int, self.members))
@@ -209,7 +234,22 @@ class ActiveSet:
     @lru_cache(maxsize=128)
     def full(cls, n_layers: int) -> "ActiveSet":
         # Cached: the sets are immutable, and dense steps ask for one each time.
-        return cls(frozenset(range(n_layers)))
+        return cls.from_mask(np.ones(n_layers, dtype=bool))
+
+    @classmethod
+    def from_mask(cls, mask: np.ndarray) -> "ActiveSet":
+        """The layers where a boolean mask over all of them is True. Over
+        at most INTERN_LAYERS layers the set is interned: the same
+        membership returns the same object, whose plans the table keeps."""
+        if mask.size > INTERN_LAYERS:
+            return cls(frozenset(np.flatnonzero(mask).tolist()))
+        key = mask.tobytes().rstrip(b"\0")
+        entry = _plans.get(key)
+        if entry is None:
+            active = cls(frozenset(i for i, b in enumerate(key) if b))
+            object.__setattr__(active, "key", key)
+            entry = _plans[key] = (active, None, None, None)
+        return entry[0]
 
     @classmethod
     def of(cls, *indices: int) -> "ActiveSet":
@@ -239,13 +279,14 @@ class ActiveSet:
 
 def _plan(v: LayeredVector, active: ActiveSet) -> tuple[tuple, Segments]:
     """select()'s keys and the segments of `active` in v's layout."""
-    global _last_plan
-    last, offsets, (firsts, dims), plan = _last_plan
-    if last is active and offsets is v.offsets:
-        return plan
+    key, o = active.key, v.offsets
+    entry = _plans.get(key)
+    if entry is not None and entry[1] is o and (key is not None or entry[0] is active):
+        return entry[3]
     active.validate(len(v.dims))
-    o = v.offsets
-    if offsets is not o:
+    if entry is not None and entry[1] is o:
+        firsts, dims = entry[2]
+    else:
         firsts, dims = np.array(o[:-1]), np.array(v.dims)
     spans = [(o[lo], o[hi]) for lo, hi in active.runs]
     short = [(a, b) for a, b in spans if b - a < GATHER_BELOW]
@@ -257,7 +298,7 @@ def _plan(v: LayeredVector, active: ActiveSet) -> tuple[tuple, Segments]:
     lo, hi = (active.runs[0][0], active.runs[-1][1]) if spans else (0, 0)
     segments = Segments(slice(o[lo], o[hi]), firsts[lo:hi] - o[lo], dims[lo:hi], active.index - lo)
     plan = (keys, segments)
-    _last_plan = (active, o, (firsts, dims), plan)
+    _plans[key] = (active, o, (firsts, dims), plan)
     return plan
 
 

@@ -69,6 +69,9 @@ OPTIMIZERS: dict[str, tuple[Selector, Ascent]] = {
 
 # Gradient entries at or beyond this square to inf.
 _SQUARABLE = math.sqrt(np.finfo(np.float64).max)
+# n values of at most m have a sum of squares that cannot overflow when
+# n * m * m is below this: half the float maximum, room for its rounding.
+_SUMMABLE = float(np.finfo(np.float64).max) / 2
 
 
 @dataclass(frozen=True)
@@ -179,12 +182,16 @@ def sam_perturb(
     if cfg.perturb_norm == "per_layer":
         factor = cfg.rho / np.where(norms > 0.0, norms, np.inf)
     else:
-        with np.errstate(over="ignore"):
+        top = float(np.maximum.reduce(norms, initial=0.0))
+        if norms.size * top * top < _SUMMABLE:
             joint = math.sqrt(norms @ norms)
-        if joint == math.inf and (top := norms.max()) < math.inf:
-            # The squares overflowed, not the norm: sum them scaled by the largest.
-            u = norms / top
-            joint = top * math.sqrt(u @ u)
+        else:
+            with np.errstate(over="ignore"):
+                joint = math.sqrt(norms @ norms)
+            if joint == math.inf and top < math.inf:
+                # The squares overflowed, not the norm: sum them scaled by the largest.
+                u = norms / top
+                joint = top * math.sqrt(u @ u)
         factor = cfg.rho / joint if joint > 0.0 else 0.0
     scale = np.zeros(sizes.size)
     scale[pick] = factor
@@ -403,13 +410,15 @@ def select_layers_ablation(
     if not 1 <= k <= n_layers:
         raise ValueError(f"k={k} out of range for {n_layers} layers")
     if kind == "uniform_random":
-        idx = rng.choice(n_layers, size=k, replace=False)
-        return ActiveSet.from_iterable(int(i) for i in idx)
-    if full_grad is None:
+        chosen = rng.choice(n_layers, size=k, replace=False)
+    elif full_grad is None:
         raise ValueError("greedy_topk needs the full gradient to rank layers by")
-    norms = layer_l2_norm(full_grad, ActiveSet.full(n_layers))
-    order = np.argsort(-norms, kind="stable")
-    return ActiveSet.from_iterable(int(i) for i in order[:k])
+    else:
+        norms = layer_l2_norm(full_grad, ActiveSet.full(n_layers))
+        chosen = np.argsort(-norms, kind="stable")[:k]
+    mask = np.zeros(n_layers, dtype=bool)
+    mask[chosen] = True
+    return ActiveSet.from_mask(mask)
 
 
 def ablation_step(

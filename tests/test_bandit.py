@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import bisect
+import contextlib
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -499,6 +503,220 @@ class TestKlProjectProperties:
     def test_rejects_bad_input(self, u, s, p_min, message):
         with pytest.raises(ValueError, match=message):
             kl_project(u, s, p_min)
+
+
+def untrimmed_kl_project(u: np.ndarray, s: float, p_min: float) -> np.ndarray:
+    """kl_project with its tail as it was before the in-place clamp:
+    np.clip, then the distribution's checks through the method wrappers."""
+    u = np.asarray(u, dtype=np.float64)
+    if u.ndim != 1 or u.size < 1:
+        raise ValueError("u must be a non-empty 1-d array")
+    us = np.sort(u)
+    ul = us.tolist()
+    if not (0.0 < ul[0] and ul[-1] < np.inf):
+        raise ValueError("u must be finite and strictly positive")
+    n = u.size
+    s = float(s)
+    bandit._check_feasible(n, s, p_min)
+    bps = np.sort(np.concatenate((p_min / us, 1.0 / us))).tolist()
+    csum = list(itertools.accumulate(ul, initial=0.0))
+
+    def mass(c: float) -> float:
+        n_floor = bisect.bisect_right(ul, p_min / c)
+        n_cap = min(n - bisect.bisect_left(ul, 1.0 / c), n - n_floor)
+        return p_min * n_floor + n_cap + c * (csum[n - n_cap] - csum[n_floor])
+
+    j = min(max(bisect.bisect_left(bps, s, key=mass), 1), n + n - 1)
+    lo, hi = bps[j - 1], bps[j]
+    mid = 0.5 * (lo + hi)
+    k_floor, k_free_end = bisect.bisect_left(ul, p_min / mid), bisect.bisect_left(ul, 1.0 / mid)
+    free = float(us[k_floor:k_free_end].sum())
+    fixed = p_min * k_floor + (n - k_free_end)
+    c = hi if free == 0.0 else min(max((s - fixed) / free, lo), hi)
+    return untrimmed_distribution(np.clip(c * u, p_min, 1.0), s, p_min)
+
+
+def untrimmed_distribution(p, s, p_min) -> np.ndarray:
+    """SamplingDistribution's checks through the method wrappers, as they
+    were before the ufunc reductions: the checked p, or the same error."""
+    p, s, p_min = np.ascontiguousarray(p, dtype=np.float64), float(s), float(p_min)
+    if p.ndim != 1 or p.size < 1:
+        raise ValueError("p must be a non-empty 1-d array")
+    bandit._check_feasible(p.size, s, p_min)
+    if not (p_min - bandit.SUM_TOL <= p.min() and p.max() <= 1.0 + bandit.SUM_TOL):
+        raise ValueError("probabilities leave [p_min, 1]")
+    if abs(float(p.sum()) - s) > bandit.SUM_TOL:
+        raise ValueError(f"sum(p)={float(p.sum())} deviates from s={s}")
+    return p
+
+
+def untrimmed_pseudo_loss(r_norms, dist, active) -> np.ndarray:
+    """pseudo_loss as it was before the envelope check: every score
+    checked for finiteness, then for sign."""
+    active.validate(dist.n_layers)
+    if len(active) == 0:
+        raise ValueError("active set is empty")
+    norms = np.asarray(r_norms, dtype=np.float64)
+    if norms.shape != (len(active),):
+        raise ValueError(f"need one norm per active layer, got shape {norms.shape}")
+    if np.minimum.reduce(norms) < 0.0:
+        raise ValueError("gradient norms must be non-negative")
+    top = float(np.maximum.reduce(norms))
+    with np.errstate(over="ignore", invalid="ignore"):
+        env, r = top / dist.p_min, norms / dist.p[active.index]
+        scores = env * env - r * r
+    if not np.isfinite(scores).all():
+        i = int(np.argmax(norms))
+        raise DivergenceError(
+            f"pseudo-loss of layer {active.indices()[i]} is not finite: its gradient "
+            f"norm {float(norms[i])!r} over p_min={dist.p_min} has no finite square"
+        )
+    if np.minimum.reduce(scores) < 0.0:
+        raise AssertionError("pseudo-loss must be non-negative")
+    return scores
+
+
+def outcome(f, *args):
+    """What f returns, its p for a distribution, or its error's type and
+    message; a floating-point RuntimeWarning counts as an error."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = f(*args)
+    except Exception as e:  # AssertionError included: it is one of the outcomes
+        return type(e), str(e)
+    return got.p if isinstance(got, SamplingDistribution) else got
+
+
+def assert_same_outcome(got, want) -> None:
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray), got
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+SPECIAL_VALUES = [np.nan, np.inf, -np.inf, -1.0, -0.0, 0.0, 5e-324, 1e154, 1e300]
+
+
+@st.composite
+def budgets(draw):
+    """(n, s, p_min) for N from 1 to 1,000, the floor at s/N drawn often."""
+    n = draw(st.integers(1, 1000))
+    s = n * draw(st.floats(0.05, 1.0))
+    p_min = s / n if draw(st.booleans()) else draw(st.floats(1e-3, 1.0)) * s / n
+    return n, s, p_min
+
+
+@st.composite
+def pseudo_loss_cases(draw):
+    """(norms, dist, active): p off the uniform start and, at times, a
+    layer up to SUM_TOL below the floor, which the distribution allows;
+    norms from tiny to past an envelope with a finite square, with NaN,
+    infinite and negative ones mixed in."""
+    n, s, p_min = draw(budgets())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dist = kl_project(np.exp(draw(st.floats(0.0, 5.0)) * rng.standard_normal(n)), s, p_min)
+    if n > 1 and draw(st.booleans()):
+        p = dist.p.copy()
+        shift = draw(st.floats(0.0, 1.0)) * bandit.SUM_TOL
+        p[np.argmin(p)] -= shift
+        p[np.argmax(p)] += shift
+        with contextlib.suppress(ValueError):
+            dist = SamplingDistribution(p, s, p_min)
+    members = np.flatnonzero(rng.random(n) < draw(st.floats(0.0, 1.0))).tolist()
+    active = ActiveSet.from_iterable(members or [int(rng.integers(n))])
+    norms = rng.random(len(active)) * 10.0 ** draw(st.floats(-3.0, 160.0))
+    for _ in range(draw(st.integers(0, 3))):
+        norms[rng.integers(norms.size)] = draw(st.sampled_from(SPECIAL_VALUES))
+    if draw(st.booleans()):
+        norms[np.argmin(dist.p[active.index])] = np.max(norms)  # the envelope on a low p
+    return norms, dist, active
+
+
+@st.composite
+def distribution_cases(draw):
+    """(p, s, p_min): a projected p, then a special value, a shift of one
+    entry or a rescale around the tolerances, or a budget made infeasible."""
+    n, s, p_min = draw(budgets())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = kl_project(np.exp(draw(st.floats(0.0, 5.0)) * rng.standard_normal(n)), s, p_min).p.copy()
+    kind = draw(st.sampled_from(["valid", "special", "shift", "scale", "budget"]))
+    if kind == "special":
+        p[rng.integers(n)] = draw(st.sampled_from(SPECIAL_VALUES + [1.0 + 2e-9, p_min - 2e-9]))
+    elif kind == "shift":
+        p[rng.integers(n)] += draw(st.floats(-3.0, 3.0)) * bandit.SUM_TOL
+    elif kind == "scale":
+        p *= 1.0 + draw(st.floats(-3.0, 3.0)) * bandit.SUM_TOL / s
+    elif kind == "budget":
+        s, p_min = draw(st.sampled_from([(s, 0.0), (s, 1.5), (np.nan, p_min), (n + 1.0, p_min)]))
+    return p, s, p_min
+
+
+@st.composite
+def projection_cases(draw):
+    """(u, s, p_min) for N from 1 to 1,000, u over e^-50..e^50 with ties at
+    times, and at times a NaN, infinite, zero or negative weight."""
+    n, s, p_min = draw(budgets())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    exponents = rng.uniform(-50.0, 50.0, n)
+    if draw(st.booleans()):
+        exponents = np.round(exponents / 10.0) * 10.0
+    u = np.exp(exponents)
+    if draw(st.booleans()):
+        u[rng.integers(n)] = draw(st.sampled_from(SPECIAL_VALUES))
+    return u, s, p_min
+
+
+class TestAgainstTheUntrimmedRoundTrip:
+    """pseudo_loss, kl_project and SamplingDistribution give the bits and
+    the errors, type and message, of the versions kept above."""
+
+    @given(pseudo_loss_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_pseudo_loss(self, case):
+        norms, dist, active = case
+        want = outcome(untrimmed_pseudo_loss, norms, dist, active)
+        assert_same_outcome(outcome(pseudo_loss, norms, dist, active), want)
+
+    @pytest.mark.parametrize(
+        "norms, p, error",
+        [
+            ([1.0, 0.5], [0.5, 0.5], None),
+            ([1.0, -1.0], [0.5, 0.5], ValueError),
+            ([1.0, -np.inf], [0.5, 0.5], ValueError),
+            ([1.0, np.nan], [0.5, 0.5], DivergenceError),
+            ([np.nan, -1.0], [0.5, 0.5], DivergenceError),
+            ([np.inf, 1.0], [0.5, 0.5], DivergenceError),
+            ([1e154, 1.0], [0.5, 0.5], DivergenceError),
+            # A layer 1e-10 below the floor of 0.5 scores below zero.
+            ([1.0, 1.0], [0.5 - 1e-10, 0.5 + 1e-10], AssertionError),
+        ],
+    )
+    def test_pseudo_loss_outcomes(self, norms, p, error):
+        dist = SamplingDistribution(np.array(p), 1.0, 0.5)
+        args = np.array(norms), dist, ActiveSet.of(0, 1)
+        got = outcome(pseudo_loss, *args)
+        assert_same_outcome(got, outcome(untrimmed_pseudo_loss, *args))
+        assert got[0] is error if error else isinstance(got, np.ndarray)
+
+    @given(distribution_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_sampling_distribution(self, case):
+        want = outcome(untrimmed_distribution, *case)
+        assert_same_outcome(outcome(SamplingDistribution, *case), want)
+
+    @pytest.mark.parametrize("p", [np.zeros(0), np.full((2, 2), 0.25)])
+    def test_sampling_distribution_shape(self, p):
+        want = outcome(untrimmed_distribution, p, 1.0, 0.1)
+        assert_same_outcome(outcome(SamplingDistribution, p, 1.0, 0.1), want)
+
+    @given(projection_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_kl_project(self, case):
+        want = outcome(untrimmed_kl_project, *case)
+        assert_same_outcome(outcome(kl_project, *case), want)
 
 
 @st.composite

@@ -9,8 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsam import layered
+from sparsam.bandit import init_uniform, sample_active_set
 from sparsam.layered import (
     GATHER_BELOW,
+    INTERN_LAYERS,
     ActiveSet,
     LayeredVector,
     active_param_count,
@@ -18,6 +21,8 @@ from sparsam.layered import (
     masked_axpy,
     total_l1_norm,
 )
+from sparsam.objectives import MlpClassifier
+from sparsam.optimizers import select_layers_ablation
 
 from conftest import assert_bit_identical, lv
 
@@ -316,3 +321,109 @@ class TestActiveSet:
         v = lv([1.0] * 10, [1.0] * 20, [1.0] * 70)
         assert active_param_count(v, ActiveSet.of(0, 2)) == 80
         assert active_param_count(v, ActiveSet.full(3)) == 100
+
+
+def plan_of(v: LayeredVector, active: ActiveSet):
+    """select()'s keys and segments, the slices as (start, stop) pairs and
+    the arrays as (dtype, values), so plans compare with ==."""
+    def plain(k):
+        return (k.start, k.stop) if isinstance(k, slice) else (k.dtype.str, k.tolist())
+
+    key, starts, sizes, pick = v.segments(active)
+    segments = (plain(key), plain(starts), plain(sizes), plain(pick))
+    return tuple(plain(k) for k in v.select(active)), segments
+
+
+def masks(n: int):
+    """Every non-empty mask over n layers, as a boolean array."""
+    for bits in range(1, 2**n):
+        yield np.array([(bits >> l) & 1 for l in range(n)], dtype=bool)
+
+
+PLAN_LAYOUTS = {
+    "8x64": [64] * 8,
+    "mlp-separate": MlpClassifier([2, 16, 16, 2]).layer_dims,
+    "mlp-fused": MlpClassifier([2, 16, 16, 2], bias_mode="fused").layer_dims,
+    "mixed": [1, GATHER_BELOW + 44, 3, GATHER_BELOW - 1, GATHER_BELOW, 2, 2 * GATHER_BELOW, 7],
+}
+
+
+class TestPlanTable:
+    """Sets drawn over at most INTERN_LAYERS layers are interned in the
+    plan table, which keeps each one's keys and segments for its layout."""
+
+    @pytest.fixture(autouse=True)
+    def empty_table(self, monkeypatch):
+        monkeypatch.setattr(layered, "_plans", {})
+
+    def test_interned_plans_equal_fresh_plans(self):
+        vectors = {name: LayeredVector.zeros(dims) for name, dims in PLAN_LAYOUTS.items()}
+        cases = [(name, mask) for name, v in vectors.items() for mask in masks(v.n_layers)]
+        want = {}
+        for name, mask in cases:
+            layered._plans.clear()
+            fresh = ActiveSet(frozenset(np.flatnonzero(mask).tolist()))
+            want[name, mask.tobytes()] = plan_of(vectors[name], fresh)
+        layered._plans.clear()
+        # Interleave the layouts, so each set's plan is rebuilt as its layout changes.
+        order = np.random.default_rng(0).permutation(len(cases))
+        for _ in range(2):
+            for i in order:
+                name, mask = cases[i]
+                active = ActiveSet.from_mask(mask)
+                assert active.indices() == np.flatnonzero(mask).tolist()
+                assert plan_of(vectors[name], active) == want[name, mask.tobytes()]
+        assert sum(key is not None for key in layered._plans) == 2**8 - 1
+
+    def test_same_membership_same_object(self):
+        mask = np.array([True, False, True, False, False, False])
+        active = ActiveSet.from_mask(mask)
+        assert ActiveSet.from_mask(mask.copy()) is active
+        assert ActiveSet.from_mask(np.array([True, False, True])) is active
+        assert ActiveSet.from_mask(np.r_[mask, False, False]) is active
+        assert active == ActiveSet.of(0, 2) and active.key is not None
+        assert ActiveSet.of(0, 2).key is None
+
+    def test_draws_and_selections_go_through_the_table(self):
+        rng = np.random.default_rng(1)
+        for n in range(1, INTERN_LAYERS + 1):
+            dist = init_uniform(n, n * 0.4, 0.4 / n)
+            for _ in range(200):
+                active, _ = sample_active_set(dist, rng)
+                assert ActiveSet.from_mask(np.isin(np.arange(n), active.index)) is active
+            for kind in ("uniform_random", "greedy_topk"):
+                grad = random_layered(rng, [3] * n)
+                active = select_layers_ablation(kind, n, (n + 1) // 2, rng, grad)
+                assert active.key is not None and len(active) == (n + 1) // 2
+            assert ActiveSet.full(n) == ActiveSet.from_mask(np.ones(n, dtype=bool))
+        interned = [key for key in layered._plans if key is not None]
+        assert len(interned) <= 2**INTERN_LAYERS
+        assert len(set(interned)) == len(interned)
+
+    def test_nine_layers_are_never_interned(self):
+        n = INTERN_LAYERS + 1
+        rng = np.random.default_rng(2)
+        dist = init_uniform(n, 3.0, 0.05)
+        mask = np.zeros(n, dtype=bool)
+        mask[[0, 2]] = True
+        v = LayeredVector.zeros([4] * n)
+        for _ in range(100):
+            drawn, _ = sample_active_set(dist, rng)
+            picked = select_layers_ablation("uniform_random", n, 2, rng)
+            made = ActiveSet.from_mask(mask)
+            assert drawn.key is None and picked.key is None and made.key is None
+            assert made is not ActiveSet.from_mask(mask) and made == ActiveSet.of(0, 2)
+            v.select(made)
+        assert ActiveSet.full(n).key is None
+        assert list(layered._plans) == [None]
+        assert layered._plans[None][0] is made
+
+    def test_a_large_set_keeps_its_plan_beside_the_interned_ones(self):
+        v = LayeredVector.zeros([2] * 12)
+        large = ActiveSet.of(0, 1, 5, 11)
+        plan = v.select(large)
+        small = ActiveSet.from_mask(np.array([False, True, True]))
+        i = np.dtype(np.intp).str
+        assert plan_of(v, small) == (((2, 6),), ((2, 6), (i, [0, 2]), (i, [2, 2]), (i, [0, 1])))
+        assert v.select(large) is plan
+        assert v.select(ActiveSet.of(0, 1, 5, 11)) is not plan

@@ -144,6 +144,20 @@ class TestSamPerturb:
                 eps = sam_perturb(r, active, SamConfig(0.0, mode))
                 assert not eps.data.any() and not np.signbit(eps.data).any(), (mode, active)
 
+    @pytest.mark.parametrize("n", [1, 2, 8, 100])
+    @pytest.mark.parametrize("side", [0.5, 0.999, 1.0, 2.0, 4.0])
+    def test_global_norm_around_the_errstate_bound(self, n, side):
+        # n layer norms m with n * m * m at `side` times the bound: below it
+        # the joint norm skips np.errstate, from it on the guarded path
+        # (whose squares overflow from side 2) runs. Either way the
+        # perturbation has norm rho and raises no warning.
+        m = math.sqrt(side / n) * math.sqrt(optimizers._SUMMABLE)
+        r = LayeredVector([np.array([m])] * n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eps = sam_perturb(r, ActiveSet.full(n), SamConfig(0.37, "global"), np.full(n, m))
+        assert np.allclose(eps.data, 0.37 / math.sqrt(n), rtol=1e-12, atol=0.0)
+
     def test_global_norm_whose_square_overflows(self, monkeypatch):
         # Twenty layers of 64 gradient entries near 1e153: each layer's
         # squared norm is finite, their sum is not. The joint norm must be
