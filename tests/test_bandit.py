@@ -602,8 +602,9 @@ SPECIAL_VALUES = [np.nan, np.inf, -np.inf, -1.0, -0.0, 0.0, 5e-324, 1e154, 1e300
 
 @st.composite
 def budgets(draw):
-    """(n, s, p_min) for N from 1 to 1,000, the floor at s/N drawn often."""
-    n = draw(st.integers(1, 1000))
+    """(n, s, p_min) for N from 1 to 1,000, half the time at most
+    FLOAT_PATH_LAYERS, the floor at s/N drawn often."""
+    n = draw(st.integers(1, bandit.FLOAT_PATH_LAYERS if draw(st.booleans()) else 1000))
     s = n * draw(st.floats(0.05, 1.0))
     p_min = s / n if draw(st.booleans()) else draw(st.floats(1e-3, 1.0)) * s / n
     return n, s, p_min
@@ -715,8 +716,235 @@ class TestAgainstTheUntrimmedRoundTrip:
     @given(projection_cases())
     @settings(max_examples=300, deadline=None)
     def test_kl_project(self, case):
-        want = outcome(untrimmed_kl_project, *case)
+        # A subnormal weight overflows the oracle's breakpoints to inf, as
+        # intended; kl_project computes the same bits without the warning.
+        with np.errstate(over="ignore"):
+            want = outcome(untrimmed_kl_project, *case)
         assert_same_outcome(outcome(kl_project, *case), want)
+
+
+def strict_outcome(f, *args):
+    """outcome(f, *args) with every warning, not only RuntimeWarning, an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return outcome(f, *args)
+
+
+@contextlib.contextmanager
+def float_path_off():
+    """No distribution is small enough for the float path: the NumPy path alone runs."""
+    cutoff, bandit.FLOAT_PATH_LAYERS = bandit.FLOAT_PATH_LAYERS, 0
+    try:
+        yield
+    finally:
+        bandit.FLOAT_PATH_LAYERS = cutoff
+
+
+def numpy_update(dist, active, r_norms, config) -> SamplingDistribution:
+    """update_distribution through its NumPy shrink and projection."""
+    with float_path_off():
+        return update_distribution(dist, active, r_norms, config)
+
+
+def numpy_kl_project(u, s, p_min) -> SamplingDistribution:
+    """kl_project through its NumPy path."""
+    with float_path_off():
+        return kl_project(u, s, p_min)
+
+
+@st.composite
+def float_path_budgets(draw):
+    """(n, s, p_min) over 1 to FLOAT_PATH_LAYERS layers: the floor at s/N,
+    at times below SUM_TOL, and s at the ends of its range."""
+    n = draw(st.integers(1, bandit.FLOAT_PATH_LAYERS))
+    s = n * draw(st.sampled_from([draw(st.floats(0.05, 1.0)), 1.0]))
+    p_min = draw(st.sampled_from([s / n, draw(st.floats(1e-3, 1.0)) * s / n, 1e-12, 5e-10, 1e-9]))
+    return n, s, p_min
+
+
+@st.composite
+def float_path_updates(draw):
+    """(dist, active, norms, config) over at most FLOAT_PATH_LAYERS layers.
+
+    p is moved off the uniform start, by a little or a lot, and at times one entry is shifted
+    down by up to SUM_TOL, which under a floor below SUM_TOL can put it
+    at or below zero. Norms run from subnormal to past an envelope with
+    no finite square, with NaN, infinite, negative, subnormal and huge
+    ones mixed in, and at times one too many. The step size runs from
+    where most layers stay free up to 1e306, where every exponent with k > 0 meets the clamp, and at
+    times is an int, a NumPy scalar, infinite or NaN.
+    """
+    n, s, p_min = draw(float_path_budgets())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dist = kl_project(np.exp(draw(st.sampled_from([0.01, 0.3, 5.0])) * rng.standard_normal(n)), s, p_min)
+    if draw(st.booleans()):
+        p = dist.p.copy()
+        low = int(np.argmin(p))
+        shift = draw(st.floats(0.0, 1.0)) * bandit.SUM_TOL
+        p[low] = draw(st.sampled_from([p_min - bandit.SUM_TOL, 0.0, p[low] - shift]))
+        with contextlib.suppress(ValueError):
+            dist = SamplingDistribution(p, s, p_min)
+    members = np.flatnonzero(rng.random(n) < draw(st.floats(0.0, 1.0))).tolist()
+    active = ActiveSet.from_iterable(members or [int(rng.integers(n))])
+    norms = rng.random(len(active) + draw(st.sampled_from([0, 0, 0, 0, 1])))
+    norms *= 10.0 ** draw(st.one_of(st.floats(-3.0, 3.0), st.floats(-320.0, 160.0)))
+    for _ in range(draw(st.integers(0, 3))):
+        norms[rng.integers(norms.size)] = draw(st.sampled_from(SPECIAL_VALUES + [1e-310]))
+    if draw(st.booleans()):
+        norms[np.argmin(dist.p[active.index])] = np.max(norms)  # the envelope on a low p
+    alpha = draw(
+        st.one_of(
+            st.floats(-9.0, 0.0).map(lambda e: 10.0**e),  # most layers stay free
+            st.floats(-9.0, 306.0).map(lambda e: 10.0**e),
+            st.sampled_from([1, np.float64(1e-3), np.inf, np.nan]),
+        )
+    )
+    return dist, active, norms, BanditConfig(alpha_p=alpha)
+
+
+@st.composite
+def float_path_projections(draw):
+    """(u, s, p_min) over at most FLOAT_PATH_LAYERS weights, spread up to
+    e^-50..e^50, with ties at times and NaN, infinite, zero, negative, subnormal and
+    huge weights mixed in; u at times a list and p_min a NumPy scalar;
+    the budget at times infeasible."""
+    n, s, p_min = draw(float_path_budgets())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    exponents = rng.uniform(-1.0, 1.0, n) * draw(st.sampled_from([0.01, 1.0, 5.0, 50.0]))
+    if draw(st.booleans()):
+        exponents = np.round(exponents / 10.0) * 10.0
+    u = np.exp(exponents)
+    for _ in range(draw(st.integers(0, 2))):
+        u[rng.integers(n)] = draw(st.sampled_from(SPECIAL_VALUES + [1e-310]))
+    s, p_min = draw(st.sampled_from([(s, p_min)] * 4 + [(s, 0.0), (s, 1.5), (np.nan, p_min), (n + 1.0, p_min)]))
+    form = draw(st.sampled_from(["array", "list", "numpy floor"]))
+    if form == "list":
+        return u.tolist(), s, p_min
+    return u, s, np.float64(p_min) if form == "numpy floor" else p_min
+
+
+class TestFloatPath:
+    """Over at most FLOAT_PATH_LAYERS layers, update_distribution and
+    kl_project run in Python floats; they give the NumPy path's bits,
+    errors (type and message) and warnings, and no others."""
+
+    @given(float_path_updates())
+    @settings(max_examples=500, deadline=None)
+    def test_update_distribution(self, case):
+        want = strict_outcome(numpy_update, *case)
+        assert_same_outcome(strict_outcome(update_distribution, *case), want)
+
+    @given(float_path_projections())
+    @settings(max_examples=500, deadline=None)
+    def test_kl_project(self, case):
+        want = strict_outcome(numpy_kl_project, *case)
+        assert_same_outcome(strict_outcome(kl_project, *case), want)
+
+    @pytest.mark.parametrize("n, s", [(6, 3.0), (8, 2.0)])
+    def test_chained_updates_at_the_mlp_sizes(self, n, s):
+        # Draws and updates as a run makes them, at the default floor: most
+        # layers stay free, so a last-bit difference in a shrink shows.
+        dist = init_uniform(n, s, 0.1 * s / n)
+        rng, draws = np.random.default_rng(n), stream(n, "bandit")
+        for alpha in (1e-4, 1e-2, 1.0):
+            cfg = BanditConfig(alpha_p=alpha)
+            for _ in range(100):
+                active, _ = sample_active_set(dist, draws)
+                norms = rng.random(len(active)) * 10.0 ** rng.uniform(-2.0, 2.0)
+                new = update_distribution(dist, active, norms, cfg)
+                assert new.p.tobytes() == numpy_update(dist, active, norms, cfg).p.tobytes()
+                dist = new
+
+    @pytest.mark.parametrize(
+        "alpha, norms, p, p_min, outcome_type",
+        [
+            (1e-3, [1.0, 0.5], [0.5, 0.5], 0.5, None),
+            (1e306, [2.0, 0.0], [0.5, 0.5], 0.5, None),  # -alpha * k overflows to -inf: the clamp
+            (1e-3, [1.0, np.nan], [0.5, 0.5], 0.5, DivergenceError),
+            (1e-3, [1e154, 1.0], [0.5, 0.5], 0.5, DivergenceError),
+            (1e-3, [1.0, -1.0], [0.5, 0.5], 0.5, ValueError),
+            (1e-3, [1.0, 1.0], [0.5 - 1e-10, 0.5 + 1e-10], 0.5, AssertionError),
+            (np.inf, [1.0, 1.0], [0.5, 0.5], 0.5, RuntimeWarning),  # inf * 0 in the exponent
+            # A floor below SUM_TOL lets p reach 0: r / p divides by zero or is NaN.
+            (1e-3, [1.0, 1.0], [0.0, 1.0], 1e-12, RuntimeWarning),
+            (1e-3, [0.0, 1.0], [0.0, 1.0], 1e-12, DivergenceError),
+        ],
+    )
+    def test_update_outcomes(self, alpha, norms, p, p_min, outcome_type):
+        dist = SamplingDistribution(np.array(p), 1.0, p_min)
+        args = dist, ActiveSet.of(0, 1), np.array(norms), BanditConfig(alpha)
+        got = strict_outcome(update_distribution, *args)
+        assert_same_outcome(got, strict_outcome(numpy_update, *args))
+        assert got[0] is outcome_type if outcome_type else isinstance(got, np.ndarray)
+
+    @given(distribution_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_distribution_checks(self, case):
+        # The float path's distribution: the constructor's p, or None where it raises.
+        p, s, p_min = case
+        if p.size > bandit.FLOAT_PATH_LAYERS:
+            return
+        try:
+            bandit._check_feasible(p.size, s, p_min)
+        except ValueError:
+            return  # _from_floats is only called on a feasible budget
+        want = outcome(SamplingDistribution, p, s, p_min)
+        got = SamplingDistribution._from_floats(p.tolist(), float(s), float(p_min))
+        if isinstance(want, tuple):
+            assert got is None, want
+        else:
+            assert got.p.tobytes() == want.tobytes() and (got.s, got.p_min) == (s, p_min)
+
+    @pytest.mark.parametrize(
+        "q", [[0.5, np.nan, 0.5], [np.nan, 0.5, 0.5], [0.5, 0.5, np.inf], [0.5, 0.5, 0.5 - 2e-9]]
+    )
+    def test_distribution_checks_every_entry(self, q):
+        # Python's min and max skip a NaN that is not first; the check must not.
+        assert outcome(SamplingDistribution, np.array(q), 1.5, 0.5)[0] is ValueError
+        assert SamplingDistribution._from_floats(q, 1.5, 0.5) is None
+
+    def test_small_distributions_take_the_float_path(self, monkeypatch):
+        taken = []
+        for name in ("_shrink_floats", "_kl_project_floats"):
+            f = getattr(bandit, name)
+            monkeypatch.setattr(bandit, name, lambda *a, f=f, name=name: taken.append(name) or f(*a))
+        for n in range(1, bandit.FLOAT_PATH_LAYERS + 1):
+            dist = init_uniform(n, 0.5 * n, 0.02)
+            update_distribution(dist, ActiveSet.full(n), np.linspace(0.1, 1.0, n), BanditConfig())
+            kl_project(np.linspace(0.1, 1.0, n), 0.5 * n, 0.02)
+        assert taken == ["_shrink_floats", "_kl_project_floats", "_kl_project_floats"] * bandit.FLOAT_PATH_LAYERS
+
+    @pytest.mark.parametrize("n", [9, 100])
+    def test_more_layers_never_take_it(self, n, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the float path was taken")
+
+        monkeypatch.setattr(bandit, "_shrink_floats", refuse)
+        monkeypatch.setattr(bandit, "_kl_project_floats", refuse)
+        dist = init_uniform(n, 0.5 * n, 0.02)
+        new = update_distribution(dist, ActiveSet.full(n), np.linspace(0.1, 1.0, n), BanditConfig())
+        assert abs(float(new.p.sum()) - 0.5 * n) <= bandit.SUM_TOL
+        kl_project(np.linspace(0.1, 1.0, n), 0.5 * n, 0.02)
+
+
+class TestOverflowingWeights:
+    """A subnormal weight, or weights spread wider than the float range,
+    overflow a breakpoint or c * u to inf, as intended: both paths
+    project them without a warning."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("project", [kl_project, numpy_kl_project], ids=["kl_project", "numpy"])
+    @pytest.mark.parametrize(
+        "u, s, want",
+        [
+            ([5e-324, 1.0], 1.0, [0.1, 0.9]),
+            ([1e-310, 1.0], 1.0, [0.1, 0.9]),
+            ([1e-10, 1e300], 2.0, [1.0, 1.0]),
+            ([5e-324] + [1.0] * 9, 1.9, [0.1] + [0.2] * 9),
+        ],
+    )
+    def test_projects_without_a_warning(self, project, u, s, want):
+        assert project(np.array(u), s, 0.1).p.tolist() == pytest.approx(want, rel=1e-15)
 
 
 @st.composite

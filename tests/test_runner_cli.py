@@ -422,6 +422,22 @@ class TestCli:
         assert main(["project", "--probs", str(probs), "--s", "nan", "--pmin", "0.1"]) == 1
         assert "target sum s=nan infeasible for n=3, p_min=0.1" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "weights, s, want",
+        [
+            ("5e-324,1", "1", [0.1, 0.9]),  # two weights: the float path
+            ("5e-324" + ",1" * 9, "1.9", [0.1] + [0.2] * 9),  # ten: the NumPy path
+        ],
+    )
+    def test_project_subnormal_weight(self, tmp_path, capsys, weights, s, want):
+        # 1 / 5e-324 overflows a breakpoint to inf, as intended, without a warning.
+        probs = tmp_path / "w.csv"
+        probs.write_text(weights + "\n")
+        assert main(["project", "--probs", str(probs), "--s", s, "--pmin", "0.1"]) == 0
+        got = [float(v) for v in capsys.readouterr().out.strip().split(",")]
+        assert got == pytest.approx(want, rel=1e-15)
+
     def test_project_bad_numbers(self, tmp_path, capsys):
         probs = tmp_path / "w.csv"
         probs.write_text("0.5,banana\n")
