@@ -25,11 +25,12 @@ scores, the shrink, the sort, the breakpoint search, the clamp and the
 distribution's range check. There a NumPy call costs about a
 microsecond whatever its length, and the update on arrays makes about
 25 of them on 1 to 8 entries: by timeit (2-core x86 VM) it takes
-@UPDATE_FLOATS@ us at N = 6 and 8 in floats against @UPDATE_NUMPY@ us on
-arrays. The float path's cost grows faster with N; it @CROSSOVER@, so
-the cutoff sits at the MLPs' 6 and 8 layers and N = 100 keeps the
-NumPy path. Python floats add, multiply, divide, compare and sort as
-NumPy's float64 does. Three calls stay NumPy's because their bits are
+14-15 us at N = 6 and 8 in floats against 28-29 us on arrays. The
+float path's cost grows faster with N: it breaks even between 24 and
+48 layers and is about 1.4 times slower at N = 100. So the cutoff
+sits at the MLPs' 6 and 8 layers, and N = 100 keeps the NumPy path.
+Python floats add, multiply, divide, compare and sort as NumPy's
+float64 does. Three calls stay NumPy's because their bits are
 NumPy's own: np.exp for the shrink (math.exp differs from it in the
 last bit for about 5% of arguments), and np.add.reduce for the free
 coordinates' sum and for the sum check (its order is neither left to
@@ -58,7 +59,8 @@ logger = logging.getLogger(__name__)
 SUM_TOL = 1e-9
 MAX_SAMPLE_ATTEMPTS = 10_000
 # Distributions over at most this many layers update and project in
-# Python floats; above it NumPy's per-call cost is the smaller one.
+# Python floats: the shipped MLPs' 6 and 8, well below the crossover with
+# the NumPy path (24 to 48 layers, see the module docstring).
 FLOAT_PATH_LAYERS = 8
 
 
