@@ -1,10 +1,11 @@
 """Layered parameter vectors and active-set arithmetic.
 
-A LayeredVector keeps all of its layers in one contiguous float64
-buffer, `data`; `blocks[l]` is a view of layer l at a fixed offset into
-it. Writing a block (`v[l] = a` or `v.blocks[l] = a`) copies into the
-buffer, so the views never go stale, `zeros` is one allocation and
-`copy` one memcpy.
+A LayeredVector is its buffer and its layout: all of its layers in one
+contiguous float64 buffer, `data`, with layer l at
+`data[offsets[l] : offsets[l + 1]]` and `dims[l]` entries long. Code
+reads and writes the buffer through an active set's keys and segments
+(below) or slices it at `offsets`; the vector keeps no per-layer views.
+`zeros` is one allocation and `copy` one memcpy.
 
 An ActiveSet holds its layers sorted, and grouped into runs of adjacent
 indices. `v.select(active)` turns the runs into the keys that
@@ -88,20 +89,6 @@ INTERN_LAYERS = 8
 _plans: dict[bytes | None, tuple] = {}
 
 
-class Blocks(tuple):
-    """Per-layer views into one buffer. Assigning to an item copies the
-    value into that layer's view instead of rebinding it."""
-
-    __slots__ = ()
-
-    def __setitem__(self, l: int, value: np.ndarray) -> None:
-        view = self[l]
-        arr = np.asarray(value, dtype=np.float64).reshape(-1)
-        if arr.size != view.size:
-            raise ValueError(f"layer {l} has {view.size} entries, got {arr.size}")
-        view[...] = arr
-
-
 @lru_cache(maxsize=64)
 def layout(dims: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Layer sizes as ints and the n + 1 buffer offsets of a layout."""
@@ -115,13 +102,12 @@ def layout(dims: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 class LayeredVector:
-    __slots__ = ("data", "dims", "offsets", "_blocks")
+    __slots__ = ("data", "dims", "offsets")
 
     def __init__(self, blocks: Iterable[np.ndarray]) -> None:
         arrays = [np.asarray(b, dtype=np.float64).reshape(-1) for b in blocks]
         self.dims, self.offsets = layout(tuple(a.size for a in arrays))
         self.data = np.concatenate(arrays)
-        self._blocks: Blocks | None = None
 
     @classmethod
     def _wrap(
@@ -129,7 +115,7 @@ class LayeredVector:
     ) -> "LayeredVector":
         """A vector over `data` itself, which must hold offsets[-1] floats."""
         v = cls.__new__(cls)
-        v.data, v.dims, v.offsets, v._blocks = data, dims, offsets, None
+        v.data, v.dims, v.offsets = data, dims, offsets
         return v
 
     @classmethod
@@ -145,19 +131,8 @@ class LayeredVector:
             raise ValueError(f"flat vector of size {data.size} does not split into {list(dims)}")
         return cls._wrap(data, dims, offsets)
 
-    def to_flat(self) -> np.ndarray:
-        return self.data.copy()
-
     def copy(self) -> "LayeredVector":
         return LayeredVector._wrap(self.data.copy(), self.dims, self.offsets)
-
-    @property
-    def blocks(self) -> Blocks:
-        # Built on first use: many vectors are only ever touched run-wise.
-        if self._blocks is None:
-            d, o = self.data, self.offsets
-            self._blocks = Blocks(d[o[l] : o[l + 1]] for l in range(len(self.dims)))
-        return self._blocks
 
     @property
     def n_layers(self) -> int:
@@ -180,18 +155,6 @@ class LayeredVector:
         the last, where each layer in it begins and how long it is, and
         which of them are active."""
         return _plan(self, active)[1]
-
-    def __len__(self) -> int:
-        return len(self.dims)
-
-    def __getitem__(self, l: int) -> np.ndarray:
-        return self.blocks[l]
-
-    def __setitem__(self, l: int, value: np.ndarray) -> None:
-        self.blocks[l] = value
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        return iter(self.blocks)
 
     def __repr__(self) -> str:
         return f"LayeredVector(dims={self.dims})"

@@ -146,7 +146,10 @@ def adamw_step(
     grads = [g.data[k] for k in keys]
     # Written so that a NaN fails it too.
     if not all(np.maximum.reduce(np.abs(gs)) < _SQUARABLE for gs in grads):
-        bad = next(l for l in active if not np.maximum.reduce(np.abs(g[l])) < _SQUARABLE)
+        o = g.offsets
+        bad = next(
+            l for l in active if not np.maximum.reduce(np.abs(g.data[o[l] : o[l + 1]])) < _SQUARABLE
+        )
         raise DivergenceError(f"gradient in layer {bad} at step {state.t + 1} has no finite square")
     for k, gs in zip(keys, grads):
         m, v, xs = state.m.data[k], state.v.data[k], x.data[k]

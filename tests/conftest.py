@@ -23,10 +23,14 @@ def rng():
     return np.random.default_rng(0)
 
 
+def block(v: LayeredVector, l: int) -> np.ndarray:
+    """Layer l of v: a view of its stretch of `data`, so writing to it writes v."""
+    return v.data[v.offsets[l] : v.offsets[l + 1]]
+
+
 def assert_bit_identical(a: LayeredVector, b: LayeredVector) -> None:
     assert a.dims == b.dims
-    for la, lb in zip(a, b):
-        assert np.array_equal(la, lb)
+    assert np.array_equal(a.data, b.data)
 
 
 def full_set(n: int) -> ActiveSet:

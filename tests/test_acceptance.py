@@ -30,6 +30,8 @@ from sparsam.rng import stream
 from sparsam.runner import Trainer
 from sparsam.telemetry import layer_frequency, probe_trend
 
+from conftest import block
+
 
 def report(capsys, tag: str, ok: bool, detail: str = "") -> bool:
     verdict = "PASS" if ok else "FAIL"
@@ -161,8 +163,8 @@ def slsam_trace():
         for l in tel.active_layers:
             included[l] += 1
         step_ratio = max(
-            float(np.max(np.square(m) / (v + adamw.adam_eps)))
-            for m, v in zip(state.m.blocks, state.v.blocks)
+            float(np.max(np.square(block(state.m, l)) / (block(state.v, l) + adamw.adam_eps)))
+            for l in range(state.m.n_layers)
         )
         ratio_max = max(ratio_max, step_ratio)
     return {
@@ -236,7 +238,7 @@ def test_gradients_match_finite_differences(capsys):
             )
             x = obj.init_params(i)
             for l in range(n_layers):
-                x.blocks[l] += rng.normal(0.0, 1.0, dims[l])
+                block(x, l)[...] += rng.normal(0.0, 1.0, dims[l])
             batch = qbatch(i)
         else:
             k = int(rng.integers(2, 4))
@@ -250,8 +252,8 @@ def test_gradients_match_finite_differences(capsys):
         full = ActiveSet.full(obj.n_layers)
         _, g = obj.loss_and_grad(x, batch, full)
         f = lambda flat: obj.loss(LayeredVector.from_flat(flat, obj.layer_dims), batch)
-        fd = central_fd(f, x.to_flat())
-        err = np.max(np.abs(g.to_flat() - fd)) / max(1e-8, float(np.max(np.abs(fd))))
+        fd = central_fd(f, x.data.copy())
+        err = np.max(np.abs(g.data - fd)) / max(1e-8, float(np.max(np.abs(fd))))
         worst = max(worst, float(err))
     ok = worst <= 1e-5
     assert report(capsys, "04 gradient-check", ok, f"max rel err {worst:.2e} over 100 instances")
@@ -261,7 +263,7 @@ def test_gradients_match_finite_differences(capsys):
 
 
 def bit_equal(a: LayeredVector, b: LayeredVector) -> bool:
-    return all(np.array_equal(al, bl) for al, bl in zip(a.blocks, b.blocks))
+    return np.array_equal(a.data, b.data)
 
 
 def test_zero_rho_and_full_budget_reductions(capsys):
@@ -301,13 +303,13 @@ def test_zero_rho_and_full_budget_reductions(capsys):
         )
         _, g = obj.loss_and_grad(xr, qbatch(t), tel.active_layers)
         for l in tel.active_layers:
-            gl = g[l]
+            gl, xl = block(g, l), block(xr, l)
             m[l] = adamw.beta1 * m[l] + (1.0 - adamw.beta1) * gl
             v[l] = adamw.beta2 * v[l] + (1.0 - adamw.beta2) * gl * gl
-            xr.blocks[l] = (
-                xr[l]
+            xl[...] = (
+                xl
                 - adamw.eta * m[l] / np.sqrt(v[l] + adamw.adam_eps)
-                - adamw.eta * adamw.weight_decay * xr[l]
+                - adamw.eta * adamw.weight_decay * xl
             )
         masked_ok = masked_ok and bit_equal(xs, xr)
 

@@ -24,7 +24,7 @@ from sparsam.layered import (
 from sparsam.objectives import MlpClassifier
 from sparsam.optimizers import select_layers_ablation
 
-from conftest import assert_bit_identical, lv
+from conftest import assert_bit_identical, block, lv
 
 
 def random_layered(rng: np.random.Generator, dims: list[int]) -> LayeredVector:
@@ -59,7 +59,8 @@ class TestLayerL2Norm:
         v = random_layered(np.random.default_rng(seed), dims)
         norms = layer_l2_norm(v, ActiveSet.full(v.n_layers))
         for l in range(v.n_layers):
-            dot = float(v[l] @ v[l])
+            b = block(v, l)
+            dot = float(b @ b)
             assert norms[l] ** 2 == pytest.approx(dot, rel=1e-12, abs=1e-300)
 
 
@@ -74,7 +75,7 @@ def segmented_cases(draw):
     dims = rng.integers(lo, hi + 1, n)
     v = LayeredVector([rng.standard_normal(d) * 10.0 ** rng.integers(-3, 4) for d in dims])
     for l in np.flatnonzero(rng.random(n) < 0.2):
-        v[l] = np.zeros(dims[l])
+        block(v, l)[...] = 0.0
     kind = draw(st.sampled_from(["full", "run", "random"]))
     if kind == "full":
         active = ActiveSet.full(n)
@@ -96,9 +97,9 @@ class TestSegmentedReductions:
         norms = layer_l2_norm(v, active)
         assert norms.shape == (len(active),)
         for l, got in zip(active, norms):
-            want = math.sqrt(math.fsum(v[l] * v[l]))
+            want = math.sqrt(math.fsum(block(v, l) * block(v, l)))
             assert got == pytest.approx(want, rel=1e-13, abs=0.0)
-        want = math.fsum(math.fsum(np.abs(v[l])) for l in active)
+        want = math.fsum(math.fsum(np.abs(block(v, l))) for l in active)
         assert total_l1_norm(v, active) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     @given(case=segmented_cases(), seed=st.integers(0, 2**32 - 1))
@@ -132,7 +133,7 @@ class TestTotalL1Norm:
         active = ActiveSet.from_iterable(l for l in range(len(dims)) if rng.random() < 0.5)
         restricted = LayeredVector.zeros(dims)
         for l in active:
-            restricted[l] = v[l]
+            block(restricted, l)[...] = block(v, l)
         assert total_l1_norm(v, active) == total_l1_norm(restricted)
 
 
@@ -165,10 +166,10 @@ class TestMaskedAxpy:
         rng = np.random.default_rng(seed)
         y = random_layered(rng, dims)
         x = random_layered(rng, dims)
-        expect = [yl + a * xl for yl, xl in zip(y, x)]
+        expect = [block(y, l) + a * block(x, l) for l in range(len(dims))]
         masked_axpy(y, a, x, ActiveSet.full(len(dims)))
-        for got, want in zip(y, expect):
-            assert np.array_equal(got, want)
+        for l, want in enumerate(expect):
+            assert np.array_equal(block(y, l), want)
 
     @given(dims=dims_strategy, seed=st.integers(0, 2**31 - 1), a=st.floats(-10, 10))
     @settings(max_examples=50, deadline=None)
@@ -183,13 +184,13 @@ class TestMaskedAxpy:
         masked_axpy(y, a, x, active)
         for l in range(len(dims)):
             if l not in active:
-                assert np.array_equal(y[l], before[l])
+                assert np.array_equal(block(y, l), block(before, l))
 
 
 class TestLayeredVector:
     def test_flat_round_trip(self):
         v = lv([1.0, 2.0], [3.0], [4.0, 5.0, 6.0])
-        flat = v.to_flat()
+        flat = v.data.copy()
         assert np.array_equal(flat, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         back = LayeredVector.from_flat(flat, v.dims)
         assert_bit_identical(back, v)
@@ -203,18 +204,18 @@ class TestLayeredVector:
     def test_copy_is_independent(self):
         v = lv([1.0])
         c = v.copy()
-        c.blocks[0][0] = 9.0
-        assert v[0][0] == 1.0
+        c.data[0] = 9.0
+        assert v.data[0] == 1.0
 
     def test_blocks_are_views_of_one_buffer(self):
         v = lv([1.0, 2.0], [3.0], [4.0, 5.0, 6.0])
         assert v.data.flags.c_contiguous and v.data.dtype == np.float64
         assert v.offsets == (0, 2, 3, 6)
-        for l, b in enumerate(v.blocks):
-            assert np.shares_memory(b, v.data)
-            assert b.size == v.dims[l]
+        for l in range(v.n_layers):
+            assert np.shares_memory(block(v, l), v.data)
+            assert block(v, l).size == v.dims[l]
         v.data[3] = -4.0
-        assert v[2][0] == -4.0
+        assert block(v, 2)[0] == -4.0
 
     def test_copy_owns_its_buffer(self):
         v = lv([1.0, 2.0], [3.0])
@@ -222,7 +223,7 @@ class TestLayeredVector:
         assert not np.shares_memory(c.data, v.data)
         c.data[:] = 0.0
         assert np.array_equal(v.data, [1.0, 2.0, 3.0])
-        assert np.shares_memory(c[1], c.data)
+        assert np.shares_memory(block(c, 1), c.data)
 
     def test_constructor_and_from_flat_copy_their_input(self):
         a = np.array([1.0, 2.0])
@@ -230,18 +231,7 @@ class TestLayeredVector:
         flat = np.array([1.0, 2.0, 3.0])
         w = LayeredVector.from_flat(flat, (2, 1))
         a[0] = flat[0] = 7.0
-        assert v[0][0] == 1.0 and w[0][0] == 1.0
-
-    def test_block_assignment_writes_through(self):
-        v = lv([1.0, 2.0], [3.0], [4.0, 5.0, 6.0])
-        views = tuple(v.blocks)
-        v.blocks[0] = [8.0, 9.0]
-        v[2] = np.arange(3.0)
-        v.blocks[1] += 1.0
-        assert np.array_equal(v.data, [8.0, 9.0, 4.0, 0.0, 1.0, 2.0])
-        assert all(a is b for a, b in zip(views, v.blocks))
-        with pytest.raises(ValueError):
-            v.blocks[1] = np.zeros(2)
+        assert v.data[0] == 1.0 and w.data[0] == 1.0
 
     @given(
         dims=st.lists(st.sampled_from([1, 3, 255, 256, 300]), min_size=1, max_size=12),
@@ -286,11 +276,6 @@ class TestLayeredVector:
     def test_rejects_no_layers(self):
         with pytest.raises(ValueError):
             LayeredVector([])
-
-    def test_setitem_size_check(self):
-        v = lv([1.0, 2.0])
-        with pytest.raises(ValueError):
-            v[0] = np.zeros(3)
 
 
 class TestActiveSet:

@@ -19,7 +19,7 @@ from sparsam.objectives import Batch, BlockQuadratic, MlpClassifier, Objective
 from sparsam.rng import stream
 from sparsam.runner import Trainer
 
-from conftest import lv, scalar_batch
+from conftest import block, lv, scalar_batch
 
 
 def finite_diff_grad(
@@ -31,13 +31,14 @@ def finite_diff_grad(
     g = LayeredVector.zeros(x.dims)
     for l in range(x.n_layers):
         for j in range(x.dims[l]):
-            orig = x[l][j]
-            x[l][j] = orig + h
+            xl = block(x, l)
+            orig = xl[j]
+            xl[j] = orig + h
             up = obj.loss(x, batch)
-            x[l][j] = orig - h
+            xl[j] = orig - h
             down = obj.loss(x, batch)
-            x[l][j] = orig
-            g[l][j] = (up - down) / (2.0 * h)
+            xl[j] = orig
+            block(g, l)[j] = (up - down) / (2.0 * h)
     return g
 
 
@@ -70,19 +71,19 @@ class TestQuadraticGrad:
     def test_forced_derivative(self):
         obj = two_block_quadratic()
         g = obj.grad(lv([2.0], [1.0]), None, ActiveSet.full(2))
-        assert g[0][0] == 2.0
-        assert g[1][0] == 10.0
+        assert block(g, 0)[0] == 2.0
+        assert block(g, 1)[0] == 10.0
 
     def test_zero_at_center(self):
         obj = two_block_quadratic()
         g = obj.grad(lv([0.0], [0.0]), None, ActiveSet.full(2))
-        assert np.array_equal(g.to_flat(), [0.0, 0.0])
+        assert np.array_equal(g.data, [0.0, 0.0])
 
     def test_masking_leaves_block_absent(self):
         obj = two_block_quadratic()
         g = obj.grad(lv([2.0], [1.0]), None, ActiveSet.of(1))
-        assert g[0][0] == 0.0
-        assert g[1][0] == 10.0
+        assert block(g, 0)[0] == 0.0
+        assert block(g, 1)[0] == 10.0
 
     def test_shape_mismatch(self):
         obj = two_block_quadratic()
@@ -98,8 +99,8 @@ class TestQuadraticGrad:
         g0 = obj.grad(x, b0, ActiveSet.full(1))
         g0b = obj.grad(x, b0_again, ActiveSet.full(1))
         g1 = obj.grad(x, b1, ActiveSet.full(1))
-        assert np.array_equal(g0[0], g0b[0])
-        assert not np.array_equal(g0[0], g1[0])
+        assert np.array_equal(block(g0, 0), block(g0b, 0))
+        assert not np.array_equal(block(g0, 0), block(g1, 0))
 
     def test_noise_mean_gradient_is_population_gradient(self):
         obj = BlockQuadratic([2], noise_sigma=1.0, noise_seed=3)
@@ -109,11 +110,11 @@ class TestQuadraticGrad:
             obj.grad(
                 x, Batch(np.zeros((1, 1)), np.zeros(1, dtype=np.int64), id=i),
                 ActiveSet.full(1),
-            )[0]
+            ).data
             for i in range(4000)
         ]
         mean = np.mean(draws, axis=0)
-        assert np.allclose(mean, clean[0], atol=0.08)
+        assert np.allclose(mean, clean.data, atol=0.08)
 
 
 def per_layer_loss(obj: BlockQuadratic, x: LayeredVector, batch: Batch | None, scales) -> float:
@@ -219,7 +220,7 @@ class TestNoiseMemo:
         g = obj.grad(x, b2, sparse)
         g_fresh = fresh().grad(x, b2, sparse)
         for l in range(len(dims)):
-            assert np.array_equal(g[l], g_fresh[l])
+            assert np.array_equal(block(g, l), block(g_fresh, l))
         assert obj.loss(x, b_big) == fresh().loss(x, b_big)
         assert obj.loss(x, b1) == fresh().loss(x, b1)
         for b in (b1, b_big, b2):
@@ -247,9 +248,9 @@ class TestNoiseMemo:
         part = fresh().grad(x, batch, ActiveSet.of(*layers))
         for l in range(n):
             if l in layers:
-                assert np.array_equal(part[l], full[l])
+                assert np.array_equal(block(part, l), block(full, l))
             else:
-                assert np.array_equal(part[l], np.zeros(dims[l]))
+                assert np.array_equal(block(part, l), np.zeros(dims[l]))
 
     def test_memoised_noise_is_read_only(self):
         obj = BlockQuadratic([3, 3], noise_sigma=1.0, noise_seed=2)
@@ -268,8 +269,8 @@ class TestMlpGrad:
         batch = Batch(np.array([[1.0]]), np.array([0], dtype=np.int64))
         loss, g = obj.loss_and_grad(x, batch, ActiveSet.full(obj.n_layers))
         assert loss == pytest.approx(np.log(2.0), rel=1e-12)
-        assert np.allclose(g[0], [-0.5, 0.5], atol=1e-12)  # 1x2 weight
-        assert np.allclose(g[1], [-0.5, 0.5], atol=1e-12)  # bias
+        assert np.allclose(block(g, 0), [-0.5, 0.5], atol=1e-12)  # 1x2 weight
+        assert np.allclose(block(g, 1), [-0.5, 0.5], atol=1e-12)  # bias
 
     @pytest.mark.parametrize("bias_mode", ["separate", "fused"])
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
@@ -284,8 +285,8 @@ class TestMlpGrad:
         for active in nonempty_subsets(obj.n_layers):
             part = obj.grad(x, batch, active)
             for l in range(obj.n_layers):
-                want = full[l] if l in active else np.zeros(obj.layer_dims[l])
-                assert np.array_equal(part[l], want), (list(active), l)
+                want = block(full, l) if l in active else np.zeros(obj.layer_dims[l])
+                assert np.array_equal(block(part, l), want), (list(active), l)
 
     def test_deterministic(self):
         obj = MlpClassifier([2, 8, 2], activation="relu")
@@ -295,8 +296,7 @@ class TestMlpGrad:
         l1, g1 = obj.loss_and_grad(x, batch, ActiveSet.full(obj.n_layers))
         l2, g2 = obj.loss_and_grad(x, batch, ActiveSet.full(obj.n_layers))
         assert l1 == l2
-        for a, b in zip(g1, g2):
-            assert np.array_equal(a, b)
+        assert np.array_equal(g1.data, g2.data)
 
     def test_fused_bias_mode_layer_count(self):
         sep = MlpClassifier([2, 4, 2], activation="tanh", bias_mode="separate")
@@ -315,7 +315,7 @@ class TestMlpGrad:
     def test_divergent_loss_raises(self):
         obj = MlpClassifier([2, 4, 2], activation="relu")
         x = obj.init_params(0)
-        x.blocks[0][:] = 1e200
+        block(x, 0)[:] = 1e200
         batch = Batch(np.full((1, 2), 1e200), np.array([0], dtype=np.int64))
         with pytest.raises(DivergenceError):
             obj.loss_and_grad(x, batch, ActiveSet.full(obj.n_layers))
@@ -330,9 +330,9 @@ def plain_mlp_pass(
     def unpack(v: LayeredVector, i: int) -> tuple[np.ndarray, np.ndarray]:
         fan_in, fan_out = obj.widths[i], obj.widths[i + 1]
         if obj.bias_mode == "fused":
-            block = v.blocks[i]
-            return block[: fan_in * fan_out].reshape(fan_in, fan_out), block[fan_in * fan_out :]
-        return v.blocks[2 * i].reshape(fan_in, fan_out), v.blocks[2 * i + 1]
+            fused = block(v, i)
+            return fused[: fan_in * fan_out].reshape(fan_in, fan_out), fused[fan_in * fan_out :]
+        return block(v, 2 * i).reshape(fan_in, fan_out), block(v, 2 * i + 1)
 
     acts, pre = [batch.inputs], []
     for i in range(obj.n_stages):
@@ -463,7 +463,7 @@ class TestMlpForwardHandover:
         for active in nonempty_subsets(obj.n_layers):
             eps = LayeredVector.zeros(x.dims)
             for l in active:
-                eps[l] = 0.05 * rng.standard_normal(x.dims[l])
+                block(eps, l)[...] = 0.05 * rng.standard_normal(x.dims[l])
             x_pert = LayeredVector.from_flat(x.data + eps.data, x.dims)
             fresh = MlpClassifier(widths, activation=activation, bias_mode=bias_mode)
             want_loss, want_g = fresh.loss_and_grad(x_pert, batch, active)
@@ -568,12 +568,12 @@ class TestFiniteDiff:
     def test_linear_gradient_near_exact(self):
         obj = BlockQuadratic([1])
         fd = finite_diff_grad(obj, lv([2.0]), None, h=1e-6)
-        assert fd[0][0] == pytest.approx(2.0, abs=1e-8)
+        assert block(fd, 0)[0] == pytest.approx(2.0, abs=1e-8)
 
     def test_constant_objective_zero(self):
         obj = BlockQuadratic([2], scales=[1e-300])
         fd = finite_diff_grad(obj, lv([1.0, -1.0]), None, h=1e-6)
-        assert np.allclose(fd.to_flat(), 0.0, atol=1e-12)
+        assert np.allclose(fd.data, 0.0, atol=1e-12)
 
     def test_mlp_agreement_tanh(self):
         obj = MlpClassifier([2, 16, 2], activation="tanh")
@@ -582,8 +582,8 @@ class TestFiniteDiff:
         batch = Batch(rng.standard_normal((6, 2)), rng.integers(0, 2, 6))
         g = obj.grad(x, batch, ActiveSet.full(obj.n_layers))
         fd = finite_diff_grad(obj, x, batch, h=1e-6)
-        scale = max(1e-8, float(np.max(np.abs(fd.to_flat()))))
-        rel = np.max(np.abs(g.to_flat() - fd.to_flat())) / scale
+        scale = max(1e-8, float(np.max(np.abs(fd.data))))
+        rel = np.max(np.abs(g.data - fd.data)) / scale
         assert rel <= 1e-5
 
     def test_oracle_self_consistency_across_h(self):
@@ -593,7 +593,7 @@ class TestFiniteDiff:
         batch = Batch(rng.standard_normal((5, 2)), rng.integers(0, 2, 5))
         fd5 = finite_diff_grad(obj, x, batch, h=1e-5)
         fd6 = finite_diff_grad(obj, x, batch, h=1e-6)
-        assert np.max(np.abs(fd5.to_flat() - fd6.to_flat())) <= 1e-5
+        assert np.max(np.abs(fd5.data - fd6.data)) <= 1e-5
 
     def test_relu_agreement_away_from_kinks(self):
         obj = MlpClassifier([2, 8, 2], activation="relu")
@@ -602,8 +602,8 @@ class TestFiniteDiff:
         batch = Batch(rng.standard_normal((5, 2)), rng.integers(0, 2, 5))
         g = obj.grad(x, batch, ActiveSet.full(obj.n_layers))
         fd = finite_diff_grad(obj, x, batch, h=1e-6)
-        scale = max(1e-8, float(np.max(np.abs(fd.to_flat()))))
-        rel = np.max(np.abs(g.to_flat() - fd.to_flat())) / scale
+        scale = max(1e-8, float(np.max(np.abs(fd.data))))
+        rel = np.max(np.abs(g.data - fd.data)) / scale
         assert rel <= 1e-4
 
 
@@ -611,16 +611,16 @@ class TestInitParams:
     def test_quadratic_starts_off_center(self):
         obj = BlockQuadratic([2, 3], centers=[np.array([1.0, 2.0]), np.zeros(3)])
         x = obj.init_params(0)
-        assert np.array_equal(x[0], [2.0, 3.0])
-        assert np.array_equal(x[1], [1.0, 1.0, 1.0])
+        assert np.array_equal(block(x, 0), [2.0, 3.0])
+        assert np.array_equal(block(x, 1), [1.0, 1.0, 1.0])
 
     def test_mlp_seeded_and_biases_zero(self):
         obj = MlpClassifier([2, 4, 2], activation="tanh")
         a = obj.init_params(11)
         b = obj.init_params(11)
         c = obj.init_params(12)
-        for la, lb in zip(a, b):
-            assert np.array_equal(la, lb)
-        assert any(not np.array_equal(la, lc) for la, lc in zip(a, c))
-        assert np.array_equal(a[1], np.zeros(4))  # first bias block
-        assert np.array_equal(a[3], np.zeros(2))  # output bias block
+        layers = range(a.n_layers)
+        assert all(np.array_equal(block(a, l), block(b, l)) for l in layers)
+        assert any(not np.array_equal(block(a, l), block(c, l)) for l in layers)
+        assert np.array_equal(block(a, 1), np.zeros(4))  # first bias block
+        assert np.array_equal(block(a, 3), np.zeros(2))  # output bias block

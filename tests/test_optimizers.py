@@ -34,7 +34,7 @@ from sparsam.optimizers import (
 from sparsam.rng import stream
 from sparsam.runner import Trainer
 
-from conftest import lv, scalar_batch
+from conftest import block, lv, scalar_batch
 
 # One AdamW update from m=v=0, g=1, x=1 (eta=0.1, beta2=0.999, eps=1e-8),
 # evaluated at 50 decimal digits and rounded to double:
@@ -51,17 +51,17 @@ class TestAdamwStep:
     def test_scalar_frozen_trace(self):
         state = OptimizerState.init([1])
         x, state = adamw_step(state, lv([1.0]), lv([1.0]), ActiveSet.of(0), CFG)
-        assert state.m[0][0] == pytest.approx(0.1, rel=1e-15)
-        assert state.v[0][0] == pytest.approx(1e-3, rel=1e-15)
-        assert x[0][0] == pytest.approx(ADAMW_SCALAR_X1, rel=1e-12)
-        assert x[0][0] == pytest.approx(0.683772, abs=5e-6)
+        assert block(state.m, 0)[0] == pytest.approx(0.1, rel=1e-15)
+        assert block(state.v, 0)[0] == pytest.approx(1e-3, rel=1e-15)
+        assert block(x, 0)[0] == pytest.approx(ADAMW_SCALAR_X1, rel=1e-12)
+        assert block(x, 0)[0] == pytest.approx(0.683772, abs=5e-6)
         assert state.t == 1
 
     def test_zero_gradient_isolates_decay(self):
         cfg = AdamWConfig(eta=0.1, weight_decay=0.5)
         state = OptimizerState.init([2])
         x, _ = adamw_step(state, lv([2.0, -4.0]), lv([0.0, 0.0]), ActiveSet.of(0), cfg)
-        assert np.array_equal(x[0], np.array([2.0, -4.0]) * (1.0 - 0.1 * 0.5))
+        assert np.array_equal(block(x, 0), np.array([2.0, -4.0]) * (1.0 - 0.1 * 0.5))
 
     def test_frozen_layer_bit_identical(self):
         state = OptimizerState.init([1, 2])
@@ -69,9 +69,9 @@ class TestAdamwStep:
         g = lv([1.0], [5.0, 5.0])
         x_before = x.copy()
         adamw_step(state, x, g, ActiveSet.of(0), CFG)
-        assert np.array_equal(x[1], x_before[1])
-        assert np.array_equal(state.m[1], np.zeros(2))
-        assert np.array_equal(state.v[1], np.zeros(2))
+        assert np.array_equal(block(x, 1), block(x_before, 1))
+        assert np.array_equal(block(state.m, 1), np.zeros(2))
+        assert np.array_equal(block(state.v, 1), np.zeros(2))
 
     def test_nonfinite_gradient_raises(self):
         state = OptimizerState.init([1])
@@ -88,6 +88,36 @@ class TestAdamwStep:
         assert not state.m.data.any() and not state.v.data.any()
         assert state.t == 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e155])
+    def test_gathered_set_names_its_first_bad_layer(self, bad):
+        # {0, 2, 4} over 2-float layers is three short runs: one gathered key.
+        active = ActiveSet.of(0, 2, 4)
+        x = LayeredVector([np.full(2, float(l)) for l in range(6)])
+        (key,) = x.select(active)
+        assert not isinstance(key, slice)
+        state = OptimizerState.init(x.dims)
+        before = x.copy()
+        g = lv([1.0, 1.0], [np.nan] * 2, [1.0, bad], [np.inf] * 2, [bad, 1.0], [1.0, 1.0])
+        with pytest.raises(DivergenceError, match="layer 2 at step 1"):
+            adamw_step(state, x, g, active, CFG)
+        assert np.array_equal(x.data, before.data)
+        assert not state.m.data.any() and not state.v.data.any()
+        assert state.t == 0
+
+    def test_gathered_set_ignores_a_nonfinite_inactive_layer(self):
+        active = ActiveSet.of(0, 2, 4)
+        xa = LayeredVector([np.full(2, float(l)) for l in range(6)])
+        xb = xa.copy()
+        sa, sb = OptimizerState.init(xa.dims), OptimizerState.init(xa.dims)
+        finite = [[1.0, -2.0], [0.5, 0.5], [3.0, 0.25], [0.5, 0.5], [-1.0, 4.0], [0.5, 0.5]]
+        nonfinite = [b if l % 2 == 0 else [np.nan, np.inf] for l, b in enumerate(finite)]
+        adamw_step(sa, xa, lv(*nonfinite), active, CFG)
+        adamw_step(sb, xb, lv(*finite), active, CFG)
+        for got, want in ((xa, xb), (sa.m, sb.m), (sa.v, sb.v)):
+            assert np.array_equal(got.data, want.data)
+        assert not any(np.array_equal(block(xa, l), np.full(2, float(l))) for l in active)
+        assert all(np.array_equal(block(xa, l), np.full(2, float(l))) for l in (1, 3, 5))
+
     def test_shape_mismatch(self):
         state = OptimizerState.init([1])
         with pytest.raises(ValueError):
@@ -99,23 +129,23 @@ class TestAdamwStep:
         state = OptimizerState.init([1])
         x, _ = adamw_step(state, lv([0.0]), lv([1.0]), ActiveSet.of(0), CFG)
         raw = 0.1 * 0.1 / math.sqrt(1e-3 + 1e-8)
-        assert x[0][0] == pytest.approx(-raw, rel=1e-12)
+        assert block(x, 0)[0] == pytest.approx(-raw, rel=1e-12)
 
 
 class TestSamPerturb:
     def test_per_layer_three_four(self):
         eps = sam_perturb(lv([3.0, 4.0]), ActiveSet.of(0), SamConfig(0.01, "per_layer"))
-        assert np.allclose(eps[0], [0.006, 0.008], rtol=1e-12)
+        assert np.allclose(block(eps, 0), [0.006, 0.008], rtol=1e-12)
 
     def test_zero_block_zero_perturbation(self):
         eps = sam_perturb(lv([0.0, 0.0], [3.0, 4.0]), ActiveSet.full(2), SamConfig(0.01, "per_layer"))
-        assert np.array_equal(eps[0], [0.0, 0.0])
-        assert np.allclose(eps[1], [0.006, 0.008], rtol=1e-12)
+        assert np.array_equal(block(eps, 0), [0.0, 0.0])
+        assert np.allclose(block(eps, 1), [0.006, 0.008], rtol=1e-12)
 
     def test_global_joint_scaling(self):
         eps = sam_perturb(lv([3.0], [4.0]), ActiveSet.full(2), SamConfig(0.01, "global"))
-        assert eps[0][0] == pytest.approx(0.006, rel=1e-12)
-        assert eps[1][0] == pytest.approx(0.008, rel=1e-12)
+        assert block(eps, 0)[0] == pytest.approx(0.006, rel=1e-12)
+        assert block(eps, 1)[0] == pytest.approx(0.008, rel=1e-12)
 
     def test_per_layer_norms_equal_rho(self):
         rng = np.random.default_rng(0)
@@ -133,8 +163,8 @@ class TestSamPerturb:
 
     def test_inactive_blocks_zero(self):
         eps = sam_perturb(lv([3.0], [4.0]), ActiveSet.of(1), SamConfig(0.5, "per_layer"))
-        assert eps[0][0] == 0.0
-        assert eps[1][0] == pytest.approx(0.5, rel=1e-12)
+        assert block(eps, 0)[0] == 0.0
+        assert block(eps, 1)[0] == pytest.approx(0.5, rel=1e-12)
 
     def test_rho_zero(self):
         # Layer 1 has zero norm; the signs in r must not reach the perturbation.
@@ -192,8 +222,8 @@ class TestAdasamStep:
         x = lv([1.0])
         state = OptimizerState.init(obj.layer_dims)
         tel = adasam_step(obj, x, None, state, SamConfig(0.1, "global"), CFG)
-        assert x[0][0] == pytest.approx(SAM_SCALAR_X1, rel=1e-12)
-        assert x[0][0] == pytest.approx(0.683775, abs=5e-6)
+        assert block(x, 0)[0] == pytest.approx(SAM_SCALAR_X1, rel=1e-12)
+        assert block(x, 0)[0] == pytest.approx(0.683775, abs=5e-6)
         assert tel.grad_passes == 2
         assert tel.loss == pytest.approx(0.5, rel=1e-12)
         assert tel.grad_l1 == pytest.approx(1.0, rel=1e-12)
@@ -212,8 +242,7 @@ class TestAdasamStep:
         for b in batches:
             adasam_step(obj, xa, b, sa, SamConfig(0.0, "global"), CFG)
             adamw_baseline_step(obj, xb, b, sb, CFG)
-            for la, lb in zip(xa, xb):
-                assert np.array_equal(la, lb)
+            assert np.array_equal(xa.data, xb.data)
 
     def test_pass_counter_total(self):
         obj = scalar_objective()
@@ -235,7 +264,7 @@ class TestSparseSamStep:
         tel = sam_step(
             obj, x, None, state, ActiveSet.of(0), "fresh", SamConfig(0.1, "per_layer"), CFG
         )
-        assert x[0][0] == pytest.approx(SAM_SCALAR_X1, rel=1e-12)
+        assert block(x, 0)[0] == pytest.approx(SAM_SCALAR_X1, rel=1e-12)
         assert tel.active_param_count == 1
         assert tel.per_layer_r_norms.tolist() == [1.0]
 
@@ -251,8 +280,7 @@ class TestSparseSamStep:
             sam_step(obj, xa, batch, sa, active, "fresh", SamConfig(0.0, "per_layer"), CFG)
             g = obj.grad(xb, batch, active)
             adamw_step(sb, xb, g, active, CFG)
-            for la, lb in zip(xa, xb):
-                assert np.array_equal(la, lb)
+            assert np.array_equal(xa.data, xb.data)
 
     def test_frozen_layers_untouched(self):
         obj = BlockQuadratic([2, 3])
@@ -260,7 +288,7 @@ class TestSparseSamStep:
         before = x.copy()
         state = OptimizerState.init(obj.layer_dims)
         sam_step(obj, x, None, state, ActiveSet.of(0), "fresh", SamConfig(0.01, "per_layer"), CFG)
-        assert np.array_equal(x[1], before[1])
+        assert np.array_equal(block(x, 1), block(before, 1))
 
 
 class TestSlsamStep:
@@ -292,7 +320,7 @@ class TestSlsamStep:
                     obj, x, scalar_batch(t), state, dist,
                     SamConfig(0.01, "per_layer"), CFG, BanditConfig(), rng,
                 )
-            return x.to_flat(), dist.p
+            return x.data, dist.p
 
         xa, pa = run()
         xb, pb = run()
@@ -313,8 +341,7 @@ class TestSlsamStep:
             dist, tel = slsam_step(obj, xa, batch, sa, dist, sam, CFG, BanditConfig(), rng)
             assert tel.active_layers.indices() == [0, 1]
             adasam_step(obj, xb, batch, sb, sam, CFG)
-            for la, lb in zip(xa, xb):
-                assert np.array_equal(la, lb)
+            assert np.array_equal(xa.data, xb.data)
             assert np.allclose(dist.p, np.ones(2), atol=1e-12)
 
 
@@ -326,7 +353,7 @@ class TestS2samStep:
         sb = OptimizerState.init(obj.layer_dims)
         tel = s2sam_step(obj, xa, None, sa, SamConfig(0.1, "global"), CFG)
         adamw_baseline_step(obj, xb, None, sb, CFG)
-        assert np.array_equal(xa[0], xb[0])
+        assert np.array_equal(block(xa, 0), block(xb, 0))
         assert tel.grad_passes == 1
         assert tel.per_layer_staleness.size == 0
 
@@ -340,8 +367,7 @@ class TestS2samStep:
             batch = scalar_batch(t)
             s2sam_step(obj, xa, batch, sa, SamConfig(0.0, "global"), CFG)
             adamw_baseline_step(obj, xb, batch, sb, CFG)
-            for la, lb in zip(xa, xb):
-                assert np.array_equal(la, lb)
+            assert np.array_equal(xa.data, xb.data)
 
     def test_one_pass_per_step_and_staleness_one(self):
         obj = BlockQuadratic([2, 2])
@@ -362,12 +388,12 @@ class TestS2samStep:
         x = lv([1.0])
         state = OptimizerState.init(obj.layer_dims)
         s2sam_step(obj, x, None, state, SamConfig(0.1, "global"), CFG)
-        g_stash = state.prev_grad[0][0]
-        x_before = x[0][0]
+        g_stash = block(state.prev_grad, 0)[0]
+        x_before = block(x, 0)[0]
         s2sam_step(obj, x, None, state, SamConfig(0.1, "global"), CFG)
         # Expected: g evaluated at x_before + rho * sign(g_stash).
         expected_g = x_before + 0.1 * np.sign(g_stash)
-        assert state.prev_grad[0][0] == pytest.approx(expected_g, rel=1e-12)
+        assert block(state.prev_grad, 0)[0] == pytest.approx(expected_g, rel=1e-12)
 
 
 class TestSlS2samStep:
@@ -519,13 +545,13 @@ class TestAblationSelectors:
 def _per_block_adamw(state, x, g, active, cfg):
     """Block-by-block AdamW, the reference for the run-wise update."""
     for l in active:
-        gl = g[l]
-        state.m[l] = cfg.beta1 * state.m[l] + (1.0 - cfg.beta1) * gl
-        state.v[l] = cfg.beta2 * state.v[l] + (1.0 - cfg.beta2) * gl * gl
-        x[l] = (
-            x[l]
-            - cfg.eta * state.m[l] / np.sqrt(state.v[l] + cfg.adam_eps)
-            - cfg.eta * cfg.weight_decay * x[l]
+        gl, m, v, xl = (block(u, l) for u in (g, state.m, state.v, x))
+        m[...] = cfg.beta1 * m + (1.0 - cfg.beta1) * gl
+        v[...] = cfg.beta2 * v + (1.0 - cfg.beta2) * gl * gl
+        xl[...] = (
+            xl
+            - cfg.eta * m / np.sqrt(v + cfg.adam_eps)
+            - cfg.eta * cfg.weight_decay * xl
         )
 
 
@@ -539,12 +565,12 @@ def _per_block_perturb(r, active, cfg):
     if cfg.perturb_norm == "per_layer":
         for l in active:
             if norms[l] > 0.0:
-                eps[l] = (cfg.rho / norms[l]) * r[l]
+                eps[l] = (cfg.rho / norms[l]) * block(r, l)
     else:
         joint = math.sqrt(np.dot(list(norms.values()), list(norms.values())))
         if joint > 0.0:
             for l in active:
-                eps[l] = (cfg.rho / joint) * r[l]
+                eps[l] = (cfg.rho / joint) * block(r, l)
     return eps
 
 
@@ -584,10 +610,10 @@ class TestRunWiseMatchesPerBlock:
             assert np.array_equal(got.data, want.data)
 
         y = rand()
-        y_ref = [b.copy() for b in y]
+        y_ref = [block(y, l).copy() for l in range(y.n_layers)]
         masked_axpy(y, a, g, active)
         for l in active:
-            y_ref[l] += a * g[l]
+            y_ref[l] += a * block(g, l)
         assert np.array_equal(y.data, np.concatenate(y_ref))
 
         for mode in ("global", "per_layer"):
@@ -610,7 +636,7 @@ class TestRunWiseMatchesPerBlock:
         for v, old in zip((x, state.m, state.v), before):
             for l in range(n):
                 if l not in active:
-                    assert np.array_equal(v[l], old[x.offsets[l] : x.offsets[l + 1]])
+                    assert np.array_equal(block(v, l), old[x.offsets[l] : x.offsets[l + 1]])
 
 
 class TestMomentRatioBound:
@@ -630,6 +656,6 @@ class TestMomentRatioBound:
                 SamConfig(0.01, "per_layer"), cfg, BanditConfig(), rng,
             )
             for l in range(2):
-                ratio = np.max(state.m[l] ** 2 / (state.v[l] + cfg.adam_eps))
+                ratio = np.max(block(state.m, l) ** 2 / (block(state.v, l) + cfg.adam_eps))
                 worst = max(worst, float(ratio))
         assert worst <= 8.0

@@ -30,7 +30,7 @@ from sparsam.optimizers import (
 from sparsam.rng import stream
 from sparsam.runner import Trainer
 
-from conftest import scalar_batch
+from conftest import block, scalar_batch
 
 DIMS = [1, 2, 7, 64, GATHER_BELOW - 1, GATHER_BELOW, GATHER_BELOW + 1, 1024]
 
@@ -69,7 +69,7 @@ def ref_perturb(r, active, cfg):
     if cfg.perturb_norm == "per_layer":
         for l in active:
             if norms[l] > 0.0:
-                np.multiply(cfg.rho / norms[l], r[l], out=eps[l])
+                np.multiply(cfg.rho / norms[l], block(r, l), out=block(eps, l))
     else:
         joint = math.sqrt(np.dot(list(norms.values()), list(norms.values())))
         if joint > 0.0:
@@ -135,7 +135,7 @@ class Case:
         v.data[:] = self.rng.random(v.dim) if positive else self.rng.standard_normal(v.dim)
         v.data[self.rng.random(v.dim) < 0.1] = 0.0 if positive else -0.0
         for l in np.flatnonzero(self.rng.random(len(self.dims)) < 0.2):
-            v[l] = np.zeros(self.dims[l])
+            block(v, l)[...] = 0.0
         return v
 
 
@@ -189,7 +189,8 @@ class TestGatherMatchesRunByRun:
     def test_quad_loss_and_grad(self, dims, kind, seed):
         c = Case(dims, kind, seed)
         scales = (c.rng.random(len(dims)) + 0.5).tolist()
-        centers = list(c.vector())
+        cv = c.vector()
+        centers = [block(cv, l) for l in range(cv.n_layers)]
         obj = BlockQuadratic(dims, scales, centers, noise_sigma=0.1, noise_seed=seed % 97)
         x, batch = c.vector(), scalar_batch(int(c.rng.integers(1000)))
         loss, g = obj.loss_and_grad(x, batch, c.active)
