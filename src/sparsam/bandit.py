@@ -90,7 +90,9 @@ class SamplingDistribution:
             raise ValueError("p must be a non-empty 1-d array")
         _check_feasible(p.size, self.s, self.p_min)
         # minimum and maximum propagate NaN, which then fails the comparison.
-        if not (self.p_min - SUM_TOL <= np.minimum.reduce(p) and np.maximum.reduce(p) <= 1.0 + SUM_TOL):
+        # p_min may be below SUM_TOL, so p > 0 is checked on its own.
+        lo = np.minimum.reduce(p)
+        if not (0.0 < lo and self.p_min - SUM_TOL <= lo and np.maximum.reduce(p) <= 1.0 + SUM_TOL):
             raise ValueError("probabilities leave [p_min, 1]")
         total = float(np.add.reduce(p))
         if abs(total - self.s) > SUM_TOL:
@@ -104,7 +106,7 @@ class SamplingDistribution:
         None where a check fails, so that the constructor can raise."""
         lo, hi = p_min - SUM_TOL, 1.0 + SUM_TOL
         for x in q:
-            if not lo <= x <= hi:  # NaN fails it too
+            if not (0.0 < x and lo <= x <= hi):  # NaN fails it too
                 return None
         p = np.array(q)
         if abs(float(np.add.reduce(p)) - s) > SUM_TOL:
@@ -344,10 +346,10 @@ def _shrink_floats(
 
     Returns None where the NumPy path would raise or warn, or where the
     equality is not shown: a norm that is negative or not finite, an
-    envelope with no finite square, a score below zero, a sampled p at or
-    below zero, or a step size that is not a finite positive float. The
-    one check that raises here, the range of the active set, is
-    pseudo_loss's first, with the same error.
+    envelope with no finite square, a score below zero, or a step size
+    that is not a finite positive float. The one check that raises here,
+    the range of the active set, is pseudo_loss's first, with the same
+    error.
     """
     active.validate(dist.n_layers)
     if not len(active) or not (isinstance(alpha, float) and 0.0 < alpha < math.inf):
@@ -368,14 +370,13 @@ def _shrink_floats(
     exponents = []
     for l, r in zip(active, rl):
         p = u[l]
-        if not p > 0.0:
-            return None
         x = r / p
         k = square - x * x
         if not k >= 0.0:
             return None
-        # k >= 0 and p > 0, so the exponent is at most 0 and never NaN; one
-        # overflowing to -inf meets the clamp as np.maximum has it.
+        # k >= 0 and p > 0 (a distribution holds no other p), so the exponent
+        # is at most 0 and never NaN; one overflowing to -inf meets the clamp
+        # as np.maximum has it.
         e = neg_alpha * k / p
         exponents.append(e if e > -EXPONENT_CLAMP else -EXPONENT_CLAMP)
     for l, shrink in zip(active, np.exp(exponents).tolist()):

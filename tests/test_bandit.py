@@ -543,7 +543,7 @@ def untrimmed_distribution(p, s, p_min) -> np.ndarray:
     if p.ndim != 1 or p.size < 1:
         raise ValueError("p must be a non-empty 1-d array")
     bandit._check_feasible(p.size, s, p_min)
-    if not (p_min - bandit.SUM_TOL <= p.min() and p.max() <= 1.0 + bandit.SUM_TOL):
+    if not (0.0 < p.min() and p_min - bandit.SUM_TOL <= p.min() and p.max() <= 1.0 + bandit.SUM_TOL):
         raise ValueError("probabilities leave [p_min, 1]")
     if abs(float(p.sum()) - s) > bandit.SUM_TOL:
         raise ValueError(f"sum(p)={float(p.sum())} deviates from s={s}")
@@ -767,8 +767,8 @@ def float_path_updates(draw):
     """(dist, active, norms, config) over at most FLOAT_PATH_LAYERS layers.
 
     p is moved off the uniform start, by a little or a lot, and at times one entry is shifted
-    down by up to SUM_TOL, which under a floor below SUM_TOL can put it
-    at or below zero. Norms run from subnormal to past an envelope with
+    down by up to SUM_TOL; under a floor below SUM_TOL that can put it at
+    or below zero, which the distribution refuses. Norms run from subnormal to past an envelope with
     no finite square, with NaN, infinite, negative, subnormal and huge
     ones mixed in, and at times one too many. The step size runs from
     where most layers stay free up to 1e306, where every exponent with k > 0 meets the clamp, and at
@@ -865,9 +865,6 @@ class TestFloatPath:
             (1e-3, [1.0, -1.0], [0.5, 0.5], 0.5, ValueError),
             (1e-3, [1.0, 1.0], [0.5 - 1e-10, 0.5 + 1e-10], 0.5, AssertionError),
             (np.inf, [1.0, 1.0], [0.5, 0.5], 0.5, RuntimeWarning),  # inf * 0 in the exponent
-            # A floor below SUM_TOL lets p reach 0: r / p divides by zero or is NaN.
-            (1e-3, [1.0, 1.0], [0.0, 1.0], 1e-12, RuntimeWarning),
-            (1e-3, [0.0, 1.0], [0.0, 1.0], 1e-12, DivergenceError),
         ],
     )
     def test_update_outcomes(self, alpha, norms, p, p_min, outcome_type):
@@ -876,6 +873,15 @@ class TestFloatPath:
         got = strict_outcome(update_distribution, *args)
         assert_same_outcome(got, strict_outcome(numpy_update, *args))
         assert got[0] is outcome_type if outcome_type else isinstance(got, np.ndarray)
+
+    @pytest.mark.parametrize("p", [[0.0, 1.0], [-0.0, 1.0]])
+    def test_no_zero_probability_under_a_tiny_floor(self, p):
+        # A floor below SUM_TOL would admit p = 0 within the tolerance, and
+        # pseudo_loss would then divide by it: a RuntimeWarning, or a
+        # DivergenceError that blames a finite square. Both checks refuse it.
+        with pytest.raises(ValueError, match=r"probabilities leave \[p_min, 1\]"):
+            SamplingDistribution(np.array(p), 1.0, 1e-12)
+        assert SamplingDistribution._from_floats(p, 1.0, 1e-12) is None
 
     @given(distribution_cases())
     @settings(max_examples=300, deadline=None)
