@@ -11,7 +11,7 @@ import pytest
 
 from sparsam import runner
 from sparsam.cli import main
-from sparsam.config import OPTIMIZER_TYPES, ExperimentConfig, OptimizerConfig
+from sparsam.config import OPTIMIZER_TYPES, ExperimentConfig, OptimizerConfig, load_config
 from sparsam.errors import ConfigError, DivergenceError
 
 
@@ -452,6 +452,14 @@ class TestCli:
 
 
 class TestScripts:
+    def test_comparison_config_loads(self):
+        path = Path(__file__).resolve().parent.parent / "scripts" / "compare_two_moons.json"
+        cfg = load_config(path)
+        assert (cfg.objective.type, cfg.objective.widths) == ("mlp", [2, 16, 16, 2])
+        assert (cfg.dataset.type, cfg.dataset.n, cfg.dataset.seed) == ("two_moons", 256, 0)
+        assert (cfg.optimizer.eta, cfg.bandit.s_over_n) == (0.01, 0.5)
+        assert (cfg.train.steps, cfg.train.batch_size, cfg.train.eval_every) == (2000, 32, 200)
+
     def test_sweep_runs_shorter_than_ten_steps(self):
         path = Path(__file__).resolve().parent.parent / "scripts" / "sweep_sparsity.py"
         spec = importlib.util.spec_from_file_location("sweep_sparsity", path)
