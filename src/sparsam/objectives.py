@@ -120,9 +120,13 @@ class BlockQuadratic(Objective):
     `batch=None` selects the noiseless population objective.
 
     Scales, centers and noise are kept as flat per-entry arrays laid out
-    like a LayeredVector's buffer, so the loss is one expression over the
-    whole buffer and the gradient one expression per key of
-    `LayeredVector.select`.
+    like a LayeredVector's buffer, so a pass is one dense expression over
+    the whole buffer: diff = x - c, the gradient scale * diff + z, and the
+    loss 0.5 * (scale * diff)·diff + z·x, two dot products on top of it.
+    A pass over all layers returns that gradient. A sparse pass copies the
+    active entries into a zeroed vector through the keys of
+    `LayeredVector.select`, so its active blocks are the full gradient's,
+    bit for bit, and its inactive entries +0.0. No pass runs `loss()`.
 
     The noise of the latest batch id is memoised, so a step that
     evaluates the loss and one or more gradients on one batch draws its
@@ -180,32 +184,37 @@ class BlockQuadratic(Objective):
             self._noise_id, self._noise_memo = batch.id, z
         return self._noise_memo
 
-    def loss(self, x: LayeredVector, batch: Batch | None) -> float:
-        self._check_x(x)
+    def _pass(self, x: LayeredVector, batch: Batch | None) -> tuple[float, np.ndarray]:
+        """The unchecked loss at x and the gradient scale * (x - c) + z over
+        the whole buffer."""
         z = self._noise(batch)
         with _quiet():
             diff = x.data - self._center
-            total = 0.5 * float((self._scale * diff).dot(diff))
+            grad = self._scale * diff
+            total = 0.5 * float(grad.dot(diff))
             if z is not None:
                 total += float(z.dot(x.data))
-        return self._check_loss(total)
+                grad += z
+        return total, grad
+
+    def loss(self, x: LayeredVector, batch: Batch | None) -> float:
+        self._check_x(x)
+        return self._check_loss(self._pass(x, batch)[0])
 
     def loss_and_grad(
         self, x: LayeredVector, batch: Batch | None, active: ActiveSet, below: Forward | None = None
     ) -> tuple[float, LayeredVector]:
         # A quadratic keeps no activations, so `below` is ignored.
         self._check_x(x)
+        active.validate(self.n_layers)
+        total, grad = self._pass(x, batch)
+        loss = self._check_loss(total)
+        if len(active) == self.n_layers:
+            return loss, LayeredVector._wrap(grad, x.dims, x.offsets)
         g = LayeredVector.zeros(self._dims)
-        z = self._noise(batch)
-        with _quiet():
-            for k in x.select(active):
-                gs = g.data[k]
-                np.subtract(x.data[k], self._center[k], out=gs)
-                gs *= self._scale[k]
-                if z is not None:
-                    gs += z[k]
-                g.data[k] = gs
-        return self.loss(x, batch), g
+        for k in x.select(active):
+            g.data[k] = grad[k]
+        return loss, g
 
     def init_params(self, seed: int) -> LayeredVector:
         # Deterministic start one unit from each center; seed is unused here

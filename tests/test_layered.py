@@ -412,3 +412,73 @@ class TestPlanTable:
         assert plan_of(v, small) == (((2, 6),), ((2, 6), (i, [0, 2]), (i, [2, 2]), (i, [0, 1])))
         assert v.select(large) is plan
         assert v.select(ActiveSet.of(0, 1, 5, 11)) is not plan
+
+
+def reference_runs(members: frozenset[int]) -> tuple[tuple[int, int], ...]:
+    """The runs of adjacent members, from membership tests on each side."""
+    ordered = sorted(members)
+    starts = [i for i in ordered if i - 1 not in members]
+    ends = [i + 1 for i in ordered if i + 1 not in members]
+    return tuple(zip(starts, ends))
+
+
+def reference_keys(v: LayeredVector, active: ActiveSet) -> tuple:
+    """select()'s keys built run by run: a slice per long run, then one
+    concatenation of np.arange over the short ones (a lone short run is a slice)."""
+    o = v.offsets
+    spans = [(o[lo], o[hi]) for lo, hi in reference_runs(active.members)]
+    short = [(a, b) for a, b in spans if b - a < GATHER_BELOW]
+    if len(short) < 2:
+        return tuple(slice(a, b) for a, b in spans)
+    index = np.concatenate([np.arange(a, b) for a, b in short])
+    return (*(slice(a, b) for a, b in spans if b - a >= GATHER_BELOW), index)
+
+
+@st.composite
+def large_masks(draw):
+    """A mask over 9 to 1,000 layers: empty, full, or drawn at a density."""
+    n = draw(st.integers(INTERN_LAYERS + 1, 1000))
+    kind = draw(st.sampled_from(["empty", "full", "drawn"]))
+    if kind != "drawn":
+        return np.full(n, kind == "full")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.random(n) < draw(st.floats(0.0, 1.0))
+
+
+class TestLargeSetsFromOneIndexArray:
+    """A set from a mask over more than INTERN_LAYERS layers, and its plan,
+    equal what the set's members give built one by one."""
+
+    @given(mask=large_masks())
+    @settings(max_examples=150, deadline=None)
+    def test_from_mask_equals_the_set_of_its_members(self, mask):
+        members = frozenset(np.flatnonzero(mask).tolist())
+        made, ref = ActiveSet.from_mask(mask), ActiveSet(members)
+        assert made.members == ref.members == members
+        assert made.runs == ref.runs == reference_runs(members)
+        for active in (made, ref):
+            assert active.index.dtype == np.intp and not active.index.flags.writeable
+            assert active.index.tolist() == sorted(members) == active.indices()
+            assert active.key is None
+        assert made == ref and hash(made) == hash(ref) and len(made) == len(members)
+
+    @given(
+        n=st.integers(INTERN_LAYERS + 1, 1000),
+        density=st.floats(0.05, 0.95),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_plan_keys_equal_the_arange_concatenation(self, n, density, seed):
+        # Layer sizes on both sides of GATHER_BELOW, so runs of both kinds mix.
+        rng = np.random.default_rng(seed)
+        sizes = [1, 2, 7, 64, GATHER_BELOW // 2 + 1, GATHER_BELOW - 1, GATHER_BELOW, 300]
+        v = LayeredVector.zeros(rng.choice(sizes, n).tolist())
+        active = ActiveSet.from_mask(rng.random(n) < density)
+        got, want = v.select(active), reference_keys(v, active)
+        assert len(got) == len(want)
+        for k, w in zip(got, want):
+            if isinstance(w, slice):
+                assert k == w
+            else:
+                assert k.dtype == np.intp and not k.flags.writeable
+                assert np.array_equal(k, w)

@@ -160,6 +160,108 @@ class TestQuadraticLoss:
             obj.loss_and_grad(x, scalar_batch(1), ActiveSet.of(0))
 
 
+def per_key_loss_and_grad(
+    obj: BlockQuadratic, x: LayeredVector, batch: Batch | None, active: ActiveSet
+) -> tuple[float, LayeredVector]:
+    """The quadratic pass as a reference: the gradient (x - c) * scale + z
+    one key of `select()` at a time, then the loss from its own dense pass."""
+    if x.dims != obj.layer_dims:
+        raise ValueError(f"parameter dims {x.dims} do not match objective dims {obj.layer_dims}")
+    g = LayeredVector.zeros(obj.layer_dims)
+    z = obj._noise(batch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in x.select(active):
+            gs = g.data[k]
+            np.subtract(x.data[k], obj._center[k], out=gs)
+            gs *= obj._scale[k]
+            if z is not None:
+                gs += z[k]
+            g.data[k] = gs
+        diff = x.data - obj._center
+        total = 0.5 * float((obj._scale * diff).dot(diff))
+        if z is not None:
+            total += float(z.dot(x.data))
+    if not np.isfinite(total):
+        raise DivergenceError(f"loss is non-finite ({total})")
+    return total, g
+
+
+def pass_outcome(f, *args):
+    """(loss, gradient bytes) of a pass, or its error's type and message;
+    a floating-point RuntimeWarning counts as an error."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            loss, g = f(*args)
+    except Exception as e:
+        return type(e), str(e)
+    return float(loss).hex(), g.dims, g.data.tobytes()
+
+
+@st.composite
+def quadratic_passes(draw):
+    """(objective, x, batch, active): layers on both sides of GATHER_BELOW,
+    noise or none, a random, empty, full or out-of-range set, and at times
+    NaN, infinite or 1e155 entries, whose square overflows."""
+    dims = draw(st.lists(st.sampled_from([1, 3, 64, 255, 256, 300]), min_size=1, max_size=14))
+    n = len(dims)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    obj = BlockQuadratic(
+        dims,
+        scales=rng.uniform(0.1, 10.0, n).tolist(),
+        centers=[rng.standard_normal(d) for d in dims],
+        noise_sigma=draw(st.sampled_from([0.0, 0.5])),
+        noise_seed=draw(st.integers(0, 2**40)),
+    )
+    x = LayeredVector([rng.standard_normal(d) for d in dims])
+    for _ in range(draw(st.integers(0, 3))):
+        x.data[rng.integers(x.dim)] = draw(st.sampled_from([np.nan, np.inf, -np.inf, 1e155, -1e155]))
+    kind = draw(st.sampled_from(["random", "empty", "full", "listed", "out of range"]))
+    members = np.flatnonzero(rng.random(n) < draw(st.floats(0.0, 1.0))).tolist()
+    active = {
+        "random": ActiveSet.from_iterable(members),
+        "empty": ActiveSet(),
+        "full": ActiveSet.full(n),
+        "listed": ActiveSet.of(*range(n)),
+        "out of range": ActiveSet.of(*members, n + draw(st.integers(0, 3))),
+    }[kind]
+    batch = draw(st.sampled_from([None, scalar_batch(draw(st.integers(0, 2**40)))]))
+    return obj, x, batch, active
+
+
+class TestQuadraticPassBits:
+    """BlockQuadratic.loss_and_grad gives the loss, the gradient and the
+    errors of the per-key reference above, bit for bit."""
+
+    @given(case=quadratic_passes())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_per_key_reference(self, case):
+        obj, x, batch, active = case
+        want = pass_outcome(per_key_loss_and_grad, obj, x, batch, active)
+        assert pass_outcome(obj.loss_and_grad, x, batch, active) == want
+        if not isinstance(want[0], type):
+            # Inactive entries are +0.0, never -0.0.
+            g = obj.loss_and_grad(x, batch, active)[1]
+            for l in set(range(obj.n_layers)) - active.members:
+                assert block(g, l).tobytes() == bytes(8 * obj.layer_dims[l])
+            assert obj.loss(x, batch) == obj.loss_and_grad(x, batch, active)[0]
+
+    def test_full_gradient_owns_its_buffer(self):
+        obj = BlockQuadratic([3, 2], noise_sigma=0.5, noise_seed=1)
+        x = lv([1.0, 2.0, 3.0], [4.0, 5.0])
+        full = ActiveSet.full(2)
+        g = obj.grad(x, scalar_batch(2), full)
+        again = g.data.copy()
+        g.data[:] = 7.0
+        assert np.array_equal(obj.grad(x, scalar_batch(2), full).data, again)
+        assert x.data.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+
+    def test_dims_are_checked_before_the_set(self):
+        obj = BlockQuadratic([3, 2])
+        with pytest.raises(ValueError, match="parameter dims"):
+            obj.loss_and_grad(lv([1.0, 2.0], [3.0]), None, ActiveSet.of(5))
+
+
 class TestNoiseMemo:
     N_LAYERS = 8
 
