@@ -90,9 +90,10 @@ class SamplingDistribution:
             raise ValueError("p must be a non-empty 1-d array")
         _check_feasible(p.size, self.s, self.p_min)
         # minimum and maximum propagate NaN, which then fails the comparison.
-        # p_min may be below SUM_TOL, so p > 0 is checked on its own.
+        # The slack below the floor scales with it, as 1 + SUM_TOL does with
+        # the cap, so a floor far below SUM_TOL still refuses p far below it.
         lo = np.minimum.reduce(p)
-        if not (0.0 < lo and self.p_min - SUM_TOL <= lo and np.maximum.reduce(p) <= 1.0 + SUM_TOL):
+        if not (self.p_min - SUM_TOL * self.p_min <= lo and np.maximum.reduce(p) <= 1.0 + SUM_TOL):
             raise ValueError("probabilities leave [p_min, 1]")
         total = float(np.add.reduce(p))
         if abs(total - self.s) > SUM_TOL:
@@ -104,9 +105,9 @@ class SamplingDistribution:
         floats and the sum check as the constructor makes it, for float s
         and p_min whose budget _check_feasible has passed at len(q) layers.
         None where a check fails, so that the constructor can raise."""
-        lo, hi = p_min - SUM_TOL, 1.0 + SUM_TOL
+        lo, hi = p_min - SUM_TOL * p_min, 1.0 + SUM_TOL
         for x in q:
-            if not (0.0 < x and lo <= x <= hi):  # NaN fails it too
+            if not lo <= x <= hi:  # NaN fails it too
                 return None
         p = np.array(q)
         if abs(float(np.add.reduce(p)) - s) > SUM_TOL:

@@ -543,7 +543,7 @@ def untrimmed_distribution(p, s, p_min) -> np.ndarray:
     if p.ndim != 1 or p.size < 1:
         raise ValueError("p must be a non-empty 1-d array")
     bandit._check_feasible(p.size, s, p_min)
-    if not (0.0 < p.min() and p_min - bandit.SUM_TOL <= p.min() and p.max() <= 1.0 + bandit.SUM_TOL):
+    if not (0.0 < p.min() and p_min - bandit.SUM_TOL * p_min <= p.min() and p.max() <= 1.0 + bandit.SUM_TOL):
         raise ValueError("probabilities leave [p_min, 1]")
     if abs(float(p.sum()) - s) > bandit.SUM_TOL:
         raise ValueError(f"sum(p)={float(p.sum())} deviates from s={s}")
@@ -613,7 +613,7 @@ def budgets(draw):
 @st.composite
 def pseudo_loss_cases(draw):
     """(norms, dist, active): p off the uniform start and, at times, a
-    layer up to SUM_TOL below the floor, which the distribution allows;
+    layer up to SUM_TOL * p_min below the floor, which the distribution allows;
     norms from tiny to past an envelope with a finite square, with NaN,
     infinite and negative ones mixed in."""
     n, s, p_min = draw(budgets())
@@ -621,7 +621,7 @@ def pseudo_loss_cases(draw):
     dist = kl_project(np.exp(draw(st.floats(0.0, 5.0)) * rng.standard_normal(n)), s, p_min)
     if n > 1 and draw(st.booleans()):
         p = dist.p.copy()
-        shift = draw(st.floats(0.0, 1.0)) * bandit.SUM_TOL
+        shift = draw(st.floats(0.0, 1.0)) * bandit.SUM_TOL * p_min
         p[np.argmin(p)] -= shift
         p[np.argmax(p)] += shift
         with contextlib.suppress(ValueError):
@@ -766,13 +766,13 @@ def float_path_budgets(draw):
 def float_path_updates(draw):
     """(dist, active, norms, config) over at most FLOAT_PATH_LAYERS layers.
 
-    p is moved off the uniform start, by a little or a lot, and at times one entry is shifted
-    down by up to SUM_TOL; under a floor below SUM_TOL that can put it at
-    or below zero, which the distribution refuses. Norms run from subnormal to past an envelope with
-    no finite square, with NaN, infinite, negative, subnormal and huge
-    ones mixed in, and at times one too many. The step size runs from
-    where most layers stay free up to 1e306, where every exponent with k > 0 meets the clamp, and at
-    times is an int, a NumPy scalar, infinite or NaN.
+    p is moved off the uniform start, by a little or a lot, and at times its lowest entry is
+    shifted down by up to SUM_TOL, or set to the floor less its slack SUM_TOL * p_min, or to
+    zero; the distribution refuses an entry below the slack, so anything at or below zero.
+    Norms run from subnormal to past an envelope with no finite square, with NaN, infinite,
+    negative, subnormal and huge ones mixed in, and at times one too many. The step size runs
+    from where most layers stay free up to 1e306, where every exponent with k > 0 meets the
+    clamp, and at times is an int, a NumPy scalar, infinite or NaN.
     """
     n, s, p_min = draw(float_path_budgets())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -781,7 +781,8 @@ def float_path_updates(draw):
         p = dist.p.copy()
         low = int(np.argmin(p))
         shift = draw(st.floats(0.0, 1.0)) * bandit.SUM_TOL
-        p[low] = draw(st.sampled_from([p_min - bandit.SUM_TOL, 0.0, p[low] - shift]))
+        edges = [p_min - bandit.SUM_TOL, p_min - bandit.SUM_TOL * p_min, 0.0, p[low] - shift]
+        p[low] = draw(st.sampled_from(edges))
         with contextlib.suppress(ValueError):
             dist = SamplingDistribution(p, s, p_min)
     members = np.flatnonzero(rng.random(n) < draw(st.floats(0.0, 1.0))).tolist()
@@ -879,6 +880,25 @@ class TestFloatPath:
         # A floor below SUM_TOL would admit p = 0 within the tolerance, and
         # pseudo_loss would then divide by it: a RuntimeWarning, or a
         # DivergenceError that blames a finite square. Both checks refuse it.
+        with pytest.raises(ValueError, match=r"probabilities leave \[p_min, 1\]"):
+            SamplingDistribution(np.array(p), 1.0, 1e-12)
+        assert SamplingDistribution._from_floats(p, 1.0, 1e-12) is None
+
+    @pytest.mark.parametrize("p", [[1e-300, 1.0], [5e-324, 1.0]])
+    def test_no_probability_far_below_a_tiny_floor(self, p):
+        # An absolute slack of SUM_TOL below a floor of 1e-12 admitted these,
+        # and the update then blamed the wrong thing: with norms [1, 1] a
+        # DivergenceError for a square that is finite, with norms [0, 2] a
+        # ValueError from kl_project for a weight that is not positive.
+        with pytest.raises(ValueError, match=r"probabilities leave \[p_min, 1\]"):
+            SamplingDistribution(np.array(p), 1.0, 1e-12)
+        assert SamplingDistribution._from_floats(p, 1.0, 1e-12) is None
+
+    def test_the_floor_keeps_a_slack_that_scales_with_it(self):
+        p = [1e-12 * (1.0 - 0.5 * bandit.SUM_TOL), 1.0]
+        assert SamplingDistribution(np.array(p), 1.0, 1e-12).p.tolist() == p
+        assert SamplingDistribution._from_floats(p, 1.0, 1e-12).p.tolist() == p
+        p[0] = 1e-12 * (1.0 - 2.0 * bandit.SUM_TOL)
         with pytest.raises(ValueError, match=r"probabilities leave \[p_min, 1\]"):
             SamplingDistribution(np.array(p), 1.0, 1e-12)
         assert SamplingDistribution._from_floats(p, 1.0, 1e-12) is None
