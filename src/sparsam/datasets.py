@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sparsam.objectives import Batch
+from sparsam.objectives import Batch, as_labels
 from sparsam.rng import stream
 
 # Batch ids pack (epoch, index); indexes get the low bits.
@@ -26,7 +26,7 @@ class Dataset:
 
     def __post_init__(self) -> None:
         self.features = np.ascontiguousarray(self.features, dtype=np.float64)
-        self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+        self.labels = as_labels(self.labels, "labels")
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-d matrix")
         if self.features.shape[0] != self.labels.shape[0]:

@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from sparsam.errors import DivergenceError
-from sparsam.layered import ActiveSet, LayeredVector
+from sparsam.layered import ActiveSet, LayeredVector, layout
 from sparsam.rng import stream
 
 
@@ -24,6 +24,21 @@ def _quiet() -> np.errstate:
     """The floating-point state of a pass: overflow to inf or NaN is the
     divergence signal, raised by the loss check, not a warning."""
     return np.errstate(over="ignore", invalid="ignore")
+
+
+def as_labels(values: np.ndarray, name: str) -> np.ndarray:
+    """`values` as a contiguous int64 array. Integer and bool arrays are
+    cast as they are; a float array must hold only whole numbers within
+    int64's range (so no NaN or inf), checked before the cast, which would
+    truncate them or warn on NaN; any other dtype is refused."""
+    values = np.asarray(values)
+    kind = values.dtype.kind
+    if kind == "f":
+        if not ((np.abs(values) < 2.0**63) & (np.trunc(values) == values)).all():
+            raise ValueError(f"{name} must be whole numbers; casting them to int64 would change them")
+    elif kind not in "biu":
+        raise ValueError(f"{name} must be integers, got dtype {values.dtype}")
+    return np.ascontiguousarray(values, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -36,7 +51,7 @@ class Batch:
 
     def __post_init__(self) -> None:
         inputs = np.ascontiguousarray(self.inputs, dtype=np.float64)
-        targets = np.ascontiguousarray(self.targets, dtype=np.int64)
+        targets = as_labels(self.targets, "targets")
         if inputs.ndim != 2:
             raise ValueError(f"inputs must be 2-d (batch, features), got shape {inputs.shape}")
         if targets.ndim != 1:
@@ -225,8 +240,11 @@ class BlockQuadratic(Objective):
 
 @dataclass(eq=False)
 class _Workspace:
-    """Buffers of one batch row count, one entry per affine stage i."""
+    """Buffers of one batch row count, one entry per affine stage i, and
+    the row index that picks each row's target out of a (rows, classes)
+    array, built once with the workspace."""
 
+    rows: np.ndarray  # np.arange(row count)
     pre: list[np.ndarray]  # z_i = a_i @ W_i + b_i; the last one holds the logits
     act: list[np.ndarray]  # a_{i+1} = activation(z_i), hidden stages only
     delta: list[np.ndarray]  # d loss / d z_i
@@ -253,12 +271,20 @@ class MlpClassifier(Objective):
     matrix, bias vector); with "fused" the pair forms a single layer, which
     gives every layer the same parameter count when all widths are equal.
 
+    A stage table built once per instance gives each affine stage's
+    weight and bias slices of the parameter buffer, the weights' shape
+    and the layers holding them; passes read weights, biases and their
+    gradient blocks through it as views, and the softmax and loss reduce
+    through the ufuncs' own reduce methods, the calls behind `.max()` and
+    `.sum()`, so a pass makes few Python-level calls on small nets.
+
     Passes compute into a workspace kept per batch row count: one
     (rows, width) buffer per stage for the pre-activation, the hidden
-    activation, the backprop delta and the activation derivative. It is
-    built on a row count's first pass and reused by every later pass
-    with that count, so a warm pass allocates nothing of batch size
-    (a few (rows, classes) softmax temporaries aside). Nothing of it
+    activation, the backprop delta and the activation derivative, and
+    the row index that picks each row's target. It is built on a row
+    count's first pass and reused by every later pass with that count,
+    so a warm pass allocates nothing of batch size (a few (rows,
+    classes) softmax temporaries aside). Nothing of it
     escapes: gradients are fresh LayeredVectors and `logits()` and
     `predict()` return fresh arrays. Being per-instance scratch, it makes
     one instance unsafe to share between threads.
@@ -293,15 +319,24 @@ class MlpClassifier(Objective):
         self.activation = activation
         self.bias_mode = bias_mode
         self.n_stages = len(widths) - 1
-        dims = []
-        for i in range(self.n_stages):
-            w_dim = widths[i] * widths[i + 1]
-            b_dim = widths[i + 1]
+        # The stage table, one entry per affine stage: the slice of the
+        # buffer holding its weights, their (fan_in, fan_out) shape, the
+        # slice holding its bias, which directly follows the weights in
+        # either mode, and the layers holding the two (one layer if fused).
+        self._stages: list[tuple[slice, tuple[int, int], slice, int, int]] = []
+        dims, start = [], 0
+        for shape in zip(widths, widths[1:]):
+            mid = start + shape[0] * shape[1]
+            end = mid + shape[1]
             if bias_mode == "fused":
-                dims.append(w_dim + b_dim)
+                layers = (len(dims), len(dims))
+                dims.append(end - start)
             else:
-                dims.extend([w_dim, b_dim])
-        self._dims = tuple(dims)
+                layers = (len(dims), len(dims) + 1)
+                dims.extend([mid - start, end - mid])
+            self._stages.append((slice(start, mid), shape, slice(mid, end), *layers))
+            start = end
+        self._dims, self._offsets = layout(tuple(dims))
         self._work: dict[int, _Workspace] = {}
         self._last: Forward | None = None
 
@@ -313,23 +348,12 @@ class MlpClassifier(Objective):
     def n_classes(self) -> int:
         return self.widths[-1]
 
-    def _unpack(self, x: LayeredVector, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Weight matrix and bias of affine stage i as views into x's buffer,
-        where in either bias mode the bias directly follows the weights."""
-        fan_in, fan_out = self.widths[i], self.widths[i + 1]
-        start = x.offsets[self._stage_layers(i)[0]]
-        mid = start + fan_in * fan_out
-        return x.data[start:mid].reshape(fan_in, fan_out), x.data[mid : mid + fan_out]
-
-    def _stage_layers(self, i: int) -> tuple[int, int]:
-        """The layers holding stage i's weight matrix and its bias."""
-        return (i, i) if self.bias_mode == "fused" else (2 * i, 2 * i + 1)
-
     def _workspace(self, rows: int) -> _Workspace:
         ws = self._work.get(rows)
         if ws is None:
             outs, hidden = self.widths[1:], self.widths[1:-1]
             ws = _Workspace(
+                rows=np.arange(rows),
                 pre=[np.empty((rows, w)) for w in outs],
                 act=[np.empty((rows, w)) for w in hidden],
                 delta=[np.empty((rows, w)) for w in outs],
@@ -341,18 +365,18 @@ class MlpClassifier(Objective):
     def _forward(
         self, x: LayeredVector, inputs: np.ndarray, start: int = 0
     ) -> tuple[list[np.ndarray], _Workspace]:
-        """Activations a_0 (the inputs) to a_L (the logits) in the workspace
-        of the inputs' row count. Stages from `start` up are computed; the
-        activations below are what the workspace holds. Callers run it
-        under `_quiet()`, like the rest of their pass."""
-        inputs = np.ascontiguousarray(inputs, dtype=np.float64)
+        """Activations a_0 (the inputs, contiguous float64 as a Batch holds
+        them) to a_L (the logits) in the workspace of the inputs' row count.
+        Stages from `start` up are computed; the activations below are what
+        the workspace holds. Callers run it under `_quiet()`, like the rest
+        of their pass."""
         ws = self._workspace(inputs.shape[0])
         ws.held = None
         acts = [inputs, *ws.act, ws.pre[-1]]
         for i in range(start, self.n_stages):
-            w, b = self._unpack(x, i)
-            z = np.matmul(acts[i], w, out=ws.pre[i])
-            z += b
+            w, shape, b, _, _ = self._stages[i]
+            z = np.matmul(acts[i], x.data[w].reshape(shape), out=ws.pre[i])
+            z += x.data[b]
             if i == self.n_stages - 1:
                 break  # the logits have no activation
             if self.activation == "tanh":
@@ -367,7 +391,8 @@ class MlpClassifier(Objective):
         handle on an earlier pass over `batch`, which checked them, it is
         the lowest stage holding an active layer."""
         if below is None:
-            if batch.targets.min() < 0 or batch.targets.max() >= self.n_classes:
+            t = batch.targets
+            if np.minimum.reduce(t) < 0 or np.maximum.reduce(t) >= self.n_classes:
                 raise ValueError(f"targets outside [0, {self.n_classes})")
             return 0
         if below.batch is not batch:
@@ -387,6 +412,7 @@ class MlpClassifier(Objective):
 
     def logits(self, x: LayeredVector, inputs: np.ndarray) -> np.ndarray:
         self._check_x(x)
+        inputs = np.ascontiguousarray(inputs, dtype=np.float64)
         with _quiet():
             return self._forward(x, inputs)[0][-1].copy()
 
@@ -395,14 +421,15 @@ class MlpClassifier(Objective):
 
     @staticmethod
     def _log_softmax(logits: np.ndarray) -> np.ndarray:
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        # The reductions of .max() and .sum() without their Python wrappers.
+        shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+        return shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
 
-    def _ce(self, log_p: np.ndarray, targets: np.ndarray) -> float:
+    def _ce(self, log_p: np.ndarray, targets: np.ndarray, rows: np.ndarray) -> float:
         """The checked mean cross-entropy, from the log-probabilities of
-        targets already checked to lie in range."""
+        targets already checked to lie in range; `rows` is the row index."""
         # What .mean() computes: the pairwise sum over the row count.
-        return self._check_loss(-(log_p[np.arange(targets.size), targets].sum() / targets.size))
+        return self._check_loss(-(np.add.reduce(log_p[rows, targets]) / targets.size))
 
     def loss(self, x: LayeredVector, batch: Batch | None) -> float:
         # A pass over no layers runs the forward pass and no backprop.
@@ -425,28 +452,27 @@ class MlpClassifier(Objective):
             acts, ws = self._forward(x, batch.inputs, start)
             ws.held = self._last = Forward(batch, ws)
             log_p = self._log_softmax(acts[-1])
-            loss = self._ce(log_p, batch.targets)
+            loss = self._ce(log_p, batch.targets, ws.rows)
 
             n = batch.size
             delta = np.exp(log_p, out=ws.delta[-1])
-            delta[np.arange(n), batch.targets] -= 1.0
+            delta[ws.rows, batch.targets] -= 1.0
             delta /= n
 
-            g = LayeredVector.zeros(self._dims)
+            g = LayeredVector._wrap(np.zeros(self._offsets[-1]), self._dims, self._offsets)
+            members = active.members
             # Backprop stops at the lowest stage holding an active layer, and
             # each stage computes only its active blocks. A block's arithmetic
             # does not depend on which other layers are active, so active
             # blocks match the full gradient bit for bit.
             for i in range(self.n_stages - 1, lowest - 1, -1):
-                w_layer, b_layer = self._stage_layers(i)
-                gw, gb = self._unpack(g, i)
-                if w_layer in active:
-                    np.matmul(acts[i].T, delta, out=gw)
-                if b_layer in active:
-                    np.add.reduce(delta, axis=0, out=gb)  # np.sum without its wrapper
+                w, shape, b, w_layer, b_layer = self._stages[i]
+                if w_layer in members:
+                    np.matmul(acts[i].T, delta, out=g.data[w].reshape(shape))
+                if b_layer in members:
+                    np.add.reduce(delta, axis=0, out=g.data[b])  # np.sum without its wrapper
                 if i > lowest:
-                    w, _ = self._unpack(x, i)
-                    delta = np.matmul(delta, w.T, out=ws.delta[i - 1])
+                    delta = np.matmul(delta, x.data[w].reshape(shape).T, out=ws.delta[i - 1])
                     delta *= self._act_deriv(ws.pre[i - 1], acts[i], ws.deriv[i - 1])
         return loss, g
 

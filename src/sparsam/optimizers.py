@@ -174,16 +174,23 @@ def sam_perturb(
     """Ascent perturbation of radius rho along r, zero off the active set.
 
     per_layer mode scales each active block to norm rho on its own;
-    global mode scales the whole active restriction jointly. Zero-norm
-    input maps to a zero perturbation. `norms`, when given, holds
-    layer_l2_norm(r, active), so they are not recomputed.
+    global mode scales the whole active restriction jointly, by one
+    factor written over the active entries through the keys of
+    `LayeredVector.select`. Zero-norm input maps to a zero perturbation.
+    Entries with a factor of 0 stay +0.0, whatever the signs in r:
+    inactive layers, zero-norm layers in per_layer mode, and all of them
+    when rho is 0. `norms`, when given, holds layer_l2_norm(r, active),
+    so they are not recomputed.
     """
     eps = LayeredVector.zeros(r.dims)
-    key, _, sizes, pick = r.segments(active)
     if norms is None:
         norms = layer_l2_norm(r, active)
     if cfg.perturb_norm == "per_layer":
-        factor = cfg.rho / np.where(norms > 0.0, norms, np.inf)
+        key, _, sizes, pick = r.segments(active)
+        scale = np.zeros(sizes.size)
+        scale[pick] = cfg.rho / np.where(norms > 0.0, norms, np.inf)
+        scale = scale.repeat(sizes)
+        np.multiply(scale, r.data[key], out=eps.data[key], where=scale > 0.0)
     else:
         top = float(np.maximum.reduce(norms, initial=0.0))
         if norms.size * top * top < _SUMMABLE:
@@ -196,12 +203,9 @@ def sam_perturb(
                 u = norms / top
                 joint = top * math.sqrt(u @ u)
         factor = cfg.rho / joint if joint > 0.0 else 0.0
-    scale = np.zeros(sizes.size)
-    scale[pick] = factor
-    scale = scale.repeat(sizes)
-    # Entries with a factor of 0 stay +0.0, whatever the signs in r: inactive
-    # layers, zero-norm layers in per_layer mode, and all of them when rho is 0.
-    np.multiply(scale, r.data[key], out=eps.data[key], where=scale > 0.0)
+        if factor > 0.0:
+            for k in r.select(active):
+                eps.data[k] = factor * r.data[k]
     return eps
 
 

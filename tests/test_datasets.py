@@ -86,6 +86,20 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 2)), np.array([0, 2]), class_count=2)
 
+    @pytest.mark.parametrize(
+        "labels",
+        [[0.5, 1.5], [0.0, np.nan], [np.inf, 1.0], ["0", "1"]],
+        ids=["fraction", "nan", "inf", "str"],
+    )
+    def test_labels_a_cast_would_change_are_refused(self, labels):
+        with pytest.raises(ValueError, match="labels must be"):
+            Dataset(np.zeros((2, 2)), np.array(labels), class_count=2)
+
+    def test_whole_float_labels_convert(self):
+        ds = Dataset(np.zeros((2, 2)), np.array([1.0, 0.0]), class_count=2)
+        assert ds.labels.dtype == np.int64
+        assert ds.labels.tolist() == [1, 0]
+
     def test_as_batch(self):
         ds = gen_blobs(6, k=2, sigma=0.1, seed=0)
         b = ds.as_batch()

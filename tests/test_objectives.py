@@ -66,6 +66,26 @@ class TestBatch:
         b = Batch(np.zeros((4, 2)), np.zeros(4, dtype=np.int64))
         assert b.size == 4
 
+    @pytest.mark.parametrize(
+        "targets",
+        [[0.7, 1.9], [0.0, np.nan], [np.inf, 0.0], [0.0, -np.inf], [1e19, 0.0], ["0", "1"]],
+        ids=["fraction", "nan", "inf", "-inf", "beyond-int64", "str"],
+    )
+    def test_targets_a_cast_would_change_are_refused(self, targets):
+        # Checked before the cast, so NaN raises no RuntimeWarning either.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="targets must be"):
+                Batch(np.zeros((2, 2)), np.array(targets))
+
+    @pytest.mark.parametrize(
+        "targets", [[0.0, 1.0], [0, 1], [False, True], np.array([0, 1], dtype=np.uint8)]
+    )
+    def test_whole_floats_ints_and_bools_convert(self, targets):
+        b = Batch(np.zeros((2, 2)), np.array(targets))
+        assert b.targets.dtype == np.int64
+        assert b.targets.tolist() == [0, 1]
+
 
 class TestQuadraticGrad:
     def test_forced_derivative(self):
@@ -481,6 +501,39 @@ class TestMlpPassBits:
             assert loss == want_loss, n
             assert np.array_equal(g.data, want_g.data), n
             assert obj.loss(x, batch) == want_loss, n
+
+    @pytest.mark.parametrize("widths", [[2, 16, 16, 2], [2, 8, 8, 8, 2]])
+    @pytest.mark.parametrize("bias_mode", ["separate", "fused"])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_every_active_set_matches_plain_pass(self, activation, bias_mode, widths):
+        # Every non-empty set of the 2-16-16-2 net and a seeded sample on
+        # the deeper one, each from stage 0 and from a handle on an
+        # earlier pass at the same point: the loss and every active block
+        # are the plain pass's bits, and every inactive entry is +0.0.
+        obj = MlpClassifier(widths, activation=activation, bias_mode=bias_mode)
+        x = obj.init_params(6)
+        rng = np.random.default_rng(12)
+        x.data += 0.1 * rng.standard_normal(x.dim)
+        sets = list(nonempty_subsets(obj.n_layers))
+        if len(widths) > 4:
+            sets = [sets[i] for i in sorted(rng.choice(len(sets), min(40, len(sets)), replace=False))]
+        o = x.offsets
+        for rows in (1, 32, 77):
+            batch = Batch(rng.standard_normal((rows, widths[0])), rng.integers(0, widths[-1], rows))
+            want_loss, want_g = plain_mlp_pass(obj, x, batch)
+            for active in sets:
+                for handed in (False, True):
+                    obj.loss(x, batch)
+                    below = obj.last_forward() if handed else None
+                    loss, g = obj.loss_and_grad(x, batch, active, below)
+                    where = (rows, list(active), handed)
+                    assert loss == want_loss, where
+                    for l in range(obj.n_layers):
+                        part = g.data[o[l] : o[l + 1]]
+                        if l in active:
+                            assert np.array_equal(part, want_g.data[o[l] : o[l + 1]]), (where, l)
+                        else:
+                            assert not (part.any() or np.signbit(part).any()), (where, l)
 
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     def test_overflow_raises_divergence_without_warnings(self, activation):
