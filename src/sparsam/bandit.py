@@ -43,7 +43,6 @@ error keeps its type, its message and its warnings.
 
 from __future__ import annotations
 
-import logging
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -53,8 +52,6 @@ import numpy as np
 
 from sparsam.errors import DivergenceError
 from sparsam.layered import ActiveSet
-
-logger = logging.getLogger(__name__)
 
 SUM_TOL = 1e-9
 MAX_SAMPLE_ATTEMPTS = 10_000
@@ -152,8 +149,6 @@ def sample_active_set(
     while True:
         active = ActiveSet.from_mask(rng.random(dist.n_layers) < dist.p)
         if len(active):
-            if redraws:
-                logger.debug("active set empty %d time(s); redrew", redraws)
             return active, redraws
         redraws += 1
         if redraws >= MAX_SAMPLE_ATTEMPTS:

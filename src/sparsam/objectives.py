@@ -413,6 +413,10 @@ class MlpClassifier(Objective):
     def logits(self, x: LayeredVector, inputs: np.ndarray) -> np.ndarray:
         self._check_x(x)
         inputs = np.ascontiguousarray(inputs, dtype=np.float64)
+        if inputs.ndim != 2 or inputs.shape[1] != self.widths[0]:
+            raise ValueError(
+                f"inputs must be 2-d with {self.widths[0]} columns, got shape {inputs.shape}"
+            )
         with _quiet():
             return self._forward(x, inputs)[0][-1].copy()
 
@@ -477,15 +481,10 @@ class MlpClassifier(Objective):
         return loss, g
 
     def init_params(self, seed: int) -> LayeredVector:
+        # Drawn in stage order, which fixes every weight's bits.
         rng = stream(seed, "init")
-        blocks = []
-        for i in range(self.n_stages):
-            fan_in, fan_out = self.widths[i], self.widths[i + 1]
-            w = rng.normal(0.0, fan_in ** -0.5, size=fan_in * fan_out)
-            b = np.zeros(fan_out)
-            if self.bias_mode == "fused":
-                blocks.append(np.concatenate([w, b]))
-            else:
-                blocks.extend([w, b])
-        return LayeredVector(blocks)
+        x = LayeredVector.zeros(self._dims)
+        for w, (fan_in, fan_out), _, _, _ in self._stages:
+            x.data[w] = rng.normal(0.0, fan_in ** -0.5, size=fan_in * fan_out)
+        return x
 

@@ -16,17 +16,17 @@ Stream paths used across the package:
 
 A Philox stream is fully determined by its 128-bit key. A quadratic
 step opens one noise stream, and building a SeedSequence for it costs
-more than hashing the key. So `stream` reproduces SeedSequence's hash:
-its constants, its pool of four 32-bit words, the mixing of the root
-entropy and spawn-key words into the pool and the output hash that
-yields the key (NumPy's bit_generator, after M. O'Neill's seed_seq).
-The root entropy and every path word but the last are hashed once per
-(seed, prefix); a least-recently-used cache of `PREFIX_CACHE` entries
-holds the resulting pool and hash state. A call absorbs only the last
-path word, runs the output hash and hands the key to Philox through a
-fixed-key `ISeedSequence`. Every key, and so every draw, is bit for bit
-what `np.random.SeedSequence(seed, spawn_key=...)` gives; tests pin
-them against it.
+more than hashing the key. So the hash is split where a path's last
+word enters it. NumPy's own SeedSequence mixes the root entropy and
+every path word but the last, once per (seed, prefix); a
+least-recently-used cache of `PREFIX_CACHE` entries holds its pool and
+the hash state that mixing leaves. A call absorbs only the last path
+word and runs the output hash, both written out here with
+SeedSequence's constants (NumPy's bit_generator, after M. O'Neill's
+seed_seq), and hands the key to Philox through a fixed-key
+`ISeedSequence`. Every key, and so every draw, is bit for bit what
+`np.random.SeedSequence(seed, spawn_key=...)` gives; tests pin them
+against it.
 """
 
 from __future__ import annotations
@@ -71,23 +71,11 @@ def _words(n: int) -> list[int]:
     return words
 
 
-def _hashmix(value: int, h: int) -> tuple[int, int]:
-    """SeedSequence's hashmix of `value`: the hashed value and the next hash state."""
-    value ^= h
-    h = (h * _MULT_A) & _MASK32
-    value = (value * h) & _MASK32
-    return value ^ (value >> 16), h
-
-
-def _mix(x: int, y: int) -> int:
-    r = ((_MIX_L * x) - (_MIX_R * y)) & _MASK32
-    return r ^ (r >> 16)
-
-
 def _absorb(pool: list[int], h: int, words: list[int]) -> int:
-    """Mix each word into every pool word in turn; returns the hash state.
+    """SeedSequence's mixing of words past the pool: each into every pool word in turn.
 
-    `_hashmix` and `_mix` written out, since a stream's last word runs here.
+    Returns the next hash state. The one written-out copy of the mixing,
+    since a stream's last path word runs here on every call.
     """
     for w in words:
         for dst in range(_POOL):
@@ -113,24 +101,16 @@ _OUTPUT_STATES = _output_states()
 
 @lru_cache(maxsize=PREFIX_CACHE)
 def _prefix_pool(seed: int, prefix: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """The pool and hash state after the root entropy and the prefix words."""
-    # SeedSequence pads the root entropy to the pool size when a spawn key
-    # follows; without one, it hashes 0 for each missing word, which is
-    # the same.
-    run = _words(seed)
-    words = run + [0] * (_POOL - len(run)) + [w for p in prefix for w in _words(p)]
-    h = _INIT_A
-    pool = []
-    for w in words[:_POOL]:
-        v, h = _hashmix(w, h)
-        pool.append(v)
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                v, h = _hashmix(pool[src], h)
-                pool[dst] = _mix(pool[dst], v)
-    h = _absorb(pool, h, words[_POOL:])
-    return tuple(pool), h
+    """SeedSequence's pool after the root entropy and the prefix words, and its hash state.
+
+    SeedSequence multiplies its hash state by `_MULT_A` once per hashmix,
+    whatever the value hashed, and makes 4n of them: one per pool word for
+    the first `_POOL` words, 12 to cross-mix the pool and 4 per later word.
+    n counts the seed's words, at least `_POOL` of them, and the prefix's.
+    """
+    pool = np.random.SeedSequence(seed, spawn_key=prefix).pool.tolist()
+    n = max(len(_words(seed)), _POOL) + sum(len(_words(p)) for p in prefix)
+    return tuple(pool), _INIT_A * pow(_MULT_A, 4 * n, 1 << 32) & _MASK32
 
 
 class _FixedKey(ISeedSequence):

@@ -596,6 +596,20 @@ class TestMlpWorkspace:
                 tracemalloc.stop()
         assert peak < 1024 * 64 * 8
 
+    @pytest.mark.parametrize(
+        "shape", [(2,), (0,), (3, 5), (3, 1), (3, 2, 1), (1, 3, 2)]
+    )
+    def test_logits_refuse_inputs_not_rows_of_the_input_width(self, shape):
+        # Refused before any workspace is built for the bad row count.
+        obj = MlpClassifier([2, 4, 2])
+        x = obj.init_params(0)
+        for call in (obj.logits, obj.predict):
+            with pytest.raises(ValueError, match="2-d with 2 columns"):
+                call(x, np.zeros(shape))
+        assert obj._work == {}
+        assert obj.logits(x, np.zeros((3, 2))).shape == (3, 2)
+        assert obj.logits(x, np.zeros((0, 2))).shape == (0, 2)
+
 
 class TestMlpForwardHandover:
     """A pass handed the forward of an earlier pass on the same batch, at a
@@ -779,3 +793,24 @@ class TestInitParams:
         assert any(not np.array_equal(block(a, l), block(c, l)) for l in layers)
         assert np.array_equal(block(a, 1), np.zeros(4))  # first bias block
         assert np.array_equal(block(a, 3), np.zeros(2))  # output bias block
+
+    @pytest.mark.parametrize("seed", [0, 1, 11])
+    @pytest.mark.parametrize("bias_mode", ["separate", "fused"])
+    @pytest.mark.parametrize("widths", [[1, 2], [2, 4, 2], [2, 16, 16, 2], [3, 6, 5, 2]])
+    def test_mlp_matches_per_stage_blocks(self, widths, bias_mode, seed):
+        # Reference: each stage's weight draw, then its zero bias, as one
+        # fused block or as two layers.
+        rng = stream(seed, "init")
+        blocks = []
+        for fan_in, fan_out in zip(widths, widths[1:]):
+            w = rng.normal(0.0, fan_in ** -0.5, size=fan_in * fan_out)
+            b = np.zeros(fan_out)
+            if bias_mode == "fused":
+                blocks.append(np.concatenate([w, b]))
+            else:
+                blocks.extend([w, b])
+        want = LayeredVector(blocks)
+        got = MlpClassifier(widths, bias_mode=bias_mode).init_params(seed)
+        assert got.dims == want.dims
+        assert got.offsets == want.offsets
+        assert got.data.tobytes() == want.data.tobytes()

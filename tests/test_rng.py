@@ -92,6 +92,7 @@ class TestStream:
             assert np.array_equal(stream(seed, "noise", bid).standard_normal(8), want)
 
     def test_builds_no_seed_sequence(self, monkeypatch):
+        """A call on a cached prefix builds none."""
         want = stream(4, "noise", 2).standard_normal(4)
 
         def refuse(*args, **kwargs):
@@ -124,12 +125,17 @@ class TestPhiloxKeys:
     @pytest.mark.parametrize(
         "seed",
         # Word-count boundaries: SeedSequence pads the root entropy to four
-        # words below 2**96 and splits seeds of 2**32 and above.
+        # words below 2**96 and splits seeds of 2**32 and above. From 2**128
+        # a seed has more words than the pool, so under an empty prefix the
+        # hash state's word count comes from the seed alone.
         [0, 1, 2**32 - 1, 2**32, 2**64, 2**96 - 1, 2**96, 2**128 - 1, 2**128, 2**160 + 5],
     )
     @pytest.mark.parametrize("bid", [0, 2**32 - 1, 2**32, 2**64 + 1])
     def test_word_boundaries(self, seed, bid):
         assert stream_key(seed, "noise", bid) == seed_sequence_key(seed, NOISE, bid)
+        # One-part paths: the empty prefix, then the one word absorbed.
+        assert stream_key(seed, bid) == seed_sequence_key(seed, bid)
+        assert stream_key(seed, "init") == seed_sequence_key(seed, zlib.crc32(b"init"))
 
     def test_any_path(self):
         assert stream_key(7) == seed_sequence_key(7)
