@@ -19,26 +19,21 @@ layers with large gradients relative to their probability shrink least.
 Only the sampled layers are scored and shrunk; an unsampled layer keeps
 u_l = p_l and is only rescaled by the projection.
 
-Two paths give the same bits. Over at most FLOAT_PATH_LAYERS layers,
-`update_distribution` and `kl_project` run in Python floats: the
-scores, the shrink, the sort, the breakpoint search, the clamp and the
-distribution's range check. There a NumPy call costs about a
-microsecond whatever its length, and the update on arrays makes about
-25 of them on 1 to 8 entries: by timeit (2-core x86 VM) it takes
-14-15 us at N = 6 and 8 in floats against 28-29 us on arrays. The
-float path's cost grows faster with N: it breaks even between 24 and
-48 layers and is about 1.4 times slower at N = 100. So the cutoff
-sits at the MLPs' 6 and 8 layers, and N = 100 keeps the NumPy path.
-Python floats add, multiply, divide, compare and sort as NumPy's
-float64 does. Three calls stay NumPy's because their bits are
-NumPy's own: np.exp for the shrink (math.exp differs from it in the
-last bit for about 5% of arguments), and np.add.reduce for the free
-coordinates' sum and for the sum check (its order is neither left to
-right nor the compensated sum() of Python 3.12). Where the float path
-cannot show equal bits (a norm that is negative or not finite, an
-envelope with no finite square, a score below zero, a p at or below
-zero, a failed check) it hands the call to the NumPy path, so every
-error keeps its type, its message and its warnings.
+The scores and the shrink's exponents and clamp run in Python floats
+at every layer count. They touch only the sampled layers, where a
+NumPy call on a few entries costs more than its arithmetic, and Python
+floats add, multiply, divide, compare and sort as NumPy's float64
+does. The projection's sort and clip touch all N weights, so
+`kl_project` runs in Python floats over at most FLOAT_PATH_LAYERS
+weights and on NumPy arrays over more. The two projections give the
+same bits and each raises every error itself, with the same type and
+message; neither hands a call to the other. Three calls stay NumPy's
+because their bits are NumPy's own: np.exp for the shrink (math.exp
+differs from it in the last bit for about 5% of arguments), and
+np.add.reduce for the free coordinates' sum and for the sum check (its
+order is neither left to right nor the compensated sum() of Python
+3.12). The shrunk weights stay an array, so the projection converts no
+list of N weights.
 """
 
 from __future__ import annotations
@@ -55,9 +50,11 @@ from sparsam.layered import ActiveSet
 
 SUM_TOL = 1e-9
 MAX_SAMPLE_ATTEMPTS = 10_000
-# Distributions over at most this many layers update and project in
-# Python floats: the shipped MLPs' 6 and 8, well below the crossover with
-# the NumPy path (24 to 48 layers, see the module docstring).
+# kl_project runs in Python floats over at most this many weights. By
+# timeit (2-core x86 VM) the float projection takes 10 / 12 us at N = 6 / 8
+# against 18 us on arrays, breaks even between 32 and 48 weights, and takes
+# 43 us against 29 us at N = 100; so the shipped MLPs' 6 and 8 layers take
+# it, and quad-wide's 100 do not.
 FLOAT_PATH_LAYERS = 8
 
 
@@ -97,18 +94,19 @@ class SamplingDistribution:
             raise ValueError(f"sum(p)={total} deviates from s={self.s}")
 
     @classmethod
-    def _from_floats(cls, q: list[float], s: float, p_min: float) -> SamplingDistribution | None:
+    def _from_floats(cls, q: list[float], s: float, p_min: float) -> SamplingDistribution:
         """The distribution over q, with the range check made in Python
         floats and the sum check as the constructor makes it, for float s
         and p_min whose budget _check_feasible has passed at len(q) layers.
-        None where a check fails, so that the constructor can raise."""
+        A failed check raises the constructor's error."""
         lo, hi = p_min - SUM_TOL * p_min, 1.0 + SUM_TOL
         for x in q:
             if not lo <= x <= hi:  # NaN fails it too
-                return None
+                raise ValueError("probabilities leave [p_min, 1]")
         p = np.array(q)
-        if abs(float(np.add.reduce(p)) - s) > SUM_TOL:
-            return None
+        total = float(np.add.reduce(p))
+        if abs(total - s) > SUM_TOL:
+            raise ValueError(f"sum(p)={total} deviates from s={s}")
         dist = object.__new__(cls)
         object.__setattr__(dist, "p", p)
         object.__setattr__(dist, "s", s)
@@ -125,8 +123,8 @@ class BanditConfig:
     alpha_p: float = 1e-4
 
     def __post_init__(self) -> None:
-        if self.alpha_p <= 0:
-            raise ValueError("alpha_p must be positive")
+        if not 0.0 < self.alpha_p < math.inf:  # NaN fails it too
+            raise ValueError("alpha_p must be positive and finite")
 
 
 def init_uniform(n_layers: int, s: float, p_min: float) -> SamplingDistribution:
@@ -157,15 +155,17 @@ def sample_active_set(
 
 def pseudo_loss(
     r_norms: np.ndarray, dist: SamplingDistribution, active: ActiveSet
-) -> np.ndarray:
-    """Scores k >= 0 of the active layers, aligned with `active.indices()`.
+) -> list[float]:
+    """Scores k >= 0 of the active layers, a list aligned with `active.indices()`.
 
     `r_norms` holds the active layers' gradient norms in the same order,
     and the envelope G is the largest of them. Both terms are squared as
     products, so a layer at the envelope with p = p_min scores exactly 0.
-    Scores that are not finite (G / p_min beyond about 1.3e154 squares to
-    inf, or a norm is NaN) raise DivergenceError naming the layer with
-    the largest or NaN norm.
+    The scores are Python floats with NumPy's float64 bits. A NaN norm
+    raises DivergenceError naming the first one, ahead of any negative
+    norm's ValueError; scores that are not finite (G / p_min beyond
+    about 1.3e154 squares to inf) raise DivergenceError naming the first
+    layer with the largest norm.
     """
     active.validate(dist.n_layers)
     if len(active) == 0:
@@ -173,25 +173,35 @@ def pseudo_loss(
     norms = np.asarray(r_norms, dtype=np.float64)
     if norms.shape != (len(active),):
         raise ValueError(f"need one norm per active layer, got shape {norms.shape}")
-    if np.minimum.reduce(norms) < 0.0:
-        raise ValueError("gradient norms must be non-negative")
-    top = float(np.maximum.reduce(norms))
-    with np.errstate(over="ignore", invalid="ignore"):
-        env, r = top / dist.p_min, norms / dist.p[active.index]
+    rl = norms.tolist()
+    # No norm is negative or NaN: a NaN is first in neither min nor max,
+    # but it makes the sum NaN.
+    if 0.0 <= min(rl) and 0.0 <= sum(rl):
+        top = max(rl)
+        env = top / dist.p_min
         square = env * env
-        scores = square - r * r
-    # No score exceeds a finite square of the envelope, so with none below
-    # zero (NaN fails the comparison) every score is finite.
-    if square < math.inf and np.minimum.reduce(scores) >= 0.0:
-        return scores
-    if not np.isfinite(scores).all():
-        # r_l <= G / p_min, so only the envelope overflows: name its layer or the first NaN.
-        i = int(np.argmax(norms))
-        raise DivergenceError(
-            f"pseudo-loss of layer {active.indices()[i]} is not finite: its gradient "
-            f"norm {float(norms[i])!r} over p_min={dist.p_min} has no finite square"
-        )
-    raise AssertionError("pseudo-loss must be non-negative")
+        if square < math.inf:
+            p = dist.p.tolist()
+            scores = []
+            for l, r in zip(active, rl):
+                x = r / p[l]
+                scores.append(square - x * x)
+            # No score exceeds the square, so one that is not finite is -inf.
+            low = min(scores)
+            if low >= 0.0:
+                return scores
+            if low > -math.inf:
+                raise AssertionError("pseudo-loss must be non-negative")
+        # r_l <= G / p_min, so only the envelope overflows: name its layer.
+        i = rl.index(top)
+    else:
+        i = next((i for i, r in enumerate(rl) if r != r), -1)
+        if i < 0:
+            raise ValueError("gradient norms must be non-negative")
+    raise DivergenceError(
+        f"pseudo-loss of layer {active.indices()[i]} is not finite: its gradient "
+        f"norm {rl[i]!r} over p_min={dist.p_min} has no finite square"
+    )
 
 
 def kl_project(u: np.ndarray, s: float, p_min: float) -> SamplingDistribution:
@@ -212,17 +222,15 @@ def kl_project(u: np.ndarray, s: float, p_min: float) -> SamplingDistribution:
     equation there. The result is returned as a distribution, which
     re-checks every constraint on construction.
 
-    Over at most FLOAT_PATH_LAYERS weights the projection runs in Python
-    floats (`_kl_project_floats`), with the same bits; any other input,
-    and any the float path declines, takes the NumPy path below.
+    Over at most FLOAT_PATH_LAYERS weights and a float p_min the
+    projection runs in Python floats (`_kl_project_floats`), with the
+    same bits and the same errors; over more it runs on arrays below.
     """
     u = np.asarray(u, dtype=np.float64)
-    if u.size <= FLOAT_PATH_LAYERS and u.ndim == 1 and u.size and isinstance(p_min, float):
-        q = _kl_project_floats(u.tolist(), s, p_min)
-        if q is not None:
-            return q
     if u.ndim != 1 or u.size < 1:
         raise ValueError("u must be a non-empty 1-d array")
+    if u.size <= FLOAT_PATH_LAYERS and isinstance(p_min, float):
+        return _kl_project_floats(u.tolist(), s, p_min)
     # The sort puts NaN last, so the ends of the sorted u check it all.
     us = np.sort(u)
     ul = us.tolist()
@@ -273,19 +281,19 @@ def _multiplier(us: np.ndarray, ul: list[float], bps: list[float], s: float, p_m
     return hi if free == 0.0 else min(max((s - fixed) / free, lo), hi)
 
 
-def _kl_project_floats(u: list[float], s: float, p_min: float) -> SamplingDistribution | None:
+def _kl_project_floats(u: list[float], s: float, p_min: float) -> SamplingDistribution:
     """kl_project in Python floats, bit for bit, over a few weights.
 
     Every step is IEEE arithmetic, comparison or sorting, which Python
     floats do as NumPy does, except the two sums, which go through
-    np.add.reduce: its pairwise order is NumPy's own. Returns None for a
-    weight that is not finite and positive, or a result that fails the
-    distribution's checks, so that the NumPy path raises as it would;
-    an infeasible budget raises here with the same error.
+    np.add.reduce: its pairwise order is NumPy's own. A weight that is
+    not finite and positive, an infeasible budget and a result that
+    fails the distribution's checks raise the array path's errors, in
+    its order.
     """
     for x in u:
-        if not 0.0 < x < math.inf:
-            return None
+        if not 0.0 < x < math.inf:  # NaN fails it too
+            raise ValueError("u must be finite and strictly positive")
     s = float(s)
     _check_feasible(len(u), s, p_min)
     p_min = float(p_min)  # a NumPy scalar would warn on the overflows it computes
@@ -315,66 +323,22 @@ def update_distribution(
     The active entries of a copy of p shrink by the exponentiated
     gradient u_l = p_l exp(max(-alpha k_l / p_l, -EXPONENT_CLAMP)), the
     others keep u_l = p_l, and u is projected back onto the constraint
-    set through kl_project. An exponent that overflows to -inf meets the
-    clamp. Over at most FLOAT_PATH_LAYERS layers the shrink runs in
-    Python floats (`_shrink_floats`), with the same bits, unless it
-    declines the input; then, and for more layers, NumPy arrays do it.
+    set through kl_project. The exponent and its clamp are Python floats
+    at every layer count, so an exponent that overflows to -inf meets
+    the clamp with no warning; np.exp and the product with p are one
+    NumPy call each over the sampled entries, written into a copy of p,
+    so kl_project gets an array and converts no list of N weights.
     """
-    if dist.n_layers <= FLOAT_PATH_LAYERS:
-        u = _shrink_floats(dist, active, r_norms, config.alpha_p)
-        if u is not None:
-            return kl_project(u, dist.s, dist.p_min)
     k = pseudo_loss(r_norms, dist, active)
     idx = active.index
     p = dist.p[idx]
-    u = dist.p.copy()
-    with np.errstate(over="ignore"):
-        exponent = -config.alpha_p * k / p
-    u[idx] = p * np.exp(np.maximum(exponent, -EXPONENT_CLAMP))
-    return kl_project(u, dist.s, dist.p_min)
-
-
-def _shrink_floats(
-    dist: SamplingDistribution, active: ActiveSet, r_norms: np.ndarray, alpha: float
-) -> list[float] | None:
-    """The shrunk weights u in Python floats, bit for bit, with pseudo_loss's
-    scores computed the same way; np.exp stays NumPy's.
-
-    Returns None where the NumPy path would raise or warn, or where the
-    equality is not shown: a norm that is negative or not finite, an
-    envelope with no finite square, a score below zero, or a step size
-    that is not a finite positive float. The one check that raises here,
-    the range of the active set, is pseudo_loss's first, with the same
-    error.
-    """
-    active.validate(dist.n_layers)
-    if not len(active) or not (isinstance(alpha, float) and 0.0 < alpha < math.inf):
-        return None
-    norms = np.asarray(r_norms, dtype=np.float64)
-    if norms.shape != (len(active),):
-        return None
-    rl = norms.tolist()
-    for r in rl:
-        if not 0.0 <= r < math.inf:
-            return None
-    env = max(rl) / dist.p_min
-    square = env * env
-    if not square < math.inf:
-        return None
-    neg_alpha = -float(alpha)
-    u = dist.p.tolist()
+    neg_alpha = -float(config.alpha_p)
     exponents = []
-    for l, r in zip(active, rl):
-        p = u[l]
-        x = r / p
-        k = square - x * x
-        if not k >= 0.0:
-            return None
-        # k >= 0 and p > 0 (a distribution holds no other p), so the exponent
-        # is at most 0 and never NaN; one overflowing to -inf meets the clamp
-        # as np.maximum has it.
-        e = neg_alpha * k / p
+    for kl, pl in zip(k, p.tolist()):
+        # k >= 0, p > 0 and alpha is finite and positive, so the exponent
+        # is at most 0 and never NaN.
+        e = neg_alpha * kl / pl
         exponents.append(e if e > -EXPONENT_CLAMP else -EXPONENT_CLAMP)
-    for l, shrink in zip(active, np.exp(exponents).tolist()):
-        u[l] *= shrink
-    return u
+    u = dist.p.copy()
+    u[idx] = p * np.exp(exponents)
+    return kl_project(u, dist.s, dist.p_min)

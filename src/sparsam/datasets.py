@@ -55,8 +55,8 @@ def gen_two_moons(n: int, noise: float, seed: int) -> Dataset:
     """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"n must be even and at least 2, got {n}")
-    if noise < 0:
-        raise ValueError("noise must be non-negative")
+    if not 0.0 <= noise < np.inf:  # NaN fails it too
+        raise ValueError("noise must be non-negative and finite")
     half = n // 2
     theta = np.linspace(0.0, np.pi, half)
     upper = np.column_stack([np.cos(theta), np.sin(theta)])
@@ -74,8 +74,8 @@ def gen_blobs(n: int, k: int, sigma: float, seed: int) -> Dataset:
         raise ValueError("need at least two classes")
     if n < k:
         raise ValueError(f"n={n} below class count {k}")
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
+    if not 0.0 <= sigma < np.inf:  # NaN fails it too
+        raise ValueError("sigma must be non-negative and finite")
     angles = 2.0 * np.pi * np.arange(k) / k
     centers = np.column_stack([np.cos(angles), np.sin(angles)])
     labels = np.arange(n, dtype=np.int64) % k

@@ -165,8 +165,9 @@ class BlockQuadratic(Objective):
         if scales is None:
             scales = [1.0] * len(dims)
         scales = [float(a) for a in scales]
-        if len(scales) != len(dims) or any(a <= 0 for a in scales):
-            raise ValueError("need one positive scale per layer")
+        # NaN fails this check and the noise check below too.
+        if len(scales) != len(dims) or not all(0.0 < a < np.inf for a in scales):
+            raise ValueError("need one positive, finite scale per layer")
         if centers is None:
             center = np.zeros(sum(dims))
         else:
@@ -174,8 +175,8 @@ class BlockQuadratic(Objective):
             if tuple(c.size for c in centers) != dims:
                 raise ValueError("center dims do not match layer dims")
             center = np.concatenate(centers)
-        if noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
+        if not 0.0 <= noise_sigma < np.inf:
+            raise ValueError("noise_sigma must be non-negative and finite")
         self._dims = dims
         self._scale = np.repeat(scales, dims)
         self._center = center

@@ -83,14 +83,15 @@ class AdamWConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
+        # Each check is written so that NaN fails it too.
+        if not 0.0 < self.eta < math.inf:
+            raise ValueError("eta must be positive and finite")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError("weight_decay must be non-negative and finite")
         if not 0.0 < self.beta1 < 1.0 or not 0.0 < self.beta2 < 1.0:
             raise ValueError("beta1 and beta2 must lie in (0, 1)")
-        if self.adam_eps <= 0:
-            raise ValueError("adam_eps must be positive")
+        if not 0.0 < self.adam_eps < math.inf:
+            raise ValueError("adam_eps must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -99,8 +100,8 @@ class SamConfig:
     perturb_norm: str = "global"
 
     def __post_init__(self) -> None:
-        if self.rho < 0:
-            raise ValueError("rho must be non-negative")
+        if not 0.0 <= self.rho < math.inf:  # NaN fails it too
+            raise ValueError("rho must be non-negative and finite")
         if self.perturb_norm not in ("global", "per_layer"):
             raise ValueError(f"unknown perturb_norm {self.perturb_norm!r}")
 

@@ -68,6 +68,14 @@ class TestSamplingDistribution:
             SamplingDistribution(np.array([bad, 0.5]), s=1.0, p_min=0.1)
 
 
+class TestBanditConfig:
+    @pytest.mark.parametrize("alpha", [0.0, -1e-4, np.nan, np.inf, -np.inf])
+    def test_refuses_a_step_size_not_positive_and_finite(self, alpha):
+        # An infinite step size times a zero score would be NaN in the shrink.
+        with pytest.raises(ValueError, match="alpha_p must be positive and finite"):
+            BanditConfig(alpha_p=alpha)
+
+
 class TestInitUniform:
     def test_ten_layers_budget_two(self):
         dist = init_uniform(10, 2.0, 0.02)
@@ -140,7 +148,7 @@ class TestPseudoLoss:
     def test_worked_example(self):
         dist = SamplingDistribution(np.array([0.5, 0.5]), s=1.0, p_min=0.1)
         k = pseudo_loss(np.array([2.0]), dist, ActiveSet.of(0))
-        assert k.tolist() == [384.0]
+        assert k == [384.0]
 
     def test_exact_cancellation_at_floor(self):
         dist = SamplingDistribution(np.array([0.1, 0.9]), s=1.0, p_min=0.1)
@@ -152,7 +160,7 @@ class TestPseudoLoss:
         dist = init_uniform(4, 1.0, 0.02)
         k = pseudo_loss(np.array([1.0, 0.5]), dist, ActiveSet.of(2, 1))
         env = 1.0 / 0.02
-        assert k.tolist() == [env * env - 16.0, env * env - 4.0]
+        assert k == [env * env - 16.0, env * env - 4.0]
 
     def test_empty_active_rejected(self):
         dist = init_uniform(2, 1.0, 0.1)
@@ -175,7 +183,7 @@ class TestPseudoLoss:
         )
         active = ActiveSet.from_iterable(members)
         norms = np.array([data.draw(st.floats(0.0, 100.0)) for _ in active])
-        k = pseudo_loss(norms, dist, active)
+        k = np.array(pseudo_loss(norms, dist, active))
         assert k.shape == (len(active),)
         assert np.all(k >= 0.0)
 
@@ -244,7 +252,7 @@ class TestPseudoLossClosedForm:
         active = ActiveSet.from_iterable(members)
         norms = np.array([data.draw(st.floats(0.0, 1e3)) for _ in active])
         want = closed_form_pseudo_loss(norms, dist, active)
-        assert np.array_equal(pseudo_loss(norms, dist, active), want)
+        assert np.array_equal(np.array(pseudo_loss(norms, dist, active)), want)
 
 
 def reference_pseudo_loss(r_norms, dist, active) -> np.ndarray:
@@ -576,6 +584,11 @@ def untrimmed_pseudo_loss(r_norms, dist, active) -> np.ndarray:
     return scores
 
 
+def pseudo_loss_array(r_norms, dist, active) -> np.ndarray:
+    """pseudo_loss's list of scores, read through np.array."""
+    return np.array(pseudo_loss(r_norms, dist, active))
+
+
 def outcome(f, *args):
     """What f returns, its p for a distribution, or its error's type and
     message; a floating-point RuntimeWarning counts as an error."""
@@ -679,7 +692,7 @@ class TestAgainstTheUntrimmedRoundTrip:
     def test_pseudo_loss(self, case):
         norms, dist, active = case
         want = outcome(untrimmed_pseudo_loss, norms, dist, active)
-        assert_same_outcome(outcome(pseudo_loss, norms, dist, active), want)
+        assert_same_outcome(outcome(pseudo_loss_array, norms, dist, active), want)
 
     @pytest.mark.parametrize(
         "norms, p, error",
@@ -698,7 +711,7 @@ class TestAgainstTheUntrimmedRoundTrip:
     def test_pseudo_loss_outcomes(self, norms, p, error):
         dist = SamplingDistribution(np.array(p), 1.0, 0.5)
         args = np.array(norms), dist, ActiveSet.of(0, 1)
-        got = outcome(pseudo_loss, *args)
+        got = outcome(pseudo_loss_array, *args)
         assert_same_outcome(got, outcome(untrimmed_pseudo_loss, *args))
         assert got[0] is error if error else isinstance(got, np.ndarray)
 
@@ -732,7 +745,7 @@ def strict_outcome(f, *args):
 
 @contextlib.contextmanager
 def float_path_off():
-    """No distribution is small enough for the float path: the NumPy path alone runs."""
+    """No weights are few enough for the float projection: the NumPy path alone runs."""
     cutoff, bandit.FLOAT_PATH_LAYERS = bandit.FLOAT_PATH_LAYERS, 0
     try:
         yield
@@ -740,16 +753,52 @@ def float_path_off():
         bandit.FLOAT_PATH_LAYERS = cutoff
 
 
-def numpy_update(dist, active, r_norms, config) -> SamplingDistribution:
-    """update_distribution through its NumPy shrink and projection."""
-    with float_path_off():
-        return update_distribution(dist, active, r_norms, config)
-
-
 def numpy_kl_project(u, s, p_min) -> SamplingDistribution:
     """kl_project through its NumPy path."""
     with float_path_off():
         return kl_project(u, s, p_min)
+
+
+def numpy_update(dist, active, r_norms, config) -> SamplingDistribution:
+    """update_distribution as it ran on arrays: the untrimmed pseudo-loss,
+    the shrink on the active entries of a copy of p, the NumPy projection."""
+    k = untrimmed_pseudo_loss(r_norms, dist, active)
+    idx = active.index
+    p = dist.p[idx]
+    u = dist.p.copy()
+    with np.errstate(over="ignore"):
+        exponent = -config.alpha_p * k / p
+    u[idx] = p * np.exp(np.maximum(exponent, -bandit.EXPONENT_CLAMP))
+    return numpy_kl_project(u, dist.s, dist.p_min)
+
+
+def step_sizes():
+    """From where most layers stay free up to 1e306, where every exponent
+    with k > 0 meets the clamp, and at times an int or a NumPy scalar."""
+    return st.one_of(
+        st.floats(-9.0, 0.0).map(lambda e: 10.0**e),  # most layers stay free
+        st.floats(-9.0, 306.0).map(lambda e: 10.0**e),
+        st.sampled_from([1, np.float64(1e-3)]),
+    )
+
+
+@st.composite
+def update_cases(draw):
+    """(dist, active, norms, config) for N from 1 to 1,000: pseudo_loss_cases
+    and a step size."""
+    norms, dist, active = draw(pseudo_loss_cases())
+    return dist, active, norms, BanditConfig(alpha_p=draw(step_sizes()))
+
+
+class TestAgainstTheArrayUpdate:
+    """update_distribution gives the bits and the errors, type and message,
+    of the update as it ran on NumPy arrays, at every layer count."""
+
+    @given(update_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_update_distribution(self, case):
+        want = strict_outcome(numpy_update, *case)
+        assert_same_outcome(strict_outcome(update_distribution, *case), want)
 
 
 @st.composite
@@ -770,9 +819,8 @@ def float_path_updates(draw):
     shifted down by up to SUM_TOL, or set to the floor less its slack SUM_TOL * p_min, or to
     zero; the distribution refuses an entry below the slack, so anything at or below zero.
     Norms run from subnormal to past an envelope with no finite square, with NaN, infinite,
-    negative, subnormal and huge ones mixed in, and at times one too many. The step size runs
-    from where most layers stay free up to 1e306, where every exponent with k > 0 meets the
-    clamp, and at times is an int, a NumPy scalar, infinite or NaN.
+    negative, subnormal and huge ones mixed in, and at times one too many. The step size comes
+    from step_sizes().
     """
     n, s, p_min = draw(float_path_budgets())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -793,14 +841,7 @@ def float_path_updates(draw):
         norms[rng.integers(norms.size)] = draw(st.sampled_from(SPECIAL_VALUES + [1e-310]))
     if draw(st.booleans()):
         norms[np.argmin(dist.p[active.index])] = np.max(norms)  # the envelope on a low p
-    alpha = draw(
-        st.one_of(
-            st.floats(-9.0, 0.0).map(lambda e: 10.0**e),  # most layers stay free
-            st.floats(-9.0, 306.0).map(lambda e: 10.0**e),
-            st.sampled_from([1, np.float64(1e-3), np.inf, np.nan]),
-        )
-    )
-    return dist, active, norms, BanditConfig(alpha_p=alpha)
+    return dist, active, norms, BanditConfig(alpha_p=draw(step_sizes()))
 
 
 @st.composite
@@ -825,9 +866,10 @@ def float_path_projections(draw):
 
 
 class TestFloatPath:
-    """Over at most FLOAT_PATH_LAYERS layers, update_distribution and
-    kl_project run in Python floats; they give the NumPy path's bits,
-    errors (type and message) and warnings, and no others."""
+    """Over at most FLOAT_PATH_LAYERS layers, kl_project runs in Python
+    floats, as the scores and the shrink's exponents do at every layer
+    count; they give the NumPy path's bits, errors (type and message) and
+    warnings, and no others."""
 
     @given(float_path_updates())
     @settings(max_examples=500, deadline=None)
@@ -865,7 +907,6 @@ class TestFloatPath:
             (1e-3, [1e154, 1.0], [0.5, 0.5], 0.5, DivergenceError),
             (1e-3, [1.0, -1.0], [0.5, 0.5], 0.5, ValueError),
             (1e-3, [1.0, 1.0], [0.5 - 1e-10, 0.5 + 1e-10], 0.5, AssertionError),
-            (np.inf, [1.0, 1.0], [0.5, 0.5], 0.5, RuntimeWarning),  # inf * 0 in the exponent
         ],
     )
     def test_update_outcomes(self, alpha, norms, p, p_min, outcome_type):
@@ -882,7 +923,8 @@ class TestFloatPath:
         # DivergenceError that blames a finite square. Both checks refuse it.
         with pytest.raises(ValueError, match=r"probabilities leave \[p_min, 1\]"):
             SamplingDistribution(np.array(p), 1.0, 1e-12)
-        assert SamplingDistribution._from_floats(p, 1.0, 1e-12) is None
+        with pytest.raises(ValueError, match=r"probabilities leave \[p_min, 1\]"):
+            SamplingDistribution._from_floats(p, 1.0, 1e-12)
 
     @pytest.mark.parametrize("p", [[1e-300, 1.0], [5e-324, 1.0]])
     def test_no_probability_far_below_a_tiny_floor(self, p):
@@ -892,7 +934,8 @@ class TestFloatPath:
         # ValueError from kl_project for a weight that is not positive.
         with pytest.raises(ValueError, match=r"probabilities leave \[p_min, 1\]"):
             SamplingDistribution(np.array(p), 1.0, 1e-12)
-        assert SamplingDistribution._from_floats(p, 1.0, 1e-12) is None
+        with pytest.raises(ValueError, match=r"probabilities leave \[p_min, 1\]"):
+            SamplingDistribution._from_floats(p, 1.0, 1e-12)
 
     def test_the_floor_keeps_a_slack_that_scales_with_it(self):
         p = [1e-12 * (1.0 - 0.5 * bandit.SUM_TOL), 1.0]
@@ -901,12 +944,13 @@ class TestFloatPath:
         p[0] = 1e-12 * (1.0 - 2.0 * bandit.SUM_TOL)
         with pytest.raises(ValueError, match=r"probabilities leave \[p_min, 1\]"):
             SamplingDistribution(np.array(p), 1.0, 1e-12)
-        assert SamplingDistribution._from_floats(p, 1.0, 1e-12) is None
+        with pytest.raises(ValueError, match=r"probabilities leave \[p_min, 1\]"):
+            SamplingDistribution._from_floats(p, 1.0, 1e-12)
 
     @given(distribution_cases())
     @settings(max_examples=300, deadline=None)
     def test_distribution_checks(self, case):
-        # The float path's distribution: the constructor's p, or None where it raises.
+        # The float path's distribution: the constructor's p, s and p_min, or its error.
         p, s, p_min = case
         if p.size > bandit.FLOAT_PATH_LAYERS:
             return
@@ -915,37 +959,37 @@ class TestFloatPath:
         except ValueError:
             return  # _from_floats is only called on a feasible budget
         want = outcome(SamplingDistribution, p, s, p_min)
-        got = SamplingDistribution._from_floats(p.tolist(), float(s), float(p_min))
-        if isinstance(want, tuple):
-            assert got is None, want
-        else:
-            assert got.p.tobytes() == want.tobytes() and (got.s, got.p_min) == (s, p_min)
+        got = outcome(SamplingDistribution._from_floats, p.tolist(), float(s), float(p_min))
+        assert_same_outcome(got, want)
+        if not isinstance(want, tuple):
+            dist = SamplingDistribution._from_floats(p.tolist(), float(s), float(p_min))
+            assert (dist.s, dist.p_min) == (s, p_min)
 
     @pytest.mark.parametrize(
         "q", [[0.5, np.nan, 0.5], [np.nan, 0.5, 0.5], [0.5, 0.5, np.inf], [0.5, 0.5, 0.5 - 2e-9]]
     )
     def test_distribution_checks_every_entry(self, q):
         # Python's min and max skip a NaN that is not first; the check must not.
-        assert outcome(SamplingDistribution, np.array(q), 1.5, 0.5)[0] is ValueError
-        assert SamplingDistribution._from_floats(q, 1.5, 0.5) is None
+        with pytest.raises(ValueError, match=r"probabilities leave \[p_min, 1\]"):
+            SamplingDistribution(np.array(q), 1.5, 0.5)
+        with pytest.raises(ValueError, match=r"probabilities leave \[p_min, 1\]"):
+            SamplingDistribution._from_floats(q, 1.5, 0.5)
 
     def test_small_distributions_take_the_float_path(self, monkeypatch):
         taken = []
-        for name in ("_shrink_floats", "_kl_project_floats"):
-            f = getattr(bandit, name)
-            monkeypatch.setattr(bandit, name, lambda *a, f=f, name=name: taken.append(name) or f(*a))
+        f = bandit._kl_project_floats
+        monkeypatch.setattr(bandit, "_kl_project_floats", lambda *a: taken.append(len(a[0])) or f(*a))
         for n in range(1, bandit.FLOAT_PATH_LAYERS + 1):
             dist = init_uniform(n, 0.5 * n, 0.02)
             update_distribution(dist, ActiveSet.full(n), np.linspace(0.1, 1.0, n), BanditConfig())
             kl_project(np.linspace(0.1, 1.0, n), 0.5 * n, 0.02)
-        assert taken == ["_shrink_floats", "_kl_project_floats", "_kl_project_floats"] * bandit.FLOAT_PATH_LAYERS
+        assert taken == [n for n in range(1, bandit.FLOAT_PATH_LAYERS + 1) for _ in range(2)]
 
     @pytest.mark.parametrize("n", [9, 100])
     def test_more_layers_never_take_it(self, n, monkeypatch):
         def refuse(*args):
             raise AssertionError("the float path was taken")
 
-        monkeypatch.setattr(bandit, "_shrink_floats", refuse)
         monkeypatch.setattr(bandit, "_kl_project_floats", refuse)
         dist = init_uniform(n, 0.5 * n, 0.02)
         new = update_distribution(dist, ActiveSet.full(n), np.linspace(0.1, 1.0, n), BanditConfig())

@@ -51,6 +51,11 @@ class TestTwoMoons:
         with pytest.raises(ValueError):
             gen_two_moons(0, noise=0.1, seed=0)
 
+    @pytest.mark.parametrize("noise", [-0.1, np.nan, np.inf, -np.inf])
+    def test_noise_not_non_negative_and_finite_rejected(self, noise):
+        with pytest.raises(ValueError, match="noise must be non-negative and finite"):
+            gen_two_moons(8, noise=noise, seed=0)
+
 
 class TestBlobs:
     def test_two_class_centers(self):
@@ -79,6 +84,11 @@ class TestBlobs:
             gen_blobs(1, k=2, sigma=0.1, seed=0)
         with pytest.raises(ValueError):
             gen_blobs(4, k=1, sigma=0.1, seed=0)
+
+    @pytest.mark.parametrize("sigma", [-0.1, np.nan, np.inf, -np.inf])
+    def test_sigma_not_non_negative_and_finite_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be non-negative and finite"):
+            gen_blobs(8, k=2, sigma=sigma, seed=0)
 
 
 class TestDataset:

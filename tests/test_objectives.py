@@ -87,6 +87,18 @@ class TestBatch:
         assert b.targets.tolist() == [0, 1]
 
 
+class TestQuadraticRanges:
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_refuses_a_scale_not_positive_and_finite(self, scale):
+        with pytest.raises(ValueError, match="one positive, finite scale per layer"):
+            BlockQuadratic([2, 2], scales=[1.0, scale])
+
+    @pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf, -np.inf])
+    def test_refuses_a_noise_sigma_not_non_negative_and_finite(self, sigma):
+        with pytest.raises(ValueError, match="noise_sigma must be non-negative and finite"):
+            BlockQuadratic([2, 2], noise_sigma=sigma)
+
+
 class TestQuadraticGrad:
     def test_forced_derivative(self):
         obj = two_block_quadratic()

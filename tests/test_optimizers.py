@@ -46,6 +46,26 @@ SAM_SCALAR_X1 = 0.68377354070136843407
 
 CFG = AdamWConfig(eta=0.1, weight_decay=0.0, beta1=0.9, beta2=0.999, adam_eps=1e-8)
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestConfigRanges:
+    @pytest.mark.parametrize("value", [0.0, -1.0, *NON_FINITE])
+    @pytest.mark.parametrize("field", ["eta", "adam_eps"])
+    def test_refuses_a_value_not_positive_and_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            AdamWConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [-1.0, *NON_FINITE])
+    def test_refuses_a_weight_decay_not_non_negative_and_finite(self, value):
+        with pytest.raises(ValueError, match="weight_decay must be non-negative and finite"):
+            AdamWConfig(weight_decay=value)
+
+    @pytest.mark.parametrize("value", [-1.0, *NON_FINITE])
+    def test_refuses_a_rho_not_non_negative_and_finite(self, value):
+        with pytest.raises(ValueError, match="rho must be non-negative and finite"):
+            SamConfig(rho=value)
+
 
 class TestAdamwStep:
     def test_scalar_frozen_trace(self):

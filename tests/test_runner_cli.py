@@ -438,6 +438,17 @@ class TestCli:
         got = [float(v) for v in capsys.readouterr().out.strip().split(",")]
         assert got == pytest.approx(want, rel=1e-15)
 
+    @pytest.mark.parametrize(
+        "weights",
+        ["1,0,1,1,1,1", "1,1,1,1,1,1,1,1,0"],
+        ids=["float-path-6", "numpy-path-9"],
+    )
+    def test_project_zero_weight(self, tmp_path, capsys, weights):
+        probs = tmp_path / "w.csv"
+        probs.write_text(weights + "\n")
+        assert main(["project", "--probs", str(probs), "--s", "2.0", "--pmin", "0.1"]) == 1
+        assert capsys.readouterr().err == "config error: u must be finite and strictly positive\n"
+
     def test_project_bad_numbers(self, tmp_path, capsys):
         probs = tmp_path / "w.csv"
         probs.write_text("0.5,banana\n")
