@@ -222,14 +222,15 @@ def kl_project(u: np.ndarray, s: float, p_min: float) -> SamplingDistribution:
     equation there. The result is returned as a distribution, which
     re-checks every constraint on construction.
 
-    Over at most FLOAT_PATH_LAYERS weights and a float p_min the
-    projection runs in Python floats (`_kl_project_floats`), with the
-    same bits and the same errors; over more it runs on arrays below.
+    Over at most FLOAT_PATH_LAYERS weights the projection runs in Python
+    floats (`_kl_project_floats`), with the same bits and the same errors;
+    over more it runs on arrays below. Either path takes s and p_min as
+    Python floats, whatever numeric type they come in.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 1 or u.size < 1:
         raise ValueError("u must be a non-empty 1-d array")
-    if u.size <= FLOAT_PATH_LAYERS and isinstance(p_min, float):
+    if u.size <= FLOAT_PATH_LAYERS:
         return _kl_project_floats(u.tolist(), s, p_min)
     # The sort puts NaN last, so the ends of the sorted u check it all.
     us = np.sort(u)
@@ -237,7 +238,7 @@ def kl_project(u: np.ndarray, s: float, p_min: float) -> SamplingDistribution:
     if not (0.0 < ul[0] and ul[-1] < np.inf):
         raise ValueError("u must be finite and strictly positive")
     n = u.size
-    s = float(s)
+    s, p_min = float(s), float(p_min)
     _check_feasible(n, s, p_min)
     if 1e-300 < ul[0] and ul[-1] < 1e300 * ul[0]:
         q = _scaled(u, us, ul, s, p_min)
@@ -258,9 +259,13 @@ def _scaled(u: np.ndarray, us: np.ndarray, ul: list[float], s: float, p_min: flo
     return _multiplier(us, ul, bps, s, p_min) * u
 
 
-def _multiplier(us: np.ndarray, ul: list[float], bps: list[float], s: float, p_min: float) -> float:
-    """The projection's c from the sorted weights, as an array `us` and as
-    a list `ul`, and their sorted breakpoints `bps`."""
+def _multiplier(
+    us: np.ndarray | list[float], ul: list[float], bps: list[float], s: float, p_min: float
+) -> float:
+    """The projection's c from the sorted weights, as an array or a list
+    `us` and as a list `ul`, and their sorted breakpoints `bps`. Only the
+    free coordinates' slice of `us` is summed, so a list `us` converts
+    just that slice to an array."""
     n = len(ul)
     csum = list(accumulate(ul, initial=0.0))  # np.cumsum's sequential sums
 
@@ -294,12 +299,12 @@ def _kl_project_floats(u: list[float], s: float, p_min: float) -> SamplingDistri
     for x in u:
         if not 0.0 < x < math.inf:  # NaN fails it too
             raise ValueError("u must be finite and strictly positive")
-    s = float(s)
+    # A NumPy scalar would compute in its own type and warn on overflows.
+    s, p_min = float(s), float(p_min)
     _check_feasible(len(u), s, p_min)
-    p_min = float(p_min)  # a NumPy scalar would warn on the overflows it computes
     ul = sorted(u)
     bps = sorted([p_min / x for x in ul] + [1.0 / x for x in ul])
-    c = _multiplier(np.array(ul), ul, bps, s, p_min)
+    c = _multiplier(ul, ul, bps, s, p_min)
     q = []
     for x in u:
         y = c * x

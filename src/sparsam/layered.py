@@ -99,7 +99,7 @@ def layout(dims: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Layer sizes as ints and the n + 1 buffer offsets of a layout."""
     dims = tuple(int(d) for d in dims)
     if len(dims) == 0:
-        raise ValueError("LayeredVector needs at least one layer")
+        raise ValueError("need at least one layer")
     for i, d in enumerate(dims):
         if d < 1:
             raise ValueError(f"layer {i} is empty")

@@ -71,11 +71,15 @@ class Batch:
 
 
 class Objective(ABC):
-    """A loss over a layered parameter vector."""
+    """A loss over a layered parameter vector.
 
-    @property
-    @abstractmethod
-    def layer_dims(self) -> tuple[int, ...]: ...
+    The layout is fixed on construction: `layer_dims` and the buffer
+    offsets come from one `layout()` call, which also refuses an empty
+    layout or an empty layer.
+    """
+
+    def __init__(self, dims: Sequence[int]) -> None:
+        self.layer_dims, self._offsets = layout(tuple(dims))
 
     @property
     def n_layers(self) -> int:
@@ -83,7 +87,7 @@ class Objective(ABC):
 
     @property
     def dim(self) -> int:
-        return sum(self.layer_dims)
+        return self._offsets[-1]
 
     @abstractmethod
     def loss(self, x: LayeredVector, batch: Batch | None) -> float: ...
@@ -126,7 +130,7 @@ class Objective(ABC):
 
 
 class BlockQuadratic(Objective):
-    """f(x, batch) = sum_l a_l/2 ||x_l - c_l||^2 + <z_batch, x>.
+    """f(x, batch) = sum_l a_l/2 ||x_l||^2 + <z_batch, x>.
 
     The noise vector z is zero-mean Gaussian with scale `noise_sigma`,
     drawn whole from one stream keyed by (noise_seed, batch.id), so the
@@ -134,10 +138,10 @@ class BlockQuadratic(Objective):
     to a layer subset never changes any layer's draw.
     `batch=None` selects the noiseless population objective.
 
-    Scales, centers and noise are kept as flat per-entry arrays laid out
-    like a LayeredVector's buffer, so a pass is one dense expression over
-    the whole buffer: diff = x - c, the gradient scale * diff + z, and the
-    loss 0.5 * (scale * diff)·diff + z·x, two dot products on top of it.
+    Scales and noise are kept as flat per-entry arrays laid out like a
+    LayeredVector's buffer, so a pass is one dense expression over the
+    whole buffer: the gradient scale * x + z, and the loss
+    0.5 * (scale * x)·x + z·x, two dot products on top of it.
     A pass over all layers returns that gradient. A sparse pass copies the
     active entries into a zeroed vector through the keys of
     `LayeredVector.select`, so its active blocks are the full gradient's,
@@ -155,39 +159,24 @@ class BlockQuadratic(Objective):
         self,
         layer_dims: Sequence[int],
         scales: Sequence[float] | None = None,
-        centers: Sequence[np.ndarray] | None = None,
         noise_sigma: float = 0.0,
         noise_seed: int = 0,
     ) -> None:
-        dims = tuple(int(d) for d in layer_dims)
-        if len(dims) < 1 or any(d < 1 for d in dims):
-            raise ValueError(f"bad layer dims {dims}")
+        super().__init__(layer_dims)
+        dims = self.layer_dims
         if scales is None:
             scales = [1.0] * len(dims)
         scales = [float(a) for a in scales]
         # NaN fails this check and the noise check below too.
         if len(scales) != len(dims) or not all(0.0 < a < np.inf for a in scales):
             raise ValueError("need one positive, finite scale per layer")
-        if centers is None:
-            center = np.zeros(sum(dims))
-        else:
-            centers = [np.ascontiguousarray(c, dtype=np.float64).reshape(-1) for c in centers]
-            if tuple(c.size for c in centers) != dims:
-                raise ValueError("center dims do not match layer dims")
-            center = np.concatenate(centers)
         if not 0.0 <= noise_sigma < np.inf:
             raise ValueError("noise_sigma must be non-negative and finite")
-        self._dims = dims
         self._scale = np.repeat(scales, dims)
-        self._center = center
         self.noise_sigma = float(noise_sigma)
         self.noise_seed = int(noise_seed)
         self._noise_id: int | None = None
         self._noise_memo: np.ndarray | None = None
-
-    @property
-    def layer_dims(self) -> tuple[int, ...]:
-        return self._dims
 
     def _noise(self, batch: Batch | None) -> np.ndarray | None:
         """The flat noise vector of `batch`, or None for a noiseless call."""
@@ -201,13 +190,12 @@ class BlockQuadratic(Objective):
         return self._noise_memo
 
     def _pass(self, x: LayeredVector, batch: Batch | None) -> tuple[float, np.ndarray]:
-        """The unchecked loss at x and the gradient scale * (x - c) + z over
-        the whole buffer."""
+        """The unchecked loss at x and the gradient scale * x + z over the
+        whole buffer."""
         z = self._noise(batch)
         with _quiet():
-            diff = x.data - self._center
-            grad = self._scale * diff
-            total = 0.5 * float(grad.dot(diff))
+            grad = self._scale * x.data
+            total = 0.5 * float(grad.dot(x.data))
             if z is not None:
                 total += float(z.dot(x.data))
                 grad += z
@@ -227,16 +215,16 @@ class BlockQuadratic(Objective):
         loss = self._check_loss(total)
         if len(active) == self.n_layers:
             return loss, LayeredVector._wrap(grad, x.dims, x.offsets)
-        g = LayeredVector.zeros(self._dims)
+        g = LayeredVector._wrap(np.zeros(self._offsets[-1]), self.layer_dims, self._offsets)
         for k in x.select(active):
             g.data[k] = grad[k]
         return loss, g
 
     def init_params(self, seed: int) -> LayeredVector:
-        # Deterministic start one unit from each center; seed is unused here
-        # but kept so all objectives share the same signature.
+        # Deterministic start at all ones; seed is unused here but kept so
+        # all objectives share the same signature.
         del seed
-        return LayeredVector.from_flat(self._center + 1.0, self._dims)
+        return LayeredVector._wrap(np.ones(self._offsets[-1]), self.layer_dims, self._offsets)
 
 
 @dataclass(eq=False)
@@ -337,13 +325,9 @@ class MlpClassifier(Objective):
                 dims.extend([mid - start, end - mid])
             self._stages.append((slice(start, mid), shape, slice(mid, end), *layers))
             start = end
-        self._dims, self._offsets = layout(tuple(dims))
+        super().__init__(dims)
         self._work: dict[int, _Workspace] = {}
         self._last: Forward | None = None
-
-    @property
-    def layer_dims(self) -> tuple[int, ...]:
-        return self._dims
 
     @property
     def n_classes(self) -> int:
@@ -464,7 +448,7 @@ class MlpClassifier(Objective):
             delta[ws.rows, batch.targets] -= 1.0
             delta /= n
 
-            g = LayeredVector._wrap(np.zeros(self._offsets[-1]), self._dims, self._offsets)
+            g = LayeredVector._wrap(np.zeros(self._offsets[-1]), self.layer_dims, self._offsets)
             members = active.members
             # Backprop stops at the lowest stage holding an active layer, and
             # each stage computes only its active blocks. A block's arithmetic
@@ -484,7 +468,7 @@ class MlpClassifier(Objective):
     def init_params(self, seed: int) -> LayeredVector:
         # Drawn in stage order, which fixes every weight's bits.
         rng = stream(seed, "init")
-        x = LayeredVector.zeros(self._dims)
+        x = LayeredVector.zeros(self.layer_dims)
         for w, (fan_in, fan_out), _, _, _ in self._stages:
             x.data[w] = rng.normal(0.0, fan_in ** -0.5, size=fan_in * fan_out)
         return x

@@ -210,10 +210,13 @@ def run(config: ExperimentConfig, out_dir: str | Path = "runs") -> RunRecord:
     for stale-perturbation steps, `layer:staleness` pairs for the active
     layers (`|`-separated, empty otherwise). On divergence the rows
     written so far stay on disk and the error propagates to the caller.
+    A `summary.json` an earlier run left in `out_dir` is removed before
+    the first step, so a diverged run leaves none.
     """
     trainer = Trainer(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "summary.json").unlink(missing_ok=True)
     with open(out / "steps.csv", "w") as fh, open(out / "sampler.csv", "w") as sfh:
         fh.write(CSV_HEADER + "\n")
         sfh.write(SAMPLER_HEADER + "\n")

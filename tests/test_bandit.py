@@ -367,6 +367,23 @@ class TestKlProject:
         with pytest.raises(ValueError):
             kl_project(np.array([1.0, 1.0]), 2.5, 0.1)
 
+    @pytest.mark.parametrize("n", [6, 12, 100])
+    @pytest.mark.parametrize("floor_type", [np.float32, np.float64, int])
+    def test_a_floor_of_any_type_projects_as_its_float(self, n, floor_type):
+        # A float32 floor kept in its type would carry float32 through the
+        # multiplier, which then misses the budget; every type must project
+        # as float(p_min) does.
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            u = np.exp(rng.uniform(-3.0, 3.0, n))
+            if floor_type is int:
+                s, p_min = float(n), 1  # the only int floor in (0, 1]
+            else:
+                s = n * rng.uniform(0.1, 0.9)
+                p_min = floor_type(rng.uniform(0.05, 0.95) * s / n)
+            want = kl_project(u, s, float(p_min)).p
+            assert_same_outcome(strict_outcome(kl_project, u, s, p_min), want)
+
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_kkt_single_scalar(self, data):

@@ -154,6 +154,10 @@ class TestRanges:
         with pytest.raises(ConfigError, match=f"'{key}' in section '{section}' must be finite"):
             make({section: {key: value}})
 
+    def test_empty_quadratic_layer_names_it(self):
+        with pytest.raises(ConfigError, match="objective: layer 1 is empty"):
+            make({"objective": {"layer_dims": [4, 0]}})
+
     def test_sections_check_ranges_when_built(self):
         with pytest.raises(ConfigError, match="eval_every"):
             TrainConfig(eval_every=0)

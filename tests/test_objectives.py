@@ -88,6 +88,14 @@ class TestBatch:
 
 
 class TestQuadraticRanges:
+    def test_refuses_no_layers(self):
+        with pytest.raises(ValueError, match="at least one layer"):
+            BlockQuadratic([])
+
+    def test_refuses_an_empty_layer(self):
+        with pytest.raises(ValueError, match="layer 1 is empty"):
+            BlockQuadratic([4, 0])
+
     @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf, -np.inf])
     def test_refuses_a_scale_not_positive_and_finite(self, scale):
         with pytest.raises(ValueError, match="one positive, finite scale per layer"):
@@ -155,7 +163,7 @@ def per_layer_loss(obj: BlockQuadratic, x: LayeredVector, batch: Batch | None, s
     total = 0.0
     for l, a in enumerate(scales):
         lo, hi = x.offsets[l], x.offsets[l + 1]
-        d = x.data[lo:hi] - obj._center[lo:hi]
+        d = x.data[lo:hi]
         total += 0.5 * a * float(d.dot(d))
         if z is not None:
             total += float(z[lo:hi].dot(x.data[lo:hi]))
@@ -171,13 +179,9 @@ class TestQuadraticLoss:
         scales = data.draw(st.lists(st.floats(0.5, 20.0), min_size=n, max_size=n))
         sigma = data.draw(st.sampled_from([0.0, 1e-3, 1e-2]))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        centers = [rng.uniform(-1.0, 1.0, d) for d in dims]
-        # Each entry sits 1 to 2 from its center, so no sum cancels.
-        x = LayeredVector([
-            c + rng.choice([-1.0, 1.0], d) * rng.uniform(1.0, 2.0, d)
-            for c, d in zip(centers, dims)
-        ])
-        obj = BlockQuadratic(dims, scales=scales, centers=centers, noise_sigma=sigma, noise_seed=4)
+        # Each entry sits 1 to 2 from the origin, so no sum cancels.
+        x = LayeredVector([rng.choice([-1.0, 1.0], d) * rng.uniform(1.0, 2.0, d) for d in dims])
+        obj = BlockQuadratic(dims, scales=scales, noise_sigma=sigma, noise_seed=4)
         for batch in (None, scalar_batch(data.draw(st.integers(0, 2**40)))):
             ref = per_layer_loss(obj, x, batch, scales)
             assert obj.loss(x, batch) == pytest.approx(ref, rel=1e-12)
@@ -195,8 +199,8 @@ class TestQuadraticLoss:
 def per_key_loss_and_grad(
     obj: BlockQuadratic, x: LayeredVector, batch: Batch | None, active: ActiveSet
 ) -> tuple[float, LayeredVector]:
-    """The quadratic pass as a reference: the gradient (x - c) * scale + z
-    one key of `select()` at a time, then the loss from its own dense pass."""
+    """The quadratic pass as a reference: the gradient x * scale + z one
+    key of `select()` at a time, then the loss from its own dense pass."""
     if x.dims != obj.layer_dims:
         raise ValueError(f"parameter dims {x.dims} do not match objective dims {obj.layer_dims}")
     g = LayeredVector.zeros(obj.layer_dims)
@@ -204,13 +208,11 @@ def per_key_loss_and_grad(
     with np.errstate(over="ignore", invalid="ignore"):
         for k in x.select(active):
             gs = g.data[k]
-            np.subtract(x.data[k], obj._center[k], out=gs)
-            gs *= obj._scale[k]
+            np.multiply(x.data[k], obj._scale[k], out=gs)
             if z is not None:
                 gs += z[k]
             g.data[k] = gs
-        diff = x.data - obj._center
-        total = 0.5 * float((obj._scale * diff).dot(diff))
+        total = 0.5 * float((obj._scale * x.data).dot(x.data))
         if z is not None:
             total += float(z.dot(x.data))
     if not np.isfinite(total):
@@ -241,7 +243,6 @@ def quadratic_passes(draw):
     obj = BlockQuadratic(
         dims,
         scales=rng.uniform(0.1, 10.0, n).tolist(),
-        centers=[rng.standard_normal(d) for d in dims],
         noise_sigma=draw(st.sampled_from([0.0, 0.5])),
         noise_seed=draw(st.integers(0, 2**40)),
     )
@@ -277,6 +278,32 @@ class TestQuadraticPassBits:
             for l in set(range(obj.n_layers)) - active.members:
                 assert block(g, l).tobytes() == bytes(8 * obj.layer_dims[l])
             assert obj.loss(x, batch) == obj.loss_and_grad(x, batch, active)[0]
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    @pytest.mark.parametrize("batch", [None, scalar_batch(3)], ids=["population", "batch"])
+    @pytest.mark.parametrize(
+        "special",
+        [[0.0, -0.0], [5e-324, -5e-324, 2.2e-308], [1e300, -1e155, 1.7e308], [np.nan, np.inf]],
+        ids=["signed-zeros", "subnormal", "huge", "nan-inf"],
+    )
+    def test_special_entries_match_a_zero_center(self, special, batch, sigma):
+        # The reference is the centred formula at c = +0.0. IEEE x - (+0.0)
+        # is x for every x, so it must give the pass's bits.
+        obj = BlockQuadratic([4, 3], scales=[0.5, 3.0], noise_sigma=sigma, noise_seed=2)
+        x = lv([1.5, -2.0, 0.25, -0.75], [3.0, -1.0, 0.5])
+        x.data[: len(special)] = special
+        x.data[-len(special):] = special[::-1]
+        z = obj._noise(batch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = x.data - np.zeros(x.dim)
+            want = obj._scale * diff
+            total = 0.5 * float(want.dot(diff))
+            if z is not None:
+                total += float(z.dot(x.data))
+                want += z
+        got_total, got = obj._pass(x, batch)
+        assert float(got_total).hex() == float(total).hex()
+        assert got.tobytes() == want.tobytes()
 
     def test_full_gradient_owns_its_buffer(self):
         obj = BlockQuadratic([3, 2], noise_sigma=0.5, noise_seed=1)
@@ -789,11 +816,11 @@ class TestFiniteDiff:
 
 
 class TestInitParams:
-    def test_quadratic_starts_off_center(self):
-        obj = BlockQuadratic([2, 3], centers=[np.array([1.0, 2.0]), np.zeros(3)])
+    def test_quadratic_starts_at_all_ones(self):
+        obj = BlockQuadratic([2, 3])
         x = obj.init_params(0)
-        assert np.array_equal(block(x, 0), [2.0, 3.0])
-        assert np.array_equal(block(x, 1), [1.0, 1.0, 1.0])
+        assert x.dims == (2, 3)
+        assert x.data.tobytes() == np.ones(5).tobytes()
 
     def test_mlp_seeded_and_biases_zero(self):
         obj = MlpClassifier([2, 4, 2], activation="tanh")

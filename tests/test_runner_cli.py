@@ -132,7 +132,7 @@ class TestRun:
 
     def test_failing_summary_dump_leaves_no_partial_file(self, tmp_path, monkeypatch):
         runner.run(quad_cfg(), tmp_path)
-        before = (tmp_path / "summary.json").read_bytes()
+        assert (tmp_path / "summary.json").exists()
 
         def failing_dump(obj, fh, **kwargs):
             fh.write('{"optimizer": ')
@@ -143,10 +143,9 @@ class TestRun:
             runner.run(quad_cfg(optimizer={"eta": 2e-3}), tmp_path)
         with pytest.raises(OSError, match="disk full"):
             runner.run(quad_cfg(), tmp_path / "fresh")
-        assert (tmp_path / "summary.json").read_bytes() == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "fresh", "sampler.csv", "steps.csv", "summary.json"
-        ]
+        # Neither a partial file nor the earlier run's summary, which would
+        # sit beside this run's CSVs, is left.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "sampler.csv", "steps.csv"]
         assert sorted(p.name for p in (tmp_path / "fresh").iterdir()) == [
             "sampler.csv", "steps.csv"
         ]
@@ -318,6 +317,17 @@ class TestCli:
         cfg = write_cfg(tmp_path, raw)
         out = tmp_path / "out"
         assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+        assert "divergence" in capsys.readouterr().err
+        assert (out / "steps.csv").exists()
+        assert not (out / "summary.json").exists()
+
+    def test_train_divergence_removes_an_earlier_summary(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        raw = dict(QUAD_RAW, train={"steps": 5, "batch_size": 1, "seed": 0, "eval_every": 5})
+        assert main(["train", "--config", write_cfg(tmp_path, raw), "--out", str(out)]) == 0
+        assert (out / "summary.json").exists()
+        raw["optimizer"] = {"type": "adamw", "eta": 1e300}
+        assert main(["train", "--config", write_cfg(tmp_path, raw), "--out", str(out)]) == 2
         assert "divergence" in capsys.readouterr().err
         assert (out / "steps.csv").exists()
         assert not (out / "summary.json").exists()
