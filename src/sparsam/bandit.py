@@ -45,7 +45,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from sparsam.errors import DivergenceError
+from sparsam.errors import ConfigError, DivergenceError
 from sparsam.layered import ActiveSet
 
 SUM_TOL = 1e-9
@@ -141,7 +141,9 @@ def sample_active_set(
 
     Returns the active set, built from the draw's mask (interned over at
     most INTERN_LAYERS layers), and how many redraws the non-empty
-    guarantee cost (0 almost always).
+    guarantee cost (0 almost always). A budget s so small that
+    MAX_SAMPLE_ATTEMPTS draws in a row come up empty raises ConfigError
+    naming s, the layer count and the draws.
     """
     redraws = 0
     while True:
@@ -150,7 +152,8 @@ def sample_active_set(
             return active, redraws
         redraws += 1
         if redraws >= MAX_SAMPLE_ATTEMPTS:
-            raise RuntimeError(f"no non-empty active set after {redraws} draws")
+            budget = f"sampling budget s={dist.s!r} over {dist.n_layers} layer(s)"
+            raise ConfigError(f"{budget} drew no layer in {redraws} draws; raise bandit.s_over_n")
 
 
 def pseudo_loss(

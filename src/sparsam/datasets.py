@@ -42,8 +42,8 @@ class Dataset:
     def n(self) -> int:
         return self.features.shape[0]
 
-    def as_batch(self, batch_id: int = 0) -> Batch:
-        return Batch(self.features, self.labels, id=batch_id)
+    def as_batch(self) -> Batch:
+        return Batch(self.features, self.labels)
 
 
 def gen_two_moons(n: int, noise: float, seed: int) -> Dataset:

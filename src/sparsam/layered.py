@@ -128,14 +128,6 @@ class LayeredVector:
         dims, offsets = layout(tuple(dims))
         return cls._wrap(np.zeros(offsets[-1]), dims, offsets)
 
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, dims: Sequence[int]) -> "LayeredVector":
-        dims, offsets = layout(tuple(dims))
-        data = np.array(flat, dtype=np.float64).reshape(-1)
-        if data.size != offsets[-1]:
-            raise ValueError(f"flat vector of size {data.size} does not split into {list(dims)}")
-        return cls._wrap(data, dims, offsets)
-
     def copy(self) -> "LayeredVector":
         return LayeredVector._wrap(self.data.copy(), self.dims, self.offsets)
 
@@ -301,13 +293,11 @@ def layer_l2_norm(v: LayeredVector, active: ActiveSet) -> np.ndarray:
         return np.sqrt(np.add.reduceat(a * a, starts)[pick])
 
 
-def total_l1_norm(v: LayeredVector, active: ActiveSet | None = None) -> float:
-    """Sum of |v| over the active layers (all of them by default): each
-    layer's L1 norm, then their running sum in layer order. A block of
-    +0.0 entries adds exactly nothing to it, so a gradient restricted to
-    `active` gives the same value with or without the set."""
-    if active is None:
-        active = ActiveSet.full(v.n_layers)
+def total_l1_norm(v: LayeredVector, active: ActiveSet) -> float:
+    """Sum of |v| over the active layers: each layer's L1 norm, then
+    their running sum in layer order. A block of +0.0 entries adds
+    exactly nothing to it, so a gradient restricted to `active` gives the
+    same value over `active` as over every layer."""
     key, starts, _, pick = v.segments(active)
     per_layer = np.add.reduceat(np.abs(v.data[key]), starts)[pick]
     return float(np.add.accumulate(per_layer)[-1]) if per_layer.size else 0.0

@@ -170,7 +170,7 @@ def sam_perturb(
     r: LayeredVector,
     active: ActiveSet,
     cfg: SamConfig,
-    norms: np.ndarray | None = None,
+    norms: np.ndarray,
 ) -> LayeredVector:
     """Ascent perturbation of radius rho along r, zero off the active set.
 
@@ -180,12 +180,10 @@ def sam_perturb(
     `LayeredVector.select`. Zero-norm input maps to a zero perturbation.
     Entries with a factor of 0 stay +0.0, whatever the signs in r:
     inactive layers, zero-norm layers in per_layer mode, and all of them
-    when rho is 0. `norms`, when given, holds layer_l2_norm(r, active),
-    so they are not recomputed.
+    when rho is 0. `norms` holds layer_l2_norm(r, active), which the
+    caller has already computed.
     """
     eps = LayeredVector.zeros(r.dims)
-    if norms is None:
-        norms = layer_l2_norm(r, active)
     if cfg.perturb_norm == "per_layer":
         key, _, sizes, pick = r.segments(active)
         scale = np.zeros(sizes.size)

@@ -133,7 +133,7 @@ class Trainer:
         full = ActiveSet.full(self.objective.n_layers)
         batch = None if self.train_ds is None else self.train_ds.as_batch()
         loss, g = in_pass(step, "probe", self.objective.loss_and_grad, self.x, batch, full)
-        self.record.probes.append(ProbeRecord(step, loss, total_l1_norm(g)))
+        self.record.probes.append(ProbeRecord(step, loss, total_l1_norm(g, full)))
 
     def run_all(self) -> RunRecord:
         for _ in range(self.config.train.steps):

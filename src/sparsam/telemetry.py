@@ -104,19 +104,3 @@ def layer_frequency(record: RunRecord) -> np.ndarray:
     layers = np.concatenate([t.active_layers.index for t in record.steps])
     return np.bincount(layers, minlength=record.n_layers) / record.n_steps
 
-
-def probe_trend(record: RunRecord, window: int) -> list[tuple[int, float]]:
-    """Mean probe grad_l1 over consecutive windows of `window` probes.
-
-    Each entry carries the step of its window's last probe; a short
-    trailing window is averaged over what it holds.
-    """
-    if window < 1:
-        raise ValueError("window must be at least 1")
-    if not record.probes:
-        raise ValueError("run has no probes")
-    out = []
-    for start in range(0, len(record.probes), window):
-        chunk = record.probes[start : start + window]
-        out.append((chunk[-1].step, float(np.mean([p.grad_l1 for p in chunk]))))
-    return out

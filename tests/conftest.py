@@ -5,12 +5,25 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sparsam.layered import ActiveSet, LayeredVector
+from sparsam.layered import ActiveSet, LayeredVector, layer_l2_norm
 from sparsam.objectives import Batch
+from sparsam.optimizers import SamConfig, sam_perturb
 
 
 def lv(*blocks) -> LayeredVector:
     return LayeredVector([np.asarray(b, dtype=np.float64) for b in blocks])
+
+
+def from_flat(flat, dims) -> LayeredVector:
+    """A vector over `dims` holding a copy of the flat array `flat`."""
+    v = LayeredVector.zeros(dims)
+    v.data[:] = flat
+    return v
+
+
+def perturb(r: LayeredVector, active: ActiveSet, cfg: SamConfig) -> LayeredVector:
+    """sam_perturb with the layer norms it takes, computed as sam_step does."""
+    return sam_perturb(r, active, cfg, layer_l2_norm(r, active))
 
 
 def scalar_batch(step: int = 0) -> Batch:

@@ -3,6 +3,7 @@
 Each test prints a single PASS/FAIL summary line on the real stdout so
 the verdicts survive pytest's capture, then asserts. Tolerances are
 pinned in the assertions; shared long runs live in module fixtures.
+`probe_trend`, which property 08 reads, is defined and unit-tested here.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from sparsam.optimizers import (
 )
 from sparsam.rng import stream
 from sparsam.runner import Trainer
-from sparsam.telemetry import layer_frequency, probe_trend
+from sparsam.telemetry import ProbeRecord, RunRecord, layer_frequency
 
-from conftest import block
+from conftest import block, from_flat
 
 
 def report(capsys, tag: str, ok: bool, detail: str = "") -> bool:
@@ -251,7 +252,7 @@ def test_gradients_match_finite_differences(capsys):
             batch = Batch(rng.normal(0.0, 1.0, (b, 2)), rng.integers(0, k, b))
         full = ActiveSet.full(obj.n_layers)
         _, g = obj.loss_and_grad(x, batch, full)
-        f = lambda flat: obj.loss(LayeredVector.from_flat(flat, obj.layer_dims), batch)
+        f = lambda flat: obj.loss(from_flat(flat, obj.layer_dims), batch)
         fd = central_fd(f, x.data.copy())
         err = np.max(np.abs(g.data - fd)) / max(1e-8, float(np.max(np.abs(fd))))
         worst = max(worst, float(err))
@@ -377,6 +378,32 @@ def test_active_ratio_accounting(capsys):
 
 
 # --- 08: convergence trend on both objective families ---
+
+
+def probe_trend(record: RunRecord, window: int) -> list[tuple[int, float]]:
+    """Mean probe grad_l1 over consecutive windows of `window` probes.
+
+    Each entry carries the step of its window's last probe; a short
+    trailing window is averaged over what it holds.
+    """
+    if window < 1:
+        raise ValueError("window must be at least 1")
+    if not record.probes:
+        raise ValueError("run has no probes")
+    out = []
+    for start in range(0, len(record.probes), window):
+        chunk = record.probes[start : start + window]
+        out.append((chunk[-1].step, float(np.mean([p.grad_l1 for p in chunk]))))
+    return out
+
+
+def test_probe_trend():
+    rec = RunRecord(config_digest="x", seed=0, n_layers=1, total_params=1)
+    rec.probes.extend(
+        ProbeRecord(step=t, loss=0.0, grad_l1=g)
+        for t, g in [(10, 4.0), (20, 2.0), (30, 6.0), (40, 0.0)]
+    )
+    assert probe_trend(rec, window=2) == [(20, 3.0), (40, 3.0)]
 
 
 def test_convergence_trend(capsys):

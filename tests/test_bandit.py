@@ -24,7 +24,7 @@ from sparsam.bandit import (
     sample_active_set,
     update_distribution,
 )
-from sparsam.errors import DivergenceError
+from sparsam.errors import ConfigError, DivergenceError
 from sparsam.layered import ActiveSet
 from sparsam.rng import stream
 
@@ -122,6 +122,14 @@ class TestSampleActiveSet:
         for _ in range(10):
             active, _ = sample_active_set(dist, rng)
             assert len(active) >= 1
+
+    def test_budget_too_small_to_draw_is_a_config_error(self):
+        # At p = 1e-5 about 90% of streams draw no layer in 10,000 tries;
+        # this one is among them.
+        dist = SamplingDistribution(np.array([1e-5]), s=1e-5, p_min=1e-5)
+        want = rf"s=1e-05 over 1 layer\(s\) drew no layer in {bandit.MAX_SAMPLE_ATTEMPTS} draws"
+        with pytest.raises(ConfigError, match=want):
+            sample_active_set(dist, stream(1, "test"))
 
     def test_same_stream_same_sets(self):
         dist = init_uniform(6, 2.0, 0.02)

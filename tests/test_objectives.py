@@ -19,7 +19,7 @@ from sparsam.objectives import Batch, BlockQuadratic, MlpClassifier, Objective
 from sparsam.rng import stream
 from sparsam.runner import Trainer
 
-from conftest import block, lv, scalar_batch
+from conftest import block, from_flat, lv, scalar_batch
 
 
 def finite_diff_grad(
@@ -672,7 +672,7 @@ class TestMlpForwardHandover:
             eps = LayeredVector.zeros(x.dims)
             for l in active:
                 block(eps, l)[...] = 0.05 * rng.standard_normal(x.dims[l])
-            x_pert = LayeredVector.from_flat(x.data + eps.data, x.dims)
+            x_pert = from_flat(x.data + eps.data, x.dims)
             fresh = MlpClassifier(widths, activation=activation, bias_mode=bias_mode)
             want_loss, want_g = fresh.loss_and_grad(x_pert, batch, active)
             for ascent_set in (active, full):
@@ -698,7 +698,7 @@ class TestMlpForwardHandover:
         x, y = obj.init_params(0), obj.init_params(1)
         for stage in range(obj.n_stages):
             split = x.offsets[stage * per_stage]
-            mixed = LayeredVector.from_flat(np.concatenate([x.data[:split], y.data[split:]]), x.dims)
+            mixed = from_flat(np.concatenate([x.data[:split], y.data[split:]]), x.dims)
             active = ActiveSet.of(stage * per_stage)
             obj.loss_and_grad(x, batch, active)
             loss, g = obj.loss_and_grad(y, batch, active, obj.last_forward())

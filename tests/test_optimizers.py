@@ -34,7 +34,7 @@ from sparsam.optimizers import (
 from sparsam.rng import stream
 from sparsam.runner import Trainer
 
-from conftest import block, lv, scalar_batch
+from conftest import block, lv, perturb, scalar_batch
 
 # One AdamW update from m=v=0, g=1, x=1 (eta=0.1, beta2=0.999, eps=1e-8),
 # evaluated at 50 decimal digits and rounded to double:
@@ -154,35 +154,35 @@ class TestAdamwStep:
 
 class TestSamPerturb:
     def test_per_layer_three_four(self):
-        eps = sam_perturb(lv([3.0, 4.0]), ActiveSet.of(0), SamConfig(0.01, "per_layer"))
+        eps = perturb(lv([3.0, 4.0]), ActiveSet.of(0), SamConfig(0.01, "per_layer"))
         assert np.allclose(block(eps, 0), [0.006, 0.008], rtol=1e-12)
 
     def test_zero_block_zero_perturbation(self):
-        eps = sam_perturb(lv([0.0, 0.0], [3.0, 4.0]), ActiveSet.full(2), SamConfig(0.01, "per_layer"))
+        eps = perturb(lv([0.0, 0.0], [3.0, 4.0]), ActiveSet.full(2), SamConfig(0.01, "per_layer"))
         assert np.array_equal(block(eps, 0), [0.0, 0.0])
         assert np.allclose(block(eps, 1), [0.006, 0.008], rtol=1e-12)
 
     def test_global_joint_scaling(self):
-        eps = sam_perturb(lv([3.0], [4.0]), ActiveSet.full(2), SamConfig(0.01, "global"))
+        eps = perturb(lv([3.0], [4.0]), ActiveSet.full(2), SamConfig(0.01, "global"))
         assert block(eps, 0)[0] == pytest.approx(0.006, rel=1e-12)
         assert block(eps, 1)[0] == pytest.approx(0.008, rel=1e-12)
 
     def test_per_layer_norms_equal_rho(self):
         rng = np.random.default_rng(0)
         r = LayeredVector([rng.standard_normal(d) for d in (3, 5, 2)])
-        eps = sam_perturb(r, ActiveSet.full(3), SamConfig(0.37, "per_layer"))
+        eps = perturb(r, ActiveSet.full(3), SamConfig(0.37, "per_layer"))
         assert layer_l2_norm(eps, ActiveSet.full(3)) == pytest.approx([0.37] * 3, rel=1e-12)
 
     def test_global_joint_norm_equals_rho(self):
         rng = np.random.default_rng(1)
         r = LayeredVector([rng.standard_normal(d) for d in (3, 5)])
         active = ActiveSet.of(0, 1)
-        eps = sam_perturb(r, active, SamConfig(0.37, "global"))
+        eps = perturb(r, active, SamConfig(0.37, "global"))
         joint = math.sqrt(float(np.sum(layer_l2_norm(eps, active) ** 2)))
         assert joint == pytest.approx(0.37, rel=1e-12)
 
     def test_inactive_blocks_zero(self):
-        eps = sam_perturb(lv([3.0], [4.0]), ActiveSet.of(1), SamConfig(0.5, "per_layer"))
+        eps = perturb(lv([3.0], [4.0]), ActiveSet.of(1), SamConfig(0.5, "per_layer"))
         assert block(eps, 0)[0] == 0.0
         assert block(eps, 1)[0] == pytest.approx(0.5, rel=1e-12)
 
@@ -191,7 +191,7 @@ class TestSamPerturb:
         r = lv([3.0, -4.0], [-0.0, -0.0], [-1.0])
         for mode in ("global", "per_layer"):
             for active in (ActiveSet(), ActiveSet.of(1), ActiveSet.of(0, 1, 2)):
-                eps = sam_perturb(r, active, SamConfig(0.0, mode))
+                eps = perturb(r, active, SamConfig(0.0, mode))
                 assert not eps.data.any() and not np.signbit(eps.data).any(), (mode, active)
 
     @pytest.mark.parametrize("n", [1, 2, 8, 100])
@@ -637,7 +637,7 @@ class TestRunWiseMatchesPerBlock:
         assert np.array_equal(y.data, np.concatenate(y_ref))
 
         for mode in ("global", "per_layer"):
-            eps = sam_perturb(g, active, SamConfig(rho, mode))
+            eps = perturb(g, active, SamConfig(rho, mode))
             want = _per_block_perturb(g, active, SamConfig(rho, mode))
             assert np.array_equal(eps.data, np.concatenate(want))
 

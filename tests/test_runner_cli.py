@@ -332,6 +332,28 @@ class TestCli:
         assert (out / "steps.csv").exists()
         assert not (out / "summary.json").exists()
 
+    def test_train_budget_too_small_to_draw_is_one_line(self, tmp_path, capsys):
+        # One layer at s = 1e-5: the sampler gives up before step 1 ends.
+        raw = {
+            "objective": {"type": "blockquadratic", "layer_dims": [4]},
+            "optimizer": {"type": "slsam"},
+            "bandit": {"s_over_n": 0.00001},
+            "train": {"steps": 5},
+        }
+        cfg, out = write_cfg(tmp_path, raw), tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("config error: sampling budget s=1e-05 over 1 layer(s)")
+        assert rows(out / "steps.csv") == [runner.CSV_HEADER]
+        assert rows(out / "sampler.csv") == [runner.SAMPLER_HEADER]
+        assert not (out / "summary.json").exists()
+        # compare runs adamw, then stops at slsam with the same line.
+        cmp = tmp_path / "cmp"
+        assert main(["compare", "--config", cfg, "--optimizers", "adamw,slsam", "--out", str(cmp)]) == 1
+        assert capsys.readouterr().err == err
+        assert (cmp / "adamw" / "summary.json").exists() and not (cmp / "compare.csv").exists()
+
     def test_train_divergence_names_step_and_pass(self, tmp_path, capsys):
         raw = {"optimizer": {"type": "slsam", "rho": 1e300}, "train": {"steps": 20}}
         out = tmp_path / "out"
@@ -472,7 +494,50 @@ class TestCli:
         assert main(["tune"]) == 1
 
 
+def load_script(name: str):
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Nine code lines, counted by hand: import, X, the decorator, def, the
+# three lines of the returned string, class and y.
+COUNTED_MODULE = '''\
+"""Module docstring,
+on two lines."""
+
+import functools
+# A comment-only line.
+
+X = 1  # a trailing comment
+
+
+@functools.lru_cache
+def f():
+    """Function docstring."""
+    return """not a docstring,
+on three
+lines"""
+
+
+class C:
+    """Class docstring."""
+
+    y = 2
+'''
+
+
 class TestScripts:
+    def test_code_lines_matches_a_hand_count(self, tmp_path, monkeypatch, capsys):
+        counter = load_script("code_lines")
+        (tmp_path / "counted.py").write_text(COUNTED_MODULE)
+        assert counter.code_lines(tmp_path / "counted.py") == 9
+        monkeypatch.setattr("sys.argv", ["code_lines.py", str(tmp_path)])
+        counter.main()
+        assert capsys.readouterr().out.split("\n")[-2].split() == ["9", "total"]
+
     def test_comparison_config_loads(self):
         path = Path(__file__).resolve().parent.parent / "scripts" / "compare_two_moons.json"
         cfg = load_config(path)
@@ -482,10 +547,7 @@ class TestScripts:
         assert (cfg.train.steps, cfg.train.batch_size, cfg.train.eval_every) == (2000, 32, 200)
 
     def test_sweep_runs_shorter_than_ten_steps(self):
-        path = Path(__file__).resolve().parent.parent / "scripts" / "sweep_sparsity.py"
-        spec = importlib.util.spec_from_file_location("sweep_sparsity", path)
-        sweep = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sweep)
+        sweep = load_script("sweep_sparsity")
         ratio, grad = sweep.run_one(0.2, 5, 0)
         assert 0.0 < ratio <= 2.0
         assert np.isfinite(grad)

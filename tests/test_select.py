@@ -24,13 +24,12 @@ from sparsam.optimizers import (
     OptimizerState,
     SamConfig,
     adamw_step,
-    sam_perturb,
     sam_step,
 )
 from sparsam.rng import stream
 from sparsam.runner import Trainer
 
-from conftest import block, scalar_batch
+from conftest import block, from_flat, perturb, scalar_batch
 
 DIMS = [1, 2, 7, 64, GATHER_BELOW - 1, GATHER_BELOW, GATHER_BELOW + 1, 1024]
 
@@ -179,7 +178,7 @@ class TestGatherMatchesRunByRun:
         c = Case(dims, kind, seed)
         r = c.vector()
         cfg = SamConfig(0.05, mode)
-        eps = sam_perturb(r, c.active, cfg)
+        eps = perturb(r, c.active, cfg)
         assert_same_bits(eps.data, ref_perturb(r, c.active, cfg).data)
         assert_inactive_unchanged(eps, np.zeros(r.dim), c.active)
 
@@ -207,7 +206,7 @@ class TestGatherMatchesRunByRun:
         sam_step(obj, x, scalar_batch(0), state, active, "stale", sam_cfg, cfg)
         stash = state.prev_grad.data.copy()
         sam_step(obj, x, scalar_batch(1), state, active, "stale", sam_cfg, cfg)
-        want = LayeredVector.from_flat(stash, dims)
+        want = from_flat(stash, dims)
         for s in run_slices(want, active):
             want.data[s] = obj.grads[-1].data[s]
         assert_same_bits(state.prev_grad.data, want.data)

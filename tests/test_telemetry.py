@@ -1,4 +1,4 @@
-"""Run records and the derived metrics: active ratio, frequency, trends."""
+"""Run records and the derived metrics: active ratio and layer frequency."""
 
 from __future__ import annotations
 
@@ -11,12 +11,10 @@ from sparsam.bandit import SamplingDistribution, sample_active_set
 from sparsam.layered import ActiveSet
 from sparsam.rng import stream
 from sparsam.telemetry import (
-    ProbeRecord,
     RunRecord,
     StepTelemetry,
     active_ratio,
     layer_frequency,
-    probe_trend,
 )
 
 
@@ -128,12 +126,3 @@ class TestLayerFrequency:
         freq = layer_frequency(rec)
         assert np.all(np.abs(freq - p) <= 0.02)
 
-
-class TestTrends:
-    def test_probe_trend(self):
-        rec = record(1, 1)
-        rec.probes.extend(
-            ProbeRecord(step=t, loss=0.0, grad_l1=g)
-            for t, g in [(10, 4.0), (20, 2.0), (30, 6.0), (40, 0.0)]
-        )
-        assert probe_trend(rec, window=2) == [(20, 3.0), (40, 3.0)]
