@@ -407,18 +407,27 @@ def test_probe_trend():
 
 
 def test_convergence_trend(capsys):
+    # The quadratic half: at every seed, 10 probe windows whose means fall
+    # strictly while they lie above the 0.01 target, and a last window at
+    # most 0.01 of the first. Below the target the noise decides the order
+    # of neighbouring windows, so pairs there are not compared.
     t0 = time.perf_counter()
-    tr = make_trainer({
-        "objective": {"type": "blockquadratic", "layer_dims": [4] * 5, "noise_sigma": 1e-4},
-        "optimizer": {"type": "slsam", "eta": 4e-3},
-        "bandit": {"s_over_n": 0.2},
-        "train": {"steps": 4000, "batch_size": 1, "seed": 0, "eval_every": 10},
-    })
-    tr.run_all()
-    trend = probe_trend(tr.record, window=len(tr.record.probes) // 10)
-    means = [m for _, m in trend]
-    monotone = all(b < a for a, b in zip(means, means[1:]))
-    final_ratio = means[-1] / means[0]
+    monotone, final_ratios = [], []
+    for seed in range(5):
+        tr = make_trainer({
+            "objective": {"type": "blockquadratic", "layer_dims": [4] * 5, "noise_sigma": 1e-4},
+            "optimizer": {"type": "slsam", "eta": 4e-3},
+            "bandit": {"s_over_n": 0.2},
+            "train": {"steps": 4000, "batch_size": 1, "seed": seed, "eval_every": 10},
+        })
+        tr.run_all()
+        trend = probe_trend(tr.record, window=len(tr.record.probes) // 10)
+        means = [m for _, m in trend]
+        target = 0.01 * means[0]
+        monotone.append(
+            len(means) == 10 and all(b < a for a, b in zip(means, means[1:]) if b > target)
+        )
+        final_ratios.append(means[-1] / means[0])
 
     sl_train, sl_test, ada_test = [], [], []
     for seed in range(5):
@@ -439,9 +448,8 @@ def test_convergence_trend(capsys):
     gap = abs(float(np.mean(sl_test)) - float(np.mean(ada_test)))
     elapsed = time.perf_counter() - t0
     ok = (
-        len(means) == 10
-        and monotone
-        and final_ratio <= 0.01
+        all(monotone)
+        and max(final_ratios) <= 0.01
         and min(sl_train) >= 0.95
         and gap <= 0.02
         and elapsed < 300.0
@@ -450,7 +458,8 @@ def test_convergence_trend(capsys):
         capsys,
         "08 convergence-trend",
         ok,
-        f"10 windows monotone {monotone}, final/initial {final_ratio:.2e}, "
+        f"10 windows monotone above target at {sum(monotone)}/5 seeds, "
+        f"worst final/initial {max(final_ratios):.2e}, "
         f"min train acc {min(sl_train):.3f}, test gap {gap:.3f}, {elapsed:.1f}s",
     )
 
