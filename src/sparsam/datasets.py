@@ -14,10 +14,6 @@ import numpy as np
 from sparsam.objectives import Batch, as_labels
 from sparsam.rng import stream
 
-# Batch ids pack (epoch, index); indexes get the low bits.
-BATCH_INDEX_BITS = 20
-
-
 @dataclass
 class Dataset:
     features: np.ndarray
@@ -85,23 +81,14 @@ def gen_blobs(n: int, k: int, sigma: float, seed: int) -> Dataset:
     return Dataset(features, labels, class_count=k)
 
 
-def batch_id(epoch: int, index: int) -> int:
-    """Pack (epoch, index) into one non-negative int for noise keying."""
-    if epoch < 0 or index < 0:
-        raise ValueError("epoch and index must be non-negative")
-    if index >= 1 << BATCH_INDEX_BITS:
-        raise ValueError(f"batch index {index} exceeds {1 << BATCH_INDEX_BITS}")
-    return (epoch << BATCH_INDEX_BITS) | index
-
-
 def minibatches(ds: Dataset, batch_size: int, seed: int, epoch: int) -> list[Batch]:
     """One epoch of batches under a seeded permutation; the short tail batch
-    is kept. Batch ids encode (epoch, index)."""
+    is kept."""
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
-    order = stream(seed, "data", epoch).permutation(ds.n)
+    order = stream(seed, "data", index=epoch).permutation(ds.n)
     out = []
-    for index, start in enumerate(range(0, ds.n, batch_size)):
+    for start in range(0, ds.n, batch_size):
         rows = order[start : start + batch_size]
-        out.append(Batch(ds.features[rows], ds.labels[rows], id=batch_id(epoch, index)))
+        out.append(Batch(ds.features[rows], ds.labels[rows]))
     return out

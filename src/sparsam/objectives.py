@@ -133,9 +133,10 @@ class BlockQuadratic(Objective):
     """f(x, batch) = sum_l a_l/2 ||x_l||^2 + <z_batch, x>.
 
     The noise vector z is zero-mean Gaussian with scale `noise_sigma`,
-    drawn whole from one stream keyed by (noise_seed, batch.id), so the
-    same batch always sees the same drift and restricting the gradient
-    to a layer subset never changes any layer's draw.
+    drawn whole from entry batch.id of the ("noise",) stream under
+    noise_seed, so the same batch always sees the same drift and
+    restricting the gradient to a layer subset never changes any layer's
+    draw.
     `batch=None` selects the noiseless population objective.
 
     Scales and noise are kept as flat per-entry arrays laid out like a
@@ -183,7 +184,7 @@ class BlockQuadratic(Objective):
         if batch is None or self.noise_sigma == 0.0:
             return None
         if batch.id != self._noise_id:
-            z = stream(self.noise_seed, "noise", batch.id).standard_normal(self.dim)
+            z = stream(self.noise_seed, "noise", index=batch.id).standard_normal(self.dim)
             z *= self.noise_sigma
             z.flags.writeable = False
             self._noise_id, self._noise_memo = batch.id, z

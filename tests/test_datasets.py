@@ -5,14 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sparsam.datasets import (
-    BATCH_INDEX_BITS,
-    Dataset,
-    batch_id,
-    gen_blobs,
-    gen_two_moons,
-    minibatches,
-)
+from sparsam.datasets import Dataset, gen_blobs, gen_two_moons, minibatches
 
 
 class TestTwoMoons:
@@ -130,7 +123,6 @@ class TestMinibatches:
         for ba, bb in zip(a, b):
             assert np.array_equal(ba.inputs, bb.inputs)
             assert np.array_equal(ba.targets, bb.targets)
-            assert ba.id == bb.id
 
     def test_epochs_permute_same_multiset(self):
         ds = gen_blobs(16, k=2, sigma=0.1, seed=0)
@@ -142,11 +134,6 @@ class TestMinibatches:
         assert np.array_equal(a.inputs[order_a], b.inputs[order_b])
         assert np.array_equal(a.targets[order_a], b.targets[order_b])
 
-    def test_batch_ids_encode_epoch_and_index(self):
-        ds = gen_blobs(6, k=2, sigma=0.1, seed=0)
-        batches = minibatches(ds, 2, seed=0, epoch=3)
-        assert [b.id for b in batches] == [batch_id(3, i) for i in range(3)]
-
     def test_rows_match_dataset(self):
         ds = gen_two_moons(20, noise=0.1, seed=4)
         rows = {tuple(r) for r in ds.features}
@@ -155,17 +142,3 @@ class TestMinibatches:
             seen.update(tuple(r) for r in b.inputs)
         assert seen == rows
 
-
-class TestBatchId:
-    def test_layout(self):
-        assert batch_id(0, 0) == 0
-        assert batch_id(0, 5) == 5
-        assert batch_id(2, 3) == (2 << BATCH_INDEX_BITS) | 3
-
-    def test_uniqueness_across_epochs(self):
-        ids = {batch_id(e, i) for e in range(4) for i in range(100)}
-        assert len(ids) == 400
-
-    def test_index_overflow_rejected(self):
-        with pytest.raises(ValueError):
-            batch_id(0, 1 << BATCH_INDEX_BITS)

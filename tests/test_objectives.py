@@ -326,12 +326,12 @@ class TestNoiseMemo:
 
     @pytest.mark.parametrize("otype", OPTIMIZER_TYPES)
     def test_one_stream_per_layer_per_step(self, otype, monkeypatch):
-        paths = []
+        calls = []
         real_stream = objectives.stream
 
-        def counting_stream(seed, *path):
-            paths.append(path)
-            return real_stream(seed, *path)
+        def counting_stream(seed, *labels, index=0):
+            calls.append((labels, index))
+            return real_stream(seed, *labels, index=index)
 
         monkeypatch.setattr(objectives, "stream", counting_stream)
         trainer = Trainer(
@@ -351,11 +351,11 @@ class TestNoiseMemo:
         # the whole noise vector of its own batch from one stream, once.
         batch_ids = []
         for _ in range(3):
-            paths.clear()
+            calls.clear()
             trainer.step()
-            assert len(paths) == 1
-            (label, bid), = paths
-            assert label == "noise"
+            assert len(calls) == 1
+            (labels, bid), = calls
+            assert labels == ("noise",)
             batch_ids.append(bid)
         assert len(set(batch_ids)) == 3
 
@@ -364,7 +364,7 @@ class TestNoiseMemo:
         seed = 2**70 + 9
         obj = BlockQuadratic(dims, noise_sigma=0.7, noise_seed=seed)
         for bid in [3, 2**33 + 1, 3, 0, 2**40, 0]:
-            drawn = 0.7 * stream(seed, "noise", bid).standard_normal(sum(dims))
+            drawn = 0.7 * stream(seed, "noise", index=bid).standard_normal(sum(dims))
             assert np.array_equal(obj._noise(scalar_batch(bid)), drawn)
 
     def test_memo_matches_fresh_draws_across_batches(self):
@@ -385,7 +385,7 @@ class TestNoiseMemo:
         assert obj.loss(x, b_big) == fresh().loss(x, b_big)
         assert obj.loss(x, b1) == fresh().loss(x, b1)
         for b in (b1, b_big, b2):
-            drawn = 0.3 * stream(5, "noise", b.id).standard_normal(sum(dims))
+            drawn = 0.3 * stream(5, "noise", index=b.id).standard_normal(sum(dims))
             assert np.array_equal(obj._noise(b), drawn)
 
     @given(data=st.data())

@@ -1,4 +1,4 @@
-"""Named random streams and the Philox keys they derive."""
+"""Named random streams: the Philox keys they derive and the counters they index."""
 
 from __future__ import annotations
 
@@ -12,12 +12,28 @@ from hypothesis import strategies as st
 from sparsam import rng
 from sparsam.rng import stream
 
-NOISE = zlib.crc32(b"noise")
-
 BIG = 2**200
-# Labels and ints up to 2**200, so a path word can span several 32-bit words.
+# Labels and ints up to 2**200, so a label word can span several 32-bit words.
 PATH_PARTS = st.one_of(st.text(max_size=8), st.integers(0, BIG))
 PATHS = st.lists(PATH_PARTS, max_size=4).map(tuple)
+INDICES = [0, 1, 2**64 - 1, 2**64, 2**128 - 1]
+
+# The keys of the unindexed streams at seed 0, and their first two
+# 63-bit draws, as recorded before streams took an index.
+UNINDEXED_AT_SEED_0 = {
+    "init": (
+        [14686814483601983478, 9582111587465986952],
+        [3304455373366860072, 8560718592329479214],
+    ),
+    "dataset": (
+        [818760268357340236, 14743723807902064255],
+        [4607952476567954641, 840369571829683041],
+    ),
+    "bandit": (
+        [16514709765228419932, 6256210481138631186],
+        [3741729297200664493, 8675759129165449070],
+    ),
+}
 
 
 def seed_sequence_key(seed: int, *spawn_key: int) -> list[int]:
@@ -39,6 +55,13 @@ def reference(seed: int, *path: int | str) -> np.random.Generator:
     )
 
 
+def indexed_reference(seed: int, *path: int | str, index: int) -> np.random.Generator:
+    """Philox at the path's key, started from [0, 0, low word, high word] of `index`."""
+    key = np.array(seed_sequence_key(seed, *spawn_words(path)), dtype=np.uint64)
+    counter = np.array([0, 0, index & (2**64 - 1), index >> 64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
 def assert_same_state(a: dict, b: dict) -> None:
     """Philox states equal in key, counter, buffer and every scalar field."""
     assert a.keys() == b.keys()
@@ -49,8 +72,7 @@ def assert_same_state(a: dict, b: dict) -> None:
             assert np.array_equal(a[name], b[name]), name
 
 
-def assert_matches_reference(seed: int, *path: int | str) -> None:
-    got, want = stream(seed, *path), reference(seed, *path)
+def assert_same_stream(got: np.random.Generator, want: np.random.Generator) -> None:
     assert_same_state(got.bit_generator.state, want.bit_generator.state)
     assert np.array_equal(got.standard_normal(5), want.standard_normal(5))
     assert np.array_equal(got.integers(0, 2**63, 3), want.integers(0, 2**63, 3))
@@ -92,14 +114,16 @@ class TestStream:
             assert np.array_equal(stream(seed, "noise", bid).standard_normal(8), want)
 
     def test_builds_no_seed_sequence(self, monkeypatch):
-        """A call on a cached prefix builds none."""
-        want = stream(4, "noise", 2).standard_normal(4)
+        """A call on a cached key builds none, whatever its index."""
+        want = [stream(4, "noise", index=i).standard_normal(4) for i in (2, 3)]
 
         def refuse(*args, **kwargs):
             raise AssertionError("stream built a SeedSequence")
 
         monkeypatch.setattr(np.random, "SeedSequence", refuse)
-        assert np.array_equal(stream(4, "noise", 2).standard_normal(4), want)
+        assert np.array_equal(stream(4, "noise", index=2).standard_normal(4), want[0])
+        assert np.array_equal(stream(4, "noise", index=3).standard_normal(4), want[1])
+        assert not np.array_equal(stream(4, "noise", index=9).standard_normal(4), want[0])
 
     def test_equal_calls_give_independent_generators(self):
         a, b = stream(5, "noise", 9), stream(5, "noise", 9)
@@ -110,91 +134,83 @@ class TestStream:
         assert np.array_equal(b.standard_normal(100), stream(5, "noise", 9).standard_normal(100))
 
 
-class TestPhiloxKeys:
-    """The key `stream` gives Philox: SeedSequence(seed, spawn_key=path words).
+class TestKeysAndCounters:
+    """The key `stream` gives Philox, SeedSequence(seed, spawn_key=label words),
+    and the counter its index starts from.
 
-    Every recorded trace depends on this mapping, so a change to how path
-    labels become spawn-key words shows here before it shows as a digest.
+    Every recorded trace depends on this mapping, so a change to how labels
+    become spawn-key words, or an index becomes a counter, shows here
+    before it shows as a digest.
     """
 
-    @given(seed=st.integers(0, 2**130), bid=st.integers(0, 2**40))
-    @settings(max_examples=60, deadline=None)
-    def test_equal_seed_sequence_keys(self, seed, bid):
-        assert stream_key(seed, "noise", bid) == seed_sequence_key(seed, NOISE, bid)
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**128 + 5])
+    @pytest.mark.parametrize("labels", [("init",), ("dataset",), ("bandit",), ("noise",), ()])
+    def test_unindexed_streams_draw_as_seed_sequence(self, seed, labels):
+        assert_same_stream(stream(seed, *labels), reference(seed, *labels))
 
-    @pytest.mark.parametrize(
-        "seed",
-        # Word-count boundaries: SeedSequence pads the root entropy to four
-        # words below 2**96 and splits seeds of 2**32 and above. From 2**128
-        # a seed has more words than the pool, so under an empty prefix the
-        # hash state's word count comes from the seed alone.
-        [0, 1, 2**32 - 1, 2**32, 2**64, 2**96 - 1, 2**96, 2**128 - 1, 2**128, 2**160 + 5],
-    )
-    @pytest.mark.parametrize("bid", [0, 2**32 - 1, 2**32, 2**64 + 1])
-    def test_word_boundaries(self, seed, bid):
-        assert stream_key(seed, "noise", bid) == seed_sequence_key(seed, NOISE, bid)
-        # One-part paths: the empty prefix, then the one word absorbed.
-        assert stream_key(seed, bid) == seed_sequence_key(seed, bid)
-        assert stream_key(seed, "init") == seed_sequence_key(seed, zlib.crc32(b"init"))
-
-    def test_any_path(self):
-        assert stream_key(7) == seed_sequence_key(7)
-        assert stream_key(7, "data", 3, "x") == seed_sequence_key(
-            7, zlib.crc32(b"data"), 3, zlib.crc32(b"x")
-        )
-
-    def test_keys_drive_the_streams(self):
-        for bid in range(4):
-            key = np.array(seed_sequence_key(3, NOISE, bid), dtype=np.uint64)
-            from_key = np.random.Generator(np.random.Philox(key=key)).standard_normal(8)
-            assert np.array_equal(stream(3, "noise", bid).standard_normal(8), from_key)
-
-    def test_empty_and_negative(self):
-        assert len(stream_key(0)) == 2
-        with pytest.raises(ValueError):
-            stream(-1, "noise", 1)
-        with pytest.raises(ValueError):
-            stream(0, "noise", -1)
+    @pytest.mark.parametrize("label", sorted(UNINDEXED_AT_SEED_0))
+    def test_unindexed_keys_pinned(self, label):
+        key, draws = UNINDEXED_AT_SEED_0[label]
+        assert stream_key(0, label) == key
+        assert stream(0, label).integers(0, 2**63, 2).tolist() == draws
 
     @given(seed=st.integers(0, BIG), path=PATHS)
-    @settings(max_examples=300, deadline=None)
-    def test_any_seed_and_path(self, seed, path):
-        assert_matches_reference(seed, *path)
+    @settings(max_examples=200, deadline=None)
+    def test_any_seed_and_labels(self, seed, path):
+        assert_same_stream(stream(seed, *path), reference(seed, *path))
 
-    @given(
-        calls=st.lists(
-            st.tuples(
-                st.sampled_from([0, 1, 2**32, 2**130 + 7, BIG]),
-                st.sampled_from([(), ("noise",), ("data", 2**40), (2**33, "x", 0)]),
-                st.one_of(st.none(), PATH_PARTS),
-            ),
-            min_size=1,
-            max_size=30,
+    @pytest.mark.parametrize("index", INDICES)
+    def test_index_is_the_counter(self, index):
+        assert_same_stream(
+            stream(3, "noise", index=index), indexed_reference(3, "noise", index=index)
         )
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_interleaved_prefixes(self, calls):
-        # The prefix pools are cached per (seed, prefix): calls that revisit
-        # a few seeds and prefixes in any order must each match SeedSequence.
-        rng._prefix_pool.cache_clear()
-        for seed, prefix, last in calls:
-            path = prefix if last is None else (*prefix, last)
-            assert_matches_reference(seed, *path)
+        assert_same_stream(stream(3, "data", index=index), indexed_reference(3, "data", index=index))
 
-    def test_evicted_prefixes(self):
-        rng._prefix_pool.cache_clear()
-        paths = [("p", k, 3) for k in range(3 * rng.PREFIX_CACHE)]
+    @given(seed=st.integers(0, BIG), path=PATHS, index=st.integers(0, 2**128 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_any_index(self, seed, path, index):
+        assert_same_stream(
+            stream(seed, *path, index=index), indexed_reference(seed, *path, index=index)
+        )
+
+    @pytest.mark.parametrize("index", [0, 5, 2**64 - 1, 2**128 - 2])
+    def test_neighbouring_indices(self, index):
+        a, b = stream(7, "noise", index=index), stream(7, "noise", index=index + 1)
+        ca = a.bit_generator.state["state"]["counter"].tolist()
+        cb = b.bit_generator.state["state"]["counter"].tolist()
+        assert ca[:2] == cb[:2] == [0, 0] and ca[2:] != cb[2:]
+        assert stream_key(7, "noise") == a.bit_generator.state["state"]["key"].tolist()
+        assert not np.array_equal(a.standard_normal(16), b.standard_normal(16))
+
+    def test_numpy_integer_index(self):
+        want = stream(3, "noise", index=2**40).standard_normal(8)
+        for index in [np.int64(2**40), np.uint64(2**40)]:
+            assert np.array_equal(stream(3, "noise", index=index).standard_normal(8), want)
+
+    @pytest.mark.parametrize("index", [-1, 2**128, -(2**128)])
+    def test_index_out_of_range(self, index):
+        with pytest.raises(ValueError):
+            stream(0, "noise", index=index)
+
+    @pytest.mark.parametrize("index", [1.5, 1.0, np.float64(2.0), None, "3"])
+    def test_non_integral_index(self, index):
+        with pytest.raises(TypeError):
+            stream(0, "noise", index=index)
+
+    def test_evicted_keys(self):
+        rng._key.cache_clear()
+        paths = [("p", k) for k in range(3 * rng.KEY_CACHE)]
         for path in paths + paths[::-1]:
-            assert_matches_reference(11, *path)
-        assert rng._prefix_pool.cache_info().currsize == rng.PREFIX_CACHE
+            assert_same_stream(stream(11, *path, index=3), indexed_reference(11, *path, index=3))
+        assert rng._key.cache_info().currsize == rng.KEY_CACHE
 
     @pytest.mark.parametrize(
         "seed, path",
         [
-            (-1, ("noise", 1)),
+            (-1, ("noise",)),
             (-BIG, ()),
             (0, ("noise", -1)),
-            (1.5, ("noise", 1)),
+            (1.5, ("noise",)),
             (0, ("noise", 1.5)),
         ],
     )

@@ -79,7 +79,8 @@ def ref_perturb(r, active, cfg):
 
 def ref_quad_grad(obj, scales, x, batch, active):
     scale = np.repeat(scales, obj.layer_dims)
-    z = stream(obj.noise_seed, "noise", batch.id).standard_normal(obj.dim) * obj.noise_sigma
+    z = stream(obj.noise_seed, "noise", index=batch.id).standard_normal(obj.dim)
+    z *= obj.noise_sigma
     g = LayeredVector.zeros(obj.layer_dims)
     for s in run_slices(x, active):
         gs = g.data[s]
