@@ -22,9 +22,16 @@ moved again, only through `config_digest`, when the canonical form lost
 `optimizer.perturb_norm` (the type decides the mode),
 `bandit.exponent_clamp` (now a constant) and the `output` section (the
 caller picks the directory); every step CSV, sampler CSV and other
-summary field stayed byte-identical. A change that is meant to keep
-every trajectory identical must pass this test unchanged. An intended numeric change regenerates the digests in a
-commit of its own that says why.
+summary field stayed byte-identical. All 14 pairs were regenerated
+when random streams became counter based: the quadratic's noise is now
+entry `batch.id` of one ("noise",) stream and each epoch's minibatch
+order entry `epoch` of one ("data",) stream, where each used to be a
+stream keyed by its own id. So every quad digest moved through the
+noise and every mlp digest through the batch order; with the noise off
+the quad traces, and the MLP's initial parameters and datasets, stayed
+byte-identical. A change that is meant to keep every trajectory
+identical must pass this test unchanged. An intended numeric change
+regenerates the digests in a commit of its own that says why.
 
 The digests pin float64 results on one platform (x86-64, NumPy 2.x);
 a different BLAS or SIMD math library can move the MLP's low-order bits.
@@ -60,60 +67,60 @@ CONFIGS = {
 # (steps.csv without wall_ns, summary.json) digests per (config, type).
 GOLDEN: dict[tuple[str, str], tuple[str, str]] = {
     ("mlp", "adamw"): (
-        "01ae2e43a42807be759c5e21aae082f761ca8dd2d4ecd0bde0f64a61cabacfb1",
-        "cc5144ea7b3f6daad3e6f4fb4074557c5fa503654feadf968750da31dfe2ff60",
+        "eab4465528e637fb024b68ceb83c34001f5f89268970600259839fc660bad438",
+        "77bc7da7ff343092ff6b91b931263f0ce2a91b335c4e144d85432c2c1dad6dc1",
     ),
     ("mlp", "adasam"): (
-        "8e179dfa2bcddb8df35188848d2bbc223f4d3663121cfc2e97a9355052380bc1",
-        "80eaf1f964e8fc209970e18956de9957044bc25595b4f39bd5a15e5e749d0a5c",
+        "05a611c274eec200c7709fbead8d772cd8d193bcde913d2b18e50004c113ffd5",
+        "55ea5845ddddef4edb60e9037c7dcace20a079fffb42d6e2227db446dd84f9a7",
     ),
     ("mlp", "slsam"): (
-        "140fe5a299a70cf9dc4473271b169c36078409941f4dcfee95da04aeaa3f088f",
-        "4b9f87b8e4690f1bb0aa07476e8c70c2f37a0c2448a0ed8d414638de4ec3f307",
+        "a87a7dd259e8ce8afc486867e6b7ecd03af7dc782700742c8b88d44da82f9093",
+        "13cb9e454805c706802383f18b26e67ce9dfb1a9e05e22fe206487bbc3ccdde6",
     ),
     ("mlp", "s2sam"): (
-        "51d4bdc345cdac18c7d2e96b97b790d01cfb056a385ffb74b49954144d3670d4",
-        "648e1ee716e273da9055c5c134dc3fdc2a266f86562ce4a183d95ae36c275784",
+        "1ade99a346420bb4a21cd0641896a3169c24495ebaad0f19efdb9cbb40b6bbcb",
+        "e5114e1e0e19658cefdb228fd25c543d6fb4dc4b90b39b9667f907adb6d3b400",
     ),
     ("mlp", "sl_s2sam"): (
-        "3114212ca3a129ecb5080b2ee031d7194df061d7266447f63bcc8557d95ae21a",
-        "8c28fd40b73f8f1507cca2f992e5598596924c39a58c9cfe896a6291054a1b70",
+        "95886f531a9dddecff7229922878a73064120e2245edf0cba74d7f723c0d9968",
+        "1478cec2be80edd1cf37b006bf861681fe0053efb7591bd0e12fc887a9db970f",
     ),
     ("mlp", "random_slsam"): (
-        "d1b57488e57fef7af36b661e74bfee72d185a80c9d0cba2a52917132347084cf",
-        "5f7ebea91b192296e224be4dc5db323307d0c0fa864819026537ef0bb963fee2",
+        "9e7744652f36d89ea247424d4c74c1b22aac02f2045c30d345b579e0165d73b7",
+        "4ac0574a18b61053926391474a7fa5afcd1c096c9d8bb07790f5f0186155cd04",
     ),
     ("mlp", "top_slsam"): (
-        "962d71f4affafc8d25cffd4c84e4b447fa5f776313f6a45c8842d7b2c7a9e7fd",
-        "d7787522f8eefa057e44e1c7664908fcccb6d680b2a46b66decd9c66618f5f10",
+        "d727b243b5b7682d41e6718a1aeca225e763262925253c4448c239f35fdb34f7",
+        "7ad6955b9ac0f8d5c1142aeac7593940c6ec001375a9e67f08b758bb3299f229",
     ),
     ("quad", "adamw"): (
-        "ec6acee99fab878bfc2c2334e782a54088e1e5d67492fd371201b39bcf3e4431",
-        "1db74d1be80982469f7373550a36c3a93f97b0ad22adead2ea4170fd16cb522e",
+        "f43cce4ba0795b832f217ca5644565d6f285d13458e68683d3e9335213c3c23e",
+        "60a1d1f0de736131c1661bc71988e06a433f0537a2826237545d3b84a7f68646",
     ),
     ("quad", "adasam"): (
-        "1824b33e969557699f90287931c01bdb6c3b74f6fcc9f4b49698ddc5de210e8f",
-        "e2f307e6aa4c24322bc03e2353e6e5f28e02480bee364a58aa7a61dd953fe707",
+        "e6976f95b38576dd1dfe0f0051dc57e950a63fee5c81dd6f01b913e7a3d7de91",
+        "b5d387920fb15ac75abe59d9ca834071ef69b393ec1d9a50cbea0e735a293a35",
     ),
     ("quad", "slsam"): (
-        "32058e04cfcb6f33c3983d78d0c5b4a6a023a1854bcdcd22da16864c6670976d",
-        "5e159a4219404dcebdcc26bae99e9f65ca95cfab6c37d4e94a6786a424972e1a",
+        "82bfe382e5067a2cfb7ebf5950c3a7b48eefa162180bdf976147e4fef72ea30c",
+        "03feac8dc8ba2c16b37e0ac40a391cc96eeb904f571a3c66ea4a07838639934a",
     ),
     ("quad", "s2sam"): (
-        "a67a98c872a48532016199668b5965db64eb4f3f5b10251a4bde1ca611573a79",
-        "2417ef5e4c41d46cdbdbb195f45e4856dfe030e9fec005aef3737752d6d6af21",
+        "ad6a33491a685e7cbf425217abcf6f75e12cca0cea0616689a16d21e85a63f45",
+        "d6d7222c321c7924df5e6991ab8fba55b5c3cf0cb5ca95cee49eb82f0e3eec44",
     ),
     ("quad", "sl_s2sam"): (
-        "6329decff7595d252a2a279728382b93a38dbdb80ba5733d35549aafe1d7a567",
-        "0b28331e68fd6f0b098aeee0e9d70d75435d1bdb35c625865c43000aa69df72d",
+        "a0781a8ada805fe65748e7debcd99ef06f004129fdcdca24191f3a65195344ff",
+        "d54ab0b9cec3a2adc87728288ac80e53ebdb832b51f1b4594c73be8893576fa5",
     ),
     ("quad", "random_slsam"): (
-        "a447050932b3ef6f4bb52781e11ff82eafe9dd6d902b584b2063d01a94039d88",
-        "17efcec87491a0ef2e1eb888e02349fc110f5783d6fc83bf3aa6db0ef6f8d95e",
+        "dd28c0ccca4fb24d41cfb9f2484b450b009aafedad06fe24b6b49a92b44533fe",
+        "cc1290112b6ea2ae53c08d13ca103820ac05b1417c6d0862b7c8590e28cd944d",
     ),
     ("quad", "top_slsam"): (
-        "378d9dd76d893a5150310506dc51f0df844d45d1a62d2a578d3b1c781a47c116",
-        "cee4953b5b3b653d5441424e383f6f73d9b820b0f608c9c807ccfe8458c2d338",
+        "308f2855c953ffd185ea9704314fd0fdde401cf870a0bdac172acd052cd94f04",
+        "29bdda3f93f26163c5ea537d4029cbbd747ca766706512b8d311a037a34416e4",
     ),
 }
 
