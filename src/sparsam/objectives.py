@@ -43,7 +43,7 @@ def as_labels(values: np.ndarray, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Batch:
-    """One minibatch. `id` keys deterministic per-batch noise streams."""
+    """One minibatch. `id` indexes the deterministic per-batch noise stream."""
 
     inputs: np.ndarray
     targets: np.ndarray

@@ -8,7 +8,7 @@ other streams make. That is what lets two optimizer variants see
 bit-identical minibatch and noise sequences in the reduction tests.
 
 A stream's key is `SeedSequence(seed, spawn_key=label words)`, where a
-string label's word is its crc32 and an int label is its own word; it
+string label's word is its crc32 and an int label enters as itself; it
 is computed once per (seed, labels) and cached. The integer `index`
 goes into the counter's two high words, so index i starts 2**128
 blocks from index i + 1, and no draw this package makes comes near
