@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sparsam.datasets import Dataset, gen_blobs, gen_two_moons, minibatches
+from sparsam.rng import stream
 
 
 class TestTwoMoons:
@@ -133,6 +134,14 @@ class TestMinibatches:
         order_b = np.lexsort(b.inputs.T)
         assert np.array_equal(a.inputs[order_a], b.inputs[order_b])
         assert np.array_equal(a.targets[order_a], b.targets[order_b])
+
+    @pytest.mark.parametrize("epoch", [0, 1, 2**64])
+    def test_epoch_indexes_the_data_stream(self, epoch):
+        ds = gen_blobs(10, k=2, sigma=0.1, seed=0)
+        (batch,) = minibatches(ds, 10, seed=3, epoch=epoch)
+        order = stream(3, "data", index=epoch).permutation(ds.n)
+        assert np.array_equal(batch.inputs, ds.features[order])
+        assert np.array_equal(batch.targets, ds.labels[order])
 
     def test_rows_match_dataset(self):
         ds = gen_two_moons(20, noise=0.1, seed=4)

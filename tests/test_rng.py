@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from sparsam import rng
 from sparsam.rng import stream
 
+NOISE = zlib.crc32(b"noise")
+
 BIG = 2**200
 # Labels and ints up to 2**200, so a label word can span several 32-bit words.
 PATH_PARTS = st.one_of(st.text(max_size=8), st.integers(0, BIG))
@@ -159,6 +161,30 @@ class TestKeysAndCounters:
     def test_any_seed_and_labels(self, seed, path):
         assert_same_stream(stream(seed, *path), reference(seed, *path))
 
+    @pytest.mark.parametrize(
+        "seed",
+        # Word-count boundaries: SeedSequence pads the root entropy to four
+        # words below 2**96 and splits seeds of 2**32 and above; from 2**128
+        # a seed has more words than the pool.
+        [0, 1, 2**32 - 1, 2**32, 2**64, 2**96 - 1, 2**96, 2**128 - 1, 2**128, 2**160 + 5],
+    )
+    @pytest.mark.parametrize("label", [0, 2**32 - 1, 2**32, 2**64 + 1])
+    def test_word_boundaries(self, seed, label):
+        # An int label enters the spawn key whole, however many words it spans.
+        assert stream_key(seed, "noise", label) == seed_sequence_key(seed, NOISE, label)
+        assert stream_key(seed, label) == seed_sequence_key(seed, label)
+        assert stream_key(seed, "init") == seed_sequence_key(seed, zlib.crc32(b"init"))
+        # The index never enters the key, only the counter.
+        assert stream_key(seed, "noise") == seed_sequence_key(seed, NOISE)
+        indexed = stream(seed, "noise", index=label).bit_generator.state["state"]["key"]
+        assert indexed.tolist() == seed_sequence_key(seed, NOISE)
+
+    def test_any_labels(self):
+        assert stream_key(7) == seed_sequence_key(7)
+        assert stream_key(7, "data", 3, "x") == seed_sequence_key(
+            7, zlib.crc32(b"data"), 3, zlib.crc32(b"x")
+        )
+
     @pytest.mark.parametrize("index", INDICES)
     def test_index_is_the_counter(self, index):
         assert_same_stream(
@@ -196,6 +222,33 @@ class TestKeysAndCounters:
     def test_non_integral_index(self, index):
         with pytest.raises(TypeError):
             stream(0, "noise", index=index)
+
+    @given(
+        calls=st.lists(
+            st.tuples(
+                st.sampled_from([0, 1, 2**32, 2**130 + 7, BIG]),
+                st.sampled_from([(), ("noise",), ("data", 2**40), (2**33, "x", 0)]),
+                st.sampled_from(INDICES),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_interleaved_keys(self, calls):
+        # Calls that revisit a few cached keys in any order share one key
+        # array: drawing from one generator must leave every other as opened.
+        rng._key.cache_clear()
+        opened = [
+            (stream(seed, *labels, index=index), indexed_reference(seed, *labels, index=index))
+            for seed, labels, index in calls
+        ]
+        for got, want in opened + opened[::-1]:
+            assert np.array_equal(got.standard_normal(3), want.standard_normal(3))
+        for (seed, labels, _), (got, _) in zip(calls, opened):
+            assert got.bit_generator.state["state"]["key"].tolist() == seed_sequence_key(
+                seed, *spawn_words(labels)
+            )
 
     def test_evicted_keys(self):
         rng._key.cache_clear()
