@@ -15,11 +15,11 @@ class DivergenceError(RuntimeError):
     """A loss or gradient went non-finite during training. CLI exit code 2."""
 
 
-def in_pass(step: int, name: str, fn: Callable[..., Any], *args: Any) -> Any:
-    """fn(*args), re-raising a DivergenceError from it with the step and
-    the pass (the ascent, descent or probe gradient, or the sampler
-    update) named."""
+def in_pass(step: int, name: str, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """fn(*args, **kwargs), re-raising a DivergenceError from it with the
+    step and the pass (the ascent, descent or probe gradient, or the
+    sampler update) named."""
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except DivergenceError as e:
         raise DivergenceError(f"{e} in the {name} pass of step {step}") from e

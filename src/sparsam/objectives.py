@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -94,26 +94,22 @@ class Objective(ABC):
 
     @abstractmethod
     def loss_and_grad(
-        self, x: LayeredVector, batch: Batch | None, active: ActiveSet, below: Forward | None = None
+        self, x: LayeredVector, batch: Batch | None, active: ActiveSet, reuse: bool = False
     ) -> tuple[float, LayeredVector]:
         """Loss at x and its gradient on the active layers.
 
-        `below` is a handle from `last_forward()` on an earlier pass over
-        the same batch, at a point equal to x on every layer below the
-        lowest active one. An objective that keeps activations reads the
-        layers below from it instead of recomputing them; the result is
-        the same bit for bit.
+        `reuse=True` says that this objective's latest pass with the
+        batch's row count ran on this same `batch` object, at a point
+        equal to x on every layer below the lowest active one. An
+        objective that keeps activations reads the layers below from that
+        pass instead of recomputing them; the result is the same bit for
+        bit.
         """
 
     def grad(
-        self, x: LayeredVector, batch: Batch | None, active: ActiveSet, below: Forward | None = None
+        self, x: LayeredVector, batch: Batch | None, active: ActiveSet, reuse: bool = False
     ) -> LayeredVector:
-        return self.loss_and_grad(x, batch, active, below)[1]
-
-    def last_forward(self) -> Forward | None:
-        """The handle on the activations of this objective's latest pass,
-        or None for an objective that keeps none."""
-        return None
+        return self.loss_and_grad(x, batch, active, reuse)[1]
 
     @abstractmethod
     def init_params(self, seed: int) -> LayeredVector: ...
@@ -207,9 +203,9 @@ class BlockQuadratic(Objective):
         return self._check_loss(self._pass(x, batch)[0])
 
     def loss_and_grad(
-        self, x: LayeredVector, batch: Batch | None, active: ActiveSet, below: Forward | None = None
+        self, x: LayeredVector, batch: Batch | None, active: ActiveSet, reuse: bool = False
     ) -> tuple[float, LayeredVector]:
-        # A quadratic keeps no activations, so `below` is ignored.
+        # A quadratic keeps no activations, so `reuse` is ignored.
         self._check_x(x)
         active.validate(self.n_layers)
         total, grad = self._pass(x, batch)
@@ -239,17 +235,7 @@ class _Workspace:
     act: list[np.ndarray]  # a_{i+1} = activation(z_i), hidden stages only
     delta: list[np.ndarray]  # d loss / d z_i
     deriv: list[np.ndarray]  # activation'(z_i), hidden stages only
-    held: Forward | None = None  # the pass whose activations pre and act hold
-
-
-class Forward(NamedTuple):
-    """Handle on the forward activations one MLP pass left in its
-    workspace: the batch the pass ran on and the workspace. It is valid
-    while that workspace still holds them, that is, until the next pass
-    with the same row count."""
-
-    batch: Batch
-    ws: _Workspace
+    held: Batch | None = None  # the batch of the pass whose activations pre and act hold
 
 
 class MlpClassifier(Objective):
@@ -279,17 +265,17 @@ class MlpClassifier(Objective):
     `predict()` return fresh arrays. Being per-instance scratch, it makes
     one instance unsafe to share between threads.
 
-    A pass can start above the input. After a pass, `last_forward()`
-    hands out a `Forward` on the activations it left in the workspace.
-    A pass given that handle as `below`, on the same batch, computes the
-    forward and backprop only from the lowest stage holding an active
-    layer up and reads the activation entering that stage from the
-    workspace. The caller vouches that the two points agree on every
-    stage below, as a SAM descent point does with its ascent point, so
-    every loss and gradient keeps its bits. Such a pass skips the target
-    range check the handle's pass made. A handle from another batch, row
-    count or objective, or one whose workspace a later pass has
-    overwritten, raises ValueError.
+    A pass can start above the input. The workspace records the batch
+    of the pass whose activations it holds. A pass with `reuse=True`
+    computes the forward and backprop only from the lowest stage holding
+    an active layer up and reads the activation entering that stage from
+    the workspace. The caller vouches that its point agrees with the
+    held pass's on every stage below, as a SAM descent point does with
+    its ascent point, so every loss and gradient keeps its bits. Such a
+    pass skips the target range check the held pass made. Reuse when the
+    workspace of the batch's row count holds no pass on this same
+    `Batch` object (there was none, or a later pass on another batch or
+    a forward for `logits()` overwrote it) raises ValueError.
     """
 
     def __init__(
@@ -328,7 +314,6 @@ class MlpClassifier(Objective):
             start = end
         super().__init__(dims)
         self._work: dict[int, _Workspace] = {}
-        self._last: Forward | None = None
 
     @property
     def n_classes(self) -> int:
@@ -371,22 +356,19 @@ class MlpClassifier(Objective):
                 np.maximum(z, 0.0, out=ws.act[i])
         return acts, ws
 
-    def _start_stage(self, below: Forward | None, batch: Batch, lowest: int) -> int:
-        """The first stage a pass computes. Without a handle that is stage
-        0, once the targets are checked to lie in range; with a valid
-        handle on an earlier pass over `batch`, which checked them, it is
-        the lowest stage holding an active layer."""
-        if below is None:
+    def _start_stage(self, reuse: bool, batch: Batch, lowest: int) -> int:
+        """The first stage a pass computes. Without reuse that is stage 0,
+        once the targets are checked to lie in range; reusing a held pass
+        on `batch`, which checked them, it is the lowest stage holding an
+        active layer."""
+        if not reuse:
             t = batch.targets
             if np.minimum.reduce(t) < 0 or np.maximum.reduce(t) >= self.n_classes:
                 raise ValueError(f"targets outside [0, {self.n_classes})")
             return 0
-        if below.batch is not batch:
-            raise ValueError("forward handle is from another batch")
-        if self._work.get(batch.size) is not below.ws:
-            raise ValueError("forward handle is from another objective")
-        if below.ws.held is not below:
-            raise ValueError("forward handle is stale: a later pass overwrote its workspace")
+        ws = self._work.get(batch.size)
+        if ws is None or ws.held is not batch:
+            raise ValueError("nothing to reuse: the workspace holds no pass on this batch")
         return lowest
 
     def _act_deriv(self, z: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -425,11 +407,8 @@ class MlpClassifier(Objective):
         # A pass over no layers runs the forward pass and no backprop.
         return self.loss_and_grad(x, batch, ActiveSet())[0]
 
-    def last_forward(self) -> Forward | None:
-        return self._last
-
     def loss_and_grad(
-        self, x: LayeredVector, batch: Batch | None, active: ActiveSet, below: Forward | None = None
+        self, x: LayeredVector, batch: Batch | None, active: ActiveSet, reuse: bool = False
     ) -> tuple[float, LayeredVector]:
         if batch is None:
             raise ValueError("MlpClassifier has no population objective; pass a batch")
@@ -437,10 +416,10 @@ class MlpClassifier(Objective):
         active.validate(self.n_layers)
         per_stage = 1 if self.bias_mode == "fused" else 2
         lowest = min(active, default=self.n_layers) // per_stage
-        start = self._start_stage(below, batch, lowest)
+        start = self._start_stage(reuse, batch, lowest)
         with _quiet():
             acts, ws = self._forward(x, batch.inputs, start)
-            ws.held = self._last = Forward(batch, ws)
+            ws.held = batch
             log_p = self._log_softmax(acts[-1])
             loss = self._ce(log_p, batch.targets, ws.rows)
 

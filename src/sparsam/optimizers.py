@@ -49,7 +49,7 @@ from sparsam.layered import (
     masked_axpy,
     total_l1_norm,
 )
-from sparsam.objectives import Batch, Forward, Objective
+from sparsam.objectives import Batch, Objective
 from sparsam.telemetry import StepTelemetry
 
 Selector = Literal["all", "bandit", "uniform_random", "greedy_topk"]
@@ -208,15 +208,6 @@ def sam_perturb(
     return eps
 
 
-def _ascent_pass(
-    obj: Objective, step_no: int, x: LayeredVector, batch: Batch | None, active: ActiveSet
-) -> tuple[float, LayeredVector, Forward | None]:
-    """A fresh step's ascent pass at (x, batch): its loss, its gradient on
-    `active` and the handle on its forward activations."""
-    loss, g = in_pass(step_no, "ascent", obj.loss_and_grad, x, batch, active)
-    return loss, g, obj.last_forward()
-
-
 def _perturbed(x: LayeredVector, eps: LayeredVector, active: ActiveSet) -> LayeredVector:
     x_pert = x.copy()
     return masked_axpy(x_pert, 1.0, eps, active)
@@ -231,7 +222,7 @@ def sam_step(
     ascent: Ascent,
     sam_cfg: SamConfig | None,
     adamw_cfg: AdamWConfig,
-    ascent_pass: tuple[float, LayeredVector, Forward | None] | None = None,
+    ascent_pass: tuple[float, LayeredVector] | None = None,
 ) -> StepTelemetry:
     """One AdamW step on the active layers, descending from an ascent point.
 
@@ -249,18 +240,17 @@ def sam_step(
     first gradient; a step with no ascent records no per-layer norms.
     A non-finite loss raises DivergenceError naming the step and the pass.
 
-    A fresh step takes its ascent loss, gradient and forward handle from
-    `ascent_pass` when the caller already made a pass at (x, batch); only
-    the active blocks of that gradient are read, and they equal the
-    restricted gradient's.
+    A fresh step takes its ascent loss and gradient from `ascent_pass`
+    when the caller has just made a pass at (x, batch), the objective's
+    latest; only the active blocks of that gradient are read, and they
+    equal the restricted gradient's.
 
-    The descent pass of a fresh step is handed the forward activations
-    of the pass at x. Below the lowest active layer x + eps equals x and
-    the batch is the same, so an objective that keeps activations (the
-    MLP) starts the descent forward and backprop at the lowest stage
-    holding an active layer, with every loss and gradient bit for bit
-    what a full pass would give. The descent loss is still computed and
-    checked.
+    The descent pass of a fresh step reuses the forward of the pass at
+    x. Below the lowest active layer x + eps equals x and the batch is
+    the same, so an objective that keeps activations (the MLP) starts
+    the descent forward and backprop at the lowest stage holding an
+    active layer, with every loss and gradient bit for bit what a full
+    pass would give. The descent loss is still computed and checked.
     """
     n = obj.n_layers
     step_no = state.t + 1
@@ -273,11 +263,12 @@ def sam_step(
     staleness = np.zeros(0, dtype=np.int64)
     if ascent == "fresh":
         if ascent_pass is None:
-            ascent_pass = _ascent_pass(obj, step_no, x, batch, active)
-        loss, first, below = ascent_pass
+            ascent_pass = in_pass(step_no, "ascent", obj.loss_and_grad, x, batch, active)
+        loss, first = ascent_pass
         norms = layer_l2_norm(first, active)
         eps = sam_perturb(first, active, sam_cfg, norms)
-        g = in_pass(step_no, "descent", obj.grad, _perturbed(x, eps, active), batch, active, below)
+        x_pert = _perturbed(x, eps, active)
+        g = in_pass(step_no, "descent", obj.grad, x_pert, batch, active, reuse=True)
     else:
         x_eval = x
         if stale and not bootstrap:
@@ -447,7 +438,8 @@ def ablation_step(
     """
     ascent_pass = full_grad = None
     if kind == "greedy_topk":
-        ascent_pass = _ascent_pass(obj, state.t + 1, x, batch, ActiveSet.full(obj.n_layers))
+        full = ActiveSet.full(obj.n_layers)
+        ascent_pass = in_pass(state.t + 1, "ascent", obj.loss_and_grad, x, batch, full)
         full_grad = ascent_pass[1]
     active = select_layers_ablation(kind, obj.n_layers, k, rng, full_grad)
     tel = sam_step(obj, x, batch, state, active, "fresh", sam_cfg, adamw_cfg, ascent_pass)

@@ -546,9 +546,9 @@ class TestMlpPassBits:
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     def test_every_active_set_matches_plain_pass(self, activation, bias_mode, widths):
         # Every non-empty set of the 2-16-16-2 net and a seeded sample on
-        # the deeper one, each from stage 0 and from a handle on an
-        # earlier pass at the same point: the loss and every active block
-        # are the plain pass's bits, and every inactive entry is +0.0.
+        # the deeper one, each from stage 0 and reusing an earlier pass at
+        # the same point: the loss and every active block are the plain
+        # pass's bits, and every inactive entry is +0.0.
         obj = MlpClassifier(widths, activation=activation, bias_mode=bias_mode)
         x = obj.init_params(6)
         rng = np.random.default_rng(12)
@@ -561,11 +561,10 @@ class TestMlpPassBits:
             batch = Batch(rng.standard_normal((rows, widths[0])), rng.integers(0, widths[-1], rows))
             want_loss, want_g = plain_mlp_pass(obj, x, batch)
             for active in sets:
-                for handed in (False, True):
+                for reuse in (False, True):
                     obj.loss(x, batch)
-                    below = obj.last_forward() if handed else None
-                    loss, g = obj.loss_and_grad(x, batch, active, below)
-                    where = (rows, list(active), handed)
+                    loss, g = obj.loss_and_grad(x, batch, active, reuse)
+                    where = (rows, list(active), reuse)
                     assert loss == want_loss, where
                     for l in range(obj.n_layers):
                         part = g.data[o[l] : o[l + 1]]
@@ -651,8 +650,8 @@ class TestMlpWorkspace:
 
 
 class TestMlpForwardHandover:
-    """A pass handed the forward of an earlier pass on the same batch, at a
-    point equal below the lowest active stage, starts there."""
+    """A pass that reuses the forward of an earlier pass on the same batch,
+    at a point equal below the lowest active stage, starts there."""
 
     @pytest.mark.parametrize("rows", [1, 7, 128])
     @pytest.mark.parametrize("bias_mode", ["separate", "fused"])
@@ -677,19 +676,19 @@ class TestMlpForwardHandover:
             want_loss, want_g = fresh.loss_and_grad(x_pert, batch, active)
             for ascent_set in (active, full):
                 obj.loss_and_grad(x, batch, ascent_set)
-                loss, g = obj.loss_and_grad(x_pert, batch, active, obj.last_forward())
+                loss, g = obj.loss_and_grad(x_pert, batch, active, reuse=True)
                 assert np.array_equal(loss, want_loss), (list(active), ascent_set is full)
                 assert np.array_equal(g.data, want_g.data), (list(active), ascent_set is full)
-            # A loss pass at x hands over its forward too, through grad.
+            # A loss pass at x can be reused too, through grad.
             obj.loss(x, batch)
-            g = obj.grad(x_pert, batch, active, obj.last_forward())
+            g = obj.grad(x_pert, batch, active, reuse=True)
             assert np.array_equal(g.data, want_g.data), list(active)
 
     @pytest.mark.parametrize("bias_mode", ["separate", "fused"])
-    def test_stages_below_the_lowest_active_one_are_read_from_the_handle(self, bias_mode):
-        # Given a point that differs from the handle's below the lowest
-        # active stage, the pass sees the handle's point there and its own
-        # from that stage up: it computes exactly the stages from there.
+    def test_stages_below_the_lowest_active_one_are_read_from_the_reused_pass(self, bias_mode):
+        # Given a point that differs from the reused pass's below the
+        # lowest active stage, the pass sees the reused point there and its
+        # own from that stage up: it computes exactly the stages from there.
         widths = [2, 4, 4, 4, 2]
         obj = MlpClassifier(widths, bias_mode=bias_mode)
         per_stage = 2 if bias_mode == "separate" else 1
@@ -701,14 +700,14 @@ class TestMlpForwardHandover:
             mixed = from_flat(np.concatenate([x.data[:split], y.data[split:]]), x.dims)
             active = ActiveSet.of(stage * per_stage)
             obj.loss_and_grad(x, batch, active)
-            loss, g = obj.loss_and_grad(y, batch, active, obj.last_forward())
+            loss, g = obj.loss_and_grad(y, batch, active, reuse=True)
             want_loss, want_g = MlpClassifier(widths, bias_mode=bias_mode).loss_and_grad(
                 mixed, batch, active
             )
             assert loss == want_loss, stage
             assert np.array_equal(g.data, want_g.data), stage
 
-    def test_a_handle_is_never_read_silently(self):
+    def test_a_held_pass_is_never_reused_silently(self):
         widths = [2, 4, 2]
         obj = MlpClassifier(widths)
         x = obj.init_params(0)
@@ -719,57 +718,56 @@ class TestMlpForwardHandover:
 
         a, same_rows, other_rows = batch(7), batch(7), batch(128)
         top = ActiveSet.of(obj.n_layers - 1)
-        assert obj.last_forward() is None
+        with pytest.raises(ValueError, match="nothing to reuse"):
+            obj.loss_and_grad(x, a, top, reuse=True)
         obj.loss_and_grad(x, a, top)
-        held = obj.last_forward()
-        with pytest.raises(ValueError, match="another batch"):
-            obj.loss_and_grad(x, same_rows, top, held)
-        with pytest.raises(ValueError, match="another batch"):
-            obj.loss_and_grad(x, other_rows, top, held)
-        with pytest.raises(ValueError, match="another objective"):
-            MlpClassifier(widths).loss_and_grad(x, a, top, held)
-        # A pass on another row count leaves the handle's workspace alone.
+        with pytest.raises(ValueError, match="nothing to reuse"):
+            obj.loss_and_grad(x, same_rows, top, reuse=True)
+        with pytest.raises(ValueError, match="nothing to reuse"):
+            obj.loss_and_grad(x, other_rows, top, reuse=True)
+        # A pass on another row count leaves a's workspace alone, and a
+        # later pass on a, with or without reuse, is the one reused.
         obj.loss(x, other_rows)
-        obj.loss_and_grad(x, a, top, held)
-        # Every pass with the same row count overwrites it, with or
-        # without a handle of its own, and so does a forward for logits.
+        obj.loss_and_grad(x, a, top, reuse=True)
+        obj.loss_and_grad(x, a, top, reuse=True)
+        # A pass on another batch with the same row count overwrites it,
+        # and so does a forward for logits.
         for overwrite in (
             lambda: obj.loss(x, same_rows),
-            lambda: obj.loss_and_grad(x, a, top),
-            lambda: obj.loss_and_grad(x, a, top, obj.last_forward()),
             lambda: obj.logits(x, a.inputs),
         ):
             obj.loss_and_grad(x, a, top)
-            held = obj.last_forward()
             overwrite()
-            with pytest.raises(ValueError, match="stale"):
-                obj.loss_and_grad(x, a, top, held)
+            with pytest.raises(ValueError, match="nothing to reuse"):
+                obj.loss_and_grad(x, a, top, reuse=True)
 
-    def test_only_a_pass_without_a_handle_checks_the_targets(self):
+    def test_only_a_pass_without_reuse_checks_the_targets(self):
         obj = MlpClassifier([2, 4, 2])
         x = obj.init_params(0)
         good = Batch(np.zeros((3, 2)), np.array([0, 1, 0]))
         bad = Batch(np.zeros((3, 2)), np.array([0, 2, 0]))
-        obj.loss_and_grad(x, good, ActiveSet.full(obj.n_layers))
-        held = obj.last_forward()
+        full = ActiveSet.full(obj.n_layers)
+        obj.loss_and_grad(x, good, full)
         with pytest.raises(ValueError, match="targets outside"):
-            obj.loss_and_grad(x, bad, ActiveSet.full(obj.n_layers))
+            obj.loss_and_grad(x, bad, full)
         # The check comes before the forward, so a batch that fails it
-        # leaves no handle to skip it with, and the earlier one stands.
-        assert obj.last_forward() is held
-        obj.loss_and_grad(x, good, ActiveSet.full(obj.n_layers), held)
+        # leaves no pass to skip it with, and the earlier one stays
+        # reusable.
+        with pytest.raises(ValueError, match="nothing to reuse"):
+            obj.loss_and_grad(x, bad, full, reuse=True)
+        obj.loss_and_grad(x, good, full, reuse=True)
 
-    def test_quadratic_ignores_the_handle(self):
+    def test_quadratic_ignores_reuse(self):
+        # With no pass before it, and on a batch no pass has seen.
         obj = BlockQuadratic([2, 3], noise_sigma=0.5)
         x = obj.init_params(0)
         active = ActiveSet.of(1)
-        assert obj.last_forward() is None
-        mlp = MlpClassifier([1, 2])
-        mlp.loss(mlp.init_params(0), scalar_batch(1))
+        loss, g = obj.loss_and_grad(x, scalar_batch(1), active, reuse=True)
         want_loss, want_g = obj.loss_and_grad(x, scalar_batch(1), active)
-        loss, g = obj.loss_and_grad(x, scalar_batch(1), active, mlp.last_forward())
         assert loss == want_loss
         assert np.array_equal(g.data, want_g.data)
+        g = obj.grad(x, scalar_batch(2), active, reuse=True)
+        assert np.array_equal(g.data, obj.grad(x, scalar_batch(2), active).data)
 
 
 class TestFiniteDiff:
