@@ -202,6 +202,18 @@ def _write_json_atomic(path: Path, obj: dict) -> None:
         raise
 
 
+def _out_dir(out_dir: str | Path) -> Path:
+    """`out_dir` as a Path, created with its parents if missing. A path
+    that cannot be made a directory (an existing file, or a file on the
+    way to it) is a ConfigError, raised before any step runs."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create output directory {out}: {e.strerror}") from e
+    return out
+
+
 def run(config: ExperimentConfig, out_dir: str | Path = "runs") -> RunRecord:
     """Execute one training run, streaming the step and sampler CSVs as
     it goes.
@@ -214,8 +226,7 @@ def run(config: ExperimentConfig, out_dir: str | Path = "runs") -> RunRecord:
     the first step, so a diverged run leaves none.
     """
     trainer = Trainer(config)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out_dir)
     (out / "summary.json").unlink(missing_ok=True)
     with open(out / "steps.csv", "w") as fh, open(out / "sampler.csv", "w") as sfh:
         fh.write(CSV_HEADER + "\n")
@@ -253,8 +264,7 @@ def compare(
     config.validate()
     # Every row's config is built, and its type checked, before any row runs.
     row_configs = [replace(config, optimizer=replace(config.optimizer, type=o)) for o in optimizers]
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out_dir)
     rows, diverged = [], []
     for o, row_config in zip(optimizers, row_configs):
         try:

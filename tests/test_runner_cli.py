@@ -425,6 +425,23 @@ class TestCli:
         assert lines[1].endswith(",diverged") and not lines[2].endswith(",diverged")
         assert (out / "adamw" / "summary.json").exists()
 
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    @pytest.mark.parametrize("under", [(), ("sub",)], ids=["file", "under-file"])
+    def test_unusable_out_is_one_config_error_line(self, command, under, tmp_path, capsys):
+        # An existing file, or a path through one, cannot be the output directory.
+        cfg = write_cfg(tmp_path, QUAD_RAW)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        out = blocker.joinpath(*under)
+        argv = [command, "--config", cfg, "--out", str(out)]
+        if command == "compare":
+            argv += ["--optimizers", "adamw,adasam"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        reason = "Not a directory" if under else "File exists"
+        assert err == f"config error: cannot create output directory {out}: {reason}\n"
+        assert blocker.read_text() == "kept\n"
+
     def test_compare_single_optimizer_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, QUAD_RAW)
         assert main(["compare", "--config", cfg, "--optimizers", "adamw"]) == 1
