@@ -93,6 +93,10 @@ class TestInitUniform:
         with pytest.raises(ValueError):
             init_uniform(3, 3.5, 0.1)
 
+    def test_no_layers(self):
+        with pytest.raises(ValueError, match="need at least one layer"):
+            init_uniform(0, 1.0, 0.1)
+
 
 class TestSampleActiveSet:
     def test_deterministic_probabilities(self):

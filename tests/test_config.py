@@ -253,6 +253,21 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="malformed"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ([], "config root must be an object"),
+            ({"optimizer": []}, "section 'optimizer' must be an object"),
+            ({"train": 5}, "section 'train' must be an object"),
+        ],
+        ids=["root", "optimizer", "train"],
+    )
+    def test_refuses_a_root_or_section_not_an_object(self, tmp_path, raw, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.json")

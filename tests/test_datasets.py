@@ -99,6 +99,19 @@ class TestDataset:
         with pytest.raises(ValueError, match="labels must be"):
             Dataset(np.zeros((2, 2)), np.array(labels), class_count=2)
 
+    @pytest.mark.parametrize(
+        "features, labels, class_count, message",
+        [
+            (np.zeros(2), [0, 1], 2, "features must be a 2-d matrix"),
+            (np.zeros((3, 2)), [0, 1], 2, "3 feature rows vs 2 labels"),
+            (np.zeros((2, 2)), [0, 0], 0, "class_count must be positive"),
+        ],
+        ids=["features-1d", "row-mismatch", "no-classes"],
+    )
+    def test_refuses_a_bad_shape_or_class_count(self, features, labels, class_count, message):
+        with pytest.raises(ValueError, match=message):
+            Dataset(features, np.array(labels), class_count=class_count)
+
     def test_whole_float_labels_convert(self):
         ds = Dataset(np.zeros((2, 2)), np.array([1.0, 0.0]), class_count=2)
         assert ds.labels.dtype == np.int64
@@ -116,6 +129,11 @@ class TestMinibatches:
         ds = gen_blobs(5, k=2, sigma=0.1, seed=0)
         batches = minibatches(ds, batch_size=2, seed=0, epoch=0)
         assert [b.size for b in batches] == [2, 2, 1]
+
+    def test_refuses_a_zero_batch_size(self):
+        ds = gen_blobs(5, k=2, sigma=0.1, seed=0)
+        with pytest.raises(ValueError, match="batch_size must be at least 1"):
+            minibatches(ds, batch_size=0, seed=0, epoch=0)
 
     def test_same_seed_epoch_identical(self):
         ds = gen_blobs(16, k=2, sigma=0.1, seed=0)

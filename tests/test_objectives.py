@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 import tracemalloc
 import warnings
 
@@ -62,6 +63,19 @@ class TestBatch:
         with pytest.raises(ValueError):
             Batch(np.zeros((1, 1)), np.zeros(1, dtype=np.int64), id=-1)
 
+    @pytest.mark.parametrize(
+        "inputs, targets, message",
+        [
+            (np.zeros(3), np.zeros(3), "inputs must be 2-d"),
+            (np.zeros((3, 1)), np.zeros((3, 1)), "targets must be 1-d"),
+            (np.zeros((0, 2)), np.zeros(0), "at least one sample"),
+        ],
+        ids=["inputs-1d", "targets-2d", "no-rows"],
+    )
+    def test_refuses_a_bad_shape(self, inputs, targets, message):
+        with pytest.raises(ValueError, match=message):
+            Batch(inputs, targets)
+
     def test_size(self):
         b = Batch(np.zeros((4, 2)), np.zeros(4, dtype=np.int64))
         assert b.size == 4
@@ -105,6 +119,26 @@ class TestQuadraticRanges:
     def test_refuses_a_noise_sigma_not_non_negative_and_finite(self, sigma):
         with pytest.raises(ValueError, match="noise_sigma must be non-negative and finite"):
             BlockQuadratic([2, 2], noise_sigma=sigma)
+
+
+class TestMlpRanges:
+    @pytest.mark.parametrize("widths", [[2], [2, 0, 2]], ids=["one-width", "zero-width"])
+    def test_refuses_widths_without_two_positive_entries(self, widths):
+        with pytest.raises(ValueError, match=re.escape(f"bad widths {widths}")):
+            MlpClassifier(widths)
+
+    def test_refuses_an_unknown_activation(self):
+        with pytest.raises(ValueError, match="unknown activation 'sigmoid'"):
+            MlpClassifier([2, 4, 2], activation="sigmoid")
+
+    def test_refuses_an_unknown_bias_mode(self):
+        with pytest.raises(ValueError, match="unknown bias_mode 'shared'"):
+            MlpClassifier([2, 4, 2], bias_mode="shared")
+
+    def test_has_no_population_objective(self):
+        obj = MlpClassifier([2, 4, 2])
+        with pytest.raises(ValueError, match="no population objective"):
+            obj.loss_and_grad(obj.init_params(0), None, ActiveSet.full(obj.n_layers))
 
 
 class TestQuadraticGrad:

@@ -66,6 +66,14 @@ class TestConfigRanges:
         with pytest.raises(ValueError, match="rho must be non-negative and finite"):
             SamConfig(rho=value)
 
+    def test_refuses_an_unknown_perturb_norm(self):
+        with pytest.raises(ValueError, match="unknown perturb_norm 'layer'"):
+            SamConfig(perturb_norm="layer")
+
+    def test_state_refuses_moments_of_different_shapes(self):
+        with pytest.raises(ValueError, match="m and v shapes differ"):
+            OptimizerState(LayeredVector.zeros([2, 3]), LayeredVector.zeros([3, 2]))
+
 
 class TestAdamwStep:
     def test_scalar_frozen_trace(self):

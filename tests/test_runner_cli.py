@@ -442,6 +442,11 @@ class TestCli:
         assert err == f"config error: cannot create output directory {out}: {reason}\n"
         assert blocker.read_text() == "kept\n"
 
+    def test_unknown_activation_is_one_config_error_line(self, tmp_path, capsys):
+        raw = {"objective": {"type": "mlp", "activation": "sigmoid"}, "dataset": {"type": "two_moons"}}
+        assert main(["train", "--config", write_cfg(tmp_path, raw)]) == 1
+        assert capsys.readouterr().err == "config error: objective: unknown activation 'sigmoid'\n"
+
     def test_compare_single_optimizer_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, QUAD_RAW)
         assert main(["compare", "--config", cfg, "--optimizers", "adamw"]) == 1
@@ -459,6 +464,13 @@ class TestCli:
         assert main(["project", "--probs", str(probs), "--s", "2.0", "--pmin", "0.1"]) == 0
         got = [float(v) for v in capsys.readouterr().out.strip().split(",")]
         assert got == pytest.approx([0.5, 0.5, 0.5, 0.5], abs=1e-9)
+
+    @pytest.mark.parametrize("text", ["", " ,\n,, \n"], ids=["empty", "separators"])
+    def test_project_refuses_a_file_without_numbers(self, tmp_path, capsys, text):
+        probs = tmp_path / "w.csv"
+        probs.write_text(text)
+        assert main(["project", "--probs", str(probs), "--s", "1.0", "--pmin", "0.1"]) == 1
+        assert capsys.readouterr().err == f"config error: {probs} holds no numbers\n"
 
     def test_project_infeasible_floor(self, tmp_path, capsys):
         probs = tmp_path / "w.csv"

@@ -38,6 +38,16 @@ class TestStepTelemetry:
         with pytest.raises(ValueError):
             tel(1, ActiveSet.from_iterable([]), 0, 1)
 
+    def test_step_numbers_start_at_one(self):
+        with pytest.raises(ValueError, match="step numbers start at 1"):
+            tel(0, ActiveSet.of(0), 1, 1)
+
+    @pytest.mark.parametrize("counts", [{"apc": -1}, {"selection_param_count": -1}])
+    def test_parameter_counts_non_negative(self, counts):
+        kw = {"apc": 1, **counts}
+        with pytest.raises(ValueError, match="parameter counts must be non-negative"):
+            tel(1, ActiveSet.of(0), kw.pop("apc"), 1, **kw)
+
     def test_staleness_positive(self):
         with pytest.raises(ValueError):
             tel(1, ActiveSet.of(0), 1, 1, per_layer_staleness=np.array([0]))
@@ -63,6 +73,21 @@ class TestRunRecord:
         assert rec.n_steps == 0
         rec.append(tel(1, ActiveSet.of(0), 5, 1))
         assert rec.n_steps == 1
+
+
+class TestEmptyRun:
+    def test_metrics_refuse_a_run_without_steps(self):
+        rec = record(2, 10)
+        with pytest.raises(ValueError, match="empty run"):
+            active_ratio(rec)
+        with pytest.raises(ValueError, match="empty run"):
+            layer_frequency(rec)
+
+    def test_active_ratio_refuses_no_parameters(self):
+        rec = record(2, 0)
+        rec.append(tel(1, ActiveSet.of(0), 0, 1))
+        with pytest.raises(ValueError, match="total_params must be positive"):
+            active_ratio(rec)
 
 
 class TestActiveRatio:
