@@ -34,11 +34,19 @@ def run_one(s_over_n: float, steps: int, seed: int) -> tuple[float, float]:
     return summary["active_ratio"], trainer.record.probes[-1].grad_l1
 
 
-def main() -> None:
+def positive(text: str) -> int:
+    """An integer of at least 1; anything else is a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--steps", type=int, default=2000)
-    ap.add_argument("--seeds", type=int, default=3)
-    args = ap.parse_args()
+    ap.add_argument("--steps", type=positive, default=2000)
+    ap.add_argument("--seeds", type=positive, default=3)
+    args = ap.parse_args(argv)
 
     print("s_over_n,active_ratio,final_probe_grad_l1")
     for s_over_n in BUDGETS:

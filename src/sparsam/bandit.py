@@ -12,10 +12,12 @@ in KL geometry.
 
 The pseudo-loss for a sampled layer is
 
-    k_l = G^2 / p_min^2 - ||r_l||^2 / p_l^2
+    k_l = G^2 / p_min^2 - ||r_l||^2 / max(p_l, p_min)^2
 
 with G the largest gradient norm sampled this step, so k_l >= 0 and
 layers with large gradients relative to their probability shrink least.
+A distribution may hold p_l up to SUM_TOL * p_min below the floor; the
+score divides by the floor there, so it never goes negative.
 Only the sampled layers are scored and shrunk; an unsampled layer keeps
 u_l = p_l and is only rescaled by the projection.
 
@@ -162,8 +164,11 @@ def pseudo_loss(
     """Scores k >= 0 of the active layers, a list aligned with `active.indices()`.
 
     `r_norms` holds the active layers' gradient norms in the same order,
-    and the envelope G is the largest of them. Both terms are squared as
-    products, so a layer at the envelope with p = p_min scores exactly 0.
+    and the envelope G is the largest of them. Each layer is scored at
+    max(p_l, p_min), so a p within the distribution's slack below the
+    floor scores as the floor does, and every score lies in
+    [0, (G / p_min)^2]. Both terms are squared as products, so a layer at
+    the envelope with p at or below p_min scores exactly 0.
     The scores are Python floats with NumPy's float64 bits. A NaN norm
     raises DivergenceError naming the first one, ahead of any negative
     norm's ValueError; scores that are not finite (G / p_min beyond
@@ -184,17 +189,14 @@ def pseudo_loss(
         env = top / dist.p_min
         square = env * env
         if square < math.inf:
-            p = dist.p.tolist()
+            p, p_min = dist.p.tolist(), dist.p_min
             scores = []
             for l, r in zip(active, rl):
-                x = r / p[l]
+                # r <= G and max(p_l, p_min) >= p_min, so x <= G / p_min
+                # after rounding too, and the score lies in [0, square].
+                x = r / max(p[l], p_min)
                 scores.append(square - x * x)
-            # No score exceeds the square, so one that is not finite is -inf.
-            low = min(scores)
-            if low >= 0.0:
-                return scores
-            if low > -math.inf:
-                raise AssertionError("pseudo-loss must be non-negative")
+            return scores
         # r_l <= G / p_min, so only the envelope overflows: name its layer.
         i = rl.index(top)
     else:
@@ -227,8 +229,10 @@ def kl_project(u: np.ndarray, s: float, p_min: float) -> SamplingDistribution:
 
     Over at most FLOAT_PATH_LAYERS weights the projection runs in Python
     floats (`_kl_project_floats`), with the same bits and the same errors;
-    over more it runs on arrays below. Either path takes s and p_min as
-    Python floats, whatever numeric type they come in.
+    over more it runs on arrays below, which compute the breakpoints and
+    c * u with overflow ignored: a breakpoint or a product that overflows
+    is inf, and the sort and the cap handle it as intended. Either path
+    takes s and p_min as Python floats, whatever numeric type they come in.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 1 or u.size < 1:
@@ -243,23 +247,11 @@ def kl_project(u: np.ndarray, s: float, p_min: float) -> SamplingDistribution:
     n = u.size
     s, p_min = float(s), float(p_min)
     _check_feasible(n, s, p_min)
-    if 1e-300 < ul[0] and ul[-1] < 1e300 * ul[0]:
-        q = _scaled(u, us, ul, s, p_min)
-    else:
-        # A weight below 1e-300, or weights spread wider than 1e300, can
-        # overflow a breakpoint or c * u to inf, which the sort and the cap
-        # handle as intended. errstate costs about a microsecond, so it is
-        # entered only here.
-        with np.errstate(over="ignore"):
-            q = _scaled(u, us, ul, s, p_min)
+    with np.errstate(over="ignore"):
+        bps = np.sort(np.concatenate((p_min / us, 1.0 / us))).tolist()
+        q = _multiplier(us, ul, bps, s, p_min) * u
     np.maximum(q, p_min, out=q)
     return SamplingDistribution(np.minimum(q, 1.0, out=q), s, p_min)
-
-
-def _scaled(u: np.ndarray, us: np.ndarray, ul: list[float], s: float, p_min: float) -> np.ndarray:
-    """c * u on arrays, with us the sorted u and ul the same as a list."""
-    bps = np.sort(np.concatenate((p_min / us, 1.0 / us))).tolist()
-    return _multiplier(us, ul, bps, s, p_min) * u
 
 
 def _multiplier(

@@ -69,9 +69,6 @@ OPTIMIZERS: dict[str, tuple[Selector, Ascent]] = {
 
 # Gradient entries at or beyond this square to inf.
 _SQUARABLE = math.sqrt(np.finfo(np.float64).max)
-# n values of at most m have a sum of squares that cannot overflow when
-# n * m * m is below this: half the float maximum, room for its rounding.
-_SUMMABLE = float(np.finfo(np.float64).max) / 2
 
 
 @dataclass(frozen=True)
@@ -182,6 +179,11 @@ def sam_perturb(
     inactive layers, zero-norm layers in per_layer mode, and all of them
     when rho is 0. `norms` holds layer_l2_norm(r, active), which the
     caller has already computed.
+
+    The global joint norm is the square root of the norms' sum of
+    squares, taken with overflow ignored. Only when that sum overflows
+    while every norm is finite is it taken again over the norms scaled
+    by the largest, so a joint norm within the float range stays finite.
     """
     eps = LayeredVector.zeros(r.dims)
     if cfg.perturb_norm == "per_layer":
@@ -191,13 +193,11 @@ def sam_perturb(
         scale = scale.repeat(sizes)
         np.multiply(scale, r.data[key], out=eps.data[key], where=scale > 0.0)
     else:
-        top = float(np.maximum.reduce(norms, initial=0.0))
-        if norms.size * top * top < _SUMMABLE:
+        with np.errstate(over="ignore"):
             joint = math.sqrt(norms @ norms)
-        else:
-            with np.errstate(over="ignore"):
-                joint = math.sqrt(norms @ norms)
-            if joint == math.inf and top < math.inf:
+        if joint == math.inf:
+            top = float(np.maximum.reduce(norms))
+            if top < math.inf:
                 # The squares overflowed, not the norm: sum them scaled by the largest.
                 u = norms / top
                 joint = top * math.sqrt(u @ u)

@@ -209,6 +209,16 @@ class TestPseudoLoss:
         with pytest.raises(DivergenceError, match="pseudo-loss of layer 0 is not finite"):
             update_distribution(dist, active, norms, BanditConfig())
 
+    def test_a_layer_below_the_floor_scores_at_it(self):
+        # The distribution admits p up to SUM_TOL * p_min below the floor;
+        # the envelope there scores as it would at the floor, exactly 0.
+        dist = SamplingDistribution(np.array([0.1 * (1 - 5e-10), 0.9 + 0.05e-9]), 1.0, 0.1)
+        assert dist.p[0] < dist.p_min
+        active, norms = ActiveSet.of(0), np.array([1.0])
+        assert pseudo_loss(norms, dist, active) == [0.0]
+        new = update_distribution(dist, active, norms, BanditConfig())
+        assert SamplingDistribution(new.p, new.s, new.p_min).p.tobytes() == new.p.tobytes()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_norm_names_the_layer(self):
         dist = init_uniform(3, 1.0, 0.02)
@@ -588,8 +598,8 @@ def untrimmed_distribution(p, s, p_min) -> np.ndarray:
 
 
 def untrimmed_pseudo_loss(r_norms, dist, active) -> np.ndarray:
-    """pseudo_loss as it was before the envelope check: every score
-    checked for finiteness, then for sign."""
+    """pseudo_loss as it was before the envelope check, each layer scored
+    at max(p_l, p_min): every score checked for finiteness, then for sign."""
     active.validate(dist.n_layers)
     if len(active) == 0:
         raise ValueError("active set is empty")
@@ -600,7 +610,7 @@ def untrimmed_pseudo_loss(r_norms, dist, active) -> np.ndarray:
         raise ValueError("gradient norms must be non-negative")
     top = float(np.maximum.reduce(norms))
     with np.errstate(over="ignore", invalid="ignore"):
-        env, r = top / dist.p_min, norms / dist.p[active.index]
+        env, r = top / dist.p_min, norms / np.maximum(dist.p[active.index], dist.p_min)
         scores = env * env - r * r
     if not np.isfinite(scores).all():
         i = int(np.argmax(norms))
@@ -733,8 +743,8 @@ class TestAgainstTheUntrimmedRoundTrip:
             ([np.nan, -1.0], [0.5, 0.5], DivergenceError),
             ([np.inf, 1.0], [0.5, 0.5], DivergenceError),
             ([1e154, 1.0], [0.5, 0.5], DivergenceError),
-            # A layer 1e-10 below the floor of 0.5 scores below zero.
-            ([1.0, 1.0], [0.5 - 1e-10, 0.5 + 1e-10], AssertionError),
+            # A layer 1e-10 below the floor of 0.5 scores as the floor: 0.
+            ([1.0, 1.0], [0.5 - 1e-10, 0.5 + 1e-10], None),
         ],
     )
     def test_pseudo_loss_outcomes(self, norms, p, error):
@@ -935,7 +945,7 @@ class TestFloatPath:
             (1e-3, [1.0, np.nan], [0.5, 0.5], 0.5, DivergenceError),
             (1e-3, [1e154, 1.0], [0.5, 0.5], 0.5, DivergenceError),
             (1e-3, [1.0, -1.0], [0.5, 0.5], 0.5, ValueError),
-            (1e-3, [1.0, 1.0], [0.5 - 1e-10, 0.5 + 1e-10], 0.5, AssertionError),
+            (1e-3, [1.0, 1.0], [0.5 - 1e-10, 0.5 + 1e-10], 0.5, None),  # scored at the floor
         ],
     )
     def test_update_outcomes(self, alpha, norms, p, p_min, outcome_type):

@@ -204,12 +204,12 @@ class TestSamPerturb:
 
     @pytest.mark.parametrize("n", [1, 2, 8, 100])
     @pytest.mark.parametrize("side", [0.5, 0.999, 1.0, 2.0, 4.0])
-    def test_global_norm_around_the_errstate_bound(self, n, side):
-        # n layer norms m with n * m * m at `side` times the bound: below it
-        # the joint norm skips np.errstate, from it on the guarded path
-        # (whose squares overflow from side 2) runs. Either way the
-        # perturbation has norm rho and raises no warning.
-        m = math.sqrt(side / n) * math.sqrt(optimizers._SUMMABLE)
+    def test_global_norm_around_the_overflow_of_its_squares(self, n, side):
+        # n layer norms m with n * m * m at `side` times half the float
+        # maximum: the sum of squares overflows from side 2, where the joint
+        # norm is taken again over the norms scaled by the largest. Either
+        # way the perturbation has norm rho and raises no warning.
+        m = math.sqrt(side / n) * math.sqrt(float(np.finfo(np.float64).max) / 2)
         r = LayeredVector([np.array([m])] * n)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

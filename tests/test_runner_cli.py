@@ -580,3 +580,15 @@ class TestScripts:
         ratio, grad = sweep.run_one(0.2, 5, 0)
         assert 0.0 < ratio <= 2.0
         assert np.isfinite(grad)
+
+    @pytest.mark.parametrize("flag", ["--steps", "--seeds"])
+    def test_sweep_refuses_fewer_than_one(self, flag, capsys):
+        # No steps is a config error and no seeds a mean of nothing: both
+        # are usage errors, refused before any run.
+        sweep = load_script("sweep_sparsity")
+        with pytest.raises(SystemExit) as exit_info:
+            sweep.main([flag, "0"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"{flag}: must be at least 1, got 0" in captured.err
+        assert captured.out == ""
