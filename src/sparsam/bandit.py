@@ -28,8 +28,12 @@ floats add, multiply, divide, compare and sort as NumPy's float64
 does. The projection's sort and clip touch all N weights, so
 `kl_project` runs in Python floats over at most FLOAT_PATH_LAYERS
 weights and on NumPy arrays over more. The two projections give the
-same bits and each raises every error itself, with the same type and
-message; neither hands a call to the other. Three calls stay NumPy's
+same bits and raise the same errors, with the same type and message;
+neither hands a call to the other, and both return through the
+distribution's one constructor, which makes the range and sum checks.
+Weights whose sum overflows are first scaled down by a power of two,
+which leaves the projection as it is and keeps every sum of them
+finite. Three calls stay NumPy's
 because their bits are NumPy's own: np.exp for the shrink (math.exp
 differs from it in the last bit for about 5% of arguments), and
 np.add.reduce for the free coordinates' sum and for the sum check (its
@@ -94,26 +98,6 @@ class SamplingDistribution:
         total = float(np.add.reduce(p))
         if abs(total - self.s) > SUM_TOL:
             raise ValueError(f"sum(p)={total} deviates from s={self.s}")
-
-    @classmethod
-    def _from_floats(cls, q: list[float], s: float, p_min: float) -> SamplingDistribution:
-        """The distribution over q, with the range check made in Python
-        floats and the sum check as the constructor makes it, for float s
-        and p_min whose budget _check_feasible has passed at len(q) layers.
-        A failed check raises the constructor's error."""
-        lo, hi = p_min - SUM_TOL * p_min, 1.0 + SUM_TOL
-        for x in q:
-            if not lo <= x <= hi:  # NaN fails it too
-                raise ValueError("probabilities leave [p_min, 1]")
-        p = np.array(q)
-        total = float(np.add.reduce(p))
-        if abs(total - s) > SUM_TOL:
-            raise ValueError(f"sum(p)={total} deviates from s={s}")
-        dist = object.__new__(cls)
-        object.__setattr__(dist, "p", p)
-        object.__setattr__(dist, "s", s)
-        object.__setattr__(dist, "p_min", p_min)
-        return dist
 
     @property
     def n_layers(self) -> int:
@@ -232,7 +216,9 @@ def kl_project(u: np.ndarray, s: float, p_min: float) -> SamplingDistribution:
     over more it runs on arrays below, which compute the breakpoints and
     c * u with overflow ignored: a breakpoint or a product that overflows
     is inf, and the sort and the cap handle it as intended. Either path
-    takes s and p_min as Python floats, whatever numeric type they come in.
+    takes s and p_min as Python floats, whatever numeric type they come in,
+    and projects weights whose sum overflows scaled down by a power of two
+    (`_scaled_down`), which gives the same projection.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 1 or u.size < 1:
@@ -247,22 +233,23 @@ def kl_project(u: np.ndarray, s: float, p_min: float) -> SamplingDistribution:
     n = u.size
     s, p_min = float(s), float(p_min)
     _check_feasible(n, s, p_min)
+    csum = list(accumulate(ul, initial=0.0))  # np.cumsum's sequential sums
+    if csum[-1] == math.inf:
+        return kl_project(_scaled_down(u, ul[-1]), s, p_min)
     with np.errstate(over="ignore"):
         bps = np.sort(np.concatenate((p_min / us, 1.0 / us))).tolist()
-        q = _multiplier(us, ul, bps, s, p_min) * u
+        q = _multiplier(us, ul, csum, bps, s, p_min) * u
     np.maximum(q, p_min, out=q)
     return SamplingDistribution(np.minimum(q, 1.0, out=q), s, p_min)
 
 
-def _multiplier(
-    us: np.ndarray | list[float], ul: list[float], bps: list[float], s: float, p_min: float
-) -> float:
+def _multiplier(us, ul: list[float], csum: list[float], bps: list[float], s, p_min) -> float:
     """The projection's c from the sorted weights, as an array or a list
-    `us` and as a list `ul`, and their sorted breakpoints `bps`. Only the
-    free coordinates' slice of `us` is summed, so a list `us` converts
-    just that slice to an array."""
+    `us` and as a list `ul`, their prefix sums `csum` and their sorted
+    breakpoints `bps`, for float s and p_min. Only the free coordinates'
+    slice of `us` is summed, so a list `us` converts just that slice to
+    an array."""
     n = len(ul)
-    csum = list(accumulate(ul, initial=0.0))  # np.cumsum's sequential sums
 
     def mass(c: float) -> float:
         n_floor = bisect_right(ul, p_min / c)
@@ -281,15 +268,25 @@ def _multiplier(
     return hi if free == 0.0 else min(max((s - fixed) / free, lo), hi)
 
 
+def _scaled_down(u: np.ndarray | list[float], top: float) -> np.ndarray:
+    """u times the power of two that puts N * top, with top its largest
+    weight, below half the float maximum, so no sum of the weights
+    overflows. The projection is the same for u scaled. A weight scaled
+    below the least subnormal is kept at it, where it floors."""
+    k = 1023 - len(u).bit_length() - math.frexp(top)[1]
+    return np.maximum(np.multiply(u, 2.0**k), 5e-324)
+
+
 def _kl_project_floats(u: list[float], s: float, p_min: float) -> SamplingDistribution:
     """kl_project in Python floats, bit for bit, over a few weights.
 
     Every step is IEEE arithmetic, comparison or sorting, which Python
     floats do as NumPy does, except the two sums, which go through
     np.add.reduce: its pairwise order is NumPy's own. A weight that is
-    not finite and positive, an infeasible budget and a result that
-    fails the distribution's checks raise the array path's errors, in
-    its order.
+    not finite and positive and an infeasible budget raise the array
+    path's errors, in its order. The result is built, as there, by the
+    distribution's constructor, whose range and sum checks see the same
+    array and raise the same errors.
     """
     for x in u:
         if not 0.0 < x < math.inf:  # NaN fails it too
@@ -298,14 +295,17 @@ def _kl_project_floats(u: list[float], s: float, p_min: float) -> SamplingDistri
     s, p_min = float(s), float(p_min)
     _check_feasible(len(u), s, p_min)
     ul = sorted(u)
+    csum = list(accumulate(ul, initial=0.0))
+    if csum[-1] == math.inf:
+        return kl_project(_scaled_down(u, ul[-1]), s, p_min)
     bps = sorted([p_min / x for x in ul] + [1.0 / x for x in ul])
-    c = _multiplier(ul, ul, bps, s, p_min)
+    c = _multiplier(ul, ul, csum, bps, s, p_min)
     q = []
     for x in u:
         y = c * x
         # np.maximum, then np.minimum; NaN passes through both, as there.
         q.append(p_min if y < p_min else 1.0 if y > 1.0 else y)
-    return SamplingDistribution._from_floats(q, s, p_min)
+    return SamplingDistribution(np.array(q), s, p_min)
 
 
 # Floor of the shrink's exponent: it keeps every u_l > 0 for the projection.

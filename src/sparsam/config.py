@@ -4,7 +4,8 @@ Configs are JSON documents with five sections (objective, dataset,
 optimizer, bandit, train), all optional, all keys defaulted.
 Each section is a frozen dataclass and each option is declared once, as
 a field with its default, in the dataclass that uses it; the range
-checks run when a section is built. A section's keys, its parsing and
+checks run when a section is built, and the checks of how the sections
+combine when an ExperimentConfig is. A section's keys, its parsing and
 its canonical form all come from those fields. Unknown keys are
 rejected by name so typos fail loudly instead of silently running a
 default.
@@ -253,8 +254,14 @@ class TrainConfig(_Section):
         _require(self.seed >= 0, "seed must be non-negative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """The five sections of a run, checked together as they are built:
+    a config that exists is one its objective and dataset can run, so
+    `dataclasses.replace` re-checks what it changes, and assigning to a
+    field raises FrozenInstanceError. An invalid combination raises a
+    one-line ConfigError."""
+
     objective: ObjectiveConfig = field(default_factory=ObjectiveConfig)
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
@@ -268,11 +275,9 @@ class ExperimentConfig:
         for key in raw:
             if key not in _SECTIONS:
                 raise ConfigError(f"unknown key {key!r} at config top level")
-        cfg = cls(**{k: s.from_dict(raw.get(k), k) for k, s in _SECTIONS.items()})
-        cfg.validate()
-        return cfg
+        return cls(**{k: s.from_dict(raw.get(k), k) for k, s in _SECTIONS.items()})
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         self.objective.build(noise_seed=0)  # checks the objective's own parameters
         if self.objective.type == "mlp":
             _require(

@@ -389,27 +389,23 @@ def sl_s2sam_step(
 
 
 def select_layers_ablation(
-    kind: Selector,
     n_layers: int,
     k: int,
     rng: np.random.Generator,
     full_grad: LayeredVector | None = None,
 ) -> ActiveSet:
-    """Non-bandit layer selection: uniform without replacement, or the k
-    layers with the largest full-gradient norms (ties to the lower index).
+    """Non-bandit layer selection: the k layers with the largest norms in
+    `full_grad` (ties to the lower index) when it is given, else k layers
+    drawn uniformly without replacement.
 
-    greedy_topk ranks the layers of `full_grad`, the full gradient at the
-    step's point and batch; callers must charge its pass (obj.dim) to the
-    step's selection_param_count.
+    `full_grad` is the full gradient at the step's point and batch;
+    callers that rank by it must charge its pass (obj.dim) to the step's
+    selection_param_count.
     """
-    if kind not in ("uniform_random", "greedy_topk"):
-        raise ValueError(f"unknown ablation selector {kind!r}")
     if not 1 <= k <= n_layers:
         raise ValueError(f"k={k} out of range for {n_layers} layers")
-    if kind == "uniform_random":
+    if full_grad is None:
         chosen = rng.choice(n_layers, size=k, replace=False)
-    elif full_grad is None:
-        raise ValueError("greedy_topk needs the full gradient to rank layers by")
     else:
         norms = layer_l2_norm(full_grad, ActiveSet.full(n_layers))
         chosen = np.argsort(-norms, kind="stable")[:k]
@@ -429,20 +425,22 @@ def ablation_step(
     adamw_cfg: AdamWConfig,
     rng: np.random.Generator,
 ) -> StepTelemetry:
-    """Two-pass SAM step whose active set comes from an ablation selector.
+    """Two-pass SAM step whose active set comes from an ablation selector:
+    greedy_topk ranks the layers by a full-gradient selection pass, and
+    any other kind draws them uniformly.
 
     greedy_topk's selection pass also serves as its ascent pass: its
     gradient's active blocks are the ones the ascent pass would compute,
     and its forward is the one the descent pass reads. The step is still
-    charged a full selection pass plus two sparse passes.
+    charged a full selection pass (obj.dim) plus two sparse passes.
     """
     ascent_pass = full_grad = None
     if kind == "greedy_topk":
         full = ActiveSet.full(obj.n_layers)
         ascent_pass = in_pass(state.t + 1, "ascent", obj.loss_and_grad, x, batch, full)
         full_grad = ascent_pass[1]
-    active = select_layers_ablation(kind, obj.n_layers, k, rng, full_grad)
+    active = select_layers_ablation(obj.n_layers, k, rng, full_grad)
     tel = sam_step(obj, x, batch, state, active, "fresh", sam_cfg, adamw_cfg, ascent_pass)
-    if kind == "greedy_topk":
+    if full_grad is not None:
         tel.selection_param_count = obj.dim
     return tel

@@ -188,14 +188,13 @@ def _sampler_row(t: StepTelemetry) -> str:
     return f"{t.step},{t.redraws},{staleness}"
 
 
-def _write_json_atomic(path: Path, obj: dict) -> None:
-    """Write `obj` to a temp file beside `path`, then rename it over
+def _write_atomic(path: Path, text: str) -> None:
+    """Write `text` to a temp file beside `path`, then rename it over
     `path`, so a failed write never leaves a partial file."""
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with open(tmp, "w") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -238,7 +237,8 @@ def run(config: ExperimentConfig, out_dir: str | Path = "runs") -> RunRecord:
             fh.flush()
             sfh.flush()
     trainer.finalize()
-    _write_json_atomic(out / "summary.json", trainer.record.summary)
+    summary = json.dumps(trainer.record.summary, indent=2, sort_keys=True)
+    _write_atomic(out / "summary.json", summary + "\n")
     return trainer.record
 
 
@@ -252,20 +252,25 @@ def compare(
     Every row sees identical data and seed; only the optimizer section's
     type changes, and with it the perturbation mode, which the type
     decides. Each type writes its run under `out_dir/<type>` and the
-    table goes to `out_dir/compare.csv`. A type
-    that diverges gets a `diverged` row and the remaining types still
-    run; once the table is written, a DivergenceError naming every
-    diverged type propagates to the caller.
+    table goes to `out_dir/compare.csv`, written whole once every type
+    has run. A type that diverges gets a `diverged` row and the
+    remaining types still run; once the table is written, a
+    DivergenceError naming every diverged type propagates to the caller.
+    A `compare.csv` an earlier comparison left in `out_dir` is removed
+    before the first row runs, so a comparison that stops on any other
+    error leaves no table.
     """
     if len(optimizers) < 2:
         raise ConfigError("compare needs at least two optimizers")
     if len(set(optimizers)) != len(optimizers):
         raise ConfigError("duplicate optimizer in compare list")
-    config.validate()
-    # Every row's config is built, and its type checked, before any row runs.
+    # Every row's config is built, and checked, before any row runs.
     row_configs = [replace(config, optimizer=replace(config.optimizer, type=o)) for o in optimizers]
     out = _out_dir(out_dir)
-    rows, diverged = [], []
+    table = out / "compare.csv"
+    table.unlink(missing_ok=True)
+    rows = [["optimizer", "final_loss", "train_acc", "test_acc", "active_ratio", "notes"]]
+    diverged = []
     for o, row_config in zip(optimizers, row_configs):
         try:
             rec = run(row_config, out / o)
@@ -284,11 +289,7 @@ def compare(
                 "expensive:full-gradient-selection" if s["expensive_selection"] else "",
             ]
         )
-    table = out / "compare.csv"
-    with open(table, "w") as fh:
-        fh.write("optimizer,final_loss,train_acc,test_acc,active_ratio,notes\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+    _write_atomic(table, "".join(",".join(row) + "\n" for row in rows))
     if diverged:
         raise DivergenceError(f"{'; '.join(diverged)} (table written to {table})")
     return table

@@ -959,11 +959,9 @@ class TestFloatPath:
     def test_no_zero_probability_under_a_tiny_floor(self, p):
         # A floor below SUM_TOL would admit p = 0 within the tolerance, and
         # pseudo_loss would then divide by it: a RuntimeWarning, or a
-        # DivergenceError that blames a finite square. Both checks refuse it.
+        # DivergenceError that blames a finite square. The constructor refuses it.
         with pytest.raises(ValueError, match=r"probabilities leave \[p_min, 1\]"):
             SamplingDistribution(np.array(p), 1.0, 1e-12)
-        with pytest.raises(ValueError, match=r"probabilities leave \[p_min, 1\]"):
-            SamplingDistribution._from_floats(p, 1.0, 1e-12)
 
     @pytest.mark.parametrize("p", [[1e-300, 1.0], [5e-324, 1.0]])
     def test_no_probability_far_below_a_tiny_floor(self, p):
@@ -973,36 +971,13 @@ class TestFloatPath:
         # ValueError from kl_project for a weight that is not positive.
         with pytest.raises(ValueError, match=r"probabilities leave \[p_min, 1\]"):
             SamplingDistribution(np.array(p), 1.0, 1e-12)
-        with pytest.raises(ValueError, match=r"probabilities leave \[p_min, 1\]"):
-            SamplingDistribution._from_floats(p, 1.0, 1e-12)
 
     def test_the_floor_keeps_a_slack_that_scales_with_it(self):
         p = [1e-12 * (1.0 - 0.5 * bandit.SUM_TOL), 1.0]
         assert SamplingDistribution(np.array(p), 1.0, 1e-12).p.tolist() == p
-        assert SamplingDistribution._from_floats(p, 1.0, 1e-12).p.tolist() == p
         p[0] = 1e-12 * (1.0 - 2.0 * bandit.SUM_TOL)
         with pytest.raises(ValueError, match=r"probabilities leave \[p_min, 1\]"):
             SamplingDistribution(np.array(p), 1.0, 1e-12)
-        with pytest.raises(ValueError, match=r"probabilities leave \[p_min, 1\]"):
-            SamplingDistribution._from_floats(p, 1.0, 1e-12)
-
-    @given(distribution_cases())
-    @settings(max_examples=300, deadline=None)
-    def test_distribution_checks(self, case):
-        # The float path's distribution: the constructor's p, s and p_min, or its error.
-        p, s, p_min = case
-        if p.size > bandit.FLOAT_PATH_LAYERS:
-            return
-        try:
-            bandit._check_feasible(p.size, s, p_min)
-        except ValueError:
-            return  # _from_floats is only called on a feasible budget
-        want = outcome(SamplingDistribution, p, s, p_min)
-        got = outcome(SamplingDistribution._from_floats, p.tolist(), float(s), float(p_min))
-        assert_same_outcome(got, want)
-        if not isinstance(want, tuple):
-            dist = SamplingDistribution._from_floats(p.tolist(), float(s), float(p_min))
-            assert (dist.s, dist.p_min) == (s, p_min)
 
     @pytest.mark.parametrize(
         "q", [[0.5, np.nan, 0.5], [np.nan, 0.5, 0.5], [0.5, 0.5, np.inf], [0.5, 0.5, 0.5 - 2e-9]]
@@ -1011,8 +986,6 @@ class TestFloatPath:
         # Python's min and max skip a NaN that is not first; the check must not.
         with pytest.raises(ValueError, match=r"probabilities leave \[p_min, 1\]"):
             SamplingDistribution(np.array(q), 1.5, 0.5)
-        with pytest.raises(ValueError, match=r"probabilities leave \[p_min, 1\]"):
-            SamplingDistribution._from_floats(q, 1.5, 0.5)
 
     def test_small_distributions_take_the_float_path(self, monkeypatch):
         taken = []
@@ -1039,7 +1012,9 @@ class TestFloatPath:
 class TestOverflowingWeights:
     """A subnormal weight, or weights spread wider than the float range,
     overflow a breakpoint or c * u to inf, as intended: both paths
-    project them without a warning."""
+    project them without a warning. Weights whose sum overflows are
+    projected scaled down by a power of two, which leaves the projection
+    as it is; weights whose sum stays finite are projected as they come."""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("project", [kl_project, numpy_kl_project], ids=["kl_project", "numpy"])
@@ -1050,10 +1025,36 @@ class TestOverflowingWeights:
             ([1e-310, 1.0], 1.0, [0.1, 0.9]),
             ([1e-10, 1e300], 2.0, [1.0, 1.0]),
             ([5e-324] + [1.0] * 9, 1.9, [0.1] + [0.2] * 9),
+            # Their sums overflow.
+            ([1e308] * 10, 5.0, [0.5] * 10),
+            ([1e308] * 8, 4.0, [0.5] * 8),
+            ([1e-306] + [1e308] * 9, 9.5, [0.5] + [1.0] * 9),
+            # The scale takes 5e-324 below the least subnormal; it stays there and floors.
+            ([5e-324, 1e308, 1e308], 2.1, [0.1, 1.0, 1.0]),
         ],
     )
     def test_projects_without_a_warning(self, project, u, s, want):
         assert project(np.array(u), s, 0.1).p.tolist() == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("project", [kl_project, numpy_kl_project], ids=["kl_project", "numpy"])
+    @pytest.mark.parametrize("n", [6, 8, 10, 100])
+    def test_as_the_weights_scaled_down(self, project, n):
+        u = np.random.default_rng(n).uniform(0.1, 1.0, n) * np.finfo(np.float64).max
+        for s in (0.2 * n, 0.5 * n, 0.9 * n):
+            want = project(u * 2.0**-600, s, 0.1).p
+            assert project(u, s, 0.1).p.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 6, 8, 10, 100])
+    def test_a_finite_sum_is_not_scaled(self, n, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the weights were scaled")
+
+        monkeypatch.setattr(bandit, "_scaled_down", refuse)
+        # Their sum is n / (n + 1) of the float maximum; c is near the least normal.
+        u = np.full(n, np.finfo(np.float64).max / (n + 1))
+        for project in (kl_project, numpy_kl_project):
+            assert project(u, 0.5 * n, 0.1).p.tolist() == pytest.approx([0.5] * n, rel=1e-12)
 
 
 @st.composite

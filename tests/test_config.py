@@ -3,10 +3,18 @@
 from __future__ import annotations
 
 import json
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
-from sparsam.config import BanditSection, ExperimentConfig, TrainConfig, load_config
+from sparsam.config import (
+    BanditSection,
+    DatasetConfig,
+    ExperimentConfig,
+    ObjectiveConfig,
+    TrainConfig,
+    load_config,
+)
 from sparsam.errors import ConfigError
 from sparsam.optimizers import SamConfig
 
@@ -209,6 +217,28 @@ class TestCrossRules:
             "optimizer": {"type": "slsam"},
         })
         assert cfg.optimizer.type == "slsam"
+
+
+class TestValidOnceBuilt:
+    """An ExperimentConfig checks how its sections combine when it is
+    built, however it is built, and cannot be changed afterwards."""
+
+    def test_built_directly(self):
+        with pytest.raises(ConfigError, match="mlp objective needs a dataset"):
+            ExperimentConfig(objective=ObjectiveConfig(type="mlp"))
+
+    def test_built_through_replace(self):
+        cfg = make({"objective": {"type": "mlp"}, "dataset": {"type": "two_moons"}})
+        with pytest.raises(ConfigError, match="two_moons needs an even n"):
+            replace(cfg, dataset=DatasetConfig(type="two_moons", n=7))
+        with pytest.raises(ConfigError, match="set dataset type to 'none'"):
+            replace(cfg, objective=ObjectiveConfig())
+
+    def test_fields_cannot_be_assigned(self):
+        cfg = make({})
+        with pytest.raises(FrozenInstanceError):
+            cfg.dataset = DatasetConfig(type="two_moons")
+        assert cfg.dataset == DatasetConfig()
 
 
 class TestPerturbNormResolution:

@@ -376,7 +376,8 @@ class TestPlanTable:
                 assert ActiveSet.from_mask(np.isin(np.arange(n), active.index)) is active
             for kind in ("uniform_random", "greedy_topk"):
                 grad = random_layered(rng, [3] * n)
-                active = select_layers_ablation(kind, n, (n + 1) // 2, rng, grad)
+                topk = grad if kind == "greedy_topk" else None
+                active = select_layers_ablation(n, (n + 1) // 2, rng, topk)
                 assert active.key is not None and len(active) == (n + 1) // 2
             assert ActiveSet.full(n) == ActiveSet.from_mask(np.ones(n, dtype=bool))
         interned = [key for key in layered._plans if key is not None]
@@ -392,7 +393,7 @@ class TestPlanTable:
         v = LayeredVector.zeros([4] * n)
         for _ in range(100):
             drawn, _ = sample_active_set(dist, rng)
-            picked = select_layers_ablation("uniform_random", n, 2, rng)
+            picked = select_layers_ablation(n, 2, rng)
             made = ActiveSet.from_mask(mask)
             assert drawn.key is None and picked.key is None and made.key is None
             assert made is not ActiveSet.from_mask(mask) and made == ActiveSet.of(0, 2)

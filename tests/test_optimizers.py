@@ -499,38 +499,30 @@ class TestAblationSelectors:
     def test_greedy_ranks_largest_scale_first(self):
         obj = BlockQuadratic([1, 1], scales=[1.0, 10.0])
         g = obj.grad(lv([1.0], [1.0]), None, ActiveSet.full(2))
-        active = select_layers_ablation("greedy_topk", 2, 1, stream(0, "sel"), g)
+        active = select_layers_ablation(2, 1, stream(0, "sel"), g)
         assert active.indices() == [1]
 
     def test_uniform_k_equals_n_full_set(self):
-        active = select_layers_ablation("uniform_random", 3, 3, stream(0, "sel"))
+        active = select_layers_ablation(3, 3, stream(0, "sel"))
         assert active.indices() == [0, 1, 2]
 
     def test_greedy_tie_lower_index(self):
         obj = BlockQuadratic([1, 1], scales=[1.0, 1.0])
         g = obj.grad(lv([1.0], [1.0]), None, ActiveSet.full(2))
-        active = select_layers_ablation("greedy_topk", 2, 1, stream(0, "sel"), g)
+        active = select_layers_ablation(2, 1, stream(0, "sel"), g)
         assert active.indices() == [0]
-
-    def test_greedy_needs_the_full_gradient(self):
-        with pytest.raises(ValueError, match="greedy_topk needs the full gradient"):
-            select_layers_ablation("greedy_topk", 2, 1, stream(0, "sel"))
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
-            select_layers_ablation("uniform_random", 2, 3, stream(0, "s"))
+            select_layers_ablation(2, 3, stream(0, "s"))
         with pytest.raises(ValueError):
-            select_layers_ablation("uniform_random", 2, 0, stream(0, "s"))
-
-    def test_bandit_kind_rejected(self):
-        with pytest.raises(ValueError):
-            select_layers_ablation("bandit", 2, 1, stream(0, "s"))
+            select_layers_ablation(2, 0, stream(0, "s"))
 
     def test_uniform_random_spread(self):
         rng = stream(4, "sel")
         counts = np.zeros(6)
         for _ in range(2000):
-            for l in select_layers_ablation("uniform_random", 6, 2, rng):
+            for l in select_layers_ablation(6, 2, rng):
                 counts[l] += 1
         assert np.all(np.abs(counts / 2000 - 2 / 6) < 0.05)
 
@@ -561,7 +553,7 @@ class TestAblationSelectors:
             b = scalar_batch(t)
             ta = ablation_step("greedy_topk", obj, xa, b, sa, 2, sam, CFG, stream(0, "sel"))
             g = obj.grad(xb, b, ActiveSet.full(obj.n_layers))
-            active = select_layers_ablation("greedy_topk", obj.n_layers, 2, stream(0, "sel"), g)
+            active = select_layers_ablation(obj.n_layers, 2, stream(0, "sel"), g)
             tb = sam_step(obj, xb, b, sb, active, "fresh", sam, CFG)
             assert ta.active_layers == tb.active_layers
             assert (ta.loss, ta.grad_l1) == (tb.loss, tb.grad_l1)

@@ -134,11 +134,11 @@ class TestRun:
         runner.run(quad_cfg(), tmp_path)
         assert (tmp_path / "summary.json").exists()
 
-        def failing_dump(obj, fh, **kwargs):
-            fh.write('{"optimizer": ')
+        def failing_replace(src, dst):
             raise OSError("disk full")
 
-        monkeypatch.setattr(runner.json, "dump", failing_dump)
+        # The summary is written to its temp file; renaming it into place fails.
+        monkeypatch.setattr(runner.os, "replace", failing_replace)
         with pytest.raises(OSError, match="disk full"):
             runner.run(quad_cfg(optimizer={"eta": 2e-3}), tmp_path)
         with pytest.raises(OSError, match="disk full"):
@@ -249,6 +249,16 @@ class TestCompare:
         with pytest.raises(ConfigError, match="'nonsense'"):
             runner.compare(quad_cfg(), ["adamw", "nonsense"], tmp_path)
         assert not (tmp_path / "adamw").exists()
+
+    def test_a_failed_comparison_leaves_no_stale_table(self, tmp_path):
+        runner.compare(quad_cfg(), ["adamw", "slsam"], tmp_path)
+        assert rows(tmp_path / "compare.csv")[2].startswith("slsam,")
+        # One layer at s = 1e-5 draws nothing in MAX_SAMPLE_ATTEMPTS draws.
+        cfg = quad_cfg(objective={"layer_dims": [4]}, bandit={"s_over_n": 1e-5})
+        with pytest.raises(ConfigError, match="sampling budget"):
+            runner.compare(cfg, ["adamw", "slsam"], tmp_path)
+        assert not (tmp_path / "compare.csv").exists()
+        assert not (tmp_path / ".compare.csv.tmp").exists()
 
 
 def write_cfg(tmp_path: Path, raw: dict) -> str:
@@ -498,6 +508,15 @@ class TestCli:
         assert main(["project", "--probs", str(probs), "--s", s, "--pmin", "0.1"]) == 0
         got = [float(v) for v in capsys.readouterr().out.strip().split(",")]
         assert got == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [8, 10], ids=["float-path-8", "numpy-path-10"])
+    def test_project_weights_near_the_float_maximum(self, tmp_path, capsys, n):
+        # Their sum overflows; the projection runs on the weights scaled down.
+        probs = tmp_path / "w.csv"
+        probs.write_text(",".join(["1e308"] * n) + "\n")
+        assert main(["project", "--probs", str(probs), "--s", str(n / 2), "--pmin", "0.1"]) == 0
+        assert capsys.readouterr().out == ",".join(["0.5"] * n) + "\n"
 
     @pytest.mark.parametrize(
         "weights",
