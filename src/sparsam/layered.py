@@ -38,19 +38,20 @@ total L1 norm is the running sum of the per-layer ones.
 No operation below ever writes a block outside the active set
 it was given, so a frozen layer is provably untouched.
 
-A set's select() keys and segments, its plan, live in one plan table,
-never on the set: every step's telemetry keeps its set. Sets that the
-sampler draws, that the ablation selectors pick and that `full` builds
-over at most INTERN_LAYERS (8) layers are interned there by membership,
-and each keeps its plan for the layout last asked about. There are at
-most 256 such sets, so the table holds them all and never evicts. Small
-models repeat their draws: over 2,000 steps at seeds 0 and 1, `slsam`
-drew 63 distinct sets on the 6-layer two-moons MLP (96.8% of steps
-repeat an earlier set) and 83-91 on the 8-layer one (95.5-95.8%), the
-other sampled types 91-99.8%; such a step builds no set and no plan. A
-draw over more layers makes a new set, as on the 100-layer quadratic,
-where none of 1,000 draws repeats, and keeps only the last such set's
-plan, matched by identity, since a step addresses its set several times.
+A set keeps its plan; small sets are interned. A set's select() keys
+and segments, its plan, are a pure function of its members and the
+layout, so the set keeps the plan for the layout last asked about, and
+a step that addresses its set several times builds it once. Sets that
+the sampler draws, that the ablation selectors pick and that `full`
+builds over at most INTERN_LAYERS (8) layers are interned by
+membership: at most 256 sets, never evicted. Small models repeat their
+draws: over 2,000 steps at seeds 0 and 1, `slsam` drew 63 distinct sets
+on the 6-layer two-moons MLP (96.8% of steps repeat an earlier set) and
+83-91 on the 8-layer one (95.5-95.8%), the other sampled types
+91-99.8%; such a step builds no set and no plan. A draw over more layers
+makes a new set, as on the 100-layer quadratic, where none of 1,000
+draws repeats; the set and its plan go when the step is done, since a
+step's telemetry keeps only the set's index array.
 Such a set is built from the mask's one index array, `np.flatnonzero`,
 which becomes its `index`; its runs come from one pass over neighbours
 in the list of that array, the same pass every other construction makes.
@@ -80,18 +81,12 @@ class Segments(NamedTuple):
 
 
 # Sets built from a mask over at most this many layers are interned: the
-# 2**8 = 256 subsets of 8 layers all fit in the plan table, which never
-# evicts them. A constant of the layer count, whatever the model.
+# 2**8 = 256 subsets of 8 layers all fit in the table, which never evicts
+# them. A constant of the layer count, whatever the model.
 INTERN_LAYERS = 8
 
-# The plan table. A plan, (select() keys, segments), is a pure function
-# of (members, layout) that no caller writes to, so one plan serves every
-# step that addresses the same members in the same layout. An interned
-# set's key (its mask as bytes, trailing zeros stripped) maps to (set,
-# offsets, (offsets[:-1], dims) as arrays, plan) for the layout last
-# asked about. The key None holds the same for the last set that is not
-# interned, matched by identity.
-_plans: dict[bytes | None, tuple] = {}
+# Interned sets by their mask as bytes, trailing zeros stripped.
+_interned: dict[bytes, "ActiveSet"] = {}
 
 
 @lru_cache(maxsize=64)
@@ -175,8 +170,8 @@ class ActiveSet:
     _sorted: tuple[int, ...] = field(init=False, repr=False, compare=False)
     runs: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     index: np.ndarray = field(init=False, repr=False, compare=False)
-    # The set's key in the plan table if it is interned, else None.
-    key: bytes | None = field(default=None, init=False, repr=False, compare=False)
+    # (offsets, plan) for the layout last asked about, or None.
+    plan: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ordered = sorted(map(int, self.members))
@@ -208,21 +203,21 @@ class ActiveSet:
 
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> "ActiveSet":
-        """The layers where a boolean mask over all of them is True. Over
-        at most INTERN_LAYERS layers the set is interned: the same
-        membership returns the same object, whose plans the table keeps."""
+        """The layers where a 1-d boolean mask over all of them is True.
+        Over at most INTERN_LAYERS layers the set is interned: the same
+        membership returns the same object, with the plan it keeps."""
+        if mask.dtype != np.bool_ or mask.ndim != 1:
+            raise ValueError(f"a layer mask must be 1-d bool, got {mask.dtype} of shape {mask.shape}")
         if mask.size > INTERN_LAYERS:
             index = np.flatnonzero(mask)
             active = object.__new__(cls)
             active._derive(index, index.tolist())
             return active
         key = mask.tobytes().rstrip(b"\0")
-        entry = _plans.get(key)
-        if entry is None:
-            active = cls(frozenset(i for i, b in enumerate(key) if b))
-            object.__setattr__(active, "key", key)
-            entry = _plans[key] = (active, None, None, None)
-        return entry[0]
+        active = _interned.get(key)
+        if active is None:
+            active = _interned[key] = cls(frozenset(i for i, b in enumerate(key) if b))
+        return active
 
     @classmethod
     def of(cls, *indices: int) -> "ActiveSet":
@@ -252,15 +247,11 @@ class ActiveSet:
 
 def _plan(v: LayeredVector, active: ActiveSet) -> tuple[tuple, Segments]:
     """select()'s keys and the segments of `active` in v's layout."""
-    key, o = active.key, v.offsets
-    entry = _plans.get(key)
-    if entry is not None and entry[1] is o and (key is not None or entry[0] is active):
-        return entry[3]
+    o, slot = v.offsets, active.plan
+    if slot is not None and slot[0] is o:
+        return slot[1]
     active.validate(len(v.dims))
-    if entry is not None and entry[1] is o:
-        firsts, dims = entry[2]
-    else:
-        firsts, dims = np.array(o[:-1]), np.array(v.dims)
+    firsts, dims = _layout_arrays(o)
     spans = [(o[lo], o[hi]) for lo, hi in active.runs]
     short = [(a, b) for a, b in spans if b - a < GATHER_BELOW]
     if len(short) < 2:
@@ -274,9 +265,14 @@ def _plan(v: LayeredVector, active: ActiveSet) -> tuple[tuple, Segments]:
         keys = (*(slice(a, b) for a, b in spans if b - a >= GATHER_BELOW), index)
     lo, hi = (active.runs[0][0], active.runs[-1][1]) if spans else (0, 0)
     segments = Segments(slice(o[lo], o[hi]), firsts[lo:hi] - o[lo], dims[lo:hi], active.index - lo)
-    plan = (keys, segments)
-    _plans[key] = (active, o, (firsts, dims), plan)
-    return plan
+    object.__setattr__(active, "plan", (o, (keys, segments)))
+    return keys, segments
+
+
+@lru_cache(maxsize=64)
+def _layout_arrays(offsets: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Each layer's start and size in a layout, as arrays."""
+    return np.array(offsets[:-1]), _frozen(np.diff(offsets))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

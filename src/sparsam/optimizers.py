@@ -295,7 +295,7 @@ def sam_step(
         step=step_no,
         loss=loss,
         grad_l1=total_l1_norm(first, active),
-        active_layers=active,
+        active_layers=idx,
         active_param_count=active_param_count(x, active),
         grad_passes=2 if ascent == "fresh" else 1,
         per_layer_r_norms=norms,

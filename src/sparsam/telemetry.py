@@ -13,19 +13,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from sparsam.layered import ActiveSet
-
 
 @dataclass
 class StepTelemetry:
     step: int
     loss: float
     grad_l1: float
-    active_layers: ActiveSet
+    # The step's layers: its set's sorted, read-only index array. A record
+    # keeps numbers, not the set, so a step's set and plan go with it.
+    active_layers: np.ndarray
     active_param_count: int
     grad_passes: int
-    # Per-layer arrays are aligned with active_layers.indices(), or empty
-    # when the step records none.
+    # Per-layer arrays are aligned with active_layers, or empty when the
+    # step records none.
     per_layer_r_norms: np.ndarray = field(default_factory=lambda: np.zeros(0))
     # Parameters touched by a selection rule outside the optimizer's own
     # gradient passes (greedy full-gradient scoring); counted into
@@ -71,7 +71,9 @@ class RunRecord:
     def append(self, t: StepTelemetry) -> None:
         if self.steps and t.step <= self.steps[-1].step:
             raise ValueError(f"step {t.step} not increasing after {self.steps[-1].step}")
-        t.active_layers.validate(self.n_layers)
+        if t.active_layers[-1] >= self.n_layers:
+            bad = t.active_layers[t.active_layers >= self.n_layers].tolist()
+            raise ValueError(f"layer indices {bad} out of range for {self.n_layers} layers")
         self.steps.append(t)
 
     @property
@@ -101,6 +103,6 @@ def layer_frequency(record: RunRecord) -> np.ndarray:
     """Fraction of steps on which each layer was active."""
     if not record.steps:
         raise ValueError("empty run")
-    layers = np.concatenate([t.active_layers.index for t in record.steps])
+    layers = np.concatenate([t.active_layers for t in record.steps])
     return np.bincount(layers, minlength=record.n_layers) / record.n_steps
 

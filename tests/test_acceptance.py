@@ -302,7 +302,7 @@ def test_zero_rho_and_full_budget_reductions(capsys):
             BanditConfig(),
             rng,
         )
-        _, g = obj.loss_and_grad(xr, qbatch(t), tel.active_layers)
+        _, g = obj.loss_and_grad(xr, qbatch(t), ActiveSet.from_iterable(tel.active_layers))
         for l in tel.active_layers:
             gl, xl = block(g, l), block(xr, l)
             m[l] = adamw.beta1 * m[l] + (1.0 - adamw.beta1) * gl

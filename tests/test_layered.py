@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -295,6 +296,21 @@ class TestActiveSet:
         assert [l for lo, hi in runs for l in range(lo, hi)] == sorted(members)
         assert all(a[1] < b[0] for a, b in zip(runs, runs[1:]))
 
+    @pytest.mark.parametrize(
+        "mask",
+        [
+            np.array([1, 0, 1]),
+            np.array([1.0, 0.0, 1.0]),
+            np.ones((2, 3), dtype=bool),
+            np.ones(INTERN_LAYERS + 1, dtype=np.int8),
+            np.ones((3, INTERN_LAYERS), dtype=bool),
+        ],
+    )
+    def test_from_mask_refuses_a_mask_that_is_not_1d_bool(self, mask):
+        msg = re.escape(f"got {mask.dtype} of shape {mask.shape}")
+        with pytest.raises(ValueError, match=msg):
+            ActiveSet.from_mask(mask)
+
     def test_membership_and_len(self):
         s = ActiveSet.of(1, 3)
         assert 1 in s and 3 in s and 2 not in s
@@ -331,23 +347,22 @@ PLAN_LAYOUTS = {
 }
 
 
-class TestPlanTable:
-    """Sets drawn over at most INTERN_LAYERS layers are interned in the
-    plan table, which keeps each one's keys and segments for its layout."""
+class TestInternedSets:
+    """Sets drawn over at most INTERN_LAYERS layers are interned by
+    membership, and each keeps its keys and segments for its layout."""
 
     @pytest.fixture(autouse=True)
     def empty_table(self, monkeypatch):
-        monkeypatch.setattr(layered, "_plans", {})
+        monkeypatch.setattr(layered, "_interned", {})
 
     def test_interned_plans_equal_fresh_plans(self):
         vectors = {name: LayeredVector.zeros(dims) for name, dims in PLAN_LAYOUTS.items()}
         cases = [(name, mask) for name, v in vectors.items() for mask in masks(v.n_layers)]
         want = {}
         for name, mask in cases:
-            layered._plans.clear()
             fresh = ActiveSet(frozenset(np.flatnonzero(mask).tolist()))
             want[name, mask.tobytes()] = plan_of(vectors[name], fresh)
-        layered._plans.clear()
+        assert layered._interned == {}
         # Interleave the layouts, so each set's plan is rebuilt as its layout changes.
         order = np.random.default_rng(0).permutation(len(cases))
         for _ in range(2):
@@ -356,7 +371,7 @@ class TestPlanTable:
                 active = ActiveSet.from_mask(mask)
                 assert active.indices() == np.flatnonzero(mask).tolist()
                 assert plan_of(vectors[name], active) == want[name, mask.tobytes()]
-        assert sum(key is not None for key in layered._plans) == 2**8 - 1
+        assert len(layered._interned) == 2**8 - 1
 
     def test_same_membership_same_object(self):
         mask = np.array([True, False, True, False, False, False])
@@ -364,8 +379,8 @@ class TestPlanTable:
         assert ActiveSet.from_mask(mask.copy()) is active
         assert ActiveSet.from_mask(np.array([True, False, True])) is active
         assert ActiveSet.from_mask(np.r_[mask, False, False]) is active
-        assert active == ActiveSet.of(0, 2) and active.key is not None
-        assert ActiveSet.of(0, 2).key is None
+        assert active == ActiveSet.of(0, 2) and ActiveSet.of(0, 2) is not active
+        assert layered._interned == {b"\1\0\1": active}
 
     def test_draws_and_selections_go_through_the_table(self):
         rng = np.random.default_rng(1)
@@ -378,9 +393,10 @@ class TestPlanTable:
                 grad = random_layered(rng, [3] * n)
                 topk = grad if kind == "greedy_topk" else None
                 active = select_layers_ablation(n, (n + 1) // 2, rng, topk)
-                assert active.key is not None and len(active) == (n + 1) // 2
+                assert len(active) == (n + 1) // 2
+                assert ActiveSet.from_mask(np.isin(np.arange(n), active.index)) is active
             assert ActiveSet.full(n) == ActiveSet.from_mask(np.ones(n, dtype=bool))
-        interned = [key for key in layered._plans if key is not None]
+        interned = list(layered._interned)
         assert len(interned) <= 2**INTERN_LAYERS
         assert all(len(key) <= INTERN_LAYERS and key[-1:] != b"\0" for key in interned)
 
@@ -392,15 +408,13 @@ class TestPlanTable:
         mask[[0, 2]] = True
         v = LayeredVector.zeros([4] * n)
         for _ in range(100):
-            drawn, _ = sample_active_set(dist, rng)
-            picked = select_layers_ablation(n, 2, rng)
+            sample_active_set(dist, rng)
+            select_layers_ablation(n, 2, rng)
             made = ActiveSet.from_mask(mask)
-            assert drawn.key is None and picked.key is None and made.key is None
             assert made is not ActiveSet.from_mask(mask) and made == ActiveSet.of(0, 2)
-            v.select(made)
-        assert ActiveSet.full(n).key is None
-        assert list(layered._plans) == [None]
-        assert layered._plans[None][0] is made
+            assert v.select(made) is v.select(made)
+        assert ActiveSet.full(n) is not ActiveSet.from_mask(np.ones(n, dtype=bool))
+        assert layered._interned == {}
 
     def test_a_large_set_keeps_its_plan_beside_the_interned_ones(self):
         v = LayeredVector.zeros([2] * 12)
@@ -411,6 +425,13 @@ class TestPlanTable:
         assert plan_of(v, small) == (((2, 6),), ((2, 6), (i, [0, 2]), (i, [2, 2]), (i, [0, 1])))
         assert v.select(large) is plan
         assert v.select(ActiveSet.of(0, 1, 5, 11)) is not plan
+
+    def test_the_full_set_keeps_its_plan_while_other_sets_build_theirs(self):
+        v = LayeredVector.zeros([2] * 12)
+        plan = v.select(ActiveSet.full(12))
+        v.select(ActiveSet.of(0, 1, 5, 11))
+        v.segments(ActiveSet.from_mask(np.arange(12) % 3 == 0))
+        assert v.select(ActiveSet.full(12)) is plan
 
 
 def reference_runs(members: frozenset[int]) -> tuple[tuple[int, int], ...]:
@@ -458,7 +479,6 @@ class TestLargeSetsFromOneIndexArray:
         for active in (made, ref):
             assert active.index.dtype == np.intp and not active.index.flags.writeable
             assert active.index.tolist() == sorted(members) == active.indices()
-            assert active.key is None
         assert made == ref and hash(made) == hash(ref) and len(made) == len(members)
 
     @given(

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsam import optimizers
-from sparsam.bandit import BanditConfig, SamplingDistribution, init_uniform
+from sparsam.bandit import BanditConfig, SamplingDistribution, init_uniform, sample_active_set
 from sparsam.config import ExperimentConfig
 from sparsam.errors import DivergenceError
 from sparsam.layered import ActiveSet, LayeredVector, layer_l2_norm, masked_axpy
@@ -367,7 +369,7 @@ class TestSlsamStep:
         for t in range(30):
             batch = scalar_batch(t)
             dist, tel = slsam_step(obj, xa, batch, sa, dist, sam, CFG, BanditConfig(), rng)
-            assert tel.active_layers.indices() == [0, 1]
+            assert tel.active_layers.tolist() == [0, 1]
             adasam_step(obj, xb, batch, sb, sam, CFG)
             assert np.array_equal(xa.data, xb.data)
             assert np.allclose(dist.p, np.ones(2), atol=1e-12)
@@ -424,6 +426,33 @@ class TestS2samStep:
         assert block(state.prev_grad, 0)[0] == pytest.approx(expected_g, rel=1e-12)
 
 
+class TestStepsKeepNoSets:
+    """A step's record keeps its set's index array, not the set, so the
+    sets a run draws over many layers go when their steps are done."""
+
+    def test_no_drawn_set_outlives_its_step(self, monkeypatch):
+        obj = BlockQuadratic([3] * 12)
+        x, state = obj.init_params(0), OptimizerState.init(obj.layer_dims)
+        dist = init_uniform(12, 3.0, 0.02)
+        rng = stream(0, "bandit")
+        drawn = []
+
+        def sample(*args):
+            active, redraws = sample_active_set(*args)
+            drawn.append(weakref.ref(active))
+            return active, redraws
+
+        monkeypatch.setattr(optimizers, "sample_active_set", sample)
+        tels = []  # kept alive, as a run's record keeps them
+        for t in range(20):
+            dist, tel = slsam_step(
+                obj, x, scalar_batch(t), state, dist, SamConfig(0.05), CFG, BanditConfig(), rng
+            )
+            tels.append(tel)
+        gc.collect()
+        assert len(drawn) == len(tels) == 20 and all(ref() is None for ref in drawn)
+
+
 class TestSlS2samStep:
     def run_steps(self, n_steps: int, seed: int = 0):
         obj = BlockQuadratic([2] * 4, noise_sigma=0.05, noise_seed=seed)
@@ -442,7 +471,7 @@ class TestSlS2samStep:
 
     def test_bootstrap_dense_and_stashes_all(self):
         tels, state = self.run_steps(1)
-        assert tels[0].active_layers.indices() == [0, 1, 2, 3]
+        assert tels[0].active_layers.tolist() == [0, 1, 2, 3]
         assert tels[0].grad_passes == 1
         assert state.prev_grad is not None
         assert np.array_equal(state.stash_step, np.ones(4, dtype=np.int64))
@@ -477,7 +506,7 @@ class TestSlS2samStep:
                 obj, x, scalar_batch(t), state, dist,
                 SamConfig(0.01, "per_layer"), CFG, BanditConfig(), rng,
             )
-        assert tel.active_layers.indices()[0] == 0
+        assert tel.active_layers[0] == 0
         assert tel.per_layer_staleness[0] == 1
 
     def test_unsampled_gap_increments_staleness(self):
@@ -555,7 +584,7 @@ class TestAblationSelectors:
             g = obj.grad(xb, b, ActiveSet.full(obj.n_layers))
             active = select_layers_ablation(obj.n_layers, 2, stream(0, "sel"), g)
             tb = sam_step(obj, xb, b, sb, active, "fresh", sam, CFG)
-            assert ta.active_layers == tb.active_layers
+            assert np.array_equal(ta.active_layers, tb.active_layers)
             assert (ta.loss, ta.grad_l1) == (tb.loss, tb.grad_l1)
             assert np.array_equal(ta.per_layer_r_norms, tb.per_layer_r_norms)
             for u, w in ((xa, xb), (sa.m, sb.m), (sa.v, sb.v)):

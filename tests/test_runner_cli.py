@@ -88,6 +88,17 @@ class TestRun:
         assert 0.0 < s["active_ratio"] < 2.0
         assert len(s["layer_frequency"]) == 5
 
+    @pytest.mark.parametrize("otype", ["slsam", "random_slsam"])
+    @pytest.mark.parametrize("n_layers", [6, 12])
+    def test_recorded_layers_are_the_csv_layers(self, tmp_path, otype, n_layers):
+        cfg = quad_cfg(optimizer={"type": otype}, objective={"layer_dims": [2] * n_layers})
+        rec = runner.run(cfg, tmp_path)
+        for line, tel in zip(rows(tmp_path / "steps.csv")[1:], rec.steps, strict=True):
+            layers = tel.active_layers
+            assert layers.dtype == np.intp and not layers.flags.writeable
+            assert np.all(np.diff(layers) > 0)
+            assert layers.tolist() == [int(l) for l in line.split(",")[3].split("|")]
+
     def test_probe_losses_decrease(self, tmp_path):
         cfg = quad_cfg(train={"steps": 300, "eval_every": 100})
         rec = runner.run(cfg, tmp_path)

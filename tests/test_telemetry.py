@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,8 +24,9 @@ def record(n_layers: int, total_params: int) -> RunRecord:
 
 
 def tel(step: int, active: ActiveSet, apc: int, passes: int, **kw) -> StepTelemetry:
+    # A step records its set's index array, as sam_step does.
     return StepTelemetry(
-        step=step, loss=1.0, grad_l1=1.0, active_layers=active,
+        step=step, loss=1.0, grad_l1=1.0, active_layers=active.index,
         active_param_count=apc, grad_passes=passes, **kw,
     )
 
@@ -67,6 +69,16 @@ class TestRunRecord:
         rec.append(tel(2, ActiveSet.of(0), 5, 1))
         with pytest.raises(ValueError):
             rec.append(tel(2, ActiveSet.of(0), 5, 1))
+
+    @pytest.mark.parametrize("layers, bad", [((2,), [2]), ((0, 2), [2]), ((1, 3, 4), [3, 4])])
+    def test_layers_at_or_beyond_n_layers_are_refused(self, layers, bad):
+        rec = record(2, 10)
+        msg = re.escape(f"layer indices {bad} out of range for 2 layers")
+        with pytest.raises(ValueError, match=msg):
+            rec.append(tel(1, ActiveSet.of(*layers), 5, 1))
+        assert rec.n_steps == 0
+        rec.append(tel(1, ActiveSet.of(1), 5, 1))
+        assert rec.n_steps == 1
 
     def test_n_steps(self):
         rec = record(2, 10)
