@@ -145,7 +145,7 @@ def sample_active_set(
 def pseudo_loss(
     r_norms: np.ndarray, dist: SamplingDistribution, active: ActiveSet
 ) -> list[float]:
-    """Scores k >= 0 of the active layers, a list aligned with `active.indices()`.
+    """Scores k >= 0 of the active layers, a list aligned with `active.layers`.
 
     `r_norms` holds the active layers' gradient norms in the same order,
     and the envelope G is the largest of them. Each layer is scored at
@@ -188,7 +188,7 @@ def pseudo_loss(
         if i < 0:
             raise ValueError("gradient norms must be non-negative")
     raise DivergenceError(
-        f"pseudo-loss of layer {active.indices()[i]} is not finite: its gradient "
+        f"pseudo-loss of layer {active.layers[i]} is not finite: its gradient "
         f"norm {rl[i]!r} over p_min={dist.p_min} has no finite square"
     )
 

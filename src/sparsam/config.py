@@ -26,6 +26,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
+from sparsam import datasets
 from sparsam.bandit import BanditConfig
 from sparsam.errors import ConfigError
 from sparsam.objectives import BlockQuadratic, MlpClassifier, Objective
@@ -279,31 +280,17 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         self.objective.build(noise_seed=0)  # checks the objective's own parameters
+        d = self.dataset
         if self.objective.type == "mlp":
-            _require(
-                self.dataset.type != "none",
-                "mlp objective needs a dataset (two_moons or blobs)",
-            )
+            _require(d.type != "none", "mlp objective needs a dataset (two_moons or blobs)")
             widths = self.objective.widths
-            _require(
-                widths[0] == 2,
-                f"synthetic datasets are 2-d; mlp input width is {widths[0]}",
-            )
-            if self.dataset.type == "two_moons":
-                _require(
-                    widths[-1] == 2,
-                    f"two_moons has 2 classes; mlp output width is {widths[-1]}",
-                )
-                _require(self.dataset.n % 2 == 0, "two_moons needs an even n")
-            else:
-                _require(widths[-1] >= 2, "blobs needs at least 2 classes")
-                _require(
-                    self.dataset.n >= widths[-1],
-                    f"dataset n={self.dataset.n} below class count {widths[-1]}",
-                )
+            try:
+                datasets.check(d.type, d.n, d.noise, widths[-1], widths[0])
+            except ValueError as e:
+                raise ConfigError(f"dataset: {e}") from e
         else:
             _require(
-                self.dataset.type == "none",
+                d.type == "none",
                 "blockquadratic runs on synthetic batches; set dataset type to 'none'",
             )
 

@@ -42,6 +42,25 @@ class Dataset:
         return Batch(self.features, self.labels)
 
 
+def check(kind: str, n: int, noise: float, classes: int, features: int = 2) -> None:
+    """Raise ValueError unless the `kind` generator ("two_moons" or
+    "blobs") makes n points of `features` inputs in `classes` classes
+    at this noise: the one statement of each dataset's rules."""
+    if features != 2:
+        raise ValueError(f"synthetic datasets are 2-d, got {features} features")
+    if kind == "two_moons":
+        if classes != 2:
+            raise ValueError(f"two_moons has 2 classes, got {classes}")
+        if n < 2 or n % 2 != 0:
+            raise ValueError(f"n must be even and at least 2, got {n}")
+    elif classes < 2:
+        raise ValueError("need at least two classes")
+    elif n < classes:
+        raise ValueError(f"n={n} below class count {classes}")
+    if not 0.0 <= noise < np.inf:  # NaN fails it too
+        raise ValueError("noise must be non-negative and finite")
+
+
 def gen_two_moons(n: int, noise: float, seed: int) -> Dataset:
     """Two interleaved half circles, n/2 points per class.
 
@@ -49,10 +68,7 @@ def gen_two_moons(n: int, noise: float, seed: int) -> Dataset:
     for t on an even grid over [0, pi], plus isotropic Gaussian noise of
     std `noise`.
     """
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"n must be even and at least 2, got {n}")
-    if not 0.0 <= noise < np.inf:  # NaN fails it too
-        raise ValueError("noise must be non-negative and finite")
+    check("two_moons", n, noise, 2)
     half = n // 2
     theta = np.linspace(0.0, np.pi, half)
     upper = np.column_stack([np.cos(theta), np.sin(theta)])
@@ -66,12 +82,7 @@ def gen_two_moons(n: int, noise: float, seed: int) -> Dataset:
 
 def gen_blobs(n: int, k: int, sigma: float, seed: int) -> Dataset:
     """k Gaussian blobs centered evenly on the unit circle, labels round-robin."""
-    if k < 2:
-        raise ValueError("need at least two classes")
-    if n < k:
-        raise ValueError(f"n={n} below class count {k}")
-    if not 0.0 <= sigma < np.inf:  # NaN fails it too
-        raise ValueError("sigma must be non-negative and finite")
+    check("blobs", n, sigma, k)
     angles = 2.0 * np.pi * np.arange(k) / k
     centers = np.column_stack([np.cos(angles), np.sin(angles)])
     labels = np.arange(n, dtype=np.int64) % k

@@ -24,7 +24,7 @@ and 1.2-5x slower at 1,024-4,096; over two runs it breaks even near 256
 floats, the cutoff. Either way the arithmetic is elementwise, so it
 gives the same bits as working block by block.
 
-Per-layer values are arrays aligned with `active.indices()`.
+Per-layer values are arrays aligned with `active.layers`.
 `v.segments(active)` is the view of `data` from the first active layer
 to the end of the last, with the start and size of every layer in it
 and the positions of the active ones. A per-layer L2 or L1 norm is one
@@ -38,14 +38,15 @@ total L1 norm is the running sum of the per-layer ones.
 No operation below ever writes a block outside the active set
 it was given, so a frozen layer is provably untouched.
 
-A set keeps its plan; small sets are interned. A set's select() keys
-and segments, its plan, are a pure function of its members and the
-layout, so the set keeps the plan for the layout last asked about, and
-a step that addresses its set several times builds it once. Sets that
-the sampler draws, that the ablation selectors pick and that `full`
-builds over at most INTERN_LAYERS (8) layers are interned by
-membership: at most 256 sets, never evicted. Small models repeat their
-draws: over 2,000 steps at seeds 0 and 1, `slsam` drew 63 distinct sets
+A set holds its layers once, as the sorted tuple `layers` that is also
+its identity, and keeps its plan; small sets are interned. A set's
+select() keys and segments, its plan, are a pure function of its
+layers and the layout, so the set keeps the plan for the layout last
+asked about, and a step that addresses its set several times builds it
+once. Sets that the sampler draws, that the ablation selectors pick and
+that `full` builds over at most INTERN_LAYERS (8) layers are interned
+by membership: at most 256 sets, never evicted. Small models repeat
+their draws: over 2,000 steps at seeds 0 and 1, `slsam` drew 63 distinct sets
 on the 6-layer two-moons MLP (96.8% of steps repeat an earlier set) and
 83-91 on the 8-layer one (95.5-95.8%), the other sampled types
 91-99.8%; such a step builds no set and no plan. A draw over more layers
@@ -59,6 +60,7 @@ in the list of that array, the same pass every other construction makes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
@@ -157,28 +159,30 @@ class LayeredVector:
 
 @dataclass(frozen=True)
 class ActiveSet:
-    """An immutable subset of layer indices. Iteration order is sorted.
+    """An immutable set of layer indices, held once as `layers`: sorted,
+    distinct, and the only field `==` and `hash` read. Iteration order is
+    sorted.
 
-    `runs` lists the maximal ranges [lo, hi) of adjacent member indices;
-    `index` holds the members, sorted, as a read-only integer array.
-    Sets from `from_mask` (and `full`) over at most INTERN_LAYERS layers
-    are interned; any other construction makes a new set. Every
-    construction derives `runs` and `index` in `_derive`.
+    `runs` lists the maximal ranges [lo, hi) of adjacent layers; `index`
+    holds the layers as a read-only integer array. Any iterable of
+    integers builds a set (a float raises TypeError). Sets from
+    `from_mask` (and `full`) over at most INTERN_LAYERS layers are
+    interned; any other construction makes a new set. Every construction
+    derives `runs` and `index` in `_derive`.
     """
 
-    members: frozenset[int] = field(default_factory=frozenset)
-    _sorted: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    layers: tuple[int, ...] = ()
     runs: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     index: np.ndarray = field(init=False, repr=False, compare=False)
     # (offsets, plan) for the layout last asked about, or None.
     plan: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ordered = sorted(map(int, self.members))
+        ordered = sorted(set(map(operator.index, self.layers)))
         self._derive(np.array(ordered, dtype=np.intp), ordered)
 
     def _derive(self, index: np.ndarray, ordered: list[int]) -> None:
-        """Set the members, runs and index from the sorted members, as an
+        """Set the layers, runs and index from the sorted layers, as an
         intp array and as a list, in one pass over neighbours."""
         if ordered and ordered[0] < 0:
             raise ValueError("layer indices must be non-negative")
@@ -190,8 +194,7 @@ class ActiveSet:
             else:
                 starts.append(i)
                 ends.append(i + 1)
-        object.__setattr__(self, "members", frozenset(ordered))
-        object.__setattr__(self, "_sorted", tuple(ordered))
+        object.__setattr__(self, "layers", tuple(ordered))
         object.__setattr__(self, "runs", tuple(zip(starts, ends)))
         object.__setattr__(self, "index", _frozen(index))
 
@@ -216,33 +219,23 @@ class ActiveSet:
         key = mask.tobytes().rstrip(b"\0")
         active = _interned.get(key)
         if active is None:
-            active = _interned[key] = cls(frozenset(i for i, b in enumerate(key) if b))
+            active = _interned[key] = cls(i for i, b in enumerate(key) if b)
         return active
 
     @classmethod
-    def of(cls, *indices: int) -> "ActiveSet":
-        return cls(frozenset(indices))
-
-    @classmethod
     def from_iterable(cls, indices: Iterable[int]) -> "ActiveSet":
-        return cls(frozenset(indices))
+        return cls(indices)
 
     def validate(self, n_layers: int) -> None:
-        if self._sorted and self._sorted[-1] >= n_layers:
-            bad = [i for i in self._sorted if i >= n_layers]
+        if self.layers and self.layers[-1] >= n_layers:
+            bad = [i for i in self.layers if i >= n_layers]
             raise ValueError(f"layer indices {bad} out of range for {n_layers} layers")
 
-    def __contains__(self, l: int) -> bool:
-        return l in self.members
-
     def __iter__(self) -> Iterator[int]:
-        return iter(self._sorted)
+        return iter(self.layers)
 
     def __len__(self) -> int:
-        return len(self._sorted)
-
-    def indices(self) -> list[int]:
-        return list(self._sorted)
+        return len(self.layers)
 
 
 def _plan(v: LayeredVector, active: ActiveSet) -> tuple[tuple, Segments]:
@@ -281,7 +274,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def layer_l2_norm(v: LayeredVector, active: ActiveSet) -> np.ndarray:
-    """The L2 norm of each active layer, aligned with `active.indices()`.
+    """The L2 norm of each active layer, aligned with `active.layers`.
     A layer whose squares overflow reads inf, without a warning."""
     key, starts, _, pick = v.segments(active)
     a = v.data[key]

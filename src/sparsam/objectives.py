@@ -429,16 +429,16 @@ class MlpClassifier(Objective):
             delta /= n
 
             g = LayeredVector._wrap(np.zeros(self._offsets[-1]), self.layer_dims, self._offsets)
-            members = active.members
+            layers = active.layers
             # Backprop stops at the lowest stage holding an active layer, and
             # each stage computes only its active blocks. A block's arithmetic
             # does not depend on which other layers are active, so active
             # blocks match the full gradient bit for bit.
             for i in range(self.n_stages - 1, lowest - 1, -1):
                 w, shape, b, w_layer, b_layer = self._stages[i]
-                if w_layer in members:
+                if w_layer in layers:
                     np.matmul(acts[i].T, delta, out=g.data[w].reshape(shape))
-                if b_layer in members:
+                if b_layer in layers:
                     np.add.reduce(delta, axis=0, out=g.data[b])  # np.sum without its wrapper
                 if i > lowest:
                     delta = np.matmul(delta, x.data[w].reshape(shape).T, out=ws.delta[i - 1])

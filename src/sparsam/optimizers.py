@@ -22,8 +22,8 @@ no bias correction. The per-type entry points are thin wrappers over it:
 Step functions mutate x and state in place and return a StepTelemetry
 (plus the updated sampling distribution where one is involved). The
 telemetry loss is the loss at the point where the step's first gradient
-was evaluated; for stale steps past their bootstrap that is the
-perturbed point, the only point they ever visit.
+was evaluated; for a stale step with a stash that is the perturbed
+point, the only point it ever visits.
 """
 
 from __future__ import annotations
@@ -109,7 +109,8 @@ class OptimizerState:
     v: LayeredVector
     t: int = 0
     prev_grad: LayeredVector | None = None
-    # Step at which prev_grad[l] was written; 0 means never stashed.
+    # Step at which prev_grad[l] was written; 0 means never stashed, and
+    # such a layer's stashed gradient is zeros.
     stash_step: np.ndarray | None = None
     # layer_l2_norm(prev_grad, l), recorded when prev_grad[l] was written.
     stash_norm: np.ndarray | None = None
@@ -234,8 +235,12 @@ def sam_step(
                 one pass; the active blocks of the new gradient replace
                 their stashed ones and the staleness of each is recorded
 
-    A stale step with an empty stash is the bootstrap: a plain dense
-    step that stashes every layer. Both passes see the same minibatch.
+    A stale step perturbs only once a stash exists; the first one creates
+    it after its update, and the stash starts as zeros stashed at step 0.
+    Every stale step then writes its active blocks, their step number and
+    their norms into it the same way, so a layer never stashed is perturbed
+    by zero and its staleness is the step number. Both passes see the same
+    minibatch.
     The telemetry loss, grad_l1 and per-layer norms come from the step's
     first gradient; a step with no ascent records no per-layer norms.
     A non-finite loss raises DivergenceError naming the step and the pass.
@@ -255,9 +260,6 @@ def sam_step(
     n = obj.n_layers
     step_no = state.t + 1
     stale = ascent == "stale"
-    bootstrap = stale and state.prev_grad is None
-    if bootstrap:
-        active = ActiveSet.full(n)
     active.validate(n)
     idx = active.index
     staleness = np.zeros(0, dtype=np.int64)
@@ -271,11 +273,8 @@ def sam_step(
         g = in_pass(step_no, "descent", obj.grad, x_pert, batch, active, reuse=True)
     else:
         x_eval = x
-        if stale and not bootstrap:
-            stashed = state.stash_step[idx]
-            if (stashed < 1).any():
-                raise AssertionError("an active layer has no stashed gradient after the bootstrap")
-            staleness = step_no - stashed
+        if stale and state.prev_grad is not None:
+            staleness = step_no - state.stash_step[idx]
             eps = sam_perturb(state.prev_grad, active, sam_cfg, state.stash_norm[idx])
             x_eval = _perturbed(x, eps, active)
         loss, g = in_pass(step_no, "descent", obj.loss_and_grad, x_eval, batch, active)
@@ -283,12 +282,11 @@ def sam_step(
         norms = np.zeros(0) if ascent == "none" else layer_l2_norm(g, active)
     adamw_step(state, x, g, active, adamw_cfg)
     if stale:
-        if bootstrap:
-            state.prev_grad, state.stash_step = g, np.zeros(n, dtype=np.int64)
-            state.stash_norm = np.zeros(n)
-        else:
-            for k in g.select(active):
-                state.prev_grad.data[k] = g.data[k]
+        if state.prev_grad is None:
+            state.prev_grad = LayeredVector.zeros(g.dims)
+            state.stash_step, state.stash_norm = np.zeros(n, dtype=np.int64), np.zeros(n)
+        for k in g.select(active):
+            state.prev_grad.data[k] = g.data[k]
         state.stash_step[idx] = step_no
         state.stash_norm[idx] = norms
     return StepTelemetry(

@@ -15,6 +15,7 @@ from sparsam.config import (
     TrainConfig,
     load_config,
 )
+from sparsam.datasets import gen_blobs, gen_two_moons
 from sparsam.errors import ConfigError
 from sparsam.optimizers import SamConfig
 
@@ -169,6 +170,11 @@ class TestRanges:
     def test_sections_check_ranges_when_built(self):
         with pytest.raises(ConfigError, match="eval_every"):
             TrainConfig(eval_every=0)
+        # Refused when the config is built, not at the run's first step.
+        with pytest.raises(ConfigError, match="batch_size must be at least 1"):
+            TrainConfig(batch_size=0)
+        with pytest.raises(ConfigError, match="dataset seed must be non-negative"):
+            DatasetConfig(seed=-1)
         with pytest.raises(ValueError, match="alpha_p"):
             BanditSection(alpha_p=0.0)
 
@@ -197,7 +203,7 @@ class TestCrossRules:
             })
 
     def test_mlp_input_width_must_be_two(self):
-        with pytest.raises(ConfigError, match="input width"):
+        with pytest.raises(ConfigError, match="dataset: synthetic datasets are 2-d, got 3 features"):
             make({
                 "objective": {"type": "mlp", "widths": [3, 8, 2]},
                 "dataset": {"type": "two_moons"},
@@ -219,6 +225,26 @@ class TestCrossRules:
         assert cfg.optimizer.type == "slsam"
 
 
+class TestDatasetRulesStatedOnce:
+    """A config states no dataset rule of its own: it reports the
+    generator's message, prefixed with its section."""
+
+    @pytest.mark.parametrize(
+        "dataset, widths, generate",
+        [
+            ({"type": "two_moons", "n": 7}, [2, 8, 2], lambda: gen_two_moons(7, 0.1, 0)),
+            ({"type": "blobs", "n": 64}, [2, 8, 1], lambda: gen_blobs(64, 1, 0.1, 0)),
+        ],
+        ids=["two_moons-odd-n", "blobs-one-class"],
+    )
+    def test_config_and_generator_report_the_same_rule(self, dataset, widths, generate):
+        with pytest.raises(ValueError) as generated:
+            generate()
+        with pytest.raises(ConfigError) as configured:
+            make({"objective": {"type": "mlp", "widths": widths}, "dataset": dataset})
+        assert str(configured.value) == f"dataset: {generated.value}"
+
+
 class TestValidOnceBuilt:
     """An ExperimentConfig checks how its sections combine when it is
     built, however it is built, and cannot be changed afterwards."""
@@ -229,7 +255,7 @@ class TestValidOnceBuilt:
 
     def test_built_through_replace(self):
         cfg = make({"objective": {"type": "mlp"}, "dataset": {"type": "two_moons"}})
-        with pytest.raises(ConfigError, match="two_moons needs an even n"):
+        with pytest.raises(ConfigError, match="dataset: n must be even and at least 2, got 7"):
             replace(cfg, dataset=DatasetConfig(type="two_moons", n=7))
         with pytest.raises(ConfigError, match="set dataset type to 'none'"):
             replace(cfg, objective=ObjectiveConfig())

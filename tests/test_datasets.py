@@ -81,7 +81,7 @@ class TestBlobs:
 
     @pytest.mark.parametrize("sigma", [-0.1, np.nan, np.inf, -np.inf])
     def test_sigma_not_non_negative_and_finite_rejected(self, sigma):
-        with pytest.raises(ValueError, match="sigma must be non-negative and finite"):
+        with pytest.raises(ValueError, match="noise must be non-negative and finite"):
             gen_blobs(8, k=2, sigma=sigma, seed=0)
 
 

@@ -37,22 +37,22 @@ dims_strategy = st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_
 
 class TestLayerL2Norm:
     def test_three_four_five(self):
-        assert layer_l2_norm(lv([3.0, 4.0]), ActiveSet.of(0)).tolist() == [5.0]
+        assert layer_l2_norm(lv([3.0, 4.0]), ActiveSet((0,))).tolist() == [5.0]
 
     def test_zero_block(self):
-        assert layer_l2_norm(lv([0.0, 0.0, 0.0]), ActiveSet.of(0)).tolist() == [0.0]
+        assert layer_l2_norm(lv([0.0, 0.0, 0.0]), ActiveSet((0,))).tolist() == [0.0]
 
     def test_four_ones(self):
-        assert layer_l2_norm(lv([1.0, 1.0, 1.0, 1.0]), ActiveSet.of(0)).tolist() == [2.0]
+        assert layer_l2_norm(lv([1.0, 1.0, 1.0, 1.0]), ActiveSet((0,))).tolist() == [2.0]
 
     def test_bad_layer_index(self):
         with pytest.raises(ValueError):
-            layer_l2_norm(lv([1.0]), ActiveSet.of(1))
+            layer_l2_norm(lv([1.0]), ActiveSet((1,)))
 
     def test_aligned_with_the_active_layers(self):
         v = lv([3.0, 4.0], [1.0], [0.0, 2.0], [5.0, 12.0])
-        assert layer_l2_norm(v, ActiveSet.of(0, 2, 3)).tolist() == [5.0, 2.0, 13.0]
-        assert layer_l2_norm(v, ActiveSet.of()).size == 0
+        assert layer_l2_norm(v, ActiveSet((0, 2, 3))).tolist() == [5.0, 2.0, 13.0]
+        assert layer_l2_norm(v, ActiveSet()).size == 0
 
     @given(dims=dims_strategy, seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=50, deadline=None)
@@ -110,10 +110,10 @@ class TestSegmentedReductions:
         # for the sampled set, so each must be the same bits either way.
         v, active = case
         full = layer_l2_norm(v, ActiveSet.full(v.n_layers))
-        assert np.array_equal(layer_l2_norm(v, active), full[active.indices()])
+        assert np.array_equal(layer_l2_norm(v, active), full[list(active)])
         rng = np.random.default_rng(seed)
         other = ActiveSet.from_iterable(np.flatnonzero(rng.random(v.n_layers) < 0.5))
-        assert np.array_equal(layer_l2_norm(v, other), full[other.indices()])
+        assert np.array_equal(layer_l2_norm(v, other), full[list(other)])
 
 
 class TestTotalL1Norm:
@@ -142,7 +142,7 @@ class TestMaskedAxpy:
     def test_partial_active(self):
         y = lv([1.0, 1.0], [2.0, 2.0])
         x = lv([1.0, 0.0], [0.0, 1.0])
-        out = masked_axpy(y, 2.0, x, ActiveSet.of(0))
+        out = masked_axpy(y, 2.0, x, ActiveSet((0,)))
         assert_bit_identical(out, lv([3.0, 1.0], [2.0, 2.0]))
 
     def test_empty_active_identity(self):
@@ -159,7 +159,7 @@ class TestMaskedAxpy:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            masked_axpy(lv([1.0]), 1.0, lv([1.0, 2.0]), ActiveSet.of(0))
+            masked_axpy(lv([1.0]), 1.0, lv([1.0, 2.0]), ActiveSet((0,)))
 
     @given(dims=dims_strategy, seed=st.integers(0, 2**31 - 1), a=st.floats(-10, 10))
     @settings(max_examples=50, deadline=None)
@@ -243,7 +243,7 @@ class TestLayeredVector:
         n = len(dims)
         for active in (
             ActiveSet.full(n),
-            ActiveSet.of(int(rng.integers(n))),
+            ActiveSet((int(rng.integers(n)),)),
             ActiveSet.from_iterable(np.flatnonzero(rng.random(n) < 0.5)),
         ):
             hits = np.zeros(v.dim, dtype=np.int64)
@@ -260,13 +260,13 @@ class TestLayeredVector:
     def test_select_keeps_long_runs_and_the_full_set_as_slices(self):
         v = LayeredVector.zeros([2, 3, 300, 1, 4])
         assert v.select(ActiveSet.full(5)) == (slice(0, 310),)
-        assert v.select(ActiveSet.of(0, 2)) == (slice(0, 2), slice(5, 305))
-        long_run, index = v.select(ActiveSet.of(0, 2, 4))
+        assert v.select(ActiveSet((0, 2))) == (slice(0, 2), slice(5, 305))
+        long_run, index = v.select(ActiveSet((0, 2, 4)))
         assert long_run == slice(5, 305)
         assert index.tolist() == [0, 1, 306, 307, 308, 309]
-        assert v.select(ActiveSet.of()) == ()
+        assert v.select(ActiveSet()) == ()
         with pytest.raises(ValueError):
-            v.select(ActiveSet.of(5))
+            v.select(ActiveSet((5,)))
 
     def test_rejects_empty_block(self):
         with pytest.raises(ValueError):
@@ -279,16 +279,34 @@ class TestLayeredVector:
 
 class TestActiveSet:
     def test_full(self):
-        assert ActiveSet.full(3).indices() == [0, 1, 2]
+        assert list(ActiveSet.full(3)) == [0, 1, 2]
 
     def test_validate_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            ActiveSet.of(0, 3).validate(3)
+            ActiveSet((0, 3)).validate(3)
         with pytest.raises(ValueError):
-            ActiveSet.of(-1).validate(3)
+            ActiveSet((-1,)).validate(3)
 
     def test_sorted_iteration(self):
-        assert list(ActiveSet.of(2, 0, 1)) == [0, 1, 2]
+        assert list(ActiveSet((2, 0, 1))) == [0, 1, 2]
+
+    def test_layers_are_the_identity(self):
+        a, b = ActiveSet((3, 1, 3)), ActiveSet.from_iterable([1, 3])
+        assert a.layers == b.layers == (1, 3)
+        assert a == b and hash(a) == hash(b)
+        assert a == ActiveSet.from_mask(np.array([False, True, False, True]))
+
+    @pytest.mark.parametrize("indices", [[0.9, 2.7], [1.5], [np.float64(2.0)]])
+    def test_non_integer_layers_are_refused(self, indices):
+        # int() would truncate them to other layers.
+        with pytest.raises(TypeError):
+            ActiveSet.from_iterable(indices)
+        with pytest.raises(TypeError):
+            ActiveSet(indices)
+
+    def test_numpy_integers_are_layers(self):
+        active = ActiveSet.from_iterable(np.array([4, 1], dtype=np.int32))
+        assert active.layers == (1, 4) and all(type(l) is int for l in active.layers)
 
     @given(members=st.frozensets(st.integers(0, 40)))
     def test_runs_partition_members(self, members):
@@ -312,13 +330,13 @@ class TestActiveSet:
             ActiveSet.from_mask(mask)
 
     def test_membership_and_len(self):
-        s = ActiveSet.of(1, 3)
+        s = ActiveSet((1, 3))
         assert 1 in s and 3 in s and 2 not in s
         assert len(s) == 2
 
     def test_active_param_count(self):
         v = lv([1.0] * 10, [1.0] * 20, [1.0] * 70)
-        assert active_param_count(v, ActiveSet.of(0, 2)) == 80
+        assert active_param_count(v, ActiveSet((0, 2))) == 80
         assert active_param_count(v, ActiveSet.full(3)) == 100
 
 
@@ -369,7 +387,7 @@ class TestInternedSets:
             for i in order:
                 name, mask = cases[i]
                 active = ActiveSet.from_mask(mask)
-                assert active.indices() == np.flatnonzero(mask).tolist()
+                assert list(active) == np.flatnonzero(mask).tolist()
                 assert plan_of(vectors[name], active) == want[name, mask.tobytes()]
         assert len(layered._interned) == 2**8 - 1
 
@@ -379,7 +397,7 @@ class TestInternedSets:
         assert ActiveSet.from_mask(mask.copy()) is active
         assert ActiveSet.from_mask(np.array([True, False, True])) is active
         assert ActiveSet.from_mask(np.r_[mask, False, False]) is active
-        assert active == ActiveSet.of(0, 2) and ActiveSet.of(0, 2) is not active
+        assert active == ActiveSet((0, 2)) and ActiveSet((0, 2)) is not active
         assert layered._interned == {b"\1\0\1": active}
 
     def test_draws_and_selections_go_through_the_table(self):
@@ -411,25 +429,25 @@ class TestInternedSets:
             sample_active_set(dist, rng)
             select_layers_ablation(n, 2, rng)
             made = ActiveSet.from_mask(mask)
-            assert made is not ActiveSet.from_mask(mask) and made == ActiveSet.of(0, 2)
+            assert made is not ActiveSet.from_mask(mask) and made == ActiveSet((0, 2))
             assert v.select(made) is v.select(made)
         assert ActiveSet.full(n) is not ActiveSet.from_mask(np.ones(n, dtype=bool))
         assert layered._interned == {}
 
     def test_a_large_set_keeps_its_plan_beside_the_interned_ones(self):
         v = LayeredVector.zeros([2] * 12)
-        large = ActiveSet.of(0, 1, 5, 11)
+        large = ActiveSet((0, 1, 5, 11))
         plan = v.select(large)
         small = ActiveSet.from_mask(np.array([False, True, True]))
         i = np.dtype(np.intp).str
         assert plan_of(v, small) == (((2, 6),), ((2, 6), (i, [0, 2]), (i, [2, 2]), (i, [0, 1])))
         assert v.select(large) is plan
-        assert v.select(ActiveSet.of(0, 1, 5, 11)) is not plan
+        assert v.select(ActiveSet((0, 1, 5, 11))) is not plan
 
     def test_the_full_set_keeps_its_plan_while_other_sets_build_theirs(self):
         v = LayeredVector.zeros([2] * 12)
         plan = v.select(ActiveSet.full(12))
-        v.select(ActiveSet.of(0, 1, 5, 11))
+        v.select(ActiveSet((0, 1, 5, 11)))
         v.segments(ActiveSet.from_mask(np.arange(12) % 3 == 0))
         assert v.select(ActiveSet.full(12)) is plan
 
@@ -446,7 +464,7 @@ def reference_keys(v: LayeredVector, active: ActiveSet) -> tuple:
     """select()'s keys built run by run: a slice per long run, then one
     concatenation of np.arange over the short ones (a lone short run is a slice)."""
     o = v.offsets
-    spans = [(o[lo], o[hi]) for lo, hi in reference_runs(active.members)]
+    spans = [(o[lo], o[hi]) for lo, hi in reference_runs(set(active))]
     short = [(a, b) for a, b in spans if b - a < GATHER_BELOW]
     if len(short) < 2:
         return tuple(slice(a, b) for a, b in spans)
@@ -474,11 +492,11 @@ class TestLargeSetsFromOneIndexArray:
     def test_from_mask_equals_the_set_of_its_members(self, mask):
         members = frozenset(np.flatnonzero(mask).tolist())
         made, ref = ActiveSet.from_mask(mask), ActiveSet(members)
-        assert made.members == ref.members == members
+        assert set(made) == set(ref) == members
         assert made.runs == ref.runs == reference_runs(members)
         for active in (made, ref):
             assert active.index.dtype == np.intp and not active.index.flags.writeable
-            assert active.index.tolist() == sorted(members) == active.indices()
+            assert active.index.tolist() == sorted(members) == list(active)
         assert made == ref and hash(made) == hash(ref) and len(made) == len(members)
 
     @given(

@@ -47,7 +47,7 @@ def nonempty_subsets(n: int):
     """Every non-empty active set over n layers."""
     for k in range(1, n + 1):
         for members in itertools.combinations(range(n), k):
-            yield ActiveSet.of(*members)
+            yield ActiveSet(members)
 
 
 def two_block_quadratic() -> BlockQuadratic:
@@ -115,6 +115,11 @@ class TestQuadraticRanges:
         with pytest.raises(ValueError, match="one positive, finite scale per layer"):
             BlockQuadratic([2, 2], scales=[1.0, scale])
 
+    @pytest.mark.parametrize("scales", [[1.0, 2.0], [1.0] * 4], ids=["short", "long"])
+    def test_refuses_a_scale_count_not_the_layer_count(self, scales):
+        with pytest.raises(ValueError, match="one positive, finite scale per layer"):
+            BlockQuadratic([2, 2, 2], scales=scales)
+
     @pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf, -np.inf])
     def test_refuses_a_noise_sigma_not_non_negative_and_finite(self, sigma):
         with pytest.raises(ValueError, match="noise_sigma must be non-negative and finite"):
@@ -155,7 +160,7 @@ class TestQuadraticGrad:
 
     def test_masking_leaves_block_absent(self):
         obj = two_block_quadratic()
-        g = obj.grad(lv([2.0], [1.0]), None, ActiveSet.of(1))
+        g = obj.grad(lv([2.0], [1.0]), None, ActiveSet((1,)))
         assert block(g, 0)[0] == 0.0
         assert block(g, 1)[0] == 10.0
 
@@ -227,7 +232,7 @@ class TestQuadraticLoss:
         with pytest.raises(DivergenceError):
             obj.loss(x, scalar_batch(1))
         with pytest.raises(DivergenceError):
-            obj.loss_and_grad(x, scalar_batch(1), ActiveSet.of(0))
+            obj.loss_and_grad(x, scalar_batch(1), ActiveSet((0,)))
 
 
 def per_key_loss_and_grad(
@@ -289,8 +294,8 @@ def quadratic_passes(draw):
         "random": ActiveSet.from_iterable(members),
         "empty": ActiveSet(),
         "full": ActiveSet.full(n),
-        "listed": ActiveSet.of(*range(n)),
-        "out of range": ActiveSet.of(*members, n + draw(st.integers(0, 3))),
+        "listed": ActiveSet(range(n)),
+        "out of range": ActiveSet((*members, n + draw(st.integers(0, 3)))),
     }[kind]
     batch = draw(st.sampled_from([None, scalar_batch(draw(st.integers(0, 2**40)))]))
     return obj, x, batch, active
@@ -309,7 +314,7 @@ class TestQuadraticPassBits:
         if not isinstance(want[0], type):
             # Inactive entries are +0.0, never -0.0.
             g = obj.loss_and_grad(x, batch, active)[1]
-            for l in set(range(obj.n_layers)) - active.members:
+            for l in set(range(obj.n_layers)) - set(active):
                 assert block(g, l).tobytes() == bytes(8 * obj.layer_dims[l])
             assert obj.loss(x, batch) == obj.loss_and_grad(x, batch, active)[0]
 
@@ -352,7 +357,7 @@ class TestQuadraticPassBits:
     def test_dims_are_checked_before_the_set(self):
         obj = BlockQuadratic([3, 2])
         with pytest.raises(ValueError, match="parameter dims"):
-            obj.loss_and_grad(lv([1.0, 2.0], [3.0]), None, ActiveSet.of(5))
+            obj.loss_and_grad(lv([1.0, 2.0], [3.0]), None, ActiveSet((5,)))
 
 
 class TestNoiseMemo:
@@ -410,7 +415,7 @@ class TestNoiseMemo:
         obj = fresh()
         x = lv([1.0, -2.0, 0.5, 3.0], [0.25, -1.0], [2.0, 1.5, -0.75])
         b1, b2, b_big = scalar_batch(1), scalar_batch(2), scalar_batch(2**32 + 1)
-        sparse = ActiveSet.of(1)
+        sparse = ActiveSet((1,))
         assert obj.loss(x, b1) == fresh().loss(x, b1)
         g = obj.grad(x, b2, sparse)
         g_fresh = fresh().grad(x, b2, sparse)
@@ -440,7 +445,7 @@ class TestNoiseMemo:
         batch = scalar_batch(bid)
         full = fresh().grad(x, batch, ActiveSet.full(n))
         # A fresh objective draws the noise for the restricted call alone.
-        part = fresh().grad(x, batch, ActiveSet.of(*layers))
+        part = fresh().grad(x, batch, ActiveSet(layers))
         for l in range(n):
             if l in layers:
                 assert np.array_equal(block(part, l), block(full, l))
@@ -732,7 +737,7 @@ class TestMlpForwardHandover:
         for stage in range(obj.n_stages):
             split = x.offsets[stage * per_stage]
             mixed = from_flat(np.concatenate([x.data[:split], y.data[split:]]), x.dims)
-            active = ActiveSet.of(stage * per_stage)
+            active = ActiveSet((stage * per_stage,))
             obj.loss_and_grad(x, batch, active)
             loss, g = obj.loss_and_grad(y, batch, active, reuse=True)
             want_loss, want_g = MlpClassifier(widths, bias_mode=bias_mode).loss_and_grad(
@@ -751,7 +756,7 @@ class TestMlpForwardHandover:
             return Batch(rng.standard_normal((rows, 2)), rng.integers(0, 2, rows))
 
         a, same_rows, other_rows = batch(7), batch(7), batch(128)
-        top = ActiveSet.of(obj.n_layers - 1)
+        top = ActiveSet((obj.n_layers - 1,))
         with pytest.raises(ValueError, match="nothing to reuse"):
             obj.loss_and_grad(x, a, top, reuse=True)
         obj.loss_and_grad(x, a, top)
@@ -791,11 +796,18 @@ class TestMlpForwardHandover:
             obj.loss_and_grad(x, bad, full, reuse=True)
         obj.loss_and_grad(x, good, full, reuse=True)
 
+    def test_a_negative_target_is_refused(self):
+        # Indexing with -1 would silently score the last class.
+        obj = MlpClassifier([2, 4, 3])
+        batch = Batch(np.zeros((3, 2)), np.array([0, -1, 2]))
+        with pytest.raises(ValueError, match=r"targets outside \[0, 3\)"):
+            obj.loss_and_grad(obj.init_params(0), batch, ActiveSet.full(obj.n_layers))
+
     def test_quadratic_ignores_reuse(self):
         # With no pass before it, and on a batch no pass has seen.
         obj = BlockQuadratic([2, 3], noise_sigma=0.5)
         x = obj.init_params(0)
-        active = ActiveSet.of(1)
+        active = ActiveSet((1,))
         loss, g = obj.loss_and_grad(x, scalar_batch(1), active, reuse=True)
         want_loss, want_g = obj.loss_and_grad(x, scalar_batch(1), active)
         assert loss == want_loss

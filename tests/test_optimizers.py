@@ -80,7 +80,7 @@ class TestConfigRanges:
 class TestAdamwStep:
     def test_scalar_frozen_trace(self):
         state = OptimizerState.init([1])
-        x, state = adamw_step(state, lv([1.0]), lv([1.0]), ActiveSet.of(0), CFG)
+        x, state = adamw_step(state, lv([1.0]), lv([1.0]), ActiveSet((0,)), CFG)
         assert block(state.m, 0)[0] == pytest.approx(0.1, rel=1e-15)
         assert block(state.v, 0)[0] == pytest.approx(1e-3, rel=1e-15)
         assert block(x, 0)[0] == pytest.approx(ADAMW_SCALAR_X1, rel=1e-12)
@@ -90,7 +90,7 @@ class TestAdamwStep:
     def test_zero_gradient_isolates_decay(self):
         cfg = AdamWConfig(eta=0.1, weight_decay=0.5)
         state = OptimizerState.init([2])
-        x, _ = adamw_step(state, lv([2.0, -4.0]), lv([0.0, 0.0]), ActiveSet.of(0), cfg)
+        x, _ = adamw_step(state, lv([2.0, -4.0]), lv([0.0, 0.0]), ActiveSet((0,)), cfg)
         assert np.array_equal(block(x, 0), np.array([2.0, -4.0]) * (1.0 - 0.1 * 0.5))
 
     def test_frozen_layer_bit_identical(self):
@@ -98,7 +98,7 @@ class TestAdamwStep:
         x = lv([1.0], [2.0, 3.0])
         g = lv([1.0], [5.0, 5.0])
         x_before = x.copy()
-        adamw_step(state, x, g, ActiveSet.of(0), CFG)
+        adamw_step(state, x, g, ActiveSet((0,)), CFG)
         assert np.array_equal(block(x, 1), block(x_before, 1))
         assert np.array_equal(block(state.m, 1), np.zeros(2))
         assert np.array_equal(block(state.v, 1), np.zeros(2))
@@ -106,7 +106,7 @@ class TestAdamwStep:
     def test_nonfinite_gradient_raises(self):
         state = OptimizerState.init([1])
         with pytest.raises(DivergenceError):
-            adamw_step(state, lv([1.0]), lv([np.nan]), ActiveSet.of(0), CFG)
+            adamw_step(state, lv([1.0]), lv([np.nan]), ActiveSet((0,)), CFG)
 
     def test_nonfinite_gradient_names_layer_and_writes_nothing(self):
         state = OptimizerState.init([1, 2, 1])
@@ -121,7 +121,7 @@ class TestAdamwStep:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e155])
     def test_gathered_set_names_its_first_bad_layer(self, bad):
         # {0, 2, 4} over 2-float layers is three short runs: one gathered key.
-        active = ActiveSet.of(0, 2, 4)
+        active = ActiveSet((0, 2, 4))
         x = LayeredVector([np.full(2, float(l)) for l in range(6)])
         (key,) = x.select(active)
         assert not isinstance(key, slice)
@@ -135,7 +135,7 @@ class TestAdamwStep:
         assert state.t == 0
 
     def test_gathered_set_ignores_a_nonfinite_inactive_layer(self):
-        active = ActiveSet.of(0, 2, 4)
+        active = ActiveSet((0, 2, 4))
         xa = LayeredVector([np.full(2, float(l)) for l in range(6)])
         xb = xa.copy()
         sa, sb = OptimizerState.init(xa.dims), OptimizerState.init(xa.dims)
@@ -151,20 +151,29 @@ class TestAdamwStep:
     def test_shape_mismatch(self):
         state = OptimizerState.init([1])
         with pytest.raises(ValueError):
-            adamw_step(state, lv([1.0, 2.0]), lv([1.0, 2.0]), ActiveSet.of(0), CFG)
+            adamw_step(state, lv([1.0, 2.0]), lv([1.0, 2.0]), ActiveSet((0,)), CFG)
+
+    @pytest.mark.parametrize("m_dims, g_dims", [([1, 3], [2, 2]), ([2, 2], [1, 3])], ids=["m", "g"])
+    def test_shape_mismatch_of_the_same_size_is_refused(self, m_dims, g_dims):
+        # Same buffer size, other layout: without the check the keys of x's
+        # layout would read and write across the other vector's layers.
+        state = OptimizerState.init(m_dims)
+        x, g = lv([1.0, 2.0], [3.0, 4.0]), LayeredVector.zeros(g_dims)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            adamw_step(state, x, g, ActiveSet((0,)), CFG)
 
     def test_no_bias_correction(self):
         # With correction the first step would be ~eta regardless of beta;
         # without it the magnitudes follow the raw m/sqrt(v) ratio.
         state = OptimizerState.init([1])
-        x, _ = adamw_step(state, lv([0.0]), lv([1.0]), ActiveSet.of(0), CFG)
+        x, _ = adamw_step(state, lv([0.0]), lv([1.0]), ActiveSet((0,)), CFG)
         raw = 0.1 * 0.1 / math.sqrt(1e-3 + 1e-8)
         assert block(x, 0)[0] == pytest.approx(-raw, rel=1e-12)
 
 
 class TestSamPerturb:
     def test_per_layer_three_four(self):
-        eps = perturb(lv([3.0, 4.0]), ActiveSet.of(0), SamConfig(0.01, "per_layer"))
+        eps = perturb(lv([3.0, 4.0]), ActiveSet((0,)), SamConfig(0.01, "per_layer"))
         assert np.allclose(block(eps, 0), [0.006, 0.008], rtol=1e-12)
 
     def test_zero_block_zero_perturbation(self):
@@ -186,13 +195,13 @@ class TestSamPerturb:
     def test_global_joint_norm_equals_rho(self):
         rng = np.random.default_rng(1)
         r = LayeredVector([rng.standard_normal(d) for d in (3, 5)])
-        active = ActiveSet.of(0, 1)
+        active = ActiveSet((0, 1))
         eps = perturb(r, active, SamConfig(0.37, "global"))
         joint = math.sqrt(float(np.sum(layer_l2_norm(eps, active) ** 2)))
         assert joint == pytest.approx(0.37, rel=1e-12)
 
     def test_inactive_blocks_zero(self):
-        eps = perturb(lv([3.0], [4.0]), ActiveSet.of(1), SamConfig(0.5, "per_layer"))
+        eps = perturb(lv([3.0], [4.0]), ActiveSet((1,)), SamConfig(0.5, "per_layer"))
         assert block(eps, 0)[0] == 0.0
         assert block(eps, 1)[0] == pytest.approx(0.5, rel=1e-12)
 
@@ -200,7 +209,7 @@ class TestSamPerturb:
         # Layer 1 has zero norm; the signs in r must not reach the perturbation.
         r = lv([3.0, -4.0], [-0.0, -0.0], [-1.0])
         for mode in ("global", "per_layer"):
-            for active in (ActiveSet(), ActiveSet.of(1), ActiveSet.of(0, 1, 2)):
+            for active in (ActiveSet(), ActiveSet((1,)), ActiveSet((0, 1, 2))):
                 eps = perturb(r, active, SamConfig(0.0, mode))
                 assert not eps.data.any() and not np.signbit(eps.data).any(), (mode, active)
 
@@ -292,7 +301,7 @@ class TestSparseSamStep:
         x = lv([1.0])
         state = OptimizerState.init(obj.layer_dims)
         tel = sam_step(
-            obj, x, None, state, ActiveSet.of(0), "fresh", SamConfig(0.1, "per_layer"), CFG
+            obj, x, None, state, ActiveSet((0,)), "fresh", SamConfig(0.1, "per_layer"), CFG
         )
         assert block(x, 0)[0] == pytest.approx(SAM_SCALAR_X1, rel=1e-12)
         assert tel.active_param_count == 1
@@ -300,7 +309,7 @@ class TestSparseSamStep:
 
     def test_rho_zero_equals_masked_adamw(self):
         obj = BlockQuadratic([2, 3], scales=[1.0, 2.0])
-        active = ActiveSet.of(1)
+        active = ActiveSet((1,))
         xa = obj.init_params(0)
         xb = obj.init_params(0)
         sa = OptimizerState.init(obj.layer_dims)
@@ -317,7 +326,7 @@ class TestSparseSamStep:
         x = obj.init_params(0)
         before = x.copy()
         state = OptimizerState.init(obj.layer_dims)
-        sam_step(obj, x, None, state, ActiveSet.of(0), "fresh", SamConfig(0.01, "per_layer"), CFG)
+        sam_step(obj, x, None, state, ActiveSet((0,)), "fresh", SamConfig(0.01, "per_layer"), CFG)
         assert np.array_equal(block(x, 1), block(before, 1))
 
 
@@ -426,6 +435,67 @@ class TestS2samStep:
         assert block(state.prev_grad, 0)[0] == pytest.approx(expected_g, rel=1e-12)
 
 
+class TestOneStashWritePath:
+    """Every stale step writes the stash the same way; the first one
+    creates it, as zeros stashed at step 0."""
+
+    CFG_SAM = SamConfig(0.05, "per_layer")
+
+    @staticmethod
+    def recording(obj) -> list:
+        """Wrap obj's passes to record the point and gradient of each."""
+        passes, inner = [], obj.loss_and_grad
+
+        def loss_and_grad(x, batch, active, reuse=False):
+            loss, g = inner(x, batch, active, reuse)
+            passes.append((x.copy(), g))
+            return loss, g
+
+        obj.loss_and_grad = loss_and_grad
+        return passes
+
+    def first_step(self, active):
+        obj = BlockQuadratic([2] * 4)
+        x, state = obj.init_params(0), OptimizerState.init(obj.layer_dims)
+        sam_step(obj, x, scalar_batch(0), state, active, "stale", self.CFG_SAM, CFG)
+        return obj, x, state
+
+    def test_first_stale_step_steps_on_its_set_and_stashes_a_copy(self):
+        obj = BlockQuadratic([2] * 4)
+        x, state = obj.init_params(0), OptimizerState.init(obj.layer_dims)
+        before, passes = x.copy(), self.recording(obj)
+        tel = sam_step(obj, x, scalar_batch(0), state, ActiveSet((1,)), "stale", self.CFG_SAM, CFG)
+        moved = [not np.array_equal(block(x, l), block(before, l)) for l in range(4)]
+        assert moved == [False, True, False, False]
+        assert state.stash_step.tolist() == [0, 1, 0, 0]
+        assert tel.per_layer_staleness.size == 0
+        ((_, g),) = passes
+        assert state.prev_grad is not g and not np.shares_memory(state.prev_grad.data, g.data)
+        assert np.array_equal(state.prev_grad.data, g.data)
+
+    def test_a_layer_never_stashed_is_perturbed_by_zero(self):
+        obj, x, state = self.first_step(ActiveSet((1,)))
+        before, passes = x.copy(), self.recording(obj)
+        tel = sam_step(obj, x, scalar_batch(1), state, ActiveSet((0, 1)), "stale", self.CFG_SAM, CFG)
+        ((point, _),) = passes
+        assert np.array_equal(block(point, 0), block(before, 0))
+        assert not np.array_equal(block(point, 1), block(before, 1))
+        assert tel.per_layer_staleness.tolist() == [2, 1]
+        assert state.stash_step.tolist() == [2, 2, 0, 0]
+
+    def test_a_stale_step_refuses_layers_out_of_range_and_writes_nothing(self):
+        obj, x, state = self.first_step(ActiveSet.full(4))
+        kept = [x.copy(), state.m.copy(), state.v.copy(), state.prev_grad.copy()]
+        stash = state.stash_step.copy(), state.stash_norm.copy()
+        with pytest.raises(ValueError, match=r"layer indices \[4\] out of range for 4 layers"):
+            sam_step(obj, x, scalar_batch(1), state, ActiveSet((0, 4)), "stale", self.CFG_SAM, CFG)
+        assert state.t == 1
+        now = [x, state.m, state.v, state.prev_grad]
+        assert all(np.array_equal(a.data, b.data) for a, b in zip(kept, now))
+        assert np.array_equal(stash[0], state.stash_step)
+        assert np.array_equal(stash[1], state.stash_norm)
+
+
 class TestStepsKeepNoSets:
     """A step's record keeps its set's index array, not the set, so the
     sets a run draws over many layers go when their steps are done."""
@@ -529,17 +599,17 @@ class TestAblationSelectors:
         obj = BlockQuadratic([1, 1], scales=[1.0, 10.0])
         g = obj.grad(lv([1.0], [1.0]), None, ActiveSet.full(2))
         active = select_layers_ablation(2, 1, stream(0, "sel"), g)
-        assert active.indices() == [1]
+        assert list(active) == [1]
 
     def test_uniform_k_equals_n_full_set(self):
         active = select_layers_ablation(3, 3, stream(0, "sel"))
-        assert active.indices() == [0, 1, 2]
+        assert list(active) == [0, 1, 2]
 
     def test_greedy_tie_lower_index(self):
         obj = BlockQuadratic([1, 1], scales=[1.0, 1.0])
         g = obj.grad(lv([1.0], [1.0]), None, ActiveSet.full(2))
         active = select_layers_ablation(2, 1, stream(0, "sel"), g)
-        assert active.indices() == [0]
+        assert list(active) == [0]
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
@@ -642,7 +712,7 @@ class TestRunWiseMatchesPerBlock:
         if kind == "full":
             active = ActiveSet.full(n)
         elif kind == "singleton":
-            active = ActiveSet.of(int(rng.integers(n)))
+            active = ActiveSet((int(rng.integers(n)),))
         else:
             active = ActiveSet.from_iterable(np.flatnonzero(rng.random(n) < 0.5))
         cfg = AdamWConfig(eta=0.01, weight_decay=wd)

@@ -125,7 +125,7 @@ class Case:
         if kind == "full":
             self.active = ActiveSet.full(n)
         elif kind == "single":
-            self.active = ActiveSet.of(int(self.rng.integers(n)))
+            self.active = ActiveSet((int(self.rng.integers(n)),))
         else:
             self.active = ActiveSet.from_iterable(np.flatnonzero(self.rng.random(n) < 0.5))
 
@@ -199,7 +199,7 @@ class TestGatherMatchesRunByRun:
     @settings(max_examples=40, deadline=None)
     def test_stale_stash_write(self, dims, kind, seed):
         c = Case(dims, kind, seed)
-        active = c.active if len(c.active) else ActiveSet.of(0)  # a step needs a layer
+        active = c.active if len(c.active) else ActiveSet((0,))  # a step needs a layer
         obj = RecordingQuadratic(dims, noise_sigma=0.1, noise_seed=3)
         x = c.vector()
         state = OptimizerState.init(dims)

@@ -34,7 +34,7 @@ def tel(step: int, active: ActiveSet, apc: int, passes: int, **kw) -> StepTeleme
 class TestStepTelemetry:
     def test_grad_passes_restricted(self):
         with pytest.raises(ValueError):
-            tel(1, ActiveSet.of(0), 1, 3)
+            tel(1, ActiveSet((0,)), 1, 3)
 
     def test_active_set_nonempty(self):
         with pytest.raises(ValueError):
@@ -42,48 +42,48 @@ class TestStepTelemetry:
 
     def test_step_numbers_start_at_one(self):
         with pytest.raises(ValueError, match="step numbers start at 1"):
-            tel(0, ActiveSet.of(0), 1, 1)
+            tel(0, ActiveSet((0,)), 1, 1)
 
     @pytest.mark.parametrize("counts", [{"apc": -1}, {"selection_param_count": -1}])
     def test_parameter_counts_non_negative(self, counts):
         kw = {"apc": 1, **counts}
         with pytest.raises(ValueError, match="parameter counts must be non-negative"):
-            tel(1, ActiveSet.of(0), kw.pop("apc"), 1, **kw)
+            tel(1, ActiveSet((0,)), kw.pop("apc"), 1, **kw)
 
     def test_staleness_positive(self):
         with pytest.raises(ValueError):
-            tel(1, ActiveSet.of(0), 1, 1, per_layer_staleness=np.array([0]))
+            tel(1, ActiveSet((0,)), 1, 1, per_layer_staleness=np.array([0]))
 
     def test_per_layer_values_align_with_the_active_layers(self):
-        tel(1, ActiveSet.of(0, 3), 2, 2, per_layer_r_norms=np.array([1.0, 2.0]))
+        tel(1, ActiveSet((0, 3)), 2, 2, per_layer_r_norms=np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="align"):
-            tel(1, ActiveSet.of(0, 3), 2, 2, per_layer_r_norms=np.array([1.0]))
+            tel(1, ActiveSet((0, 3)), 2, 2, per_layer_r_norms=np.array([1.0]))
         with pytest.raises(ValueError, match="align"):
-            tel(1, ActiveSet.of(0), 1, 1, per_layer_staleness=np.array([1, 1]))
+            tel(1, ActiveSet((0,)), 1, 1, per_layer_staleness=np.array([1, 1]))
 
 
 class TestRunRecord:
     def test_steps_strictly_increasing(self):
         rec = record(2, 10)
-        rec.append(tel(1, ActiveSet.of(0), 5, 1))
-        rec.append(tel(2, ActiveSet.of(0), 5, 1))
+        rec.append(tel(1, ActiveSet((0,)), 5, 1))
+        rec.append(tel(2, ActiveSet((0,)), 5, 1))
         with pytest.raises(ValueError):
-            rec.append(tel(2, ActiveSet.of(0), 5, 1))
+            rec.append(tel(2, ActiveSet((0,)), 5, 1))
 
     @pytest.mark.parametrize("layers, bad", [((2,), [2]), ((0, 2), [2]), ((1, 3, 4), [3, 4])])
     def test_layers_at_or_beyond_n_layers_are_refused(self, layers, bad):
         rec = record(2, 10)
         msg = re.escape(f"layer indices {bad} out of range for 2 layers")
         with pytest.raises(ValueError, match=msg):
-            rec.append(tel(1, ActiveSet.of(*layers), 5, 1))
+            rec.append(tel(1, ActiveSet(layers), 5, 1))
         assert rec.n_steps == 0
-        rec.append(tel(1, ActiveSet.of(1), 5, 1))
+        rec.append(tel(1, ActiveSet((1,)), 5, 1))
         assert rec.n_steps == 1
 
     def test_n_steps(self):
         rec = record(2, 10)
         assert rec.n_steps == 0
-        rec.append(tel(1, ActiveSet.of(0), 5, 1))
+        rec.append(tel(1, ActiveSet((0,)), 5, 1))
         assert rec.n_steps == 1
 
 
@@ -97,7 +97,7 @@ class TestEmptyRun:
 
     def test_active_ratio_refuses_no_parameters(self):
         rec = record(2, 0)
-        rec.append(tel(1, ActiveSet.of(0), 0, 1))
+        rec.append(tel(1, ActiveSet((0,)), 0, 1))
         with pytest.raises(ValueError, match="total_params must be positive"):
             active_ratio(rec)
 
@@ -118,12 +118,12 @@ class TestActiveRatio:
     def test_partial_step_arithmetic(self):
         # d = (10, 20, 70): one step on layers {0, 2} with two passes.
         rec = record(3, 100)
-        rec.append(tel(1, ActiveSet.of(0, 2), 80, 2))
+        rec.append(tel(1, ActiveSet((0, 2)), 80, 2))
         assert active_ratio(rec) == pytest.approx(1.6, rel=1e-15)
 
     def test_selection_cost_included(self):
         rec = record(3, 100)
-        rec.append(tel(1, ActiveSet.of(0, 2), 80, 2, selection_param_count=100))
+        rec.append(tel(1, ActiveSet((0, 2)), 80, 2, selection_param_count=100))
         assert active_ratio(rec) == pytest.approx(2.6, rel=1e-15)
 
     def test_uniform_sampling_converges_to_twice_budget_fraction(self):
@@ -147,7 +147,7 @@ class TestLayerFrequency:
     def test_always_and_never(self):
         rec = record(3, 30)
         for t in range(1, 11):
-            rec.append(tel(t, ActiveSet.of(0), 10, 2))
+            rec.append(tel(t, ActiveSet((0,)), 10, 2))
         freq = layer_frequency(rec)
         assert freq[0] == 1.0
         assert freq[1] == 0.0 and freq[2] == 0.0
