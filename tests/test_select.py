@@ -204,12 +204,17 @@ class TestGatherMatchesRunByRun:
         x = c.vector()
         state = OptimizerState.init(dims)
         cfg, sam_cfg = AdamWConfig(eta=0.01), SamConfig(0.05, "per_layer")
-        sam_step(obj, x, scalar_batch(0), state, active, "stale", sam_cfg, cfg)
+        # A dense first step fills every block, so a write that spills
+        # outside the active set shows against non-zero values.
+        sam_step(obj, x, scalar_batch(0), state, ActiveSet.full(len(dims)), "stale", sam_cfg, cfg)
         stash = state.prev_grad.data.copy()
         sam_step(obj, x, scalar_batch(1), state, active, "stale", sam_cfg, cfg)
         want = from_flat(stash, dims)
+        inactive = np.ones(x.dim, dtype=bool)
         for s in run_slices(want, active):
             want.data[s] = obj.grads[-1].data[s]
+            inactive[s] = False
+        assert not inactive.any() or stash[inactive].any()
         assert_same_bits(state.prev_grad.data, want.data)
         assert_inactive_unchanged(state.prev_grad, stash, active)
 
