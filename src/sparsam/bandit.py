@@ -173,12 +173,12 @@ def pseudo_loss(
         env = top / dist.p_min
         square = env * env
         if square < math.inf:
-            p, p_min = dist.p.tolist(), dist.p_min
+            p_min = dist.p_min
             scores = []
-            for l, r in zip(active, rl):
+            for pl, r in zip(dist.p[active.index].tolist(), rl):
                 # r <= G and max(p_l, p_min) >= p_min, so x <= G / p_min
                 # after rounding too, and the score lies in [0, square].
-                x = r / max(p[l], p_min)
+                x = r / max(pl, p_min)
                 scores.append(square - x * x)
             return scores
         # r_l <= G / p_min, so only the envelope overflows: name its layer.

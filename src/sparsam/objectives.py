@@ -9,6 +9,7 @@ bit-identical to the corresponding blocks of the full gradient.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Sequence
@@ -120,7 +121,7 @@ class Objective(ABC):
 
     def _check_loss(self, value: float) -> float:
         value = float(value)
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise DivergenceError(f"loss is non-finite ({value})")
         return value
 

@@ -165,53 +165,62 @@ def adamw_step(
 
 
 def sam_perturb(
+    x: LayeredVector,
     r: LayeredVector,
     active: ActiveSet,
     cfg: SamConfig,
     norms: np.ndarray,
 ) -> LayeredVector:
-    """Ascent perturbation of radius rho along r, zero off the active set.
+    """The ascent point: a copy of x moved by radius rho along r on the
+    active layers, and x's own bits everywhere else.
 
-    per_layer mode scales each active block to norm rho on its own;
+    per_layer mode scales each active block of r to norm rho on its own;
     global mode scales the whole active restriction jointly, by one
-    factor written over the active entries through the keys of
-    `LayeredVector.select`. Zero-norm input maps to a zero perturbation.
-    Entries with a factor of 0 stay +0.0, whatever the signs in r:
-    inactive layers, zero-norm layers in per_layer mode, and all of them
-    when rho is 0. `norms` holds layer_l2_norm(r, active), which the
-    caller has already computed.
+    factor. Either way each key of `x.select(active)` is written once, by
+    one expression that adds the scaled r to x, and no full-size
+    perturbation is built. An active entry whose factor is 0 gets
+    x + 0.0, whatever the sign of r there: in every layer when rho is 0,
+    in a zero-norm or non-finite-norm layer in per_layer mode, and in all
+    of them when the joint norm is 0 or not finite. `norms` holds
+    layer_l2_norm(r, active), which the caller has already computed.
 
     The global joint norm is the square root of the norms' sum of
     squares, taken with overflow ignored. Only when that sum overflows
     while every norm is finite is it taken again over the norms scaled
     by the largest, so a joint norm within the float range stays finite.
     """
-    eps = LayeredVector.zeros(r.dims)
+    if not x.same_shape(r):
+        raise ValueError(f"shape mismatch: {x.dims} vs {r.dims}")
+    point = x.copy()
     if cfg.perturb_norm == "per_layer":
-        key, _, sizes, pick = r.segments(active)
+        span, _, sizes, pick = r.segments(active)
+        per_layer = cfg.rho / np.where(norms > 0.0, norms, np.inf)
         scale = np.zeros(sizes.size)
-        scale[pick] = cfg.rho / np.where(norms > 0.0, norms, np.inf)
-        scale = scale.repeat(sizes)
-        np.multiply(scale, r.data[key], out=eps.data[key], where=scale > 0.0)
-    else:
-        with np.errstate(over="ignore"):
-            joint = math.sqrt(norms @ norms)
-        if joint == math.inf:
-            top = float(np.maximum.reduce(norms))
-            if top < math.inf:
-                # The squares overflowed, not the norm: sum them scaled by the largest.
-                u = norms / top
-                joint = top * math.sqrt(u @ u)
-        factor = cfg.rho / joint if joint > 0.0 else 0.0
-        if factor > 0.0:
-            for k in r.select(active):
-                eps.data[k] = factor * r.data[k]
-    return eps
-
-
-def _perturbed(x: LayeredVector, eps: LayeredVector, active: ActiveSet) -> LayeredVector:
-    x_pert = x.copy()
-    return masked_axpy(x_pert, 1.0, eps, active)
+        scale[pick] = per_layer
+        scale = scale.repeat(sizes)  # each entry's factor, over data[span]
+        all_positive = per_layer.all()
+        lo = span.start
+        for k in x.select(active):
+            s = scale[k - lo] if isinstance(k, np.ndarray) else scale[k.start - lo : k.stop - lo]
+            if all_positive:
+                point.data[k] += s * r.data[k]
+            else:  # a factor of 0 adds +0.0, not 0.0 * r
+                point.data[k] += np.multiply(s, r.data[k], out=np.zeros(s.size), where=s > 0.0)
+        return point
+    with np.errstate(over="ignore"):
+        joint = math.sqrt(norms @ norms)
+    if joint == math.inf:
+        top = float(np.maximum.reduce(norms))
+        if top < math.inf:
+            # The squares overflowed, not the norm: sum them scaled by the largest.
+            u = norms / top
+            joint = top * math.sqrt(u @ u)
+    factor = cfg.rho / joint if joint > 0.0 else 0.0
+    if factor > 0.0:
+        return masked_axpy(point, factor, r, active)
+    for k in x.select(active):
+        point.data[k] += 0.0
+    return point
 
 
 def sam_step(
@@ -230,10 +239,15 @@ def sam_step(
     `ascent` picks where the perturbation direction comes from:
 
         none    no perturbation; one gradient pass (sam_cfg is unused)
-        fresh   an ascent pass at x, perturb, a descent pass at x + eps
-        stale   perturb along the per-layer stash of earlier gradients,
-                one pass; the active blocks of the new gradient replace
-                their stashed ones and the staleness of each is recorded
+        fresh   an ascent pass at x, then a descent pass at the ascent
+                point sam_perturb builds along its gradient
+        stale   one pass, at the ascent point along the per-layer stash
+                of earlier gradients; the active blocks of the new
+                gradient replace their stashed ones and the staleness of
+                each is recorded
+
+    Both take their point from sam_perturb: a copy of x whose active
+    entries are each written once.
 
     A stale step perturbs only once a stash exists; the first one creates
     it after its update, and the stash starts as zeros stashed at step 0.
@@ -251,11 +265,12 @@ def sam_step(
     equal the restricted gradient's.
 
     The descent pass of a fresh step reuses the forward of the pass at
-    x. Below the lowest active layer x + eps equals x and the batch is
-    the same, so an objective that keeps activations (the MLP) starts
-    the descent forward and backprop at the lowest stage holding an
-    active layer, with every loss and gradient bit for bit what a full
-    pass would give. The descent loss is still computed and checked.
+    x. Below the lowest active layer the ascent point holds x's bits and
+    the batch is the same, so an objective that keeps activations (the
+    MLP) starts the descent forward and backprop at the lowest stage
+    holding an active layer, with every loss and gradient bit for bit
+    what a full pass would give. The descent loss is still computed and
+    checked.
     """
     n = obj.n_layers
     step_no = state.t + 1
@@ -268,15 +283,13 @@ def sam_step(
             ascent_pass = in_pass(step_no, "ascent", obj.loss_and_grad, x, batch, active)
         loss, first = ascent_pass
         norms = layer_l2_norm(first, active)
-        eps = sam_perturb(first, active, sam_cfg, norms)
-        x_pert = _perturbed(x, eps, active)
+        x_pert = sam_perturb(x, first, active, sam_cfg, norms)
         g = in_pass(step_no, "descent", obj.grad, x_pert, batch, active, reuse=True)
     else:
         x_eval = x
         if stale and state.prev_grad is not None:
             staleness = step_no - state.stash_step[idx]
-            eps = sam_perturb(state.prev_grad, active, sam_cfg, state.stash_norm[idx])
-            x_eval = _perturbed(x, eps, active)
+            x_eval = sam_perturb(x, state.prev_grad, active, sam_cfg, state.stash_norm[idx])
         loss, g = in_pass(step_no, "descent", obj.loss_and_grad, x_eval, batch, active)
         first = g
         norms = np.zeros(0) if ascent == "none" else layer_l2_norm(g, active)

@@ -9,14 +9,14 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsam import optimizers
 from sparsam.bandit import BanditConfig, SamplingDistribution, init_uniform, sample_active_set
 from sparsam.config import ExperimentConfig
 from sparsam.errors import DivergenceError
-from sparsam.layered import ActiveSet, LayeredVector, layer_l2_norm, masked_axpy
+from sparsam.layered import GATHER_BELOW, ActiveSet, LayeredVector, layer_l2_norm, masked_axpy
 from sparsam.objectives import Batch, BlockQuadratic, MlpClassifier
 from sparsam.optimizers import (
     AdamWConfig,
@@ -36,7 +36,7 @@ from sparsam.optimizers import (
 from sparsam.rng import stream
 from sparsam.runner import Trainer
 
-from conftest import block, lv, perturb, scalar_batch
+from conftest import ascent_point, block, lv, perturb, scalar_batch
 
 # One AdamW update from m=v=0, g=1, x=1 (eta=0.1, beta2=0.999, eps=1e-8),
 # evaluated at 50 decimal digits and rounded to double:
@@ -49,6 +49,9 @@ SAM_SCALAR_X1 = 0.68377354070136843407
 CFG = AdamWConfig(eta=0.1, weight_decay=0.0, beta1=0.9, beta2=0.999, adam_eps=1e-8)
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
+
+# Layer sizes on both sides of GATHER_BELOW.
+ASCENT_DIMS = [1, 2, 7, 64, GATHER_BELOW - 1, GATHER_BELOW, GATHER_BELOW + 1, 1024]
 
 
 class TestConfigRanges:
@@ -222,10 +225,11 @@ class TestSamPerturb:
         # way the perturbation has norm rho and raises no warning.
         m = math.sqrt(side / n) * math.sqrt(float(np.finfo(np.float64).max) / 2)
         r = LayeredVector([np.array([m])] * n)
+        x = LayeredVector.zeros(r.dims)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            eps = sam_perturb(r, ActiveSet.full(n), SamConfig(0.37, "global"), np.full(n, m))
-        assert np.allclose(eps.data, 0.37 / math.sqrt(n), rtol=1e-12, atol=0.0)
+            point = sam_perturb(x, r, ActiveSet.full(n), SamConfig(0.37, "global"), np.full(n, m))
+        assert np.allclose(point.data, 0.37 / math.sqrt(n), rtol=1e-12, atol=0.0)
 
     def test_global_norm_whose_square_overflows(self, monkeypatch):
         # Twenty layers of 64 gradient entries near 1e153: each layer's
@@ -238,10 +242,13 @@ class TestSamPerturb:
         }))
         norms = []
 
-        def recording(*args):
-            eps = sam_perturb(*args)
-            norms.append(np.linalg.norm(eps.data))
-            return eps
+        def recording(x, *args):
+            # x stays within 0.01 of 1, so rounding x + eps moves each of
+            # the 1,280 entries of point - x by at most 1.1e-16: their norm
+            # is within 4e-15 of rho = 0.01.
+            point = sam_perturb(x, *args)
+            norms.append(np.linalg.norm(point.data - x.data))
+            return point
 
         monkeypatch.setattr(optimizers, "sam_perturb", recording)
         with warnings.catch_warnings():
@@ -249,6 +256,104 @@ class TestSamPerturb:
             for _ in range(3):
                 trainer.step()
         assert norms == pytest.approx([trainer.config.optimizer.rho] * 3, rel=1e-12)
+
+
+class TestAscentPoint:
+    """sam_perturb's point is x plus the full-size reference perturbation
+    added key by key, byte for byte and warning for warning. The layouts
+    mix layers on both sides of GATHER_BELOW, so a set's keys hold slices
+    and a gathered index; x and r hold -0.0 entries, and `special` makes
+    one active layer zero, inf or too large to square, or every active
+    layer's norm so large that their joint square overflows."""
+
+    @given(
+        dims=st.lists(st.sampled_from(ASCENT_DIMS), min_size=3, max_size=12),
+        kind=st.sampled_from(["random", "alternate", "full", "single"]),
+        seed=st.integers(0, 2**32 - 1),
+        mode=st.sampled_from(["global", "per_layer"]),
+        rho=st.sampled_from([0.05, 0.05, 0.0]),
+        special=st.sampled_from(["none", "zero", "inf", "huge", "joint_overflow"]),
+    )
+    @example(dims=[1, 2, 300, 64, 7, 1024], kind="full", seed=0, mode="per_layer", rho=0.05,
+             special="zero")
+    # One slice and one gathered index for either parity of "alternate".
+    @example(dims=[1, 2, 300, 64, 7, 1024], kind="alternate", seed=3, mode="global", rho=0.05,
+             special="joint_overflow")
+    @example(dims=[1, 2, 300, 64, 7, 1024], kind="alternate", seed=3, mode="per_layer",
+             rho=0.05, special="inf")
+    @settings(max_examples=120, deadline=None)
+    def test_point_is_x_plus_the_reference_eps(self, dims, kind, seed, mode, rho, special):
+        rng = np.random.default_rng(seed)
+        n = len(dims)
+        if kind == "full":
+            active = ActiveSet.full(n)
+        elif kind == "single":
+            active = ActiveSet((int(rng.integers(n)),))
+        elif kind == "alternate":  # one-layer runs: two or more short ones are gathered
+            active = ActiveSet(range(int(rng.integers(2)), n, 2))
+        else:
+            active = ActiveSet.from_iterable(np.flatnonzero(rng.random(n) < 0.5))
+        x, r = (LayeredVector([rng.standard_normal(d) for d in dims]) for _ in range(2))
+        for v in (x, r):
+            v.data[rng.random(v.dim) < 0.2] = -0.0
+        if len(active) and special != "none":
+            l = active.layers[int(rng.integers(len(active)))]
+            if special == "zero":
+                block(r, l)[...] = -0.0
+            elif special == "inf":
+                block(r, l)[0] = -math.inf
+            elif special == "huge":
+                block(r, l)[...] = 1e200
+            else:
+                # Each norm squares to 0.75 of the float maximum.
+                top = math.sqrt(0.75 * float(np.finfo(np.float64).max))
+                for l in active:
+                    b = block(r, l)
+                    b += 1.0
+                    b *= top / float(np.linalg.norm(b))
+        cfg = SamConfig(rho, mode)
+        x_before = x.data.tobytes()
+        want = ascent_point(x, perturb(r, active, cfg), active)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            point = sam_perturb(x, r, active, cfg, layer_l2_norm(r, active))
+        assert point.data.tobytes() == want.data.tobytes()
+        assert x.data.tobytes() == x_before
+
+    @pytest.mark.parametrize("mode", ["global", "per_layer"])
+    @pytest.mark.parametrize("rho", [0.05, 0.0])
+    def test_refuses_a_direction_of_another_layout(self, mode, rho):
+        # Same buffer size, other layout, as a masked axpy refuses it.
+        x, r = lv([1.0, 2.0], [3.0, 4.0]), lv([1.0], [2.0, 3.0, 4.0])
+        with pytest.raises(ValueError, match="shape mismatch"):
+            sam_perturb(x, r, ActiveSet((0,)), SamConfig(rho, mode), np.ones(1))
+
+
+@pytest.mark.parametrize("otype", [t for t, (_, a) in optimizers.OPTIMIZERS.items() if a != "none"])
+@pytest.mark.parametrize("problem", [
+    {"objective": {"type": "blockquadratic", "layer_dims": [4] * 10, "noise_sigma": 1e-3}},
+    {"objective": {"type": "mlp", "widths": [2, 8, 8, 2]}, "dataset": {"type": "two_moons", "n": 64}},
+])
+def test_no_sam_step_after_the_first_builds_a_zero_vector(otype, problem, monkeypatch):
+    # The first step of a stale type creates its stash; no step builds a
+    # full-size perturbation.
+    trainer = Trainer(ExperimentConfig.from_dict({
+        **problem,
+        "optimizer": {"type": otype},
+        "bandit": {"s_over_n": 0.5},
+        "train": {"steps": 6, "batch_size": 16, "seed": 0, "eval_every": 2},
+    }))
+    trainer.step()
+    zeros, calls = LayeredVector.zeros, []
+
+    def counting(cls, dims):
+        calls.append(tuple(dims))
+        return zeros(dims)
+
+    monkeypatch.setattr(LayeredVector, "zeros", classmethod(counting))
+    for _ in range(5):
+        trainer.step()
+    assert calls == []
 
 
 def scalar_objective() -> BlockQuadratic:

@@ -60,7 +60,6 @@ def test_tracer_sees_a_sparse_step_and_restores_every_target():
         "optimizers.slsam_step",
         "optimizers.adamw_step",
         "optimizers.sam_perturb",
-        "layered.masked_axpy",
         "layered.layer_l2_norm",
         "layered.total_l1_norm",
         "layered.active_param_count",
