@@ -32,7 +32,6 @@ from sparsam.errors import ConfigError
 from sparsam.objectives import BlockQuadratic, MlpClassifier, Objective
 from sparsam.optimizers import OPTIMIZERS, AdamWConfig, Ascent, SamConfig, Selector
 
-OPTIMIZER_TYPES = tuple(OPTIMIZERS)
 DATASET_TYPES = ("none", "two_moons", "blobs")
 
 # Field name -> config key, where the config spelling is a reserved word here.

@@ -7,11 +7,12 @@ reads and writes the buffer through an active set's keys and segments
 (below) or slices it at `offsets`; the vector keeps no per-layer views.
 `zeros` is one allocation and `copy` one memcpy.
 
-An ActiveSet holds its layers sorted, and grouped into runs of adjacent
-indices. `v.select(active)` turns the runs into the keys that
-elementwise updates index `data` with. A run of GATHER_BELOW floats or
-more is a slice, and so is a set's only short run (the full set is one
-run): the update works in place on its view. Two or more shorter runs
+An ActiveSet holds its layers sorted. Its plan for a layout (below)
+groups them into runs of adjacent indices, and `v.select(active)` turns
+the runs into the keys that elementwise updates index `data` with. A
+run of GATHER_BELOW floats or more is a slice, and so is a set's only
+short run (the full set is one run): the update works in place on its
+view. Two or more shorter runs
 are merged into one flat index array, built as one `np.repeat` of each
 run's start less the entries before it, plus one `np.arange`: the update
 gathers them, works on the copy in one expression and scatters it back.
@@ -40,10 +41,11 @@ it was given, so a frozen layer is provably untouched.
 
 A set holds its layers once, as the sorted tuple `layers` that is also
 its identity, and keeps its plan; small sets are interned. A set's
-select() keys and segments, its plan, are a pure function of its
-layers and the layout, so the set keeps the plan for the layout last
-asked about, and a step that addresses its set several times builds it
-once. Sets that the sampler draws, that the ablation selectors pick and
+select() keys, its segments and its entry count, its plan, are a pure
+function of its layers and the layout, so the set keeps the plan for
+the layout last asked about, and a step that addresses its set several
+times builds it once. The runs exist only while a plan is built.
+Sets that the sampler draws, that the ablation selectors pick and
 that `full` builds over at most INTERN_LAYERS (8) layers are interned
 by membership: at most 256 sets, never evicted. Small models repeat
 their draws: over 2,000 steps at seeds 0 and 1, `slsam` drew 63 distinct sets
@@ -54,8 +56,7 @@ makes a new set, as on the 100-layer quadratic, where none of 1,000
 draws repeats; the set and its plan go when the step is done, since a
 step's telemetry keeps only the set's index array.
 Such a set is built from the mask's one index array, `np.flatnonzero`,
-which becomes its `index`; its runs come from one pass over neighbours
-in the list of that array, the same pass every other construction makes.
+which becomes its `index`.
 """
 
 from __future__ import annotations
@@ -163,16 +164,15 @@ class ActiveSet:
     distinct, and the only field `==` and `hash` read. Iteration order is
     sorted.
 
-    `runs` lists the maximal ranges [lo, hi) of adjacent layers; `index`
-    holds the layers as a read-only integer array. Any iterable of
-    integers builds a set (a float raises TypeError). Sets from
+    `index` holds the layers as a read-only integer array. Any iterable
+    of integers builds a set (a float raises TypeError). Sets from
     `from_mask` (and `full`) over at most INTERN_LAYERS layers are
     interned; any other construction makes a new set. Every construction
-    derives `runs` and `index` in `_derive`.
+    sets `layers` and `index` in `_derive`. The runs of adjacent layers
+    belong to the plan, which groups them for one layout at a time.
     """
 
     layers: tuple[int, ...] = ()
-    runs: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     index: np.ndarray = field(init=False, repr=False, compare=False)
     # (offsets, plan) for the layout last asked about, or None.
     plan: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -182,20 +182,11 @@ class ActiveSet:
         self._derive(np.array(ordered, dtype=np.intp), ordered)
 
     def _derive(self, index: np.ndarray, ordered: list[int]) -> None:
-        """Set the layers, runs and index from the sorted layers, as an
-        intp array and as a list, in one pass over neighbours."""
+        """Set the layers and index from the sorted layers, as an intp
+        array and as a list."""
         if ordered and ordered[0] < 0:
             raise ValueError("layer indices must be non-negative")
-        starts: list[int] = []
-        ends: list[int] = []
-        for i in ordered:
-            if ends and ends[-1] == i:
-                ends[-1] = i + 1
-            else:
-                starts.append(i)
-                ends.append(i + 1)
         object.__setattr__(self, "layers", tuple(ordered))
-        object.__setattr__(self, "runs", tuple(zip(starts, ends)))
         object.__setattr__(self, "index", _frozen(index))
 
     @classmethod
@@ -238,14 +229,23 @@ class ActiveSet:
         return len(self.layers)
 
 
-def _plan(v: LayeredVector, active: ActiveSet) -> tuple[tuple, Segments]:
-    """select()'s keys and the segments of `active` in v's layout."""
+def _plan(v: LayeredVector, active: ActiveSet) -> tuple[tuple, Segments, int]:
+    """select()'s keys, the segments and the entry count of `active` in
+    v's layout."""
     o, slot = v.offsets, active.plan
     if slot is not None and slot[0] is o:
         return slot[1]
     active.validate(len(v.dims))
+    layers = active.layers
     firsts, dims = _layout_arrays(o)
-    spans = [(o[lo], o[hi]) for lo, hi in active.runs]
+    # The entries [start, end) of each run of adjacent layers, in one pass
+    # over neighbours.
+    spans: list[tuple[int, int]] = []
+    for l in layers:
+        if spans and spans[-1][1] == o[l]:
+            spans[-1] = (spans[-1][0], o[l + 1])
+        else:
+            spans.append((o[l], o[l + 1]))
     short = [(a, b) for a, b in spans if b - a < GATHER_BELOW]
     if len(short) < 2:
         keys = tuple(slice(a, b) for a, b in spans)
@@ -256,10 +256,11 @@ def _plan(v: LayeredVector, active: ActiveSet) -> tuple[tuple, Segments]:
         shifts = [a - before for (a, _), before in zip(short, accumulate(lens, initial=0))]
         index = _frozen(np.repeat(shifts, lens) + np.arange(sum(lens)))
         keys = (*(slice(a, b) for a, b in spans if b - a >= GATHER_BELOW), index)
-    lo, hi = (active.runs[0][0], active.runs[-1][1]) if spans else (0, 0)
+    lo, hi = (layers[0], layers[-1] + 1) if layers else (0, 0)
     segments = Segments(slice(o[lo], o[hi]), firsts[lo:hi] - o[lo], dims[lo:hi], active.index - lo)
-    object.__setattr__(active, "plan", (o, (keys, segments)))
-    return keys, segments
+    plan = keys, segments, sum(b - a for a, b in spans)
+    object.__setattr__(active, "plan", (o, plan))
+    return plan
 
 
 @lru_cache(maxsize=64)
@@ -293,9 +294,8 @@ def total_l1_norm(v: LayeredVector, active: ActiveSet) -> float:
 
 
 def active_param_count(v: LayeredVector, active: ActiveSet) -> int:
-    active.validate(v.n_layers)
-    o = v.offsets
-    return sum(o[hi] - o[lo] for lo, hi in active.runs)
+    """The number of entries in the active layers, read from the plan."""
+    return _plan(v, active)[2]
 
 
 def masked_axpy(y: LayeredVector, a: float, x: LayeredVector, active: ActiveSet) -> LayeredVector:

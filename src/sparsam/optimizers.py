@@ -178,10 +178,10 @@ def sam_perturb(
     global mode scales the whole active restriction jointly, by one
     factor. Either way each key of `x.select(active)` is written once, by
     one expression that adds the scaled r to x, and no full-size
-    perturbation is built. An active entry whose factor is 0 gets
-    x + 0.0, whatever the sign of r there: in every layer when rho is 0,
-    in a zero-norm or non-finite-norm layer in per_layer mode, and in all
-    of them when the joint norm is 0 or not finite. `norms` holds
+    perturbation is built. A global factor of 0 (rho 0, or a joint norm
+    that is 0 or not finite) is every active layer's factor, and both
+    modes then write through one rule: an active entry whose factor is 0
+    gets x + 0.0, whatever the sign of r there. `norms` holds
     layer_l2_norm(r, active), which the caller has already computed.
 
     The global joint norm is the square root of the norms' sum of
@@ -193,33 +193,32 @@ def sam_perturb(
         raise ValueError(f"shape mismatch: {x.dims} vs {r.dims}")
     point = x.copy()
     if cfg.perturb_norm == "per_layer":
-        span, _, sizes, pick = r.segments(active)
-        per_layer = cfg.rho / np.where(norms > 0.0, norms, np.inf)
-        scale = np.zeros(sizes.size)
-        scale[pick] = per_layer
-        scale = scale.repeat(sizes)  # each entry's factor, over data[span]
-        all_positive = per_layer.all()
-        lo = span.start
-        for k in x.select(active):
-            s = scale[k - lo] if isinstance(k, np.ndarray) else scale[k.start - lo : k.stop - lo]
-            if all_positive:
-                point.data[k] += s * r.data[k]
-            else:  # a factor of 0 adds +0.0, not 0.0 * r
-                point.data[k] += np.multiply(s, r.data[k], out=np.zeros(s.size), where=s > 0.0)
-        return point
-    with np.errstate(over="ignore"):
-        joint = math.sqrt(norms @ norms)
-    if joint == math.inf:
-        top = float(np.maximum.reduce(norms))
-        if top < math.inf:
-            # The squares overflowed, not the norm: sum them scaled by the largest.
-            u = norms / top
-            joint = top * math.sqrt(u @ u)
-    factor = cfg.rho / joint if joint > 0.0 else 0.0
-    if factor > 0.0:
-        return masked_axpy(point, factor, r, active)
+        factors = cfg.rho / np.where(norms > 0.0, norms, np.inf)
+    else:
+        with np.errstate(over="ignore"):
+            joint = math.sqrt(norms @ norms)
+        if joint == math.inf:
+            top = float(np.maximum.reduce(norms))
+            if top < math.inf:
+                # The squares overflowed, not the norm: sum them scaled by the largest.
+                u = norms / top
+                joint = top * math.sqrt(u @ u)
+        factor = cfg.rho / joint if joint > 0.0 else 0.0
+        if factor > 0.0:
+            return masked_axpy(point, factor, r, active)
+        factors = np.zeros(norms.size)
+    span, _, sizes, pick = r.segments(active)
+    scale = np.zeros(sizes.size)
+    scale[pick] = factors
+    scale = scale.repeat(sizes)  # each entry's factor, over data[span]
+    all_positive = factors.all()
+    lo = span.start
     for k in x.select(active):
-        point.data[k] += 0.0
+        s = scale[k - lo] if isinstance(k, np.ndarray) else scale[k.start - lo : k.stop - lo]
+        if all_positive:
+            point.data[k] += s * r.data[k]
+        else:  # a factor of 0 adds +0.0, not 0.0 * r
+            point.data[k] += np.multiply(s, r.data[k], out=np.zeros(s.size), where=s > 0.0)
     return point
 
 

@@ -9,11 +9,23 @@ import pytest
 
 from sparsam.layered import ActiveSet, LayeredVector, layer_l2_norm
 from sparsam.objectives import Batch
-from sparsam.optimizers import SamConfig
+from sparsam.optimizers import OPTIMIZERS, SamConfig
+
+# Every optimizer type, in the order of the one table of them.
+OPTIMIZER_TYPES = tuple(OPTIMIZERS)
 
 
 def lv(*blocks) -> LayeredVector:
     return LayeredVector([np.asarray(b, dtype=np.float64) for b in blocks])
+
+
+def reference_runs(members) -> tuple[tuple[int, int], ...]:
+    """The runs [lo, hi) of adjacent members, from membership tests on
+    each side."""
+    ordered = sorted(members)
+    starts = [i for i in ordered if i - 1 not in members]
+    ends = [i + 1 for i in ordered if i + 1 not in members]
+    return tuple(zip(starts, ends))
 
 
 def from_flat(flat, dims) -> LayeredVector:

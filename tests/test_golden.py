@@ -47,7 +47,9 @@ import hashlib
 import pytest
 
 from sparsam import runner
-from sparsam.config import OPTIMIZER_TYPES, ExperimentConfig
+from sparsam.config import ExperimentConfig
+
+from conftest import OPTIMIZER_TYPES
 
 CONFIGS = {
     # Noisy quadratic, 12 layers, two sampled per step on average.

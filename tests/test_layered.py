@@ -25,7 +25,7 @@ from sparsam.layered import (
 from sparsam.objectives import MlpClassifier
 from sparsam.optimizers import select_layers_ablation
 
-from conftest import assert_bit_identical, block, from_flat, lv
+from conftest import assert_bit_identical, block, from_flat, lv, reference_runs
 
 
 def random_layered(rng: np.random.Generator, dims: list[int]) -> LayeredVector:
@@ -268,6 +268,9 @@ class TestLayeredVector:
         with pytest.raises(ValueError):
             v.select(ActiveSet((5,)))
 
+    def test_repr_names_the_dims(self):
+        assert repr(lv([1.0, 2.0], [3.0])) == "LayeredVector(dims=(2, 1))"
+
     def test_rejects_empty_block(self):
         with pytest.raises(ValueError):
             LayeredVector([np.zeros(0)])
@@ -310,7 +313,10 @@ class TestActiveSet:
 
     @given(members=st.frozensets(st.integers(0, 40)))
     def test_runs_partition_members(self, members):
-        runs = ActiveSet(members).runs
+        # Every run of these layers is GATHER_BELOW floats or more, so the
+        # plan keys each run as its own slice.
+        v = LayeredVector.zeros([GATHER_BELOW] * 41)
+        runs = [(k.start // GATHER_BELOW, k.stop // GATHER_BELOW) for k in v.select(ActiveSet(members))]
         assert [l for lo, hi in runs for l in range(lo, hi)] == sorted(members)
         assert all(a[1] < b[0] for a, b in zip(runs, runs[1:]))
 
@@ -452,14 +458,6 @@ class TestInternedSets:
         assert v.select(ActiveSet.full(12)) is plan
 
 
-def reference_runs(members: frozenset[int]) -> tuple[tuple[int, int], ...]:
-    """The runs of adjacent members, from membership tests on each side."""
-    ordered = sorted(members)
-    starts = [i for i in ordered if i - 1 not in members]
-    ends = [i + 1 for i in ordered if i + 1 not in members]
-    return tuple(zip(starts, ends))
-
-
 def reference_keys(v: LayeredVector, active: ActiveSet) -> tuple:
     """select()'s keys built run by run: a slice per long run, then one
     concatenation of np.arange over the short ones (a lone short run is a slice)."""
@@ -493,7 +491,9 @@ class TestLargeSetsFromOneIndexArray:
         members = frozenset(np.flatnonzero(mask).tolist())
         made, ref = ActiveSet.from_mask(mask), ActiveSet(members)
         assert set(made) == set(ref) == members
-        assert made.runs == ref.runs == reference_runs(members)
+        v = LayeredVector.zeros([1] * mask.size)
+        assert plan_of(v, made) == plan_of(v, ref)
+        assert active_param_count(v, made) == len(members)
         for active in (made, ref):
             assert active.index.dtype == np.intp and not active.index.flags.writeable
             assert active.index.tolist() == sorted(members) == list(active)
@@ -519,3 +519,60 @@ class TestLargeSetsFromOneIndexArray:
             else:
                 assert k.dtype == np.intp and not k.flags.writeable
                 assert np.array_equal(k, w)
+
+
+# Layer sizes on both sides of GATHER_BELOW.
+COUNT_SIZES = [1, 2, 7, GATHER_BELOW // 2 + 1, GATHER_BELOW - 1, GATHER_BELOW, GATHER_BELOW + 1, 600]
+
+
+def layer_dims(n: int):
+    return st.lists(st.sampled_from(COUNT_SIZES), min_size=n, max_size=n)
+
+
+class TestActiveParamCount:
+    """active_param_count reads the plan's entry count, which equals the
+    sum of the active layers' sizes for a set from every construction."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_sum_of_the_active_layers_sizes(self, data):
+        # Up to 2 * INTERN_LAYERS layers, so from_mask takes both its paths.
+        n = data.draw(st.integers(1, 2 * INTERN_LAYERS))
+        dims = data.draw(layer_dims(n))
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        v = LayeredVector.zeros(dims)
+        members = np.flatnonzero(mask).tolist()
+        made = [ActiveSet(members), ActiveSet.from_iterable(members), ActiveSet.from_mask(mask)]
+        for active in made:
+            assert active_param_count(v, active) == sum(dims[l] for l in members)
+        assert active_param_count(v, ActiveSet()) == 0
+        assert active_param_count(v, ActiveSet.from_mask(np.zeros(n, dtype=bool))) == 0
+        assert active_param_count(v, ActiveSet.full(n)) == sum(dims)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_an_interned_set_counts_in_the_layout_asked_about(self, data):
+        n = data.draw(st.integers(1, INTERN_LAYERS))
+        a = LayeredVector.zeros(data.draw(layer_dims(n)))
+        b = LayeredVector.zeros(data.draw(layer_dims(n)))
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        active = ActiveSet.from_mask(mask)
+        assert ActiveSet.from_mask(mask.copy()) is active
+        # Each layout in turn replaces the plan the set keeps.
+        for v in (a, b, a, b):
+            assert active_param_count(v, active) == sum(v.dims[l] for l in active)
+
+    @pytest.mark.parametrize(
+        "active",
+        [
+            ActiveSet((0, 2)),
+            ActiveSet.from_mask(np.array([False, False, True])),
+            ActiveSet.from_mask(np.arange(INTERN_LAYERS + 1) == INTERN_LAYERS),
+            ActiveSet.full(3),
+        ],
+        ids=["constructor", "interned", "index-array", "full"],
+    )
+    def test_an_out_of_range_set_is_refused(self, active):
+        v = LayeredVector.zeros([3, GATHER_BELOW])
+        with pytest.raises(ValueError, match="out of range for 2 layers"):
+            active_param_count(v, active)

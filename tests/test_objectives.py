@@ -13,14 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsam import objectives
-from sparsam.config import OPTIMIZER_TYPES, ExperimentConfig
+from sparsam.config import ExperimentConfig
 from sparsam.errors import DivergenceError
 from sparsam.layered import ActiveSet, LayeredVector
 from sparsam.objectives import Batch, BlockQuadratic, MlpClassifier, Objective
 from sparsam.rng import stream
 from sparsam.runner import Trainer
 
-from conftest import block, from_flat, lv, scalar_batch
+from conftest import OPTIMIZER_TYPES, block, from_flat, lv, scalar_batch
 
 
 def finite_diff_grad(

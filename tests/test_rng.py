@@ -192,6 +192,13 @@ class TestKeysAndCounters:
         )
         assert_same_stream(stream(3, "data", index=index), indexed_reference(3, "data", index=index))
 
+    @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (2, np.uint32)])
+    def test_a_fixed_key_gives_only_two_uint64_words(self, n_words, dtype):
+        key = rng._key(0, ())
+        assert key.generate_state(2, np.uint64) is key.key
+        with pytest.raises(ValueError, match="only the two uint64 words"):
+            key.generate_state(n_words, dtype)
+
     @given(seed=st.integers(0, BIG), path=PATHS, index=st.integers(0, 2**128 - 1))
     @settings(max_examples=100, deadline=None)
     def test_any_index(self, seed, path, index):

@@ -11,8 +11,10 @@ import pytest
 
 from sparsam import runner
 from sparsam.cli import main
-from sparsam.config import OPTIMIZER_TYPES, ExperimentConfig, OptimizerConfig, load_config
+from sparsam.config import ExperimentConfig, OptimizerConfig, load_config
 from sparsam.errors import ConfigError, DivergenceError
+
+from conftest import OPTIMIZER_TYPES
 
 
 def quad_cfg(**over) -> ExperimentConfig:

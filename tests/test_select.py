@@ -29,7 +29,7 @@ from sparsam.optimizers import (
 from sparsam.rng import stream
 from sparsam.runner import Trainer
 
-from conftest import block, from_flat, perturb, scalar_batch
+from conftest import block, from_flat, perturb, reference_runs, scalar_batch
 
 DIMS = [1, 2, 7, 64, GATHER_BELOW - 1, GATHER_BELOW, GATHER_BELOW + 1, 1024]
 
@@ -38,7 +38,7 @@ def run_slices(v: LayeredVector, active: ActiveSet) -> list[slice]:
     """One slice of the buffer per run of adjacent active layers."""
     active.validate(v.n_layers)
     o = v.offsets
-    return [slice(o[lo], o[hi]) for lo, hi in active.runs]
+    return [slice(o[lo], o[hi]) for lo, hi in reference_runs(set(active))]
 
 
 def ref_adamw(state, x, g, active, cfg):
