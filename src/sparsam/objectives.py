@@ -2,14 +2,16 @@
 
 Two families: analytic block quadratics (optionally with per-batch
 gradient noise) and a small fully connected softmax classifier. Both
-expose gradients restricted to an active layer set with the guarantee
-that restriction only masks blocks: the surviving blocks are
-bit-identical to the corresponding blocks of the full gradient.
+compute gradients for an active layer set whose active blocks are
+bit-identical to the corresponding blocks of the full gradient; what a
+returned gradient holds outside the set is left to the objective, and
+no caller reads it (`Objective.loss_and_grad`).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Sequence
@@ -44,7 +46,8 @@ def as_labels(values: np.ndarray, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Batch:
-    """One minibatch. `id` indexes the deterministic per-batch noise stream."""
+    """One minibatch. `id` indexes the deterministic per-batch noise stream:
+    a non-negative integer (a NumPy integer too), held as an int."""
 
     inputs: np.ndarray
     targets: np.ndarray
@@ -61,8 +64,11 @@ class Batch:
             raise ValueError(f"{inputs.shape[0]} input rows vs {targets.shape[0]} targets")
         if inputs.shape[0] < 1:
             raise ValueError("batch must hold at least one sample")
-        if self.id < 0:
-            raise ValueError("batch id must be non-negative")
+        # operator.index takes the types with __index__: int, bool and the
+        # NumPy integers.
+        if not hasattr(type(self.id), "__index__") or operator.index(self.id) < 0:
+            raise ValueError(f"batch id must be a non-negative integer, got {self.id!r}")
+        object.__setattr__(self, "id", operator.index(self.id))
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "targets", targets)
 
@@ -98,6 +104,13 @@ class Objective(ABC):
         self, x: LayeredVector, batch: Batch | None, active: ActiveSet, reuse: bool = False
     ) -> tuple[float, LayeredVector]:
         """Loss at x and its gradient on the active layers.
+
+        The returned gradient's active blocks are the full gradient's, bit
+        for bit. Its other blocks hold whatever the objective computed:
+        the full gradient for the quadratic, +0.0 for the MLP. No caller
+        reads them: the optimizers read a gradient through the set's
+        select() keys, and the norms reduce the set's span and drop the
+        results of the layers outside it.
 
         `reuse=True` says that this objective's latest pass with the
         batch's row count ran on this same `batch` object, at a point
@@ -140,10 +153,10 @@ class BlockQuadratic(Objective):
     LayeredVector's buffer, so a pass is one dense expression over the
     whole buffer: the gradient scale * x + z, and the loss
     0.5 * (scale * x)·x + z·x, two dot products on top of it.
-    A pass over all layers returns that gradient. A sparse pass copies the
-    active entries into a zeroed vector through the keys of
-    `LayeredVector.select`, so its active blocks are the full gradient's,
-    bit for bit, and its inactive entries +0.0. No pass runs `loss()`.
+    Every pass returns that gradient, whatever its set: the loss reads
+    every entry, so the whole gradient costs one expression, and the
+    blocks outside the set are the full gradient's too, which no caller
+    reads. No pass runs `loss()`.
 
     The noise of the latest batch id is memoised, so a step that
     evaluates the loss and one or more gradients on one batch draws its
@@ -200,8 +213,7 @@ class BlockQuadratic(Objective):
         return total, grad
 
     def loss(self, x: LayeredVector, batch: Batch | None) -> float:
-        self._check_x(x)
-        return self._check_loss(self._pass(x, batch)[0])
+        return self.loss_and_grad(x, batch, ActiveSet())[0]
 
     def loss_and_grad(
         self, x: LayeredVector, batch: Batch | None, active: ActiveSet, reuse: bool = False
@@ -210,13 +222,7 @@ class BlockQuadratic(Objective):
         self._check_x(x)
         active.validate(self.n_layers)
         total, grad = self._pass(x, batch)
-        loss = self._check_loss(total)
-        if len(active) == self.n_layers:
-            return loss, LayeredVector._wrap(grad, x.dims, x.offsets)
-        g = LayeredVector._wrap(np.zeros(self._offsets[-1]), self.layer_dims, self._offsets)
-        for k in x.select(active):
-            g.data[k] = grad[k]
-        return loss, g
+        return self._check_loss(total), LayeredVector._wrap(grad, x.dims, x.offsets)
 
     def init_params(self, seed: int) -> LayeredVector:
         # Deterministic start at all ones; seed is unused here but kept so
@@ -359,10 +365,11 @@ class MlpClassifier(Objective):
 
     def _start_stage(self, reuse: bool, batch: Batch, lowest: int) -> int:
         """The first stage a pass computes. Without reuse that is stage 0,
-        once the targets are checked to lie in range; reusing a held pass
-        on `batch`, which checked them, it is the lowest stage holding an
-        active layer."""
+        once the inputs are checked to have the net's input width and the
+        targets to lie in range; reusing a held pass on `batch`, which
+        checked them, it is the lowest stage holding an active layer."""
         if not reuse:
+            self._check_width(batch.inputs)
             t = batch.targets
             if np.minimum.reduce(t) < 0 or np.maximum.reduce(t) >= self.n_classes:
                 raise ValueError(f"targets outside [0, {self.n_classes})")
@@ -379,13 +386,16 @@ class MlpClassifier(Objective):
             return np.subtract(1.0, out, out=out)
         return np.greater(z, 0.0, out=out)
 
-    def logits(self, x: LayeredVector, inputs: np.ndarray) -> np.ndarray:
-        self._check_x(x)
-        inputs = np.ascontiguousarray(inputs, dtype=np.float64)
+    def _check_width(self, inputs: np.ndarray) -> None:
         if inputs.ndim != 2 or inputs.shape[1] != self.widths[0]:
             raise ValueError(
                 f"inputs must be 2-d with {self.widths[0]} columns, got shape {inputs.shape}"
             )
+
+    def logits(self, x: LayeredVector, inputs: np.ndarray) -> np.ndarray:
+        self._check_x(x)
+        inputs = np.ascontiguousarray(inputs, dtype=np.float64)
+        self._check_width(inputs)
         with _quiet():
             return self._forward(x, inputs)[0][-1].copy()
 

@@ -63,6 +63,20 @@ class TestBatch:
         with pytest.raises(ValueError):
             Batch(np.zeros((1, 1)), np.zeros(1, dtype=np.int64), id=-1)
 
+    @pytest.mark.parametrize("bid", [1.5, np.float64(2.0), "3", None, -1, np.int64(-2)])
+    def test_refuses_an_id_not_a_non_negative_integer(self, bid):
+        # Refused here, before a noisy pass would fail inside the stream.
+        message = f"batch id must be a non-negative integer, got {bid!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Batch(np.zeros((1, 1)), np.zeros(1, dtype=np.int64), id=bid)
+
+    @pytest.mark.parametrize("bid", [np.int64(3), np.uint8(3), 3])
+    def test_an_integer_id_is_held_as_an_int(self, bid):
+        b = Batch(np.zeros((1, 1)), np.zeros(1, dtype=np.int64), id=bid)
+        assert type(b.id) is int and b.id == 3
+        obj = BlockQuadratic([2], noise_sigma=1.0)
+        assert obj.loss(lv([1.0, 2.0]), b) == obj.loss(lv([1.0, 2.0]), scalar_batch(3))
+
     @pytest.mark.parametrize(
         "inputs, targets, message",
         [
@@ -158,11 +172,13 @@ class TestQuadraticGrad:
         g = obj.grad(lv([0.0], [0.0]), None, ActiveSet.full(2))
         assert np.array_equal(g.data, [0.0, 0.0])
 
-    def test_masking_leaves_block_absent(self):
+    def test_restricted_pass_returns_the_full_gradient(self):
+        # The block outside the set is computed too, and no caller reads it.
         obj = two_block_quadratic()
-        g = obj.grad(lv([2.0], [1.0]), None, ActiveSet((1,)))
-        assert block(g, 0)[0] == 0.0
+        x = lv([2.0], [1.0])
+        g = obj.grad(x, None, ActiveSet((1,)))
         assert block(g, 1)[0] == 10.0
+        assert g.data.tobytes() == obj.grad(x, None, ActiveSet.full(2)).data.tobytes()
 
     def test_shape_mismatch(self):
         obj = two_block_quadratic()
@@ -302,21 +318,26 @@ def quadratic_passes(draw):
 
 
 class TestQuadraticPassBits:
-    """BlockQuadratic.loss_and_grad gives the loss, the gradient and the
-    errors of the per-key reference above, bit for bit."""
+    """BlockQuadratic.loss_and_grad gives the loss, the active blocks and
+    the errors of the per-key reference above, bit for bit, and on every
+    set the gradient of the full set."""
 
     @given(case=quadratic_passes())
     @settings(max_examples=300, deadline=None)
     def test_equals_the_per_key_reference(self, case):
         obj, x, batch, active = case
         want = pass_outcome(per_key_loss_and_grad, obj, x, batch, active)
-        assert pass_outcome(obj.loss_and_grad, x, batch, active) == want
-        if not isinstance(want[0], type):
-            # Inactive entries are +0.0, never -0.0.
-            g = obj.loss_and_grad(x, batch, active)[1]
-            for l in set(range(obj.n_layers)) - set(active):
-                assert block(g, l).tobytes() == bytes(8 * obj.layer_dims[l])
-            assert obj.loss(x, batch) == obj.loss_and_grad(x, batch, active)[0]
+        got = pass_outcome(obj.loss_and_grad, x, batch, active)
+        if isinstance(want[0], type):
+            assert got == want
+            return
+        assert got[:2] == want[:2]
+        o = x.offsets
+        for l in active:
+            assert got[2][8 * o[l] : 8 * o[l + 1]] == want[2][8 * o[l] : 8 * o[l + 1]]
+        full = pass_outcome(per_key_loss_and_grad, obj, x, batch, ActiveSet.full(obj.n_layers))
+        assert got == full
+        assert obj.loss(x, batch) == obj.loss_and_grad(x, batch, active)[0]
 
     @pytest.mark.parametrize("sigma", [0.0, 0.5])
     @pytest.mark.parametrize("batch", [None, scalar_batch(3)], ids=["population", "batch"])
@@ -429,7 +450,7 @@ class TestNoiseMemo:
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_restriction_only_masks_noisy_blocks(self, data):
+    def test_restriction_keeps_noisy_blocks(self, data):
         dims = data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=12))
         n = len(dims)
         scales = data.draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
@@ -446,11 +467,9 @@ class TestNoiseMemo:
         full = fresh().grad(x, batch, ActiveSet.full(n))
         # A fresh objective draws the noise for the restricted call alone.
         part = fresh().grad(x, batch, ActiveSet(layers))
-        for l in range(n):
-            if l in layers:
-                assert np.array_equal(block(part, l), block(full, l))
-            else:
-                assert np.array_equal(block(part, l), np.zeros(dims[l]))
+        for l in layers:
+            assert np.array_equal(block(part, l), block(full, l))
+        assert part.data.tobytes() == full.data.tobytes()
 
     def test_memoised_noise_is_read_only(self):
         obj = BlockQuadratic([3, 3], noise_sigma=1.0, noise_seed=2)
@@ -686,6 +705,20 @@ class TestMlpWorkspace:
         assert obj._work == {}
         assert obj.logits(x, np.zeros((3, 2))).shape == (3, 2)
         assert obj.logits(x, np.zeros((0, 2))).shape == (0, 2)
+
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_passes_refuse_inputs_not_of_the_input_width(self, columns):
+        # The message logits() gives, before any workspace is built.
+        obj = MlpClassifier([2, 4, 2])
+        x = obj.init_params(0)
+        batch = Batch(np.zeros((3, columns)), np.zeros(3, dtype=np.int64))
+        message = f"inputs must be 2-d with 2 columns, got shape (3, {columns})"
+        for active in (ActiveSet(), ActiveSet((3,)), ActiveSet.full(obj.n_layers)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                obj.loss_and_grad(x, batch, active)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            obj.loss(x, batch)
+        assert obj._work == {}
 
 
 class TestMlpForwardHandover:

@@ -16,7 +16,14 @@ from sparsam import optimizers
 from sparsam.bandit import BanditConfig, SamplingDistribution, init_uniform, sample_active_set
 from sparsam.config import ExperimentConfig
 from sparsam.errors import DivergenceError
-from sparsam.layered import GATHER_BELOW, ActiveSet, LayeredVector, layer_l2_norm, masked_axpy
+from sparsam.layered import (
+    GATHER_BELOW,
+    ActiveSet,
+    LayeredVector,
+    layer_l2_norm,
+    masked_axpy,
+    total_l1_norm,
+)
 from sparsam.objectives import Batch, BlockQuadratic, MlpClassifier
 from sparsam.optimizers import (
     AdamWConfig,
@@ -36,7 +43,7 @@ from sparsam.optimizers import (
 from sparsam.rng import stream
 from sparsam.runner import Trainer
 
-from conftest import ascent_point, block, lv, perturb, scalar_batch
+from conftest import OPTIMIZER_TYPES, ascent_point, block, lv, perturb, scalar_batch
 
 # One AdamW update from m=v=0, g=1, x=1 (eta=0.1, beta2=0.999, eps=1e-8),
 # evaluated at 50 decimal digits and rounded to double:
@@ -576,7 +583,11 @@ class TestOneStashWritePath:
         assert tel.per_layer_staleness.size == 0
         ((_, g),) = passes
         assert state.prev_grad is not g and not np.shares_memory(state.prev_grad.data, g.data)
-        assert np.array_equal(state.prev_grad.data, g.data)
+        # The stash holds g on the set and zeros elsewhere, whatever the
+        # pass left in g's other blocks.
+        for l in range(4):
+            want = block(g, l) if l == 1 else np.zeros(2)
+            assert block(state.prev_grad, l).tobytes() == want.tobytes()
 
     def test_a_layer_never_stashed_is_perturbed_by_zero(self):
         obj, x, state = self.first_step(ActiveSet((1,)))
@@ -883,3 +894,118 @@ class TestMomentRatioBound:
                 ratio = np.max(block(state.m, l) ** 2 / (block(state.v, l) + cfg.adam_eps))
                 worst = max(worst, float(ratio))
         assert worst <= 8.0
+
+
+class TestBlocksOutsideTheSetAreNeverRead:
+    """A gradient's blocks outside its pass's set are the objective's own
+    business (`Objective.loss_and_grad`): a run whose objective fills them
+    with NaN after every pass over fewer than all layers keeps every bit
+    of the run that leaves them as computed."""
+
+    CONFIGS = {
+        "quadratic": {
+            "objective": {
+                "type": "blockquadratic",
+                "layer_dims": [3, 64, 1, 300, 7, 2],
+                "scales": [0.5, 2.0, 1.0, 0.25, 4.0, 1.5],
+                "noise_sigma": 0.1,
+            },
+            "bandit": {"s_over_n": 0.5},
+            "train": {"steps": 40, "batch_size": 1, "seed": 3, "eval_every": 10},
+        },
+        "mlp-moons": {
+            "objective": {"type": "mlp", "widths": [2, 16, 16, 2], "activation": "tanh"},
+            "dataset": {"type": "two_moons", "n": 256},
+            "bandit": {"s_over_n": 0.5},
+            "train": {"steps": 40, "batch_size": 32, "seed": 0, "eval_every": 10},
+        },
+    }
+
+    @staticmethod
+    def poison(obj) -> list:
+        """Fill the blocks outside each restricted pass's set with NaN;
+        returns the list of the sets it poisoned around."""
+        sets, inner = [], obj.loss_and_grad
+
+        def loss_and_grad(x, batch, active, reuse=False):
+            loss, g = inner(x, batch, active, reuse)
+            if len(active) < obj.n_layers:
+                sets.append(active.index)
+                for l in set(range(obj.n_layers)) - set(active):
+                    g.data[g.offsets[l] : g.offsets[l + 1]] = np.nan
+            return loss, g
+
+        obj.loss_and_grad = loss_and_grad
+        return sets
+
+    @classmethod
+    def run(cls, cfg: dict, poisoned: bool) -> tuple[list, list]:
+        """The run's final bits (x, m, v, the stash, p, every StepTelemetry
+        field but wall_ns, every probe) and the sets poisoned around."""
+        trainer = Trainer(ExperimentConfig.from_dict(cfg))
+        sets = cls.poison(trainer.objective) if poisoned else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(cfg["train"]["steps"]):
+                trainer.step()
+
+        def bits(v):
+            if isinstance(v, np.ndarray):
+                return v.dtype.str, v.tobytes()
+            return float(v).hex() if isinstance(v, float) else v
+
+        st = trainer.state
+        out = [bits(v) for v in (trainer.x.data, st.m.data, st.v.data)]
+        if st.prev_grad is not None:
+            out += [bits(v) for v in (st.prev_grad.data, st.stash_step, st.stash_norm)]
+        if trainer.dist is not None:
+            out.append(bits(trainer.dist.p))
+        for tel in trainer.record.steps:
+            out.append({k: bits(v) for k, v in vars(tel).items() if k != "wall_ns"})
+        out += [(p.step, bits(p.loss), bits(p.grad_l1)) for p in trainer.record.probes]
+        return out, sets
+
+    @pytest.mark.parametrize("otype", OPTIMIZER_TYPES)
+    @pytest.mark.parametrize("workload", list(CONFIGS))
+    def test_a_poisoned_run_keeps_every_bit(self, workload, otype):
+        cfg = {**self.CONFIGS[workload], "optimizer": {"type": otype}}
+        want, _ = self.run(cfg, poisoned=False)
+        got, sets = self.run(cfg, poisoned=True)
+        assert got == want
+        if optimizers.OPTIMIZERS[otype][0] != "all":
+            assert len(sets) >= 30
+            if workload == "quadratic":
+                # Sets with a gap, so layers outside the set lie in its span.
+                assert any(np.diff(s).max(initial=1) > 1 for s in sets)
+
+
+class TestOverflowOutsideTheSet:
+    """A restricted quadratic gradient holds the full gradient outside its
+    set, and total_l1_norm reduces the set's span without an errstate. So
+    a layer outside the set but inside its span whose L1 sum overflows
+    warns, though its inf is dropped; the full-set probe warns the same
+    way, and a step that draws the layer diverges."""
+
+    @staticmethod
+    def case():
+        obj = BlockQuadratic([64] * 3, scales=[1.0, 6e306, 1.0])
+        x = obj.init_params(0)
+        x.data[:] = 0.5
+        return obj, x
+
+    def test_the_span_warns_and_the_set_keeps_its_norm(self):
+        obj, x = self.case()
+        ends = ActiveSet((0, 2))
+        loss, g = obj.loss_and_grad(x, None, ends)
+        assert loss == pytest.approx(4.8e307, rel=1e-15)
+        assert np.all(block(g, 1) == 3e306)
+        with pytest.warns(RuntimeWarning, match="overflow encountered in reduceat"):
+            assert total_l1_norm(g, ends) == 64.0
+        with pytest.warns(RuntimeWarning, match="overflow encountered in reduceat"):
+            assert total_l1_norm(g, ActiveSet.full(3)) == math.inf
+
+    def test_a_step_on_the_layer_diverges(self):
+        obj, x = self.case()
+        state = OptimizerState.init(obj.layer_dims)
+        with pytest.raises(DivergenceError, match="gradient in layer 1 at step 1 has no finite square"):
+            sam_step(obj, x, None, state, ActiveSet((1, 2)), "none", None, CFG)

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
+import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -487,6 +491,34 @@ class TestCli:
         assert main(["project", "--probs", str(probs), "--s", "2.0", "--pmin", "0.1"]) == 0
         got = [float(v) for v in capsys.readouterr().out.strip().split(",")]
         assert got == pytest.approx([0.5, 0.5, 0.5, 0.5], abs=1e-9)
+
+    def test_module_entry_point_projects(self, tmp_path):
+        # `python -m sparsam.cli` runs main() under the module's __main__
+        # guard, in a child process, with every warning an error.
+        probs = tmp_path / "w.csv"
+        probs.write_text("1.0 1.0 1.0 1.0\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "sparsam.cli", "project",
+             "--probs", str(probs), "--s", "2.0", "--pmin", "0.1"],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == "0.5,0.5,0.5,0.5\n"
+
+    def test_main_guard_exits_with_mains_status(self, tmp_path, capsys, monkeypatch):
+        # The same guard run in this process, where a line tracer sees it.
+        probs = tmp_path / "w.csv"
+        probs.write_text("1.0 1.0 1.0 1.0\n")
+        argv = ["sparsam", "project", "--probs", str(probs), "--s", "2.0", "--pmin", "0.1"]
+        monkeypatch.setattr(sys, "argv", argv)
+        # runpy warns when it runs a module that is already imported.
+        monkeypatch.delitem(sys.modules, "sparsam.cli")
+        with pytest.raises(SystemExit) as done:
+            runpy.run_module("sparsam.cli", run_name="__main__")
+        assert done.value.code == 0
+        assert capsys.readouterr().out == "0.5,0.5,0.5,0.5\n"
 
     @pytest.mark.parametrize("text", ["", " ,\n,, \n"], ids=["empty", "separators"])
     def test_project_refuses_a_file_without_numbers(self, tmp_path, capsys, text):
