@@ -92,16 +92,24 @@ INTERN_LAYERS = 8
 _interned: dict[bytes, "ActiveSet"] = {}
 
 
-@lru_cache(maxsize=64)
-def layout(dims: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Layer sizes as ints and the n + 1 buffer offsets of a layout."""
-    dims = tuple(int(d) for d in dims)
+@lru_cache(maxsize=64, typed=True)
+def layout(*dims: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Layer sizes as ints and the n + 1 buffer offsets of a layout, one
+    size an argument. A size must be a positive integer, a NumPy integer
+    too: one that is not, such as 4.5, np.float64(4.0) or "4", is refused,
+    not truncated or parsed. The cache is typed, so that 4.0 never hits
+    the entry of the equal int 4."""
     if len(dims) == 0:
         raise ValueError("need at least one layer")
     for i, d in enumerate(dims):
-        if d < 1:
+        # operator.index takes the types with __index__: int, bool and the
+        # NumPy integers.
+        if not hasattr(type(d), "__index__"):
+            raise ValueError(f"layer {i} size must be an integer, got {d!r}")
+        if operator.index(d) < 1:
             raise ValueError(f"layer {i} is empty")
-    return dims, tuple(accumulate(dims, initial=0))
+    sizes = tuple(map(operator.index, dims))
+    return sizes, tuple(accumulate(sizes, initial=0))
 
 
 class LayeredVector:
@@ -109,7 +117,7 @@ class LayeredVector:
 
     def __init__(self, blocks: Iterable[np.ndarray]) -> None:
         arrays = [np.asarray(b, dtype=np.float64).reshape(-1) for b in blocks]
-        self.dims, self.offsets = layout(tuple(a.size for a in arrays))
+        self.dims, self.offsets = layout(*(a.size for a in arrays))
         self.data = np.concatenate(arrays)
 
     @classmethod
@@ -123,7 +131,7 @@ class LayeredVector:
 
     @classmethod
     def zeros(cls, dims: Sequence[int]) -> "LayeredVector":
-        dims, offsets = layout(tuple(dims))
+        dims, offsets = layout(*dims)
         return cls._wrap(np.zeros(offsets[-1]), dims, offsets)
 
     def copy(self) -> "LayeredVector":

@@ -82,11 +82,11 @@ class Objective(ABC):
 
     The layout is fixed on construction: `layer_dims` and the buffer
     offsets come from one `layout()` call, which also refuses an empty
-    layout or an empty layer.
+    layout, an empty layer or a layer size that is not an integer.
     """
 
     def __init__(self, dims: Sequence[int]) -> None:
-        self.layer_dims, self._offsets = layout(tuple(dims))
+        self.layer_dims, self._offsets = layout(*dims)
 
     @property
     def n_layers(self) -> int:
@@ -233,23 +233,24 @@ class BlockQuadratic(Objective):
 
 @dataclass(eq=False)
 class _Workspace:
-    """Buffers of one batch row count, one entry per affine stage i, and
-    the row index that picks each row's target out of a (rows, classes)
-    array, built once with the workspace."""
+    """Buffers of one batch row count: three per hidden stage i, one for
+    the logits, one for the output stage's delta, and the row index that
+    picks each row's target out of a (rows, classes) array, built once
+    with the workspace."""
 
     rows: np.ndarray  # np.arange(row count)
-    pre: list[np.ndarray]  # z_i = a_i @ W_i + b_i; the last one holds the logits
-    act: list[np.ndarray]  # a_{i+1} = activation(z_i), hidden stages only
-    delta: list[np.ndarray]  # d loss / d z_i
-    deriv: list[np.ndarray]  # activation'(z_i), hidden stages only
-    held: Batch | None = None  # the batch of the pass whose activations pre and act hold
+    act: list[np.ndarray]  # a_{i+1} = tanh(a_i @ W_i + b_i), computed in place
+    logits: np.ndarray  # a_L @ W_L + b_L
+    delta: list[np.ndarray]  # d loss / d (a_i @ W_i + b_i), one per stage
+    deriv: list[np.ndarray]  # tanh' = 1 - a_{i+1} * a_{i+1}
+    held: Batch | None = None  # the batch of the pass whose activations act and logits hold
 
 
 class MlpClassifier(Objective):
     """Fully connected softmax classifier with mean cross-entropy loss.
 
     `widths` lists layer widths input first, logits last. Hidden stages
-    apply `activation` (tanh or relu); the final stage is linear. With
+    apply tanh, the only `activation`; the final stage is linear. With
     bias_mode="separate" each affine stage contributes two layers (weight
     matrix, bias vector); with "fused" the pair forms a single layer, which
     gives every layer the same parameter count when all widths are equal.
@@ -261,10 +262,11 @@ class MlpClassifier(Objective):
     through the ufuncs' own reduce methods, the calls behind `.max()` and
     `.sum()`, so a pass makes few Python-level calls on small nets.
 
-    Passes compute into a workspace kept per batch row count: one
-    (rows, width) buffer per stage for the pre-activation, the hidden
-    activation, the backprop delta and the activation derivative, and
-    the row index that picks each row's target. It is built on a row
+    Passes compute into a workspace kept per batch row count: three
+    (rows, width) buffers per hidden stage, for its activation (its
+    affine output, then tanh of it in place), its backprop delta and its
+    tanh derivative; the logits and the output stage's delta; and the
+    row index that picks each row's target. It is built on a row
     count's first pass and reused by every later pass with that count,
     so a warm pass allocates nothing of batch size (a few (rows,
     classes) softmax temporaries aside). Nothing of it
@@ -291,15 +293,19 @@ class MlpClassifier(Objective):
         activation: str = "tanh",
         bias_mode: str = "separate",
     ) -> None:
-        widths = [int(w) for w in widths]
+        # operator.index takes the types with __index__: int, bool and the
+        # NumPy integers, so a float or a string width is refused, not cast.
+        try:
+            widths = [operator.index(w) for w in widths]
+        except TypeError:
+            raise ValueError(f"bad widths {list(widths)}") from None
         if len(widths) < 2 or any(w < 1 for w in widths):
             raise ValueError(f"bad widths {widths}")
-        if activation not in ("tanh", "relu"):
+        if activation != "tanh":
             raise ValueError(f"unknown activation {activation!r}")
         if bias_mode not in ("separate", "fused"):
             raise ValueError(f"unknown bias_mode {bias_mode!r}")
         self.widths = widths
-        self.activation = activation
         self.bias_mode = bias_mode
         self.n_stages = len(widths) - 1
         # The stage table, one entry per affine stage: the slice of the
@@ -329,12 +335,12 @@ class MlpClassifier(Objective):
     def _workspace(self, rows: int) -> _Workspace:
         ws = self._work.get(rows)
         if ws is None:
-            outs, hidden = self.widths[1:], self.widths[1:-1]
+            hidden = self.widths[1:-1]
             ws = _Workspace(
                 rows=np.arange(rows),
-                pre=[np.empty((rows, w)) for w in outs],
                 act=[np.empty((rows, w)) for w in hidden],
-                delta=[np.empty((rows, w)) for w in outs],
+                logits=np.empty((rows, self.n_classes)),
+                delta=[np.empty((rows, w)) for w in self.widths[1:]],
                 deriv=[np.empty((rows, w)) for w in hidden],
             )
             self._work[rows] = ws
@@ -350,17 +356,13 @@ class MlpClassifier(Objective):
         of their pass."""
         ws = self._workspace(inputs.shape[0])
         ws.held = None
-        acts = [inputs, *ws.act, ws.pre[-1]]
+        acts = [inputs, *ws.act, ws.logits]
         for i in range(start, self.n_stages):
             w, shape, b, _, _ = self._stages[i]
-            z = np.matmul(acts[i], x.data[w].reshape(shape), out=ws.pre[i])
+            z = np.matmul(acts[i], x.data[w].reshape(shape), out=acts[i + 1])
             z += x.data[b]
-            if i == self.n_stages - 1:
-                break  # the logits have no activation
-            if self.activation == "tanh":
-                np.tanh(z, out=ws.act[i])
-            else:
-                np.maximum(z, 0.0, out=ws.act[i])
+            if i < self.n_stages - 1:  # the logits have no activation
+                np.tanh(z, out=z)
         return acts, ws
 
     def _start_stage(self, reuse: bool, batch: Batch, lowest: int) -> int:
@@ -378,13 +380,6 @@ class MlpClassifier(Objective):
         if ws is None or ws.held is not batch:
             raise ValueError("nothing to reuse: the workspace holds no pass on this batch")
         return lowest
-
-    def _act_deriv(self, z: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
-        if self.activation == "tanh":
-            # tanh' = 1 - a*a, through the activation value the forward pass kept.
-            np.multiply(a, a, out=out)
-            return np.subtract(1.0, out, out=out)
-        return np.greater(z, 0.0, out=out)
 
     def _check_width(self, inputs: np.ndarray) -> None:
         if inputs.ndim != 2 or inputs.shape[1] != self.widths[0]:
@@ -453,7 +448,9 @@ class MlpClassifier(Objective):
                     np.add.reduce(delta, axis=0, out=g.data[b])  # np.sum without its wrapper
                 if i > lowest:
                     delta = np.matmul(delta, x.data[w].reshape(shape).T, out=ws.delta[i - 1])
-                    delta *= self._act_deriv(ws.pre[i - 1], acts[i], ws.deriv[i - 1])
+                    # tanh' = 1 - a*a, through the activation the forward pass kept.
+                    deriv = np.multiply(acts[i], acts[i], out=ws.deriv[i - 1])
+                    delta *= np.subtract(1.0, deriv, out=deriv)
         return loss, g
 
     def init_params(self, seed: int) -> LayeredVector:

@@ -167,6 +167,10 @@ class TestRanges:
         with pytest.raises(ConfigError, match="objective: layer 1 is empty"):
             make({"objective": {"layer_dims": [4, 0]}})
 
+    def test_relu_is_an_unknown_activation(self):
+        with pytest.raises(ConfigError, match="^objective: unknown activation 'relu'$"):
+            make({"objective": {"type": "mlp", "activation": "relu"}, "dataset": {"type": "two_moons"}})
+
     def test_sections_check_ranges_when_built(self):
         with pytest.raises(ConfigError, match="eval_every"):
             TrainConfig(eval_every=0)
@@ -330,7 +334,8 @@ class TestLoadConfig:
 
 
 # Every key away from its default (dataset.type "none" is forced for the
-# quadratic), so the digests below pin the canonical form of each key.
+# quadratic, and "tanh", the default, is the only activation), so the
+# digests below pin the canonical form of each key.
 QUAD_ALL_SET = {
     "objective": {
         "type": "blockquadratic", "layer_dims": [3, 5, 2], "scales": [0.5, 2.0, 1.5],
@@ -345,7 +350,7 @@ QUAD_ALL_SET = {
     "train": {"steps": 50, "batch_size": 8, "seed": 7, "eval_every": 5},
 }
 MLP_ALL_SET = {
-    "objective": {"type": "mlp", "widths": [2, 8, 3], "activation": "relu", "bias_mode": "fused"},
+    "objective": {"type": "mlp", "widths": [2, 8, 3], "activation": "tanh", "bias_mode": "fused"},
     "dataset": {"type": "blobs", "n": 90, "noise": 0.3, "seed": 4},
     "optimizer": {
         "type": "sl_s2sam", "eta": 0.02, "lambda": 0.001, "beta1": 0.85, "beta2": 0.95,
@@ -361,7 +366,7 @@ class TestCanonicalForm:
         "raw,want",
         [
             (QUAD_ALL_SET, "a8f59b56af6c9045cb38f1745c6f5d774480a5c0e1f3a44b98b8be03976a7132"),
-            (MLP_ALL_SET, "340337743247d46d81ac33dfd5644f9ad75fc95a25b30a88b4dcf9b5c27b845c"),
+            (MLP_ALL_SET, "f1982da61f010bc067bd3847a6157efcba1df57307990dac6486b1f2d12fcb45"),
         ],
         ids=["quad", "mlp"],
     )

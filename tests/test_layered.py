@@ -226,6 +226,18 @@ class TestLayeredVector:
         assert np.array_equal(v.data, [1.0, 2.0, 3.0])
         assert np.shares_memory(block(c, 1), c.data)
 
+    @pytest.mark.parametrize("size", [2.9, 2.0, np.float64(2.0), "2"], ids=["2.9", "2.0", "float64", "str"])
+    def test_zeros_refuses_a_size_not_an_integer(self, size):
+        # Refused even after the integral layout (2, 1) was built, whose
+        # sizes compare and hash equal to 2.0's.
+        assert LayeredVector.zeros([2, 1]).dims == (2, 1)
+        with pytest.raises(ValueError, match=re.escape(f"layer 0 size must be an integer, got {size!r}")):
+            LayeredVector.zeros([size, 1])
+
+    def test_zeros_takes_numpy_integer_sizes_as_ints(self):
+        v = LayeredVector.zeros(np.array([2, 1]))
+        assert v.dims == (2, 1) and all(type(d) is int for d in v.dims)
+
     def test_constructor_copies_its_input(self):
         a = np.array([1.0, 2.0])
         v = LayeredVector([a])
