@@ -166,18 +166,27 @@ class ObjectiveConfig(_Section):
     def __post_init__(self) -> None:
         _require(self.type in ("blockquadratic", "mlp"), f"unknown objective type {self.type!r}")
 
-    def build(self, noise_seed: int) -> Objective:
+    def check(self) -> None:
+        """Refuse parameters the objective does not take, through its own
+        rules, without building one."""
         try:
             if self.type == "blockquadratic":
-                return BlockQuadratic(
-                    self.layer_dims,
-                    scales=self.scales,
-                    noise_sigma=self.noise_sigma,
-                    noise_seed=noise_seed,
-                )
-            return MlpClassifier(self.widths, self.activation, self.bias_mode)
+                BlockQuadratic.check(self.layer_dims, self.scales, self.noise_sigma)
+            else:
+                MlpClassifier.check(self.widths, self.activation, self.bias_mode)
         except ValueError as e:
             raise ConfigError(f"objective: {e}") from e
+
+    def build(self, noise_seed: int) -> Objective:
+        """The objective; an ExperimentConfig has checked its parameters."""
+        if self.type == "blockquadratic":
+            return BlockQuadratic(
+                self.layer_dims,
+                scales=self.scales,
+                noise_sigma=self.noise_sigma,
+                noise_seed=noise_seed,
+            )
+        return MlpClassifier(self.widths, self.activation, self.bias_mode)
 
 
 @dataclass(frozen=True)
@@ -278,7 +287,7 @@ class ExperimentConfig:
         return cls(**{k: s.from_dict(raw.get(k), k) for k, s in _SECTIONS.items()})
 
     def __post_init__(self) -> None:
-        self.objective.build(noise_seed=0)  # checks the objective's own parameters
+        self.objective.check()
         d = self.dataset
         if self.objective.type == "mlp":
             _require(d.type != "none", "mlp objective needs a dataset (two_moons or blobs)")

@@ -94,12 +94,14 @@ def gen_blobs(n: int, k: int, sigma: float, seed: int) -> Dataset:
 
 def minibatches(ds: Dataset, batch_size: int, seed: int, epoch: int) -> list[Batch]:
     """One epoch of batches under a seeded permutation; the short tail batch
-    is kept."""
+    is kept. The epoch's rows are gathered once, in permuted order, and each
+    batch holds contiguous row-slice views of them, which `Batch` keeps
+    without copying."""
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
     order = stream(seed, "data", index=epoch).permutation(ds.n)
-    out = []
-    for start in range(0, ds.n, batch_size):
-        rows = order[start : start + batch_size]
-        out.append(Batch(ds.features[rows], ds.labels[rows]))
-    return out
+    features, labels = ds.features[order], ds.labels[order]
+    return [
+        Batch(features[start : start + batch_size], labels[start : start + batch_size])
+        for start in range(0, ds.n, batch_size)
+    ]

@@ -173,21 +173,31 @@ class BlockQuadratic(Objective):
         noise_sigma: float = 0.0,
         noise_seed: int = 0,
     ) -> None:
+        scales = self.check(layer_dims, scales, noise_sigma)
         super().__init__(layer_dims)
-        dims = self.layer_dims
-        if scales is None:
-            scales = [1.0] * len(dims)
-        scales = [float(a) for a in scales]
+        self._scale = np.repeat(scales, self.layer_dims)
+        self.noise_sigma = float(noise_sigma)
+        self.noise_seed = int(noise_seed)
+        self._noise_id: int | None = None
+        self._noise_memo: np.ndarray | None = None
+
+    @staticmethod
+    def check(
+        layer_dims: Sequence[int], scales: Sequence[float] | None, noise_sigma: float
+    ) -> list[float]:
+        """The per-layer scales as floats (all 1.0 when None), once the
+        parameters are checked without building an objective: raises
+        ValueError on a bad layout, a scale count other than the layer
+        count, or a scale or noise_sigma that is not finite and positive
+        (zero allowed for noise_sigma)."""
+        dims = layout(*layer_dims)[0]
+        scales = [1.0] * len(dims) if scales is None else [float(a) for a in scales]
         # NaN fails this check and the noise check below too.
         if len(scales) != len(dims) or not all(0.0 < a < np.inf for a in scales):
             raise ValueError("need one positive, finite scale per layer")
         if not 0.0 <= noise_sigma < np.inf:
             raise ValueError("noise_sigma must be non-negative and finite")
-        self._scale = np.repeat(scales, dims)
-        self.noise_sigma = float(noise_sigma)
-        self.noise_seed = int(noise_seed)
-        self._noise_id: int | None = None
-        self._noise_memo: np.ndarray | None = None
+        return scales
 
     def _noise(self, batch: Batch | None) -> np.ndarray | None:
         """The flat noise vector of `batch`, or None for a noiseless call."""
@@ -234,11 +244,12 @@ class BlockQuadratic(Objective):
 @dataclass(eq=False)
 class _Workspace:
     """Buffers of one batch row count: three per hidden stage i, one for
-    the logits, one for the output stage's delta, and the row index that
-    picks each row's target out of a (rows, classes) array, built once
+    the logits, one for the output stage's delta, and the indices that
+    pick each row's target out of a (rows, classes) array, built once
     with the workspace."""
 
     rows: np.ndarray  # np.arange(row count)
+    starts: np.ndarray  # rows * classes, where each row starts in a flat (rows, classes) buffer
     act: list[np.ndarray]  # a_{i+1} = tanh(a_i @ W_i + b_i), computed in place
     logits: np.ndarray  # a_L @ W_L + b_L
     delta: list[np.ndarray]  # d loss / d (a_i @ W_i + b_i), one per stage
@@ -258,17 +269,20 @@ class MlpClassifier(Objective):
     A stage table built once per instance gives each affine stage's
     weight and bias slices of the parameter buffer, the weights' shape
     and the layers holding them; passes read weights, biases and their
-    gradient blocks through it as views, and the softmax and loss reduce
-    through the ufuncs' own reduce methods, the calls behind `.max()` and
-    `.sum()`, so a pass makes few Python-level calls on small nets.
+    gradient blocks through it as views, so a pass makes few Python-level
+    calls on small nets. The softmax reduces a (classes, rows) copy of the
+    logits along axis 0, which folds the classes in class order: the bits
+    of NumPy's own row max and row sum below 8 classes, where those fold
+    in class order too. From 8 classes NumPy sums a row pairwise, and the
+    class-order sum may differ from it in the last bit.
 
     Passes compute into a workspace kept per batch row count: three
     (rows, width) buffers per hidden stage, for its activation (its
     affine output, then tanh of it in place), its backprop delta and its
     tanh derivative; the logits and the output stage's delta; and the
-    row index that picks each row's target. It is built on a row
-    count's first pass and reused by every later pass with that count,
-    so a warm pass allocates nothing of batch size (a few (rows,
+    row and flat indices that pick each row's target. It is built on a
+    row count's first pass and reused by every later pass with that
+    count, so a warm pass allocates nothing of batch size (a few (rows,
     classes) softmax temporaries aside). Nothing of it
     escapes: gradients are fresh LayeredVectors and `logits()` and
     `predict()` return fresh arrays. Being per-instance scratch, it makes
@@ -293,19 +307,7 @@ class MlpClassifier(Objective):
         activation: str = "tanh",
         bias_mode: str = "separate",
     ) -> None:
-        # operator.index takes the types with __index__: int, bool and the
-        # NumPy integers, so a float or a string width is refused, not cast.
-        try:
-            widths = [operator.index(w) for w in widths]
-        except TypeError:
-            raise ValueError(f"bad widths {list(widths)}") from None
-        if len(widths) < 2 or any(w < 1 for w in widths):
-            raise ValueError(f"bad widths {widths}")
-        if activation != "tanh":
-            raise ValueError(f"unknown activation {activation!r}")
-        if bias_mode not in ("separate", "fused"):
-            raise ValueError(f"unknown bias_mode {bias_mode!r}")
-        self.widths = widths
+        self.widths = widths = self.check(widths, activation, bias_mode)
         self.bias_mode = bias_mode
         self.n_stages = len(widths) - 1
         # The stage table, one entry per affine stage: the slice of the
@@ -328,6 +330,26 @@ class MlpClassifier(Objective):
         super().__init__(dims)
         self._work: dict[int, _Workspace] = {}
 
+    @staticmethod
+    def check(widths: Sequence[int], activation: str, bias_mode: str) -> list[int]:
+        """The widths as ints, once the parameters are checked without
+        building an objective: raises ValueError on fewer than two widths,
+        a width that is not a positive integer, or an activation or
+        bias_mode the net does not have."""
+        # operator.index takes the types with __index__: int, bool and the
+        # NumPy integers, so a float or a string width is refused, not cast.
+        try:
+            widths = [operator.index(w) for w in widths]
+        except TypeError:
+            raise ValueError(f"bad widths {list(widths)}") from None
+        if len(widths) < 2 or any(w < 1 for w in widths):
+            raise ValueError(f"bad widths {widths}")
+        if activation != "tanh":
+            raise ValueError(f"unknown activation {activation!r}")
+        if bias_mode not in ("separate", "fused"):
+            raise ValueError(f"unknown bias_mode {bias_mode!r}")
+        return widths
+
     @property
     def n_classes(self) -> int:
         return self.widths[-1]
@@ -338,6 +360,7 @@ class MlpClassifier(Objective):
             hidden = self.widths[1:-1]
             ws = _Workspace(
                 rows=np.arange(rows),
+                starts=np.arange(0, rows * self.n_classes, self.n_classes),
                 act=[np.empty((rows, w)) for w in hidden],
                 logits=np.empty((rows, self.n_classes)),
                 delta=[np.empty((rows, w)) for w in self.widths[1:]],
@@ -399,15 +422,31 @@ class MlpClassifier(Objective):
 
     @staticmethod
     def _log_softmax(logits: np.ndarray) -> np.ndarray:
-        # The reductions of .max() and .sum() without their Python wrappers.
-        shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
-        return shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+        """The log-softmax of each row of the (rows, classes) logits, as
+        the transposed view of a (classes, rows) copy. The row max and the
+        row sum reduce along axis 0 of that copy: one call each, folding
+        the classes in class order. Along axis 1 NumPy runs one small
+        inner loop per row."""
+        shifted = logits.T.copy()
+        shifted -= np.maximum.reduce(shifted, axis=0)
+        shifted -= np.log(np.add.reduce(np.exp(shifted), axis=0))
+        return shifted.T
 
     def _ce(self, log_p: np.ndarray, targets: np.ndarray, rows: np.ndarray) -> float:
         """The checked mean cross-entropy, from the log-probabilities of
         targets already checked to lie in range; `rows` is the row index."""
         # What .mean() computes: the pairwise sum over the row count.
         return self._check_loss(-(np.add.reduce(log_p[rows, targets]) / targets.size))
+
+    @staticmethod
+    def _output_delta(log_p: np.ndarray, targets: np.ndarray, ws: _Workspace) -> np.ndarray:
+        """d loss / d logits, (softmax - one-hot) / rows, in the workspace's
+        output delta: 1.0 is subtracted at each row's target through one
+        flat index, and no other entry is touched."""
+        delta = np.exp(log_p, out=ws.delta[-1])
+        delta.reshape(-1)[ws.starts + targets] -= 1.0
+        delta /= targets.size
+        return delta
 
     def loss(self, x: LayeredVector, batch: Batch | None) -> float:
         # A pass over no layers runs the forward pass and no backprop.
@@ -429,10 +468,7 @@ class MlpClassifier(Objective):
             log_p = self._log_softmax(acts[-1])
             loss = self._ce(log_p, batch.targets, ws.rows)
 
-            n = batch.size
-            delta = np.exp(log_p, out=ws.delta[-1])
-            delta[ws.rows, batch.targets] -= 1.0
-            delta /= n
+            delta = self._output_delta(log_p, batch.targets, ws)
 
             g = LayeredVector._wrap(np.zeros(self._offsets[-1]), self.layer_dims, self._offsets)
             layers = active.layers

@@ -17,7 +17,9 @@ from sparsam.config import (
 )
 from sparsam.datasets import gen_blobs, gen_two_moons
 from sparsam.errors import ConfigError
+from sparsam.objectives import BlockQuadratic, MlpClassifier, Objective
 from sparsam.optimizers import SamConfig
+from sparsam.runner import Trainer
 
 
 def make(raw: dict) -> ExperimentConfig:
@@ -247,6 +249,51 @@ class TestDatasetRulesStatedOnce:
         with pytest.raises(ConfigError) as configured:
             make({"objective": {"type": "mlp", "widths": widths}, "dataset": dataset})
         assert str(configured.value) == f"dataset: {generated.value}"
+
+
+class TestObjectiveRulesStatedOnce:
+    """A config checks its objective through the objective's own rules,
+    without building one; the Trainer builds the only one."""
+
+    @pytest.mark.parametrize(
+        "section, construct",
+        [
+            ({"layer_dims": [4, 0]}, lambda: BlockQuadratic([4, 0])),
+            ({"layer_dims": [4, 4], "scales": [1.0]}, lambda: BlockQuadratic([4, 4], [1.0])),
+            ({"noise_sigma": -1.0}, lambda: BlockQuadratic([4] * 5, noise_sigma=-1.0)),
+            ({"type": "mlp", "widths": [2]}, lambda: MlpClassifier([2])),
+            ({"type": "mlp", "activation": "relu"}, lambda: MlpClassifier([2, 2], "relu")),
+            ({"type": "mlp", "bias_mode": "x"}, lambda: MlpClassifier([2, 2], bias_mode="x")),
+        ],
+        ids=["empty-layer", "scale-count", "noise", "widths", "activation", "bias_mode"],
+    )
+    def test_config_and_constructor_report_the_same_rule(self, section, construct):
+        with pytest.raises(ValueError) as constructed:
+            construct()
+        dataset = {"type": "two_moons"} if section.get("type") == "mlp" else {}
+        with pytest.raises(ConfigError) as configured:
+            make({"objective": section, "dataset": dataset})
+        assert str(configured.value) == f"objective: {constructed.value}"
+
+    @pytest.mark.parametrize(
+        "raw",
+        [{}, {"objective": {"type": "mlp"}, "dataset": {"type": "two_moons"}}],
+        ids=["blockquadratic", "mlp"],
+    )
+    def test_a_trainer_builds_its_objective_once(self, raw, monkeypatch):
+        built = []
+        init = Objective.__init__
+
+        def counted(self, dims):
+            built.append(type(self))
+            init(self, dims)
+
+        monkeypatch.setattr(Objective, "__init__", counted)
+        cfg = make(raw)
+        replace(cfg, train=TrainConfig(steps=3))  # re-checked, not built
+        assert built == []
+        trainer = Trainer(cfg)
+        assert built == [type(trainer.objective)]
 
 
 class TestValidOnceBuilt:

@@ -169,3 +169,22 @@ class TestMinibatches:
             seen.update(tuple(r) for r in b.inputs)
         assert seen == rows
 
+
+    @pytest.mark.parametrize("n, batch_size", [(256, 32), (250, 32), (1024, 128)])
+    def test_batches_are_views_of_one_gather_per_epoch(self, n, batch_size):
+        # Each batch of epochs 0-3 holds the bytes a per-batch gather of its
+        # rows gives, in C-contiguous views of the epoch's one gather, so
+        # Batch keeps them without a copy.
+        ds = gen_two_moons(n, noise=0.1, seed=4)
+        for epoch in range(4):
+            order = stream(7, "data", index=epoch).permutation(ds.n)
+            batches = minibatches(ds, batch_size, seed=7, epoch=epoch)
+            starts = range(0, ds.n, batch_size)
+            assert len(batches) == len(starts)
+            for b, start in zip(batches, starts):
+                rows = order[start : start + batch_size]
+                assert b.inputs.tobytes() == ds.features[rows].tobytes()
+                assert b.targets.tobytes() == ds.labels[rows].tobytes()
+                for got, first in ((b.inputs, batches[0].inputs), (b.targets, batches[0].targets)):
+                    assert got.flags.c_contiguous
+                    assert got.base is not None and got.base is first.base

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 import tracemalloc
@@ -577,11 +578,37 @@ class TestMlpGrad:
                 obj.loss_and_grad(x, batch, ActiveSet.full(obj.n_layers))
 
 
+def class_order_log_softmax(logits: np.ndarray) -> np.ndarray:
+    """The log-softmax of each row, its max and its sum folded over the
+    classes one at a time in class order."""
+    shifted = logits - functools.reduce(np.maximum, logits.T)[:, None]
+    return shifted - np.log(functools.reduce(np.add, np.exp(shifted).T))[:, None]
+
+
+def axis_1_output_stage(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The log-softmax and the output delta as the pass computed them
+    before it reduced a (classes, rows) copy: the row max and the row sum
+    along axis 1, and 1.0 subtracted at each row's target by a fancy
+    get and set."""
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    log_p = shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+    delta = np.exp(log_p)
+    delta[np.arange(targets.size), targets] -= 1.0
+    delta /= targets.size
+    return log_p, delta
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per entry: the two floats have the same bits, or both are NaN."""
+    return (a.view(np.uint64) == b.view(np.uint64)) | (np.isnan(a) & np.isnan(b))
+
+
 def plain_mlp_pass(
     obj: MlpClassifier, x: LayeredVector, batch: Batch
 ) -> tuple[float, LayeredVector]:
     """Loss and full gradient of the MLP written plainly: stages unpacked
-    from x's per-layer blocks, fresh arrays, and the loss by .mean()."""
+    from x's per-layer blocks, fresh arrays, and the loss by .mean(). The
+    row max and the row sum fold the classes in class order."""
 
     def unpack(v: LayeredVector, i: int) -> tuple[np.ndarray, np.ndarray]:
         fan_in, fan_out = obj.widths[i], obj.widths[i + 1]
@@ -596,8 +623,7 @@ def plain_mlp_pass(
         pre.append(acts[-1] @ w + b)
         if i < obj.n_stages - 1:
             acts.append(np.tanh(pre[-1]))
-    shifted = pre[-1] - pre[-1].max(axis=1, keepdims=True)
-    log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    log_p = class_order_log_softmax(pre[-1])
     rows = np.arange(batch.size)
     loss = float(-log_p[rows, batch.targets].mean())
     delta = np.exp(log_p)
@@ -617,11 +643,19 @@ def plain_mlp_pass(
 class TestMlpPassBits:
     @pytest.mark.parametrize(
         "widths, activation, bias_mode",
-        [([2, 16, 16, 2], "tanh", "separate"), ([3, 8, 8, 3], "tanh", "fused")],
+        [
+            ([2, 16, 16, 2], "tanh", "separate"),
+            ([3, 8, 8, 3], "tanh", "fused"),
+            ([2, 8, 1], "tanh", "separate"),
+            ([2, 8, 8, 5], "tanh", "fused"),
+            ([3, 16, 7], "tanh", "separate"),
+        ],
     )
     def test_every_batch_size_matches_plain_pass(self, widths, activation, bias_mode):
         # The golden traces cover 32 and 128 rows; the pairwise sums of
         # the loss and the bias gradients change shape with the row count.
+        # 1 to 7 classes: below 8 the class-order fold of the softmax is
+        # also the order of NumPy's own row reductions.
         obj = MlpClassifier(widths, activation=activation, bias_mode=bias_mode)
         x = obj.init_params(4)
         x.data += 0.1 * np.random.default_rng(2).standard_normal(x.dim)
@@ -683,6 +717,47 @@ class TestMlpPassBits:
                 obj.loss(x, batch)
             assert not np.isfinite(obj.logits(x, batch.inputs)).all()
             obj.predict(x, batch.inputs)
+
+
+class TestMlpOutputStage:
+    """The log-softmax reduces a (classes, rows) copy of the logits along
+    axis 0, and the output delta subtracts 1.0 at each row's target
+    through a flat index."""
+
+    VALUES = (
+        0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan,
+        1e308, -1e308, 5e-324, -5e-324, 700.0, -745.0,
+    )
+
+    @pytest.mark.parametrize("classes", [1, 2, 3])
+    def test_every_special_row_matches_the_axis_1_formula(self, classes):
+        # Every row of `classes` logits drawn from VALUES, each once per
+        # target: the log-softmax and the output delta have the bits the
+        # axis-1 reductions and the fancy subtraction give, NaN as NaN.
+        rows = list(itertools.product(self.VALUES, repeat=classes))
+        logits = np.array(rows * classes, dtype=np.float64).reshape(-1, classes)
+        targets = np.repeat(np.arange(classes), len(rows))
+        obj = MlpClassifier([1, classes])
+        ws = obj._workspace(targets.size)
+        with warnings.catch_warnings(), objectives._quiet():
+            warnings.simplefilter("error")
+            log_p = obj._log_softmax(logits)
+            delta = obj._output_delta(log_p, targets, ws)
+            want_log_p, want_delta = axis_1_output_stage(logits, targets)
+        assert log_p.shape == want_log_p.shape
+        assert same_bits(log_p, want_log_p).all()
+        assert same_bits(delta, want_delta).all()
+
+    def test_nine_classes_fold_in_class_order(self):
+        # From 8 classes NumPy sums a row along axis 1 pairwise, eight
+        # partial sums at a time, so the axis-1 formula leaves the
+        # class-order fold in the last bit on some rows. The pass keeps
+        # the class-order fold at every class count.
+        logits = 3.0 * np.random.default_rng(5).standard_normal((2000, 9))
+        log_p = MlpClassifier._log_softmax(logits)
+        assert same_bits(log_p, class_order_log_softmax(logits)).all()
+        want_log_p, _ = axis_1_output_stage(logits, np.zeros(2000, dtype=np.int64))
+        assert not same_bits(log_p, want_log_p).all()
 
 
 class TestMlpWorkspace:
