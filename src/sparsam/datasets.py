@@ -3,43 +3,42 @@
 Generators are pure functions of their parameters and seed, drawing
 from the counter-based streams in sparsam.rng, so outputs are
 byte-identical across runs and platforms for a fixed numpy version.
+A dataset's rows are one `Batch`, which states the rules they keep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from sparsam.objectives import Batch, as_labels
+from sparsam.objectives import Batch
 from sparsam.rng import stream
 
-@dataclass
-class Dataset:
-    features: np.ndarray
-    labels: np.ndarray
-    class_count: int
 
-    def __post_init__(self) -> None:
-        self.features = np.ascontiguousarray(self.features, dtype=np.float64)
-        self.labels = as_labels(self.labels, "labels")
-        if self.features.ndim != 2:
-            raise ValueError("features must be a 2-d matrix")
-        if self.features.shape[0] != self.labels.shape[0]:
-            raise ValueError(
-                f"{self.features.shape[0]} feature rows vs {self.labels.shape[0]} labels"
-            )
-        if self.class_count < 1:
+class Dataset:
+    """A labelled point set whose rows are one `Batch`, `rows`: so 2-d
+    float features, 1-d integral labels, one label per row and at least
+    one row are `Batch`'s rules. The dataset adds only its class count,
+    at least 1, and that every label lies in [0, class_count)."""
+
+    def __init__(self, features: np.ndarray, labels: np.ndarray, class_count: int) -> None:
+        self.rows = Batch(features, labels)
+        if class_count < 1:
             raise ValueError("class_count must be positive")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.class_count):
-            raise ValueError(f"labels outside [0, {self.class_count})")
+        if self.labels.min() < 0 or self.labels.max() >= class_count:
+            raise ValueError(f"labels outside [0, {class_count})")
+        self.class_count = class_count
+
+    @property
+    def features(self) -> np.ndarray:
+        return self.rows.inputs
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self.rows.targets
 
     @property
     def n(self) -> int:
-        return self.features.shape[0]
-
-    def as_batch(self) -> Batch:
-        return Batch(self.features, self.labels)
+        return self.rows.size
 
 
 def check(kind: str, n: int, noise: float, classes: int, features: int = 2) -> None:

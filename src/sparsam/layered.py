@@ -137,14 +137,6 @@ class LayeredVector:
     def copy(self) -> "LayeredVector":
         return LayeredVector._wrap(self.data.copy(), self.dims, self.offsets)
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.dims)
-
-    @property
-    def dim(self) -> int:
-        return self.data.size
-
     def select(self, active: "ActiveSet") -> tuple[slice | np.ndarray, ...]:
         """Keys into `data` covering each active entry once: a slice per
         long run, then one read-only index array of the short runs' entries

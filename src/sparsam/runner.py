@@ -24,7 +24,7 @@ from sparsam.config import ExperimentConfig
 from sparsam.datasets import Dataset, gen_blobs, gen_two_moons, minibatches
 from sparsam.errors import ConfigError, DivergenceError, in_pass
 from sparsam.layered import ActiveSet, total_l1_norm
-from sparsam.objectives import Batch, MlpClassifier
+from sparsam.objectives import Batch
 from sparsam.optimizers import (
     OptimizerState,
     ablation_step,
@@ -78,12 +78,7 @@ class Trainer:
             self.dist = init_uniform(n, config.bandit.budget(n), config.bandit.p_min())
         self.k = config.bandit.ablation_k(n)
         self.bandit_rng = stream(seed, "bandit")
-        self.record = RunRecord(
-            config_digest=config.digest(),
-            seed=seed,
-            n_layers=n,
-            total_params=self.objective.dim,
-        )
+        self.record = RunRecord(n_layers=n, total_params=self.objective.dim)
         self._batches = self._batch_stream()
 
     def _batch_stream(self) -> Iterator[Batch]:
@@ -131,7 +126,7 @@ class Trainer:
         """Full population gradient for the trend metric; off the books for
         pass counting."""
         full = ActiveSet.full(self.objective.n_layers)
-        batch = None if self.train_ds is None else self.train_ds.as_batch()
+        batch = None if self.train_ds is None else self.train_ds.rows
         loss, g = in_pass(step, "probe", self.objective.loss_and_grad, self.x, batch, full)
         self.record.probes.append(ProbeRecord(step, loss, total_l1_norm(g, full)))
 
@@ -142,7 +137,7 @@ class Trainer:
         return self.record
 
     def accuracy(self, ds: Dataset | None) -> float | None:
-        if ds is None or not isinstance(self.objective, MlpClassifier):
+        if ds is None:
             return None
         preds = self.objective.predict(self.x, ds.features)
         return float((preds == ds.labels).mean())
@@ -154,8 +149,8 @@ class Trainer:
             "final_loss": rec.steps[-1].loss if rec.steps else None,
             "active_ratio": active_ratio(rec) if rec.steps else None,
             "layer_frequency": [float(f) for f in layer_frequency(rec)] if rec.steps else [],
-            "config_digest": rec.config_digest,
-            "seed": rec.seed,
+            "config_digest": self.config.digest(),
+            "seed": self.config.train.seed,
             "steps": rec.n_steps,
             "train_accuracy": self.accuracy(self.train_ds),
             "test_accuracy": self.accuracy(self.test_ds),

@@ -60,8 +60,6 @@ class ProbeRecord:
 
 @dataclass
 class RunRecord:
-    config_digest: str
-    seed: int
     n_layers: int
     total_params: int
     steps: list[StepTelemetry] = field(default_factory=list)

@@ -165,7 +165,7 @@ def slsam_trace():
             included[l] += 1
         step_ratio = max(
             float(np.max(np.square(block(state.m, l)) / (block(state.v, l) + adamw.adam_eps)))
-            for l in range(state.m.n_layers)
+            for l in range(len(state.m.dims))
         )
         ratio_max = max(ratio_max, step_ratio)
     return {
@@ -398,7 +398,7 @@ def probe_trend(record: RunRecord, window: int) -> list[tuple[int, float]]:
 
 
 def test_probe_trend():
-    rec = RunRecord(config_digest="x", seed=0, n_layers=1, total_params=1)
+    rec = RunRecord(n_layers=1, total_params=1)
     rec.probes.extend(
         ProbeRecord(step=t, loss=0.0, grad_l1=g)
         for t, g in [(10, 4.0), (20, 2.0), (30, 6.0), (40, 0.0)]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sparsam.datasets import Dataset, gen_blobs, gen_two_moons, minibatches
+from sparsam.objectives import Batch
 from sparsam.rng import stream
 
 
@@ -96,17 +97,21 @@ class TestDataset:
         ids=["fraction", "nan", "inf", "str"],
     )
     def test_labels_a_cast_would_change_are_refused(self, labels):
-        with pytest.raises(ValueError, match="labels must be"):
+        with pytest.raises(ValueError, match="targets must be"):
             Dataset(np.zeros((2, 2)), np.array(labels), class_count=2)
 
     @pytest.mark.parametrize(
         "features, labels, class_count, message",
         [
-            (np.zeros(2), [0, 1], 2, "features must be a 2-d matrix"),
-            (np.zeros((3, 2)), [0, 1], 2, "3 feature rows vs 2 labels"),
+            (np.zeros(2), [0, 1], 2, "inputs must be 2-d"),
+            (np.zeros((3, 2)), [0, 1], 2, "3 input rows vs 2 targets"),
             (np.zeros((2, 2)), [0, 0], 0, "class_count must be positive"),
+            # Labels with a trailing axis would compare with the (n,)
+            # predictions as an (n, n) array.
+            (np.zeros((4, 2)), [[0], [1], [0], [1]], 2, r"targets must be 1-d, got shape \(4, 1\)"),
+            (np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 2, "at least one sample"),
         ],
-        ids=["features-1d", "row-mismatch", "no-classes"],
+        ids=["features-1d", "row-mismatch", "no-classes", "labels-2d", "no-rows"],
     )
     def test_refuses_a_bad_shape_or_class_count(self, features, labels, class_count, message):
         with pytest.raises(ValueError, match=message):
@@ -118,10 +123,12 @@ class TestDataset:
         assert ds.labels.tolist() == [1, 0]
 
     def test_as_batch(self):
+        # The rows are one Batch, which the dataset's arrays and size read.
         ds = gen_blobs(6, k=2, sigma=0.1, seed=0)
-        b = ds.as_batch()
-        assert b.size == 6
-        assert np.array_equal(b.inputs, ds.features)
+        b = ds.rows
+        assert isinstance(b, Batch)
+        assert b.size == ds.n == 6
+        assert b.inputs is ds.features and b.targets is ds.labels
 
 
 class TestMinibatches:

@@ -58,8 +58,8 @@ class TestLayerL2Norm:
     @settings(max_examples=50, deadline=None)
     def test_squared_norm_matches_dot(self, dims, seed):
         v = random_layered(np.random.default_rng(seed), dims)
-        norms = layer_l2_norm(v, ActiveSet.full(v.n_layers))
-        for l in range(v.n_layers):
+        norms = layer_l2_norm(v, ActiveSet.full(len(v.dims)))
+        for l in range(len(v.dims)):
             b = block(v, l)
             dot = float(b @ b)
             assert norms[l] ** 2 == pytest.approx(dot, rel=1e-12, abs=1e-300)
@@ -109,10 +109,10 @@ class TestSegmentedReductions:
         # top_slsam scores layers on the full set and reuses those norms
         # for the sampled set, so each must be the same bits either way.
         v, active = case
-        full = layer_l2_norm(v, ActiveSet.full(v.n_layers))
+        full = layer_l2_norm(v, ActiveSet.full(len(v.dims)))
         assert np.array_equal(layer_l2_norm(v, active), full[list(active)])
         rng = np.random.default_rng(seed)
-        other = ActiveSet.from_iterable(np.flatnonzero(rng.random(v.n_layers) < 0.5))
+        other = ActiveSet.from_iterable(np.flatnonzero(rng.random(len(v.dims)) < 0.5))
         assert np.array_equal(layer_l2_norm(v, other), full[list(other)])
 
 
@@ -198,9 +198,9 @@ class TestLayeredVector:
 
     def test_dims_and_counts(self):
         v = lv([1.0, 2.0], [3.0])
-        assert v.n_layers == 2
+        assert len(v.dims) == 2
         assert v.dims == (2, 1)
-        assert v.dim == 3
+        assert v.data.size == 3
 
     def test_copy_is_independent(self):
         v = lv([1.0])
@@ -212,7 +212,7 @@ class TestLayeredVector:
         v = lv([1.0, 2.0], [3.0], [4.0, 5.0, 6.0])
         assert v.data.flags.c_contiguous and v.data.dtype == np.float64
         assert v.offsets == (0, 2, 3, 6)
-        for l in range(v.n_layers):
+        for l in range(len(v.dims)):
             assert np.shares_memory(block(v, l), v.data)
             assert block(v, l).size == v.dims[l]
         v.data[3] = -4.0
@@ -258,7 +258,7 @@ class TestLayeredVector:
             ActiveSet((int(rng.integers(n)),)),
             ActiveSet.from_iterable(np.flatnonzero(rng.random(n) < 0.5)),
         ):
-            hits = np.zeros(v.dim, dtype=np.int64)
+            hits = np.zeros(v.data.size, dtype=np.int64)
             for k in v.select(active):
                 if isinstance(k, slice):
                     hits[k] += 1
@@ -393,7 +393,7 @@ class TestInternedSets:
 
     def test_interned_plans_equal_fresh_plans(self):
         vectors = {name: LayeredVector.zeros(dims) for name, dims in PLAN_LAYOUTS.items()}
-        cases = [(name, mask) for name, v in vectors.items() for mask in masks(v.n_layers)]
+        cases = [(name, mask) for name, v in vectors.items() for mask in masks(len(v.dims))]
         want = {}
         for name, mask in cases:
             fresh = ActiveSet(frozenset(np.flatnonzero(mask).tolist()))

@@ -31,7 +31,7 @@ def finite_diff_grad(
     if h <= 0:
         raise ValueError("h must be positive")
     g = LayeredVector.zeros(x.dims)
-    for l in range(x.n_layers):
+    for l in range(len(x.dims)):
         for j in range(x.dims[l]):
             xl = block(x, l)
             orig = xl[j]
@@ -333,7 +333,7 @@ def quadratic_passes(draw):
     )
     x = LayeredVector([rng.standard_normal(d) for d in dims])
     for _ in range(draw(st.integers(0, 3))):
-        x.data[rng.integers(x.dim)] = draw(st.sampled_from([np.nan, np.inf, -np.inf, 1e155, -1e155]))
+        x.data[rng.integers(x.data.size)] = draw(st.sampled_from([np.nan, np.inf, -np.inf, 1e155, -1e155]))
     kind = draw(st.sampled_from(["random", "empty", "full", "listed", "out of range"]))
     members = np.flatnonzero(rng.random(n) < draw(st.floats(0.0, 1.0))).tolist()
     active = {
@@ -385,7 +385,7 @@ class TestQuadraticPassBits:
         x.data[-len(special):] = special[::-1]
         z = obj._noise(batch)
         with np.errstate(over="ignore", invalid="ignore"):
-            diff = x.data - np.zeros(x.dim)
+            diff = x.data - np.zeros(x.data.size)
             want = obj._scale * diff
             total = 0.5 * float(want.dot(diff))
             if z is not None:
@@ -658,7 +658,7 @@ class TestMlpPassBits:
         # also the order of NumPy's own row reductions.
         obj = MlpClassifier(widths, activation=activation, bias_mode=bias_mode)
         x = obj.init_params(4)
-        x.data += 0.1 * np.random.default_rng(2).standard_normal(x.dim)
+        x.data += 0.1 * np.random.default_rng(2).standard_normal(x.data.size)
         rng = np.random.default_rng(8)
         full = ActiveSet.full(obj.n_layers)
         for n in range(1, 301):
@@ -680,7 +680,7 @@ class TestMlpPassBits:
         obj = MlpClassifier(widths, activation=activation, bias_mode=bias_mode)
         x = obj.init_params(6)
         rng = np.random.default_rng(12)
-        x.data += 0.1 * rng.standard_normal(x.dim)
+        x.data += 0.1 * rng.standard_normal(x.data.size)
         sets = list(nonempty_subsets(obj.n_layers))
         if len(widths) > 4:
             sets = [sets[i] for i in sorted(rng.choice(len(sets), min(40, len(sets)), replace=False))]
@@ -871,7 +871,7 @@ class TestMlpForwardHandover:
         obj = MlpClassifier(widths, activation=activation, bias_mode=bias_mode)
         x = obj.init_params(3)
         rng = np.random.default_rng(rows)
-        x.data += 0.3 * rng.standard_normal(x.dim)
+        x.data += 0.3 * rng.standard_normal(x.data.size)
         batch = Batch(rng.standard_normal((rows, widths[0])), rng.integers(0, 2, rows))
         full = ActiveSet.full(obj.n_layers)
         for active in nonempty_subsets(obj.n_layers):
@@ -1028,7 +1028,7 @@ class TestInitParams:
         a = obj.init_params(11)
         b = obj.init_params(11)
         c = obj.init_params(12)
-        layers = range(a.n_layers)
+        layers = range(len(a.dims))
         assert all(np.array_equal(block(a, l), block(b, l)) for l in layers)
         assert any(not np.array_equal(block(a, l), block(c, l)) for l in layers)
         assert np.array_equal(block(a, 1), np.zeros(4))  # first bias block

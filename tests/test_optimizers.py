@@ -302,7 +302,7 @@ class TestAscentPoint:
             active = ActiveSet.from_iterable(np.flatnonzero(rng.random(n) < 0.5))
         x, r = (LayeredVector([rng.standard_normal(d) for d in dims]) for _ in range(2))
         for v in (x, r):
-            v.data[rng.random(v.dim) < 0.2] = -0.0
+            v.data[rng.random(v.data.size) < 0.2] = -0.0
         if len(active) and special != "none":
             l = active.layers[int(rng.integers(len(active)))]
             if special == "zero":
@@ -845,7 +845,7 @@ class TestRunWiseMatchesPerBlock:
             assert np.array_equal(got.data, want.data)
 
         y = rand()
-        y_ref = [block(y, l).copy() for l in range(y.n_layers)]
+        y_ref = [block(y, l).copy() for l in range(len(y.dims))]
         masked_axpy(y, a, g, active)
         for l in active:
             y_ref[l] += a * block(g, l)

@@ -111,6 +111,24 @@ class TestRun:
         losses = [p.loss for p in rec.probes]
         assert losses[-1] < losses[0]
 
+    def test_only_the_summary_reads_the_config_digest(self, tmp_path, monkeypatch):
+        cfg = quad_cfg(train={"seed": 7})
+        calls = []
+        real = ExperimentConfig.digest
+
+        def counting(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(ExperimentConfig, "digest", counting)
+        runner.Trainer(cfg)
+        assert len(calls) == 0
+        runner.run(cfg, tmp_path)
+        assert len(calls) == 1
+        s = json.loads((tmp_path / "summary.json").read_text())
+        assert s["config_digest"] == cfg.digest()
+        assert s["seed"] == cfg.train.seed == 7
+
     def test_mlp_run_reports_accuracy(self, tmp_path):
         cfg = ExperimentConfig.from_dict({
             "optimizer": {"type": "adasam", "eta": 0.01},
@@ -207,6 +225,36 @@ class TestTrainerStep:
         # one pass fewer than it is charged.
         reused = otype == "top_slsam"
         assert len(calls) == tel.grad_passes + (tel.selection_param_count > 0) - reused
+
+    def test_every_probe_passes_the_training_rows(self, monkeypatch):
+        trainer = runner.Trainer(ExperimentConfig.from_dict({
+            "optimizer": {"type": "adasam"},
+            "objective": {"type": "mlp", "widths": [2, 8, 2]},
+            "dataset": {"type": "two_moons", "n": 64, "noise": 0.1, "seed": 0},
+            "train": {"steps": 6, "batch_size": 16, "seed": 0, "eval_every": 2},
+        }))
+        probed = []
+        probing = False
+        real_probe, real_pass = trainer._probe, trainer.objective.loss_and_grad
+
+        def probe(step):
+            nonlocal probing
+            probing = True
+            try:
+                real_probe(step)
+            finally:
+                probing = False
+
+        def spy(x, batch, active, reuse=False):
+            if probing:
+                probed.append(batch)
+            return real_pass(x, batch, active, reuse)
+
+        monkeypatch.setattr(trainer, "_probe", probe)
+        monkeypatch.setattr(trainer.objective, "loss_and_grad", spy)
+        trainer.run_all()
+        assert len(probed) == len(trainer.record.probes) == 3
+        assert all(b is trainer.train_ds.rows for b in probed)
 
     def test_unknown_type_rejected_at_construction(self):
         with pytest.raises(ConfigError, match="bogus"):

@@ -36,7 +36,7 @@ DIMS = [1, 2, 7, 64, GATHER_BELOW - 1, GATHER_BELOW, GATHER_BELOW + 1, 1024]
 
 def run_slices(v: LayeredVector, active: ActiveSet) -> list[slice]:
     """One slice of the buffer per run of adjacent active layers."""
-    active.validate(v.n_layers)
+    active.validate(len(v.dims))
     o = v.offsets
     return [slice(o[lo], o[hi]) for lo, hi in reference_runs(set(active))]
 
@@ -96,7 +96,7 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
 
 def assert_inactive_unchanged(v: LayeredVector, before: np.ndarray, active: ActiveSet) -> None:
     o = v.offsets
-    for l in range(v.n_layers):
+    for l in range(len(v.dims)):
         if l not in active:
             assert_same_bits(v.data[o[l] : o[l + 1]], before[o[l] : o[l + 1]])
 
@@ -131,8 +131,9 @@ class Case:
 
     def vector(self, positive: bool = False) -> LayeredVector:
         v = LayeredVector.zeros(self.dims)
-        v.data[:] = self.rng.random(v.dim) if positive else self.rng.standard_normal(v.dim)
-        v.data[self.rng.random(v.dim) < 0.1] = 0.0 if positive else -0.0
+        size = v.data.size
+        v.data[:] = self.rng.random(size) if positive else self.rng.standard_normal(size)
+        v.data[self.rng.random(size) < 0.1] = 0.0 if positive else -0.0
         for l in np.flatnonzero(self.rng.random(len(self.dims)) < 0.2):
             block(v, l)[...] = 0.0
         return v
@@ -181,7 +182,7 @@ class TestGatherMatchesRunByRun:
         cfg = SamConfig(0.05, mode)
         eps = perturb(r, c.active, cfg)
         assert_same_bits(eps.data, ref_perturb(r, c.active, cfg).data)
-        assert_inactive_unchanged(eps, np.zeros(r.dim), c.active)
+        assert_inactive_unchanged(eps, np.zeros(r.data.size), c.active)
 
     @given(**case_args)
     @settings(max_examples=40, deadline=None)
@@ -214,7 +215,7 @@ class TestGatherMatchesRunByRun:
         stash = state.prev_grad.data.copy()
         sam_step(obj, x, scalar_batch(1), state, active, "stale", sam_cfg, cfg)
         want = from_flat(stash, dims)
-        inactive = np.ones(x.dim, dtype=bool)
+        inactive = np.ones(x.data.size, dtype=bool)
         for s in run_slices(want, active):
             want.data[s] = obj.grads[-1].data[s]
             inactive[s] = False

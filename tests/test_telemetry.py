@@ -20,7 +20,7 @@ from sparsam.telemetry import (
 
 
 def record(n_layers: int, total_params: int) -> RunRecord:
-    return RunRecord(config_digest="x", seed=0, n_layers=n_layers, total_params=total_params)
+    return RunRecord(n_layers=n_layers, total_params=total_params)
 
 
 def tel(step: int, active: ActiveSet, apc: int, passes: int, **kw) -> StepTelemetry:
